@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from preytaxis import integrate, read_snapshot, scenario_items, sweep
+from preytaxis import integrate_values, read_snapshot, scenario_items, sweep
 
 OUT = Path("demo_out/05_regularization")
 EPS = [0.2, 0.1, 0.05, 0.025, 0.0]
@@ -28,10 +28,10 @@ for eps in EPS:
 limit = profiles[0.0]
 print(f"\nL1 distance of the final predator profile to the eps = 0 limit (t = {t:g}):")
 for eps in EPS[:-1]:
-    gap = integrate(limit.grid.field(np.abs(profiles[eps].values - limit.values)))
+    gap = integrate_values(limit.grid, np.abs(profiles[eps].values - limit.values))
     print(f"  eps {eps:5g}: {gap:.6e}")
 
 print("\nsuccessive gaps along the halving sequence:")
 for hi, lo in zip(EPS[:-2], EPS[1:-1]):
-    gap = integrate(limit.grid.field(np.abs(profiles[hi].values - profiles[lo].values)))
+    gap = integrate_values(limit.grid, np.abs(profiles[hi].values - profiles[lo].values))
     print(f"  eps {hi:5g} vs {lo:5g}: {gap:.6e}")

@@ -7,39 +7,19 @@ a halving mesh sequence and measures errors against a block-averaged
 fine-mesh reference.  Both slopes come out close to 2.
 """
 
-import numpy as np
-
-from preytaxis import (
-    build_config,
-    execute,
-    heat_eigenmode_error,
-    refinement_order,
-    scenario_items,
-)
+from preytaxis import refinement_order
+from preytaxis.acceptance import heat_study, refinement_study
 
 print("pure diffusion vs exact eigenmode (d = 1, t = 0.1):")
-pairs = []
-for n in (32, 64, 128):
-    err = heat_eigenmode_error(n, 1, 1.0, 0.1)
-    pairs.append((1.0 / n, err))
+meshes = (32, 64, 128)
+pairs = heat_study(meshes)
+for n, (_, err) in zip(meshes, pairs):
     print(f"  n = {n:4d}: max error {err:.6e}")
 print(f"  fitted order: {refinement_order(pairs):.4f}")
 
-
-def final_u(n):
-    items = scenario_items("order_1d")
-    items["grid.n"] = str(n)
-    result = execute(build_config(items))
-    return result.final_state.u.values
-
-
 print("\nnonlinear system, central flux, against a 256-cell reference:")
-ref = final_u(256)
-pairs = []
-for n in (16, 32, 64):
-    coarse = final_u(n)
-    blocked = ref.reshape(n, 256 // n).mean(axis=1)  # exact cell averages
-    err = float(np.abs(coarse - blocked).max())
-    pairs.append((1.0 / n, err))
+meshes = (16, 32, 64)
+pairs = refinement_study(meshes, 256)
+for n, (_, err) in zip(meshes, pairs):
     print(f"  n = {n:4d}: max error vs reference {err:.6e}")
 print(f"  fitted order: {refinement_order(pairs):.4f}")

@@ -16,13 +16,20 @@ import numpy as np
 from . import model
 from .config import build_config, scenario_items
 from .diagnostics import check_energy_decay, entropy_lower_bound_residual, format_csv
-from .dynamics import SchemeConfig, State, reaction_rates, run_to_time, stable_dt, step
-from .grid import Grid, integrate, integrate_values
+from .dynamics import BlowUp, SchemeConfig, State, reaction_rates, run_to_time, stable_dt, step
+from .grid import Grid, integrate_values
 from .model import ModelParams, Regime, steady_states
 from .oracle import heat_eigenmode_error, homogeneous_ode, refinement_order
 from .runner import RunResult, execute
 
-__all__ = ["CriterionResult", "criterion_numbers", "run_criterion", "run_all"]
+__all__ = ["CriterionResult", "criterion_numbers", "run_criterion", "run_all", "heat_study",
+           "refinement_study"]
+
+# Meshes of criterion 3 and `preytaxis oracle`; sharing them lets both reuse
+# the cached runs.
+REFINEMENT_MESHES = (32, 64, 128)
+REFERENCE_MESH = 512
+MIN_ORDER = 1.9
 
 
 @dataclass(frozen=True)
@@ -33,14 +40,46 @@ class CriterionResult:
     detail: str
 
 
-_scenario_cache: dict[str, RunResult] = {}
+_scenario_cache: dict[tuple[tuple[str, str], ...], RunResult] = {}
 
 
-def _scenario_result(name: str) -> RunResult:
-    """Execute a bundled scenario once per process and reuse the outcome."""
-    if name not in _scenario_cache:
-        _scenario_cache[name] = execute(build_config(scenario_items(name)))
-    return _scenario_cache[name]
+def _scenario_result(name: str, overrides: dict[str, str] | None = None) -> RunResult:
+    """Execute a bundled scenario, with some keys overridden, once per process
+    and reuse the outcome."""
+    items = scenario_items(name)
+    items.update(overrides or {})
+    key = tuple(sorted(items.items()))
+    if key not in _scenario_cache:
+        _scenario_cache[key] = execute(build_config(items))
+    return _scenario_cache[key]
+
+
+# --- refinement studies ---------------------------------------------------------
+
+def heat_study(meshes: tuple[int, ...]) -> list[tuple[float, float]]:
+    """(h, max error) per mesh of zero-flux diffusion (d = 1, t = 0.1) on
+    [0, 1] against the exact cosine eigenmode."""
+    return [(1.0 / n, heat_eigenmode_error(n, 1, 1.0, 0.1)) for n in meshes]
+
+
+def refinement_study(meshes: tuple[int, ...], reference: int) -> list[tuple[float, float]]:
+    """(h, max error) per mesh of the order_1d scenario's final predator
+    density against the cell averages of the run on the reference mesh.
+
+    Raises BlowUp when any of the runs does not complete.
+    """
+    finals = {}
+    for n in (*meshes, reference):
+        result = _scenario_result("order_1d", {"grid.n": str(n)})
+        if not result.ok:
+            raise BlowUp(f"refinement run at n={n} ended with {result.status}")
+        finals[n] = result.final_state.u
+    ref = finals[reference].values
+    pairs = []
+    for n in meshes:
+        projected = ref.reshape(n, reference // n).mean(axis=1)
+        pairs.append((finals[n].grid.h[0], float(np.max(np.abs(finals[n].values - projected)))))
+    return pairs
 
 
 # --- 1: equilibria ------------------------------------------------------------
@@ -103,27 +142,13 @@ def _criterion_2() -> tuple[bool, str]:
 # --- 3: refinement orders -----------------------------------------------------
 
 def _criterion_3() -> tuple[bool, str]:
-    heat_pairs = [(1.0 / n, heat_eigenmode_error(n, 1, 1.0, 0.1)) for n in (32, 64, 128)]
-    heat_order = refinement_order(heat_pairs)
-
-    items = scenario_items("order_1d")
-    finals: dict[int, np.ndarray] = {}
-    for n in (32, 64, 128, 512):
-        trial = dict(items)
-        trial["grid.n"] = str(n)
-        result = execute(build_config(trial))
-        if not result.ok:
-            return False, f"refinement run at n={n} ended with {result.status}"
-        finals[n] = result.final_state.u.values
-    ref = finals[512]
-    pairs = []
-    for n in (32, 64, 128):
-        projected = ref.reshape(n, 512 // n).mean(axis=1)
-        pairs.append((2.0 / n, float(np.max(np.abs(finals[n] - projected)))))
-    nonlinear_order = refinement_order(pairs)
-
-    passed = heat_order >= 1.9 and nonlinear_order >= 1.9
-    return passed, f"observed orders: heat {heat_order:.3f}, nonlinear {nonlinear_order:.3f} (need >= 1.9)"
+    heat_order = refinement_order(heat_study(REFINEMENT_MESHES))
+    try:
+        nonlinear_order = refinement_order(refinement_study(REFINEMENT_MESHES, REFERENCE_MESH))
+    except BlowUp as exc:
+        return False, str(exc)
+    passed = heat_order >= MIN_ORDER and nonlinear_order >= MIN_ORDER
+    return passed, f"observed orders: heat {heat_order:.3f}, nonlinear {nonlinear_order:.3f} (need >= {MIN_ORDER})"
 
 
 # --- 4: homogeneous dynamics vs reference ODE ---------------------------------
@@ -180,15 +205,16 @@ def _criterion_6() -> tuple[bool, str]:
     ss = steady_states(p)
     g = Grid.uniform(1, 16, 2.0)
     bump = np.cos(np.pi * g.centers(0) / g.length[0])
-    s0 = State(g.field(ss.u_star + 1e-4 * bump), g.field(ss.v_star + 2e-4 * bump), 0.0)
+    u0 = ss.u_star + 1e-4 * bump
+    v0 = ss.v_star + 2e-4 * bump
     cfg = SchemeConfig()
-    dt0 = stable_dt(s0, p, cfg) / 2.0
-    mass0 = integrate(s0.u)
-    expected = integrate(reaction_rates(s0, p)[0])
+    dt0 = stable_dt(u0, v0, g, p, cfg) / 2.0
+    mass0 = integrate_values(g, u0)
+    expected = integrate_values(g, reaction_rates(u0, v0, p)[0])
 
     def residual(dt: float) -> float:
-        s1 = step(s0, p, cfg, dt=dt)
-        return abs((integrate(s1.u) - mass0) / dt - expected)
+        u1, _ = step(u0, v0, 0.0, g, p, cfg, dt)
+        return abs((integrate_values(g, u1) - mass0) / dt - expected)
 
     r_full = residual(dt0)
     r_half = residual(dt0 / 2.0)
@@ -261,12 +287,9 @@ def _criterion_9() -> tuple[bool, str]:
 # --- 10: taxis regularization continuity ---------------------------------------
 
 def _criterion_10() -> tuple[bool, str]:
-    items = scenario_items("eps_family_1d")
     finals = []
     for eps in ("0.1", "0.05", "0.025"):
-        trial = dict(items)
-        trial["params.eps"] = eps
-        result = execute(build_config(trial))
+        result = _scenario_result("eps_family_1d", {"params.eps": eps})
         if not result.ok:
             return False, f"eps={eps} run ended with {result.status}"
         finals.append(result.final_state.u)

@@ -13,14 +13,20 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .acceptance import criterion_numbers, run_criterion
-from .config import ConfigError, build_config, parse_items, scenario_items
+from .acceptance import (
+    MIN_ORDER,
+    REFERENCE_MESH,
+    REFINEMENT_MESHES,
+    criterion_numbers,
+    heat_study,
+    refinement_study,
+    run_criterion,
+)
+from .config import ConfigError, build_config, parse_items
 from .dynamics import BlowUp
 from .model import ModelParams, steady_states
-from .oracle import heat_eigenmode_error, homogeneous_ode, refinement_order
-from .runner import execute, run_scenario, sweep
+from .oracle import homogeneous_ode, refinement_order
+from .runner import run_scenario, sweep
 
 __all__ = ["main", "console_main"]
 
@@ -32,13 +38,22 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _read_items(path: str) -> dict[str, str]:
+    """Parse a config file; a path that cannot be read as text is a config error."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(str(exc)) from None
+    return parse_items(text)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = build_config(parse_items(Path(args.config).read_text()))
+    config = build_config(_read_items(args.config))
     return run_scenario(config, svg=True if args.svg else None)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    items = parse_items(Path(args.config).read_text())
+    items = _read_items(args.config)
     try:
         values = [float(tok) for tok in args.values.split(",") if tok.strip()]
     except ValueError:
@@ -71,12 +86,12 @@ def _cmd_accept(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.name == "heat":
-        pairs = [(1.0 / n, heat_eigenmode_error(n, 1, 1.0, 0.1)) for n in (32, 64, 128)]
+        pairs = heat_study(REFINEMENT_MESHES)
         for h, err in pairs:
             print(f"h={h:.6g} max_error={err:.6e}")
         order = refinement_order(pairs)
         print(f"observed_order={order:.4f}")
-        return 0 if order >= 1.9 else 1
+        return 0 if order >= MIN_ORDER else 1
     if args.name == "ode":
         p = ModelParams(d1=1.0, d2=1.0, m1=1.0, m2=2.0, chi=1.0, a=1.0, b=1.0)
         traj = homogeneous_ode(1.0, 1.0, p, 50.0)
@@ -87,25 +102,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         print(f"equilibrium u*={ss.u_star:.12f} v*={ss.v_star:.12f} gap={gap:.3e}")
         return 0 if gap <= 1e-6 else 1
     # name == "order": nonlinear refinement study against a fine reference
-    items = scenario_items("order_1d")
-    finals = {}
-    for n in (32, 64, 128, 512):
-        trial = dict(items)
-        trial["grid.n"] = str(n)
-        result = execute(build_config(trial))
-        if not result.ok:
-            print(f"n={n}: {result.status}", file=sys.stderr)
-            return 2
-        finals[n] = result.final_state.u.values
-    pairs = []
-    for n in (32, 64, 128):
-        projected = finals[512].reshape(n, 512 // n).mean(axis=1)
-        err = float(np.max(np.abs(finals[n] - projected)))
-        pairs.append((2.0 / n, err))
-        print(f"n={n} h={2.0 / n:.6g} max_error={err:.6e}")
+    pairs = refinement_study(REFINEMENT_MESHES, REFERENCE_MESH)
+    for n, (h, err) in zip(REFINEMENT_MESHES, pairs):
+        print(f"n={n} h={h:.6g} max_error={err:.6e}")
     order = refinement_order(pairs)
     print(f"observed_order={order:.4f}")
-    return 0 if order >= 1.9 else 1
+    return 0 if order >= MIN_ORDER else 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -135,9 +137,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
     except BlowUp as exc:

@@ -117,77 +117,55 @@ class StepAccounting:
 
 # --- pointwise reactions ----------------------------------------------------
 
-def _reaction_arrays(u: np.ndarray, v: np.ndarray, p: ModelParams):
+def reaction_rates(u: np.ndarray, v: np.ndarray, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Logistic reaction terms of both species."""
     ru = u * (p.m1 - u + p.a * v)
     rv = v * (p.m2 - p.b * u - v)
     return ru, rv
 
 
-def reaction_rates(s: State, p: ModelParams) -> tuple[Field, Field]:
-    """Logistic reaction terms of both species, as fields."""
-    ru, rv = _reaction_arrays(s.u.values, s.v.values, p)
-    return Field(s.grid, ru), Field(s.grid, rv)
-
-
 # --- predator flux ----------------------------------------------------------
 
-def _flux_u_arrays(u, v, grid: Grid, p: ModelParams, cfg: SchemeConfig):
+def flux_u(u, v, grid: Grid, p: ModelParams, cfg: SchemeConfig) -> tuple[np.ndarray, ...]:
+    """Per-face predator flux; boundary faces are exactly zero."""
     gu = face_gradient_values(grid, u)
     gv = face_gradient_values(grid, v)
     fluxes = []
     for ax in range(grid.dim):
-        left = [slice(None)] * grid.dim
-        right = [slice(None)] * grid.dim
-        left[ax] = slice(0, grid.n[ax] - 1)
-        right[ax] = slice(1, grid.n[ax])
-        interior = [slice(None)] * grid.dim
-        interior[ax] = slice(1, grid.n[ax])
-
-        v_face = 0.5 * (v[tuple(left)] + v[tuple(right)])
-        drift = p.chi * gv[ax][tuple(interior)]
+        left, right, interior = grid.left[ax], grid.right[ax], grid.interior_faces[ax]
+        v_face = 0.5 * (v[left] + v[right])
+        drift = p.chi * gv[ax][interior]
         if cfg.taxis_scheme is TaxisScheme.UPWIND:
             # donor cell: positive drift carries density from the left cell
-            u_face = np.where(drift > 0, u[tuple(left)], u[tuple(right)])
+            u_face = np.where(drift > 0, u[left], u[right])
         else:
-            u_face = 0.5 * (u[tuple(left)] + u[tuple(right)])
+            u_face = 0.5 * (u[left] + u[right])
 
         flux = np.zeros_like(gu[ax])
-        flux[tuple(interior)] = (p.d1 + p.chi * v_face) * gu[ax][tuple(interior)] - taxis_mobility(
-            u_face, p.eps
-        ) * drift
+        flux[interior] = (p.d1 + p.chi * v_face) * gu[ax][interior] - taxis_mobility(u_face, p.eps) * drift
         fluxes.append(flux)
-    return tuple(fluxes), gv
-
-
-def flux_u(s: State, p: ModelParams, cfg: SchemeConfig) -> tuple[np.ndarray, ...]:
-    """Per-face predator flux; boundary faces are exactly zero."""
-    fluxes, _ = _flux_u_arrays(s.u.values, s.v.values, s.grid, p, cfg)
-    return fluxes
+    return tuple(fluxes)
 
 
 # --- semidiscrete right-hand side -------------------------------------------
 
-def _rhs_arrays(u, v, grid: Grid, p: ModelParams, cfg: SchemeConfig):
-    fluxes, gv = _flux_u_arrays(u, v, grid, p, cfg)
-    ru, rv = _reaction_arrays(u, v, p)
-    du = divergence_values(grid, fluxes) + ru
-    dv = p.d2 * laplacian_values(grid, v) + rv
-    return du, dv, gv
-
-
-def rhs(s: State, p: ModelParams, cfg: SchemeConfig) -> tuple[Field, Field]:
+def rhs(u, v, grid: Grid, p: ModelParams, cfg: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
     """Time derivatives of (u, v).  The flux part integrates to zero exactly,
     so the discrete mass identity d/dt integral(u) = integral(reaction_u)
     holds to rounding."""
-    du, dv, _ = _rhs_arrays(s.u.values, s.v.values, s.grid, p, cfg)
-    return Field(s.grid, du), Field(s.grid, dv)
+    fluxes = flux_u(u, v, grid, p, cfg)
+    ru, rv = reaction_rates(u, v, p)
+    du = divergence_values(grid, fluxes) + ru
+    dv = p.d2 * laplacian_values(grid, v) + rv
+    return du, dv
 
 
 # --- step-size limiter --------------------------------------------------------
 
-def _stable_dt_arrays(u, v, grid: Grid, p: ModelParams, cfg: SchemeConfig, gv=None) -> float:
-    if gv is None:
-        gv = face_gradient_values(grid, v)
+def stable_dt(u, v, grid: Grid, p: ModelParams, cfg: SchemeConfig) -> float:
+    """Largest step the limiter allows at this state: the minimum of the
+    diffusive, drift, and relative-reaction-decay limits times cfl_safety."""
+    gv = face_gradient_values(grid, v)
     h_min = min(grid.h)
     v_max = float(v.max())
     limits = [
@@ -203,12 +181,6 @@ def _stable_dt_arrays(u, v, grid: Grid, p: ModelParams, cfg: SchemeConfig, gv=No
     return cfg.cfl_safety * min(limits)
 
 
-def stable_dt(s: State, p: ModelParams, cfg: SchemeConfig) -> float:
-    """Largest step the limiter allows at this state: the minimum of the
-    diffusive, drift, and relative-reaction-decay limits times cfl_safety."""
-    return _stable_dt_arrays(s.u.values, s.v.values, s.grid, p, cfg)
-
-
 # --- time stepping -----------------------------------------------------------
 
 def _clamp_negative(arr: np.ndarray) -> tuple[float, int]:
@@ -222,19 +194,22 @@ def _clamp_negative(arr: np.ndarray) -> tuple[float, int]:
     return removed, count
 
 
-def _advance(u, v, t, grid: Grid, p: ModelParams, cfg: SchemeConfig, dt: float,
-             acc: StepAccounting | None):
-    """One Heun step on raw arrays with clamp-and-count positivity repair."""
+def step(u, v, t: float, grid: Grid, p: ModelParams, cfg: SchemeConfig, dt: float,
+         accounting: StepAccounting | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """One RK2 (Heun) step of size dt from time t, with clamp-and-count
+    positivity repair; returns the new (u, v) and leaves the inputs alone."""
+    if dt <= 0:
+        raise ValueError(f"dt must be > 0 (got {dt})")
     mass_u = integrate_values(grid, u)
     mass_v = integrate_values(grid, v)
 
-    du1, dv1, _ = _rhs_arrays(u, v, grid, p, cfg)
+    du1, dv1 = rhs(u, v, grid, p, cfg)
     u1 = u + dt * du1
     v1 = v + dt * dv1
     removed_u, cells_u = _clamp_negative(u1)
     removed_v, cells_v = _clamp_negative(v1)
 
-    du2, dv2, _ = _rhs_arrays(u1, v1, grid, p, cfg)
+    du2, dv2 = rhs(u1, v1, grid, p, cfg)
     u_new = u + 0.5 * dt * (du1 + du2)
     v_new = v + 0.5 * dt * (dv1 + dv2)
     ru, cu = _clamp_negative(u_new)
@@ -253,23 +228,12 @@ def _advance(u, v, t, grid: Grid, p: ModelParams, cfg: SchemeConfig, dt: float,
             f"clamped mass {vol * max(removed_u, removed_v):.3e} at t = {t + dt:.6g} "
             "exceeds 1e-10 of the field mass"
         )
-    if acc is not None:
-        acc.steps += 1
-        acc.clamped_mass += vol * (removed_u + removed_v)
-        acc.clamped_cells += cells_u + cells_v + cu + cv
-        acc.peak_v = max(acc.peak_v, float(v_new.max()))
+    if accounting is not None:
+        accounting.steps += 1
+        accounting.clamped_mass += vol * (removed_u + removed_v)
+        accounting.clamped_cells += cells_u + cells_v + cu + cv
+        accounting.peak_v = max(accounting.peak_v, float(v_new.max()))
     return u_new, v_new
-
-
-def step(s: State, p: ModelParams, cfg: SchemeConfig, dt: float | None = None,
-         accounting: StepAccounting | None = None) -> State:
-    """Advance one RK2 (Heun) step of size dt (stable_dt when omitted)."""
-    if dt is None:
-        dt = stable_dt(s, p, cfg)
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0 (got {dt})")
-    u_new, v_new = _advance(s.u.values, s.v.values, s.t, s.grid, p, cfg, dt, accounting)
-    return State(Field(s.grid, u_new), Field(s.grid, v_new), s.t + dt)
 
 
 def run_to_time(
@@ -313,8 +277,8 @@ def run_to_time(
     time_eps = 1e-12 * max(1.0, abs(t_end))
     state = s0
     while t_end - t > time_eps:
-        dt = min(_stable_dt_arrays(u, v, grid, p, cfg), t_end - t)
-        u, v = _advance(u, v, t, grid, p, cfg, dt, acc)
+        dt = min(stable_dt(u, v, grid, p, cfg), t_end - t)
+        u, v = step(u, v, t, grid, p, cfg, dt, acc)
         t = t_end if t_end - (t + dt) <= time_eps else t + dt
         state = None
         while next_sample <= n_samples and t >= t0 + next_sample * sample_every - 1e-9 * sample_every:

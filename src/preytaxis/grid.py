@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 __all__ = [
     "Grid",
     "Field",
-    "integrate",
-    "face_gradient",
-    "divergence",
-    "laplacian_neumann",
-    "cell_gradient_sq",
+    "integrate_values",
+    "face_gradient_values",
+    "divergence_values",
+    "laplacian_values",
+    "gradient_sq_values",
     "write_snapshot",
     "read_snapshot",
 ]
@@ -52,14 +53,47 @@ class Grid:
     def dim(self) -> int:
         return len(self.n)
 
-    @property
+    @cached_property
     def h(self) -> tuple[float, ...]:
         """Mesh spacing per axis."""
         return tuple(ell / k for ell, k in zip(self.length, self.n))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return math.prod(self.h)
+
+    # Face layout: along each axis, face k separates cells k-1 and k, so a
+    # face array has one more entry than a cell array.  The index tuples
+    # below apply to both: on cell values, left/right pick the two cells of
+    # each interior face; on face values, they pick the low and high face
+    # of each cell.
+
+    def _along(self, s: slice) -> tuple[tuple[slice, ...], ...]:
+        return tuple(
+            tuple(s if k == ax else slice(None) for k in range(self.dim)) for ax in range(self.dim)
+        )
+
+    @cached_property
+    def left(self) -> tuple[tuple[slice, ...], ...]:
+        """Per axis: index dropping the last entry along that axis."""
+        return self._along(slice(None, -1))
+
+    @cached_property
+    def right(self) -> tuple[tuple[slice, ...], ...]:
+        """Per axis: index dropping the first entry along that axis."""
+        return self._along(slice(1, None))
+
+    @cached_property
+    def interior_faces(self) -> tuple[tuple[slice, ...], ...]:
+        """Per axis: index of the faces between two cells on a face array."""
+        return self._along(slice(1, -1))
+
+    @cached_property
+    def face_shape(self) -> tuple[tuple[int, ...], ...]:
+        """Per axis: shape of the array of faces normal to that axis."""
+        return tuple(
+            tuple(k + 1 if i == ax else k for i, k in enumerate(self.n)) for ax in range(self.dim)
+        )
 
     @property
     def volume(self) -> float:
@@ -100,10 +134,9 @@ class Field:
 
 
 # --- array kernels ---------------------------------------------------------
-# The Field wrappers below delegate to these; the time stepper calls them
-# directly on raw arrays in its inner loop.
 
 def integrate_values(grid: Grid, values: np.ndarray) -> float:
+    """Discrete integral over the box (cell volume times sum)."""
     return grid.cell_volume * float(values.sum())
 
 
@@ -111,12 +144,8 @@ def face_gradient_values(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ..
     """Normal gradient on every face, per axis; boundary faces are zero."""
     out = []
     for ax in range(grid.dim):
-        shape = list(grid.n)
-        shape[ax] += 1
-        faces = np.zeros(shape)
-        interior = [slice(None)] * grid.dim
-        interior[ax] = slice(1, grid.n[ax])
-        faces[tuple(interior)] = np.diff(values, axis=ax) / grid.h[ax]
+        faces = np.zeros(grid.face_shape[ax])
+        faces[grid.interior_faces[ax]] = (values[grid.right[ax]] - values[grid.left[ax]]) / grid.h[ax]
         out.append(faces)
     return tuple(out)
 
@@ -125,11 +154,12 @@ def divergence_values(grid: Grid, fluxes: tuple[np.ndarray, ...]) -> np.ndarray:
     """Outflow-minus-inflow per cell volume; telescopes to zero mass total."""
     out = np.zeros(grid.n)
     for ax in range(grid.dim):
-        out += np.diff(fluxes[ax], axis=ax) / grid.h[ax]
+        out += (fluxes[ax][grid.right[ax]] - fluxes[ax][grid.left[ax]]) / grid.h[ax]
     return out
 
 
 def laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Zero-flux Laplacian: divergence of the face gradients."""
     return divergence_values(grid, face_gradient_values(grid, values))
 
 
@@ -142,37 +172,9 @@ def gradient_sq_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     out = np.zeros(grid.n)
     faces = face_gradient_values(grid, values)
     for ax in range(grid.dim):
-        left = [slice(None)] * grid.dim
-        right = [slice(None)] * grid.dim
-        left[ax] = slice(0, grid.n[ax])
-        right[ax] = slice(1, grid.n[ax] + 1)
         g = faces[ax]
-        out += 0.5 * (g[tuple(left)] ** 2 + g[tuple(right)] ** 2)
+        out += 0.5 * (g[grid.left[ax]] ** 2 + g[grid.right[ax]] ** 2)
     return out
-
-
-# --- Field-level API -------------------------------------------------------
-
-def integrate(f: Field) -> float:
-    """Discrete integral over the box (cell volume times sum)."""
-    return integrate_values(f.grid, f.values)
-
-
-def face_gradient(f: Field) -> tuple[np.ndarray, ...]:
-    return face_gradient_values(f.grid, f.values)
-
-
-def divergence(grid: Grid, fluxes: tuple[np.ndarray, ...]) -> Field:
-    return Field(grid, divergence_values(grid, fluxes))
-
-
-def laplacian_neumann(f: Field) -> Field:
-    """Zero-flux Laplacian: divergence of the face gradients."""
-    return Field(f.grid, laplacian_values(f.grid, f.values))
-
-
-def cell_gradient_sq(f: Field) -> Field:
-    return Field(f.grid, gradient_sq_values(f.grid, f.values))
 
 
 # --- snapshot format -------------------------------------------------------
@@ -199,6 +201,8 @@ def write_snapshot(f: Field, t: float, path) -> None:
 def read_snapshot(path) -> tuple[Field, float]:
     with open(path) as fh:
         lines = [line for line in (raw.strip() for raw in fh) if line]
+    if not lines:
+        raise ValueError(f"empty snapshot file: {path}")
     head = lines[0].split()
     dim = int(head[0])
     if dim not in (1, 2) or len(head) != 2 * dim + 2:

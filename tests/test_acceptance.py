@@ -1,9 +1,10 @@
 """Top-level acceptance gate: every numbered check at its frozen tolerance.
 
 Each criterion prints exactly one PASS/FAIL line (kept visible through
-pytest's capture) so a full run reads as a checklist.  The heavyweight
-scenario runs behind criteria 5, 7, 8, 10, and 11 are shared through the
-module-level cache in preytaxis.acceptance.
+pytest's capture) so a full run reads as a checklist.  The scenario runs
+behind criteria 3, 5, 7, 8, 10, and 11 go through the module-level cache
+in preytaxis.acceptance, so runs they share (also with `preytaxis oracle
+order`) are made once per process.
 """
 
 import pytest

@@ -34,6 +34,14 @@ def test_run_missing_config_is_usage_error(tmp_path):
     assert main(["run", str(tmp_path / "absent.cfg")]) == 3
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "params.chi", "--values", "1"]])
+def test_unreadable_config_is_usage_error(tmp_path, command):
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for path in (tmp_path, binary):
+        assert main([command[0], str(path), *command[1:]]) == 3
+
+
 def test_run_invalid_value_is_usage_error(tmp_path):
     cfg, _ = write_cfg(tmp_path, extra="params.chi = -2\n")
     assert main(["run", str(cfg)]) == 3
@@ -78,6 +86,12 @@ def test_accept_rejects_unknown_criterion():
 def test_oracle_heat(capsys):
     assert main(["oracle", "heat"]) == 0
     assert "order" in capsys.readouterr().out
+
+
+def test_oracle_order(capsys):
+    # reuses the runs of acceptance criterion 3 when that ran first in this process
+    assert main(["oracle", "order"]) == 0
+    assert "observed_order=" in capsys.readouterr().out
 
 
 def test_oracle_ode(capsys):

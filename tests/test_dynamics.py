@@ -13,7 +13,7 @@ from preytaxis import (
     StepAccounting,
     TaxisScheme,
     flux_u,
-    integrate,
+    integrate_values,
     logistic_comparison,
     reaction_rates,
     rhs,
@@ -26,36 +26,46 @@ from preytaxis import (
 WORKED = ModelParams(d1=1.0, d2=1.0, m1=1.0, m2=2.0, chi=1.0, a=1.0, b=1.0)
 
 
-def make_state(u, v, length=1.0, t=0.0):
-    u = np.asarray(u, dtype=float)
+def make_arrays(u, v, length=1.0):
+    """Float copies of (u, v) and a grid with the given side length for them."""
+    u = np.array(u, dtype=float)
     g = Grid((u.shape[0],), (length,)) if u.ndim == 1 else Grid(u.shape, (length,) * 2)
+    return u, np.array(v, dtype=float), g
+
+
+def make_state(u, v, length=1.0, t=0.0):
+    u, v, g = make_arrays(u, v, length)
     return State(g.field(u), g.field(v), t)
 
 
 def test_reactions_vanish_at_coexistence():
     ss = steady_states(WORKED)
-    s = make_state(np.full(8, ss.u_star), np.full(8, ss.v_star))
-    ru, rv = reaction_rates(s, WORKED)
-    assert np.all(ru.values == 0.0)
-    assert np.all(rv.values == 0.0)
+    ru, rv = reaction_rates(np.full(8, ss.u_star), np.full(8, ss.v_star), WORKED)
+    assert np.all(ru == 0.0)
+    assert np.all(rv == 0.0)
 
 
 def test_step_fixes_equilibrium_bitwise():
     """The spatially constant equilibrium is a fixed point of the stepper."""
     ss = steady_states(WORKED)
-    s = make_state(np.full((8, 8), ss.u_star), np.full((8, 8), ss.v_star))
-    nxt = step(s, WORKED, SchemeConfig(), dt=0.01)
-    assert np.array_equal(nxt.u.values, s.u.values)
-    assert np.array_equal(nxt.v.values, s.v.values)
+    u, v, g = make_arrays(np.full((8, 8), ss.u_star), np.full((8, 8), ss.v_star))
+    u1, v1 = step(u, v, 0.0, g, WORKED, SchemeConfig(), 0.01)
+    assert np.array_equal(u1, u)
+    assert np.array_equal(v1, v)
+    # the time is the caller's: run_to_time lands exactly on t_end
+    s = make_state(u, v)
+    nxt = run_to_time(s, WORKED, SchemeConfig(), t_end=0.01, sample_every=0.01)
+    assert np.array_equal(nxt.u.values, u)
+    assert np.array_equal(nxt.v.values, v)
     assert nxt.t == 0.01
 
 
 def test_flux_is_plain_diffusion_when_v_constant():
     rng = np.random.default_rng(23)
     u = rng.uniform(0.5, 2.0, 8)
-    s = make_state(u, np.full(8, 2.0))
-    (fx,) = flux_u(s, WORKED, SchemeConfig())
-    h = s.grid.h[0]
+    _, v, g = make_arrays(u, np.full(8, 2.0))
+    (fx,) = flux_u(u, v, g, WORKED, SchemeConfig())
+    h = g.h[0]
     expected = (WORKED.d1 + WORKED.chi * 2.0) * np.diff(u) / h
     assert fx[0] == 0.0 and fx[-1] == 0.0
     assert np.allclose(fx[1:-1], expected, rtol=1e-14, atol=0.0)
@@ -64,41 +74,41 @@ def test_flux_is_plain_diffusion_when_v_constant():
 def test_upwind_flux_hand_case():
     # n=4, L=2 (h=0.5): du/dn = dv/dn = 2 on every interior face, drift > 0,
     # so the donor cell is the left one.
-    s = make_state([1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 2.0, 3.0], length=2.0)
-    (fx,) = flux_u(s, WORKED, SchemeConfig(taxis_scheme=TaxisScheme.UPWIND))
+    u, v, g = make_arrays([1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 2.0, 3.0], length=2.0)
+    (fx,) = flux_u(u, v, g, WORKED, SchemeConfig(taxis_scheme=TaxisScheme.UPWIND))
     # (d1 + chi*v_face)*2 - u_left*2 = 2*v_face + 2 - 2*u_left = 1 on each face
     assert np.allclose(fx, [0.0, 1.0, 1.0, 1.0, 0.0], atol=1e-14)
 
-    (fc,) = flux_u(s, WORKED, SchemeConfig(taxis_scheme=TaxisScheme.CENTRAL))
+    (fc,) = flux_u(u, v, g, WORKED, SchemeConfig(taxis_scheme=TaxisScheme.CENTRAL))
     # with the arithmetic face mean the two terms cancel exactly here
     assert np.allclose(fc, np.zeros(5), atol=1e-14)
 
 
 def test_saturating_mobility_weakens_drift():
-    s = make_state([1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 2.0, 3.0], length=2.0)
+    u, v, g = make_arrays([1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 2.0, 3.0], length=2.0)
     p_sat = ModelParams(d1=1.0, d2=1.0, m1=1.0, m2=2.0, chi=1.0, a=1.0, b=1.0, eps=0.5)
-    (fx,) = flux_u(s, p_sat, SchemeConfig())
+    (fx,) = flux_u(u, v, g, p_sat, SchemeConfig())
     # face between cells 0 and 1: 3 - 2*1/(1+0.5)
     assert fx[1] == pytest.approx(3.0 - 4.0 / 3.0, rel=1e-14)
 
 
 def test_stable_dt_reaction_limited():
     cfg = SchemeConfig()
-    s = make_state(np.full(32, 1e6), np.zeros(32))
-    dt = stable_dt(s, WORKED, cfg)
+    u, v, g = make_arrays(np.full(32, 1e6), np.zeros(32))
+    dt = stable_dt(u, v, g, WORKED, cfg)
     # per-capita decay of u is 1e6 - m1; that limit wins by far
     assert dt == pytest.approx(cfg.cfl_safety * cfg.reaction_limiter / (1e6 - 1.0), rel=1e-9)
 
 
 def test_stable_dt_diffusion_limited():
     cfg = SchemeConfig()
-    s = make_state(np.full(32, 0.5), np.full(32, 1.0))
+    u, v, g = make_arrays(np.full(32, 0.5), np.full(32, 1.0))
     h = 1.0 / 32
-    dt = stable_dt(s, WORKED, cfg)
+    dt = stable_dt(u, v, g, WORKED, cfg)
     assert 0 < dt <= cfg.cfl_safety * h * h / 2.0  # v-diffusion ceiling
     # stronger taxis can only shrink the step
     hot = ModelParams(d1=1.0, d2=1.0, m1=1.0, m2=2.0, chi=10.0, a=1.0, b=1.0)
-    assert stable_dt(s, hot, cfg) < dt
+    assert stable_dt(u, v, g, hot, cfg) < dt
 
 
 def test_scheme_config_validation():
@@ -121,23 +131,23 @@ def test_state_validation():
 
 
 def test_step_rejects_bad_dt():
-    s = make_state(np.ones(8), np.ones(8))
+    u, v, g = make_arrays(np.ones(8), np.ones(8))
     with pytest.raises(ValueError):
-        step(s, WORKED, SchemeConfig(), dt=0.0)
+        step(u, v, 0.0, g, WORKED, SchemeConfig(), 0.0)
 
 
 def test_blowup_detection():
-    s = make_state(np.full(8, 1e13), np.zeros(8))
+    u, v, g = make_arrays(np.full(8, 1e13), np.zeros(8))
     with pytest.raises(BlowUp):
         # dt so small the huge density survives the step above the ceiling
-        step(s, WORKED, SchemeConfig(), dt=1e-16)
+        step(u, v, 0.0, g, WORKED, SchemeConfig(), 1e-16)
 
 
 def test_excessive_clamping_detection():
     # a huge forced step drives the logistic decay negative in one Euler stage
-    s = make_state([10.0, 0.0, 0.0, 10.0], np.zeros(4))
+    u, v, g = make_arrays([10.0, 0.0, 0.0, 10.0], np.zeros(4))
     with pytest.raises(ExcessiveClamping):
-        step(s, WORKED, SchemeConfig(), dt=0.2)
+        step(u, v, 0.0, g, WORKED, SchemeConfig(), 0.2)
 
 
 def test_mass_rate_equals_reaction_integral():
@@ -147,15 +157,12 @@ def test_mass_rate_equals_reaction_integral():
     for dim in (1, 2):
         for scheme in TaxisScheme:
             g = Grid.uniform(dim, 16, 2.0)
-            s = State(
-                g.field(rng.uniform(0.1, 2.0, g.n)),
-                g.field(rng.uniform(0.1, 2.0, g.n)),
-                0.0,
-            )
+            u = rng.uniform(0.1, 2.0, g.n)
+            v = rng.uniform(0.1, 2.0, g.n)
             cfg = SchemeConfig(taxis_scheme=scheme)
-            du, _ = rhs(s, WORKED, cfg)
-            ru, _ = reaction_rates(s, WORKED)
-            assert abs(integrate(du) - integrate(ru)) < 1e-11
+            du, _ = rhs(u, v, g, WORKED, cfg)
+            ru, _ = reaction_rates(u, v, WORKED)
+            assert abs(integrate_values(g, du) - integrate_values(g, ru)) < 1e-11
 
 
 def test_run_to_time_sampling_layout():
@@ -221,7 +228,7 @@ def test_random_runs_respect_bounds():
             0.0,
         )
         v0_sup = float(s0.v.values.max())
-        mass0 = integrate(s0.u)
+        mass0 = integrate_values(g, s0.u.values)
         v_cap = max(v0_sup, max(p.m2, 0.0))
         mass_cap = max(mass0, (p.m1 + p.a * v_cap) * g.volume)
 
@@ -236,5 +243,5 @@ def test_random_runs_respect_bounds():
         for st in records:
             sup_v = float(st.v.values.max())
             assert sup_v <= logistic_comparison(v0_sup, p.m2, st.t) + 1e-8 * max(1.0, v0_sup)
-            assert integrate(st.u) <= mass_cap * (1.0 + 1e-6)
+            assert integrate_values(g, st.u.values) <= mass_cap * (1.0 + 1e-6)
             assert st.u.values.min() >= 0.0
