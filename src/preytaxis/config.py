@@ -60,7 +60,6 @@ DEFAULTS: dict[str, str] = {
     "scheme.taxis": "upwind",
     "scheme.cfl_safety": "0.4",
     "scheme.reaction_limiter": "0.5",
-    "scheme.u_floor": "1e-14",
     "initial.kind": "constant",
     "initial.u_base": "1.0",
     "initial.u_amp": "0.0",
@@ -231,7 +230,6 @@ def build_config(items: dict[str, str]) -> RunConfig:
             taxis_scheme=taxis,
             cfl_safety=_float(merged, "scheme.cfl_safety"),
             reaction_limiter=_float(merged, "scheme.reaction_limiter"),
-            u_floor=_float(merged, "scheme.u_floor"),
         )
     except ValueError as exc:
         raise ValidationError(f"scheme: {exc}") from None

@@ -1,17 +1,25 @@
 """Norms, entropy/energy functionals, decay checks, and the CSV format.
 
-The energy combines two relative-entropy terms with a quadratic prey
-term weighted by the certificate's relaxed prey bound,
+The functionals are array kernels on a Grid; record() is the one
+boundary that takes a State.  The energy combines two relative-entropy
+terms with a quadratic prey term weighted by the certificate's relaxed
+prey bound,
 
     energy = int H(u | u*) + (a/b) int H(v | v*)
              + (2 / (b^2 m2_relaxed)) int (v - v*)^2,
 
 with H(eta | xi) = eta - xi - xi*log(eta/xi) for xi > 0 and plain eta at
 xi = 0.  The dissipation functional pairs the squared relative gradients
-with the squared distances to equilibrium.  Once the prey sup-norm sits
-below (1 - delta) * m2_relaxed, the energy decays at least at rate
-delta times the dissipation; check_energy_decay verifies that slope
-inequality and its time-integrated budget on sampled records.
+with the squared distances to equilibrium,
+
+    dissipation = int |grad u|^2/u^2 + int |grad v|^2/v^2
+                  + int (u - u*)^2 + int (v - v*)^2.
+
+Densities are floored at U_FLOOR wherever they enter a log or a
+division.  Once the prey sup-norm sits below (1 - delta) * m2_relaxed,
+the energy decays at least at rate delta times the dissipation;
+check_energy_decay verifies that slope inequality and its
+time-integrated budget on sampled records.
 """
 
 from __future__ import annotations
@@ -22,17 +30,16 @@ from io import StringIO
 
 import numpy as np
 
-from .dynamics import SchemeConfig, State, StepAccounting
-from .grid import Field, gradient_sq_values, integrate_values
+from .dynamics import State, StepAccounting
+from .grid import Grid, gradient_sq_values, integrate_values
 from .model import ModelParams, StabilizationCertificate, SteadyState
 
 __all__ = [
+    "U_FLOOR",
     "DiagnosticsRecord",
     "RunContext",
     "EnergyDecayReport",
     "entropy_integral",
-    "energy",
-    "dissipation",
     "record",
     "check_energy_decay",
     "entropy_lower_bound_residual",
@@ -40,6 +47,10 @@ __all__ = [
     "format_csv",
     "write_csv",
 ]
+
+# Floor applied to the densities before logs and divisions; the stepper
+# itself never floors.
+U_FLOOR = 1e-14
 
 # 1/(1 - log 2): constant in the L1 lower bound for the entropy integral.
 _ENTROPY_L1_FACTOR = 1.0 / (1.0 - math.log(2.0))
@@ -76,69 +87,54 @@ class RunContext:
     params: ModelParams
     steady_state: SteadyState
     certificate: StabilizationCertificate | None
-    scheme: SchemeConfig
     accounting: StepAccounting
 
 
-def entropy_integral(xi: float, f: Field, u_floor: float) -> float:
-    """Integral of the relative-entropy density against level xi >= 0.
-
-    The field is floored at u_floor before logs are taken; the density is
-    clipped at zero to keep rounding from leaking tiny negatives.
-    """
+def _entropy(grid: Grid, floored: np.ndarray, xi: float) -> float:
+    """Entropy integral of values already floored at U_FLOOR."""
     if xi < 0:
         raise ValueError(f"xi must be >= 0 (got {xi})")
-    floored = np.maximum(f.values, u_floor)
     if xi == 0.0:
         density = floored
     else:
         density = np.maximum(floored - xi - xi * np.log(floored / xi), 0.0)
-    return integrate_values(f.grid, density)
+    return integrate_values(grid, density)
 
 
-def energy(s: State, ss: SteadyState, p: ModelParams, m2_relaxed: float, u_floor: float) -> float:
-    """Certified decay functional; zero exactly at the equilibrium state.
+def entropy_integral(grid: Grid, values: np.ndarray, xi: float) -> float:
+    """Integral of the relative-entropy density against level xi >= 0.
 
-    m2_relaxed = inf drops the quadratic prey term, which is the natural
-    observational fallback when no certificate exists.
+    The values are floored at U_FLOOR before logs are taken; the density
+    is clipped at zero to keep rounding from leaking tiny negatives.
     """
-    quad = 0.0 if math.isinf(m2_relaxed) else (
-        2.0 / (p.b * p.b * m2_relaxed)
-    ) * integrate_values(s.grid, (s.v.values - ss.v_star) ** 2)
-    return (
-        entropy_integral(ss.u_star, s.u, u_floor)
-        + (p.a / p.b) * entropy_integral(ss.v_star, s.v, u_floor)
-        + quad
-    )
-
-
-def dissipation(s: State, ss: SteadyState, u_floor: float) -> float:
-    """Squared relative gradients plus squared distances to equilibrium."""
-    g = s.grid
-    uf = np.maximum(s.u.values, u_floor)
-    vf = np.maximum(s.v.values, u_floor)
-    return (
-        integrate_values(g, gradient_sq_values(g, s.u.values) / uf**2)
-        + integrate_values(g, gradient_sq_values(g, s.v.values) / vf**2)
-        + integrate_values(g, (s.u.values - ss.u_star) ** 2)
-        + integrate_values(g, (s.v.values - ss.v_star) ** 2)
-    )
+    return _entropy(grid, np.maximum(values, U_FLOOR), xi)
 
 
 def record(s: State, ctx: RunContext) -> DiagnosticsRecord:
-    """Assemble the full diagnostics row for one sampled state."""
+    """Assemble the full diagnostics row for one sampled state.
+
+    Each integral is taken once: energy and dissipation are sums of the
+    same numbers that fill the entropy and distance columns.  Without a
+    certificate (or without a relaxed bound in it) the energy drops its
+    quadratic prey term, the observational fallback.
+    """
     g = s.grid
     p = ctx.params
     ss = ctx.steady_state
-    floor = ctx.scheme.u_floor
+    cert = ctx.certificate
     u = s.u.values
     v = s.v.values
-    vf = np.maximum(v, floor)
-    uf = np.maximum(u, floor)
+    uf = np.maximum(u, U_FLOOR)
+    vf = np.maximum(v, U_FLOOR)
+    gsq_u = gradient_sq_values(g, u)
     gsq_v = gradient_sq_values(g, v)
-    m2_relaxed = ctx.certificate.m2_relaxed if (
-        ctx.certificate is not None and ctx.certificate.m2_relaxed is not None
-    ) else math.inf
+    sq_u = integrate_values(g, (u - ss.u_star) ** 2)
+    sq_v = integrate_values(g, (v - ss.v_star) ** 2)
+    entropy_u = _entropy(g, uf, ss.u_star)
+    entropy_v = _entropy(g, vf, ss.v_star)
+    quad = 0.0 if cert is None or cert.m2_relaxed is None else (
+        2.0 / (p.b * p.b * cert.m2_relaxed)
+    ) * sq_v
     return DiagnosticsRecord(
         t=s.t,
         mass_u=integrate_values(g, u),
@@ -146,18 +142,23 @@ def record(s: State, ctx: RunContext) -> DiagnosticsRecord:
         l2_v=integrate_values(g, v**2) ** 0.5,
         l4_v=integrate_values(g, v**4) ** 0.25,
         dist_u_l1=integrate_values(g, np.abs(u - ss.u_star)),
-        dist_u_l2=integrate_values(g, (u - ss.u_star) ** 2) ** 0.5,
+        dist_u_l2=sq_u**0.5,
         dist_v_l1=integrate_values(g, np.abs(v - ss.v_star)),
-        dist_v_l2=integrate_values(g, (v - ss.v_star) ** 2) ** 0.5,
-        entropy_u=entropy_integral(ss.u_star, s.u, floor),
-        entropy_v=entropy_integral(ss.v_star, s.v, floor),
-        energy=energy(s, ss, p, m2_relaxed, floor),
-        dissipation=dissipation(s, ss, floor),
+        dist_v_l2=sq_v**0.5,
+        entropy_u=entropy_u,
+        entropy_v=entropy_v,
+        energy=entropy_u + (p.a / p.b) * entropy_v + quad,
+        dissipation=(
+            integrate_values(g, gsq_u / uf**2)
+            + integrate_values(g, gsq_v / vf**2)
+            + sq_u
+            + sq_v
+        ),
         ulogu=integrate_values(g, uf * np.log(uf)),
         gradv2_over_v=integrate_values(g, gsq_v / vf),
         gradv4_over_v3=integrate_values(g, gsq_v**2 / vf**3),
         clamped_mass=ctx.accounting.clamped_mass,
-        floored_cells=int((u < floor).sum() + (v < floor).sum()),
+        floored_cells=int((u < U_FLOOR).sum() + (v < U_FLOOR).sum()),
     )
 
 
@@ -232,7 +233,7 @@ def check_energy_decay(
     )
 
 
-def entropy_lower_bound_residual(xi: float, f: Field, u_floor: float) -> float:
+def entropy_lower_bound_residual(grid: Grid, values: np.ndarray, xi: float) -> float:
     """Residual of the L1 lower bound for the entropy integral.
 
         int |f - xi| <= (1/(1-log 2)) int H(f | xi)
@@ -241,10 +242,10 @@ def entropy_lower_bound_residual(xi: float, f: Field, u_floor: float) -> float:
     Returns lhs - rhs, which must be <= 0 up to rounding for any
     positive field.
     """
-    floored = np.maximum(f.values, u_floor)
-    lhs = integrate_values(f.grid, np.abs(floored - xi))
-    h = entropy_integral(xi, f, u_floor)
-    rhs = _ENTROPY_L1_FACTOR * h + math.sqrt(8.0 * xi * f.grid.volume) * math.sqrt(h)
+    floored = np.maximum(values, U_FLOOR)
+    lhs = integrate_values(grid, np.abs(floored - xi))
+    h = _entropy(grid, floored, xi)
+    rhs = _ENTROPY_L1_FACTOR * h + math.sqrt(8.0 * xi * grid.volume) * math.sqrt(h)
     return lhs - rhs
 
 

@@ -66,24 +66,17 @@ class TaxisScheme(Enum):
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Numerical scheme choices.
-
-    u_floor only affects diagnostics that divide by or take logs of the
-    densities; the stepper itself never floors.
-    """
+    """Numerical scheme choices."""
 
     taxis_scheme: TaxisScheme = TaxisScheme.UPWIND
     cfl_safety: float = 0.4
     reaction_limiter: float = 0.5
-    u_floor: float = 1e-14
 
     def __post_init__(self):
         if not 0 < self.cfl_safety <= 1:
             raise ValueError(f"cfl_safety must be in (0, 1] (got {self.cfl_safety})")
         if not 0 < self.reaction_limiter <= 1:
             raise ValueError(f"reaction_limiter must be in (0, 1] (got {self.reaction_limiter})")
-        if not 0 < self.u_floor < 1:
-            raise ValueError(f"u_floor must be in (0, 1) (got {self.u_floor})")
 
 
 @dataclass(frozen=True)
@@ -242,7 +235,7 @@ def run_to_time(
     cfg: SchemeConfig,
     t_end: float,
     sample_every: float,
-    sink: Callable[[State, StepAccounting], None] | None = None,
+    sink: Callable[[State], None] | None = None,
     accounting: StepAccounting | None = None,
 ) -> State:
     """March from s0 to t_end with per-step adaptive dt.
@@ -261,7 +254,7 @@ def run_to_time(
 
     def emit(state: State) -> None:
         if sink is not None:
-            sink(state, acc)
+            sink(state)
 
     emit(s0)
     if t_end == s0.t:

@@ -71,12 +71,11 @@ def execute(config: RunConfig) -> RunResult:
         params=config.params,
         steady_state=ss,
         certificate=certificate,
-        scheme=config.scheme,
         accounting=accounting,
     )
     records: list[DiagnosticsRecord] = []
 
-    def sink(state: State, _acc: StepAccounting) -> None:
+    def sink(state: State) -> None:
         records.append(diagnostics.record(state, ctx))
 
     status = "completed"
@@ -111,10 +110,7 @@ def _fingerprints(config: RunConfig) -> tuple[str, str]:
     g = config.grid
     grid_fp = f"{g.dim}d n={'x'.join(map(str, g.n))} length={'x'.join(f'{L:g}' for L in g.length)}"
     s = config.scheme
-    scheme_fp = (
-        f"{s.taxis_scheme.value} cfl={s.cfl_safety:g} "
-        f"limiter={s.reaction_limiter:g} floor={s.u_floor:g}"
-    )
+    scheme_fp = f"{s.taxis_scheme.value} cfl={s.cfl_safety:g} limiter={s.reaction_limiter:g}"
     return grid_fp, scheme_fp
 
 
@@ -217,8 +213,15 @@ def _write_charts(records: list[DiagnosticsRecord], out: Path) -> None:
     )
 
 
+def _make_run_dir(out: Path) -> None:
+    """Create a run directory; a path that cannot be one is a config error."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create run directory: {exc}") from None
+
+
 def _write_run_dir(result: RunResult, out: Path, svg: bool) -> None:
-    out.mkdir(parents=True, exist_ok=True)
     write_snapshot(result.initial.u, result.initial.t, out / "initial_u.txt")
     write_snapshot(result.initial.v, result.initial.t, out / "initial_v.txt")
     diagnostics.write_csv(result.records, out / "diagnostics.csv")
@@ -234,10 +237,11 @@ def run_scenario(config: RunConfig, svg: bool | None = None, out_dir: str | None
     """Execute a scenario and write its run directory.
 
     Returns 0 on completion and 2 on blow-up (the manifest then records
-    the failure time).
+    the failure time).  The directory is created before the run starts.
     """
-    result = execute(config)
     out = Path(out_dir if out_dir is not None else config.out_dir)
+    _make_run_dir(out)
+    result = execute(config)
     _write_run_dir(result, out, config.svg if svg is None else svg)
     return 0 if result.ok else 2
 
@@ -269,6 +273,7 @@ def _sweep_worker(args: tuple[dict, str, float, str]) -> dict:
     row["value"] = value
     try:
         config = build_config(derived)
+        _make_run_dir(Path(out_dir))
     except ConfigError as exc:
         row["status"] = f"config-error {exc}"
         return row
@@ -322,7 +327,7 @@ def sweep(items: dict[str, str], axis: str, values: list[float], out_dir: str | 
         raise ConfigError(f"sweep axis must be a numeric config key (got {axis!r})")
     base = build_config(items)  # validate the base config up front
     root = Path(out_dir if out_dir is not None else base.out_dir)
-    root.mkdir(parents=True, exist_ok=True)
+    _make_run_dir(root)
     jobs = []
     for value in values:
         member_dir = root / f"{axis.replace('.', '_')}_{value:g}"

@@ -42,6 +42,16 @@ def test_unreadable_config_is_usage_error(tmp_path, command):
         assert main([command[0], str(path), *command[1:]]) == 3
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "params.chi", "--values", "1"]])
+def test_uncreatable_output_dir_is_usage_error(tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE + f"output.dir = {blocker / 'out'}\n")
+    assert main([command[0], str(cfg), *command[1:]]) == 3
+    assert "cannot create run directory" in capsys.readouterr().err
+
+
 def test_run_invalid_value_is_usage_error(tmp_path):
     cfg, _ = write_cfg(tmp_path, extra="params.chi = -2\n")
     assert main(["run", str(cfg)]) == 3

@@ -4,21 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from preytaxis import (
     DiagnosticsRecord,
     Grid,
     ModelParams,
+    Regime,
     RunContext,
-    SchemeConfig,
     StabilizationCertificate,
     State,
     StepAccounting,
     certify,
     check_energy_decay,
     csv_header,
-    dissipation,
-    energy,
     entropy_integral,
     entropy_lower_bound_residual,
     format_csv,
@@ -27,70 +28,38 @@ from preytaxis import (
 )
 
 WORKED = ModelParams(d1=1.0, d2=1.0, m1=1.0, m2=2.0, chi=1.0, a=1.0, b=1.0)
-FLOOR = 1e-14
+# a certificate carrying only the relaxed prey bound the energy weights by
+RELAXED_6 = StabilizationCertificate(holds=True, chi_sq=1.0, threshold=2.0, m2_relaxed=6.0)
 
 
 def test_entropy_integral_frozen_values():
     g = Grid.uniform(1, 8, 1.0)
-    f = g.field(math.e)
+    f = np.full(g.n, math.e)
     # density e - 1 - log(e) = e - 2 at level 1; plain e at level 0
-    assert entropy_integral(1.0, f, FLOOR) == pytest.approx(math.e - 2.0, rel=1e-14)
-    assert entropy_integral(0.0, f, FLOOR) == pytest.approx(math.e, rel=1e-14)
+    assert entropy_integral(g, f, 1.0) == pytest.approx(math.e - 2.0, rel=1e-14)
+    assert entropy_integral(g, f, 0.0) == pytest.approx(math.e, rel=1e-14)
     # scales with the box
     g3 = Grid.uniform(2, 8, 3.0)
-    assert entropy_integral(1.0, g3.field(math.e), FLOOR) == pytest.approx(
+    assert entropy_integral(g3, np.full(g3.n, math.e), 1.0) == pytest.approx(
         9.0 * (math.e - 2.0), rel=1e-14
     )
 
 
 def test_entropy_integral_vanishes_at_level():
     g = Grid.uniform(1, 16, 2.0)
-    assert entropy_integral(0.7, g.field(0.7), FLOOR) == 0.0
+    assert entropy_integral(g, np.full(g.n, 0.7), 0.7) == 0.0
 
 
 def test_entropy_integral_floor_keeps_logs_finite():
     g = Grid.uniform(1, 8, 1.0)
-    value = entropy_integral(1.0, g.field(np.zeros(8)), FLOOR)
+    value = entropy_integral(g, np.zeros(8), 1.0)
     assert math.isfinite(value) and value > 0
 
 
 def test_entropy_integral_rejects_negative_level():
     g = Grid.uniform(1, 8, 1.0)
     with pytest.raises(ValueError):
-        entropy_integral(-0.1, g.field(1.0), FLOOR)
-
-
-def test_dissipation_constant_fields():
-    ss = steady_states(WORKED)
-    g = Grid.uniform(1, 16, 2.0)
-    s = State(g.field(2.5), g.field(1.25), 0.0)
-    expected = 2.0 * ((2.5 - ss.u_star) ** 2 + (1.25 - ss.v_star) ** 2)
-    assert dissipation(s, ss, FLOOR) == pytest.approx(expected, rel=1e-13)
-
-
-def test_energy_zero_exactly_at_equilibrium():
-    ss = steady_states(WORKED)
-    g = Grid.uniform(2, 8, 1.0)
-    s = State(g.field(ss.u_star), g.field(ss.v_star), 0.0)
-    assert energy(s, ss, WORKED, 6.0, FLOOR) == 0.0
-    assert dissipation(s, ss, FLOOR) == 0.0
-
-
-def test_energy_positive_off_equilibrium():
-    ss = steady_states(WORKED)
-    g = Grid.uniform(1, 16, 1.0)
-    s = State(g.field(2.0), g.field(1.0), 0.0)
-    assert energy(s, ss, WORKED, 6.0, FLOOR) > 0
-
-
-def test_energy_infinite_relaxed_bound_drops_quadratic_term():
-    ss = steady_states(WORKED)
-    g = Grid.uniform(1, 16, 2.0)
-    s = State(g.field(2.0), g.field(1.0), 0.0)
-    m_hat = 6.0
-    gap = energy(s, ss, WORKED, m_hat, FLOOR) - energy(s, ss, WORKED, math.inf, FLOOR)
-    quad = (2.0 / m_hat) * 2.0 * (1.0 - ss.v_star) ** 2  # b = 1, volume 2
-    assert gap == pytest.approx(quad, rel=1e-13)
+        entropy_integral(g, np.ones(8), -0.1)
 
 
 def fresh_context(p=WORKED, cert=None):
@@ -98,9 +67,40 @@ def fresh_context(p=WORKED, cert=None):
         params=p,
         steady_state=steady_states(p),
         certificate=cert,
-        scheme=SchemeConfig(),
         accounting=StepAccounting(),
     )
+
+
+def constant_record(grid, u, v, cert=None):
+    return record(State(grid.field(u), grid.field(v), 0.0), fresh_context(cert=cert))
+
+
+def test_dissipation_constant_fields():
+    ss = steady_states(WORKED)
+    g = Grid.uniform(1, 16, 2.0)
+    expected = 2.0 * ((2.5 - ss.u_star) ** 2 + (1.25 - ss.v_star) ** 2)
+    assert constant_record(g, 2.5, 1.25).dissipation == pytest.approx(expected, rel=1e-13)
+
+
+def test_energy_zero_exactly_at_equilibrium():
+    ss = steady_states(WORKED)
+    g = Grid.uniform(2, 8, 1.0)
+    r = constant_record(g, ss.u_star, ss.v_star, RELAXED_6)
+    assert r.energy == 0.0
+    assert r.dissipation == 0.0
+
+
+def test_energy_positive_off_equilibrium():
+    g = Grid.uniform(1, 16, 1.0)
+    assert constant_record(g, 2.0, 1.0, RELAXED_6).energy > 0
+
+
+def test_energy_infinite_relaxed_bound_drops_quadratic_term():
+    ss = steady_states(WORKED)
+    g = Grid.uniform(1, 16, 2.0)
+    gap = constant_record(g, 2.0, 1.0, RELAXED_6).energy - constant_record(g, 2.0, 1.0).energy
+    quad = (2.0 / 6.0) * 2.0 * (1.0 - ss.v_star) ** 2  # b = 1, volume 2
+    assert gap == pytest.approx(quad, rel=1e-13)
 
 
 def test_record_constant_and_cosine_fields():
@@ -137,6 +137,79 @@ def test_record_uses_certificate_relaxed_bound():
     ss = ctx.steady_state
     quad = (2.0 / cert.m2_relaxed) * 2.0 * (1.0 - ss.v_star) ** 2
     assert r.energy == pytest.approx(r.entropy_u + r.entropy_v + quad, rel=1e-13)
+
+
+# --- properties of record() on generated grids and positive fields ------------
+
+@st.composite
+def grids(draw):
+    dim = draw(st.sampled_from((1, 2)))
+    n = tuple(draw(st.integers(4, 12)) for _ in range(dim))
+    length = tuple(draw(st.floats(0.5, 3.0)) for _ in range(dim))
+    return Grid(n, length)
+
+
+def positive_fields(grid):
+    return arrays(np.float64, grid.n, elements=st.floats(1e-3, 1e3))
+
+
+@st.composite
+def coexistence_params(draw):
+    """Parameters with a strictly positive prey equilibrium."""
+    m1, a, b = (draw(st.floats(0.1, 3.0)) for _ in range(3))
+    m2 = b * m1 + draw(st.floats(0.01, 3.0))
+    return ModelParams(d1=1.0, d2=1.0, m1=m1, m2=m2, chi=1.0, a=a, b=b)
+
+
+certificates = st.one_of(
+    st.none(),
+    st.floats(0.5, 20.0).map(
+        lambda m: StabilizationCertificate(holds=True, chi_sq=1.0, threshold=2.0, m2_relaxed=m)
+    ),
+)
+
+
+def written_gradient_sq(g, f):
+    """Per cell, the mean of the squared differences across its two faces on
+    each axis, with zero at the walls."""
+    out = np.zeros(g.n)
+    for ax in range(g.dim):
+        d = np.moveaxis(np.diff(f, axis=ax) / g.h[ax], ax, 0)
+        wall = np.zeros((1,) + d.shape[1:])
+        faces = np.concatenate([wall, d, wall])
+        out += np.moveaxis(0.5 * (faces[:-1] ** 2 + faces[1:] ** 2), 0, ax)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), p=coexistence_params(), cert=certificates)
+def test_record_energy_and_dissipation_are_sums_of_their_terms(data, p, cert):
+    g = data.draw(grids())
+    u = data.draw(positive_fields(g))
+    v = data.draw(positive_fields(g))
+    ss = steady_states(p)
+    r = record(State(g.field(u), g.field(v), 0.0), fresh_context(p, cert))
+
+    assert r.entropy_u >= 0.0 and r.entropy_v >= 0.0
+    quad = 0.0 if cert is None else 2.0 / (p.b**2 * cert.m2_relaxed) * r.dist_v_l2**2
+    assert r.energy == pytest.approx(r.entropy_u + (p.a / p.b) * r.entropy_v + quad, rel=1e-12)
+    dissipation = g.cell_volume * (
+        np.sum(written_gradient_sq(g, u) / u**2)
+        + np.sum(written_gradient_sq(g, v) / v**2)
+        + np.sum((u - ss.u_star) ** 2)
+        + np.sum((v - ss.v_star) ** 2)
+    )
+    assert r.dissipation == pytest.approx(dissipation, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=grids(), p=coexistence_params(), cert=certificates)
+def test_record_vanishes_exactly_at_equilibrium(g, p, cert):
+    ss = steady_states(p)
+    assert ss.regime is Regime.COEXISTENCE
+    r = record(State(g.field(ss.u_star), g.field(ss.v_star), 0.0), fresh_context(p, cert))
+    assert r.energy == 0.0
+    assert r.dissipation == 0.0
 
 
 def synthetic_record(t, e, g):
@@ -209,20 +282,20 @@ def test_entropy_l1_bound_residual_closed_forms():
     g = Grid.uniform(1, 16, 1.0)
     # f = 2*xi: both sides work out in closed form, residual is
     # -sqrt(8 (1 - log 2)) * xi * volume
-    res = entropy_lower_bound_residual(1.0, g.field(2.0), FLOOR)
+    res = entropy_lower_bound_residual(g, np.full(g.n, 2.0), 1.0)
     assert res == pytest.approx(-math.sqrt(8.0 * (1.0 - math.log(2.0))), rel=1e-12)
     assert res == pytest.approx(-1.5668, abs=1e-4)
     # f = xi: both sides are exactly zero
-    assert entropy_lower_bound_residual(0.7, g.field(0.7), FLOOR) == 0.0
+    assert entropy_lower_bound_residual(g, np.full(g.n, 0.7), 0.7) == 0.0
 
 
 def test_entropy_l1_bound_random_fields():
     rng = np.random.default_rng(99)
     g = Grid.uniform(2, 12, 1.5)
     for _ in range(10):
-        f = g.field(rng.lognormal(mean=0.0, sigma=0.8, size=g.n))
+        f = rng.lognormal(mean=0.0, sigma=0.8, size=g.n)
         for xi in (0.0, 0.5, 1.0, 10.0):
-            res = entropy_lower_bound_residual(xi, f, FLOOR)
+            res = entropy_lower_bound_residual(g, f, xi)
             scale = max(1.0, abs(res))
             assert res <= 1e-12 * scale
 
