@@ -208,7 +208,7 @@ def _criterion_6() -> tuple[bool, str]:
     u0 = ss.u_star + 1e-4 * bump
     v0 = ss.v_star + 2e-4 * bump
     cfg = SchemeConfig()
-    dt0 = stable_dt(u0, v0, g, p, cfg) / 2.0
+    dt0 = stable_dt(u0, v0, g, p) / 2.0
     mass0 = integrate_values(g, u0)
     expected = integrate_values(g, reaction_rates(u0, v0, p)[0])
 

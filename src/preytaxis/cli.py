@@ -4,7 +4,7 @@ Subcommands: ``run`` executes one scenario file and writes its run
 directory; ``sweep`` fans a base scenario out over one numeric key;
 ``accept`` runs the numbered acceptance checks; ``oracle`` prints the
 independent reference computations.  Exit codes: 0 ok, 1 assertion
-failure, 2 blow-up, 3 config error.
+failure, 2 blow-up or stall, 3 config error.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def _read_items(path: str) -> dict[str, str]:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = build_config(_read_items(args.config))
-    return run_scenario(config, svg=True if args.svg else None)
+    return run_scenario(config, svg=args.svg)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

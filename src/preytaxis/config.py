@@ -58,26 +58,22 @@ DEFAULTS: dict[str, str] = {
     "grid.n": "64",
     "grid.length": "1.0",
     "scheme.taxis": "upwind",
-    "scheme.cfl_safety": "0.4",
-    "scheme.reaction_limiter": "0.5",
     "initial.kind": "constant",
     "initial.u_base": "1.0",
     "initial.u_amp": "0.0",
     "initial.v_base": "1.0",
     "initial.v_amp": "0.0",
-    "initial.width": "0.1",
     "run.t_end": "1.0",
     "run.sample_every": "0.1",
     "run.seed": "0",
     "output.dir": "out",
-    "output.svg": "false",
 }
 
 # Keys a sweep may vary: numeric scalars only.
 SWEEPABLE_KEYS = frozenset(
     k
     for k in DEFAULTS
-    if k.split(".")[-1] not in ("taxis", "kind", "dir", "svg", "dim", "n", "length", "seed")
+    if k.split(".")[-1] not in ("taxis", "kind", "dir", "dim", "n", "length", "seed")
 )
 
 
@@ -88,8 +84,6 @@ class InitialCondition:
     constant: flat profiles u_base / v_base.
     cosine:   base + amp * prod_axes cos(pi x / L); needs base > amp >= 0
               so the profile stays strictly positive.
-    two_bump: Gaussian bumps of the given width, predator at the quarter
-              point and prey at the three-quarter point of each axis.
     """
 
     kind: str
@@ -97,7 +91,6 @@ class InitialCondition:
     u_amp: float
     v_base: float
     v_amp: float
-    width: float
 
 
 @dataclass(frozen=True)
@@ -110,7 +103,6 @@ class RunConfig:
     sample_every: float
     out_dir: str
     seed: int
-    svg: bool
     items: dict[str, str]  # effective key -> raw value echo
 
 
@@ -155,34 +147,13 @@ def _int(items, key) -> int:
         raise ValidationError(f"{key} must be an integer (got {raw!r})") from None
 
 
-def _bool(items, key) -> bool:
-    raw = items[key].lower()
-    if raw in ("true", "on", "yes", "1"):
-        return True
-    if raw in ("false", "off", "no", "0"):
-        return False
-    raise ValidationError(f"{key} must be a boolean (got {items[key]!r})")
-
-
-def _int_tuple(items, key, dim) -> tuple[int, ...]:
-    parts = [s.strip() for s in items[key].split(",")]
+def _tuple(items, key, dim, cast) -> tuple:
+    """Comma-separated int or float values; a single value applies to every axis."""
     try:
-        values = tuple(int(s) for s in parts)
+        values = tuple(cast(s.strip()) for s in items[key].split(","))
     except ValueError:
-        raise ValidationError(f"{key} must be integers (got {items[key]!r})") from None
-    if len(values) == 1:
-        return values * dim
-    if len(values) != dim:
-        raise ValidationError(f"{key} needs 1 or {dim} entries (got {items[key]!r})")
-    return values
-
-
-def _float_tuple(items, key, dim) -> tuple[float, ...]:
-    parts = [s.strip() for s in items[key].split(",")]
-    try:
-        values = tuple(float(s) for s in parts)
-    except ValueError:
-        raise ValidationError(f"{key} must be numbers (got {items[key]!r})") from None
+        noun = "integers" if cast is int else "numbers"
+        raise ValidationError(f"{key} must be {noun} (got {items[key]!r})") from None
     if len(values) == 1:
         return values * dim
     if len(values) != dim:
@@ -216,7 +187,7 @@ def build_config(items: dict[str, str]) -> RunConfig:
     if dim not in (1, 2):
         raise ValidationError(f"grid.dim must be 1 or 2 (got {dim})")
     try:
-        grid = Grid(_int_tuple(merged, "grid.n", dim), _float_tuple(merged, "grid.length", dim))
+        grid = Grid(_tuple(merged, "grid.n", dim, int), _tuple(merged, "grid.length", dim, float))
     except ValueError as exc:
         raise ValidationError(f"grid: {exc}") from None
 
@@ -225,25 +196,16 @@ def build_config(items: dict[str, str]) -> RunConfig:
         taxis = TaxisScheme(taxis_raw)
     except ValueError:
         raise ValidationError(f"scheme.taxis must be 'upwind' or 'central' (got {taxis_raw!r})") from None
-    try:
-        scheme = SchemeConfig(
-            taxis_scheme=taxis,
-            cfl_safety=_float(merged, "scheme.cfl_safety"),
-            reaction_limiter=_float(merged, "scheme.reaction_limiter"),
-        )
-    except ValueError as exc:
-        raise ValidationError(f"scheme: {exc}") from None
 
     kind = merged["initial.kind"].lower()
-    if kind not in ("constant", "cosine", "two_bump"):
-        raise ValidationError(f"initial.kind must be constant, cosine, or two_bump (got {kind!r})")
+    if kind not in ("constant", "cosine"):
+        raise ValidationError(f"initial.kind must be constant or cosine (got {kind!r})")
     initial = InitialCondition(
         kind=kind,
         u_base=_float(merged, "initial.u_base"),
         u_amp=_float(merged, "initial.u_amp"),
         v_base=_float(merged, "initial.v_base"),
         v_amp=_float(merged, "initial.v_amp"),
-        width=_float(merged, "initial.width"),
     )
     for species, base, amp in (("u", initial.u_base, initial.u_amp), ("v", initial.v_base, initial.v_amp)):
         if base <= 0:
@@ -254,8 +216,6 @@ def build_config(items: dict[str, str]) -> RunConfig:
             raise ValidationError(
                 f"initial.{species}_base must exceed initial.{species}_amp for a positive cosine profile"
             )
-    if kind == "two_bump" and initial.width <= 0:
-        raise ValidationError(f"initial.width must be > 0 (got {initial.width})")
 
     t_end = _float(merged, "run.t_end")
     if t_end <= 0:
@@ -267,13 +227,12 @@ def build_config(items: dict[str, str]) -> RunConfig:
     return RunConfig(
         params=params,
         grid=grid,
-        scheme=scheme,
+        scheme=SchemeConfig(taxis_scheme=taxis),
         initial=initial,
         t_end=t_end,
         sample_every=sample_every,
         out_dir=merged["output.dir"],
         seed=_int(merged, "run.seed"),
-        svg=_bool(merged, "output.svg"),
         items=merged,
     )
 
@@ -298,26 +257,17 @@ def initial_state(config: RunConfig) -> State:
     """Evaluate the named recipe at the cell centers.
 
     The seed is reserved for randomized recipes and echoed into the
-    manifest; the three named recipes are deterministic.
+    manifest; both named recipes are deterministic.
     """
     g = config.grid
     ic = config.initial
-    coords = g.meshcenters()
     if ic.kind == "constant":
         u = np.full(g.n, ic.u_base)
         v = np.full(g.n, ic.v_base)
-    elif ic.kind == "cosine":
+    else:  # cosine
         mode = np.ones(g.n)
-        for ax, x in enumerate(coords):
+        for ax, x in enumerate(g.meshcenters()):
             mode = mode * np.cos(np.pi * x / g.length[ax])
         u = ic.u_base + ic.u_amp * mode
         v = ic.v_base + ic.v_amp * mode
-    else:  # two_bump
-        r2_u = np.zeros(g.n)
-        r2_v = np.zeros(g.n)
-        for ax, x in enumerate(coords):
-            r2_u = r2_u + (x - 0.25 * g.length[ax]) ** 2
-            r2_v = r2_v + (x - 0.75 * g.length[ax]) ** 2
-        u = ic.u_base + ic.u_amp * np.exp(-r2_u / ic.width**2)
-        v = ic.v_base + ic.v_amp * np.exp(-r2_v / ic.width**2)
     return State(Field(g, u), Field(g, v), 0.0)

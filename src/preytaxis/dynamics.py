@@ -39,6 +39,9 @@ __all__ = [
     "StepAccounting",
     "BlowUp",
     "ExcessiveClamping",
+    "Stalled",
+    "CFL_SAFETY",
+    "REACTION_LIMITER",
     "reaction_rates",
     "flux_u",
     "rhs",
@@ -48,6 +51,8 @@ __all__ = [
 ]
 
 BLOWUP_LIMIT = 1e12
+CFL_SAFETY = 0.4  # fraction of the smallest limit that stable_dt returns
+REACTION_LIMITER = 0.5  # largest relative decay per step the reaction limit allows
 _TINY = 1e-300
 
 
@@ -57,6 +62,10 @@ class BlowUp(RuntimeError):
 
 class ExcessiveClamping(BlowUp):
     """Negative mass removed in one step exceeded 1e-10 of the field mass."""
+
+
+class Stalled(BlowUp):
+    """The limiter's step is too small to change t in floating point."""
 
 
 class TaxisScheme(Enum):
@@ -69,14 +78,6 @@ class SchemeConfig:
     """Numerical scheme choices."""
 
     taxis_scheme: TaxisScheme = TaxisScheme.UPWIND
-    cfl_safety: float = 0.4
-    reaction_limiter: float = 0.5
-
-    def __post_init__(self):
-        if not 0 < self.cfl_safety <= 1:
-            raise ValueError(f"cfl_safety must be in (0, 1] (got {self.cfl_safety})")
-        if not 0 < self.reaction_limiter <= 1:
-            raise ValueError(f"reaction_limiter must be in (0, 1] (got {self.reaction_limiter})")
 
 
 @dataclass(frozen=True)
@@ -155,9 +156,9 @@ def rhs(u, v, grid: Grid, p: ModelParams, cfg: SchemeConfig) -> tuple[np.ndarray
 
 # --- step-size limiter --------------------------------------------------------
 
-def stable_dt(u, v, grid: Grid, p: ModelParams, cfg: SchemeConfig) -> float:
+def stable_dt(u, v, grid: Grid, p: ModelParams) -> float:
     """Largest step the limiter allows at this state: the minimum of the
-    diffusive, drift, and relative-reaction-decay limits times cfl_safety."""
+    diffusive, drift, and relative-reaction-decay limits times CFL_SAFETY."""
     gv = face_gradient_values(grid, v)
     h_min = min(grid.h)
     v_max = float(v.max())
@@ -170,8 +171,8 @@ def stable_dt(u, v, grid: Grid, p: ModelParams, cfg: SchemeConfig) -> float:
         limits.append(grid.h[ax] / (speed + _TINY))
     decay_u = max(0.0, float((u - p.a * v - p.m1).max()))
     decay_v = max(0.0, float((p.b * u + v - p.m2).max()))
-    limits.append(cfg.reaction_limiter / (max(decay_u, decay_v) + _TINY))
-    return cfg.cfl_safety * min(limits)
+    limits.append(REACTION_LIMITER / (max(decay_u, decay_v) + _TINY))
+    return CFL_SAFETY * min(limits)
 
 
 # --- time stepping -----------------------------------------------------------
@@ -243,7 +244,8 @@ def run_to_time(
     The sink is called once at the start and then at the first completed
     step at or after each multiple of sample_every (no interpolation), so
     a full run emits floor((t_end - t0)/sample_every) + 1 samples.  The
-    final step is clipped to land on t_end.
+    final step is clipped to land on t_end.  A step too small to change
+    t raises Stalled instead of looping without end.
     """
     if t_end < s0.t:
         raise ValueError(f"t_end {t_end} precedes the state time {s0.t}")
@@ -270,7 +272,9 @@ def run_to_time(
     time_eps = 1e-12 * max(1.0, abs(t_end))
     state = s0
     while t_end - t > time_eps:
-        dt = min(stable_dt(u, v, grid, p, cfg), t_end - t)
+        dt = min(stable_dt(u, v, grid, p), t_end - t)
+        if t + dt == t:
+            raise Stalled(f"step {dt:.3e} does not advance t = {t:.6g}")
         u, v = step(u, v, t, grid, p, cfg, dt, acc)
         t = t_end if t_end - (t + dt) <= time_eps else t + dt
         state = None

@@ -22,7 +22,7 @@ import numpy as np
 from . import diagnostics, model
 from .config import ConfigError, RunConfig, SWEEPABLE_KEYS, build_config, initial_state
 from .diagnostics import DiagnosticsRecord, RunContext
-from .dynamics import BlowUp, State, StepAccounting, run_to_time
+from .dynamics import CFL_SAFETY, REACTION_LIMITER, BlowUp, State, StepAccounting, run_to_time
 from .grid import gradient_sq_values, integrate_values, write_snapshot
 
 __all__ = ["RunResult", "execute", "run_scenario", "sweep", "worker_count", "WORKERS_ENV"]
@@ -109,8 +109,7 @@ def execute(config: RunConfig) -> RunResult:
 def _fingerprints(config: RunConfig) -> tuple[str, str]:
     g = config.grid
     grid_fp = f"{g.dim}d n={'x'.join(map(str, g.n))} length={'x'.join(f'{L:g}' for L in g.length)}"
-    s = config.scheme
-    scheme_fp = f"{s.taxis_scheme.value} cfl={s.cfl_safety:g} limiter={s.reaction_limiter:g}"
+    scheme_fp = f"{config.scheme.taxis_scheme.value} cfl={CFL_SAFETY:g} limiter={REACTION_LIMITER:g}"
     return grid_fp, scheme_fp
 
 
@@ -221,7 +220,7 @@ def _make_run_dir(out: Path) -> None:
         raise ConfigError(f"cannot create run directory: {exc}") from None
 
 
-def _write_run_dir(result: RunResult, out: Path, svg: bool) -> None:
+def _write_run_dir(result: RunResult, out: Path) -> None:
     write_snapshot(result.initial.u, result.initial.t, out / "initial_u.txt")
     write_snapshot(result.initial.v, result.initial.t, out / "initial_v.txt")
     diagnostics.write_csv(result.records, out / "diagnostics.csv")
@@ -229,20 +228,20 @@ def _write_run_dir(result: RunResult, out: Path, svg: bool) -> None:
         write_snapshot(result.final_state.u, result.final_state.t, out / "final_u.txt")
         write_snapshot(result.final_state.v, result.final_state.t, out / "final_v.txt")
     _write_manifest(result, out)
-    if svg:
-        _write_charts(result.records, out)
 
 
-def run_scenario(config: RunConfig, svg: bool | None = None, out_dir: str | None = None) -> int:
-    """Execute a scenario and write its run directory.
+def run_scenario(config: RunConfig, svg: bool = False) -> int:
+    """Execute a scenario and write its run directory, plus SVG charts if svg.
 
     Returns 0 on completion and 2 on blow-up (the manifest then records
     the failure time).  The directory is created before the run starts.
     """
-    out = Path(out_dir if out_dir is not None else config.out_dir)
+    out = Path(config.out_dir)
     _make_run_dir(out)
     result = execute(config)
-    _write_run_dir(result, out, config.svg if svg is None else svg)
+    _write_run_dir(result, out)
+    if svg:
+        _write_charts(result.records, out)
     return 0 if result.ok else 2
 
 
@@ -278,7 +277,7 @@ def _sweep_worker(args: tuple[dict, str, float, str]) -> dict:
         row["status"] = f"config-error {exc}"
         return row
     result = execute(config)
-    _write_run_dir(result, Path(out_dir), config.svg)
+    _write_run_dir(result, Path(out_dir))
     row["status"] = "completed" if result.ok else "blowup"
     if result.records:
         last = result.records[-1]
@@ -316,10 +315,12 @@ def sweep(items: dict[str, str], axis: str, values: list[float], out_dir: str | 
     """Run one scenario per value of a numeric config key, in parallel.
 
     Parallelism is across runs only; each run is sequential and
-    deterministic.  Writes each member into its own subdirectory plus a
-    sweep_summary.csv with one row per value (final distances, energy,
-    status).  Individual failures land in the summary; the sweep
-    continues.  Returns the summary path.
+    deterministic.  Writes each member, without charts, into its own
+    subdirectory <axis>_<value:g> plus a sweep_summary.csv with one row
+    per value (final distances, energy, status).  Two values that give
+    one directory name are a ConfigError before any run starts.
+    Individual failures land in the summary; the sweep continues.
+    Returns the summary path.
     """
     if not values:
         raise ConfigError("sweep needs at least one value")
@@ -327,11 +328,14 @@ def sweep(items: dict[str, str], axis: str, values: list[float], out_dir: str | 
         raise ConfigError(f"sweep axis must be a numeric config key (got {axis!r})")
     base = build_config(items)  # validate the base config up front
     root = Path(out_dir if out_dir is not None else base.out_dir)
-    _make_run_dir(root)
-    jobs = []
+    members: dict[str, float] = {}
     for value in values:
-        member_dir = root / f"{axis.replace('.', '_')}_{value:g}"
-        jobs.append((dict(items), axis, float(value), str(member_dir)))
+        name = f"{axis.replace('.', '_')}_{value:g}"
+        if name in members:
+            raise ConfigError(f"sweep values {members[name]!r} and {value!r} both map to directory {name}")
+        members[name] = value
+    _make_run_dir(root)
+    jobs = [(dict(items), axis, float(value), str(root / name)) for name, value in members.items()]
     workers = worker_count(len(jobs))
     if workers == 1:
         rows = [_sweep_worker(job) for job in jobs]

@@ -78,6 +78,13 @@ def test_sweep_bad_axis(tmp_path):
     assert main(["sweep", str(cfg), "--axis", "grid.n", "--values", "32"]) == 3
 
 
+def test_sweep_colliding_values_is_usage_error(tmp_path, capsys):
+    cfg, out = write_cfg(tmp_path)
+    assert main(["sweep", str(cfg), "--axis", "params.chi", "--values", "1.0000001,1.0000002"]) == 3
+    assert "1.0000001 and 1.0000002" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_bad_values(tmp_path):
     cfg, _ = write_cfg(tmp_path)
     assert main(["sweep", str(cfg), "--axis", "params.chi", "--values", "a,b"]) == 3

@@ -20,8 +20,10 @@ from preytaxis import (
     run_to_time,
     stable_dt,
     step,
+    Stalled,
     steady_states,
 )
+from preytaxis.dynamics import CFL_SAFETY, REACTION_LIMITER
 
 WORKED = ModelParams(d1=1.0, d2=1.0, m1=1.0, m2=2.0, chi=1.0, a=1.0, b=1.0)
 
@@ -93,29 +95,20 @@ def test_saturating_mobility_weakens_drift():
 
 
 def test_stable_dt_reaction_limited():
-    cfg = SchemeConfig()
     u, v, g = make_arrays(np.full(32, 1e6), np.zeros(32))
-    dt = stable_dt(u, v, g, WORKED, cfg)
+    dt = stable_dt(u, v, g, WORKED)
     # per-capita decay of u is 1e6 - m1; that limit wins by far
-    assert dt == pytest.approx(cfg.cfl_safety * cfg.reaction_limiter / (1e6 - 1.0), rel=1e-9)
+    assert dt == pytest.approx(CFL_SAFETY * REACTION_LIMITER / (1e6 - 1.0), rel=1e-9)
 
 
 def test_stable_dt_diffusion_limited():
-    cfg = SchemeConfig()
     u, v, g = make_arrays(np.full(32, 0.5), np.full(32, 1.0))
     h = 1.0 / 32
-    dt = stable_dt(u, v, g, WORKED, cfg)
-    assert 0 < dt <= cfg.cfl_safety * h * h / 2.0  # v-diffusion ceiling
+    dt = stable_dt(u, v, g, WORKED)
+    assert 0 < dt <= CFL_SAFETY * h * h / 2.0  # v-diffusion ceiling
     # stronger taxis can only shrink the step
     hot = ModelParams(d1=1.0, d2=1.0, m1=1.0, m2=2.0, chi=10.0, a=1.0, b=1.0)
-    assert stable_dt(u, v, g, hot, cfg) < dt
-
-
-def test_scheme_config_validation():
-    with pytest.raises(ValueError):
-        SchemeConfig(cfl_safety=0.0)
-    with pytest.raises(ValueError):
-        SchemeConfig(reaction_limiter=1.5)
+    assert stable_dt(u, v, g, hot) < dt
 
 
 def test_state_validation():
@@ -192,6 +185,19 @@ def test_run_to_time_validation():
         run_to_time(s, WORKED, SchemeConfig(), t_end=0.5, sample_every=0.1)
     with pytest.raises(ValueError):
         run_to_time(s, WORKED, SchemeConfig(), t_end=2.0, sample_every=0.0)
+
+
+def test_run_to_time_raises_stalled_when_t_cannot_move():
+    # at t = 1e8 the spacing of doubles is ~1.5e-8, while chi = 1e6 on 8 cells
+    # limits dt to ~3e-9, so t + dt == t; the run must stop, not spin
+    p = ModelParams(d1=1.0, d2=1.0, m1=1.0, m2=2.0, chi=1e6, a=1.0, b=1.0)
+    g = Grid.uniform(1, 8, 1.0)
+    s = State(g.field(1.0), g.field(1.0), 1e8)
+    acc = StepAccounting()
+    with pytest.raises(Stalled, match="does not advance"):
+        run_to_time(s, p, SchemeConfig(), t_end=1e8 + 1.0, sample_every=0.5, accounting=acc)
+    assert acc.steps == 0
+    assert issubclass(Stalled, BlowUp)  # execute and the CLI report it as a blow-up
 
 
 def test_peak_v_includes_initial_state():

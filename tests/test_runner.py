@@ -108,6 +108,7 @@ def test_sweep_sequential(tmp_path, monkeypatch):
     assert all(float(r["t_final"]) == 0.2 for r in rows)
     for tag in ("params_chi_0.5", "params_chi_1"):
         assert (tmp_path / tag / "manifest.json").exists()
+        assert not (tmp_path / tag / "energy.svg").exists()  # members write no charts
 
 
 def test_sweep_parallel(tmp_path, monkeypatch):
@@ -125,6 +126,17 @@ def test_sweep_records_member_failures(tmp_path, monkeypatch):
     rows = read_summary(sweep(items, "params.d1", [1.0, -1.0], out_dir=str(tmp_path)))
     assert rows[0]["status"] == "completed"
     assert rows[1]["status"].startswith("config-error")
+
+
+@pytest.mark.parametrize(
+    "values, shown",
+    [([1.0000001, 1.0000002], "1.0000001 and 1.0000002"), ([1.0, 1.0], "1.0 and 1.0")],
+)
+def test_sweep_rejects_values_sharing_a_directory(tmp_path, values, shown):
+    root = tmp_path / "sweep"
+    with pytest.raises(ConfigError, match=f"{shown} both map to directory params_chi_1"):
+        sweep(parse_items(BASE), "params.chi", values, out_dir=str(root))
+    assert not root.exists()  # rejected before any run starts
 
 
 def test_sweep_validation(tmp_path):
