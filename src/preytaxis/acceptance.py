@@ -178,7 +178,7 @@ def _criterion_4() -> tuple[bool, str]:
     return worst <= 1e-4, "max rel err vs adaptive RK45: " + ", ".join(notes) + " (cap 1e-4)"
 
 
-# --- 5: predator maximum principle --------------------------------------------
+# --- 5: prey maximum principle ------------------------------------------------
 
 def _criterion_5() -> tuple[bool, str]:
     result = _scenario_result("max_principle_64")
@@ -261,7 +261,7 @@ def _criterion_8() -> tuple[bool, str]:
     return passed, (
         f"coexistence distances under 1e-3 at t={t_co} (final u/v: "
         f"{co.records[-1].dist_u_l1:.2e}/{co.records[-1].dist_v_l1:.2e}); "
-        f"predator mass under 1e-3 at t={t_ex} (final {ex.records[-1].dist_v_l1:.2e})"
+        f"prey mass under 1e-3 at t={t_ex} (final {ex.records[-1].dist_v_l1:.2e})"
     )
 
 
@@ -322,7 +322,7 @@ _CRITERIA: list[tuple[int, str, object]] = [
     (2, "stabilization thresholds", _criterion_2),
     (3, "refinement orders", _criterion_3),
     (4, "homogeneous dynamics vs reference ODE", _criterion_4),
-    (5, "predator maximum principle", _criterion_5),
+    (5, "prey maximum principle", _criterion_5),
     (6, "prey mass budget consistency", _criterion_6),
     (7, "energy decay along the coexistence run", _criterion_7),
     (8, "long-time convergence to equilibrium", _criterion_8),

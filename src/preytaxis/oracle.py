@@ -4,6 +4,11 @@ Nothing here shares stepping code with the dynamics module: the
 space-free reaction system is integrated by scipy's adaptive embedded
 Runge-Kutta 4(5), and the pure-diffusion reference is the closed-form
 zero-flux heat eigenmode.
+
+scipy is imported on the first homogeneous_ode call, not with this
+module: importing scipy.integrate costs about 0.5 s, more than the rest
+of the start-up to a run's first step, and only the ODE cross-check
+(acceptance criterion 4, ``preytaxis oracle ode``) needs it.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .grid import Grid, laplacian_values
 from .model import ModelParams
@@ -51,7 +55,12 @@ def homogeneous_ode(
 
     integrated with an adaptive embedded RK 4(5) pair at local relative
     tolerance rel_tol.  t_eval optionally pins the output times.
+
+    solve_ivp is imported here rather than at module top so that
+    importing the package does not load scipy (see the module docstring).
     """
+    from scipy.integrate import solve_ivp
+
     if u0 < 0 or v0 < 0:
         raise ValueError(f"initial values must be >= 0 (got {u0}, {v0})")
     if t_end <= 0:

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -321,6 +320,10 @@ def sweep(items: dict[str, str], axis: str, values: list[float], out_dir: str | 
     one directory name are a ConfigError before any run starts.
     Individual failures land in the summary; the sweep continues.
     Returns the summary path.
+
+    ProcessPoolExecutor is imported only when more than one worker runs:
+    concurrent.futures.process loads multiprocessing, socket and
+    subprocess, which a single run or a one-worker sweep never uses.
     """
     if not values:
         raise ConfigError("sweep needs at least one value")
@@ -340,6 +343,8 @@ def sweep(items: dict[str, str], axis: str, values: list[float], out_dir: str | 
     if workers == 1:
         rows = [_sweep_worker(job) for job in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_worker, jobs))
     summary = root / "sweep_summary.csv"

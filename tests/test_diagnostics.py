@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from preytaxis import (
     DiagnosticsRecord,
@@ -26,6 +25,7 @@ from preytaxis import (
     record,
     steady_states,
 )
+from strategies import grids, positive_fields
 
 WORKED = ModelParams(d1=1.0, d2=1.0, m1=1.0, m2=2.0, chi=1.0, a=1.0, b=1.0)
 # a certificate carrying only the relaxed prey bound the energy weights by
@@ -140,18 +140,6 @@ def test_record_uses_certificate_relaxed_bound():
 
 
 # --- properties of record() on generated grids and positive fields ------------
-
-@st.composite
-def grids(draw):
-    dim = draw(st.sampled_from((1, 2)))
-    n = tuple(draw(st.integers(4, 12)) for _ in range(dim))
-    length = tuple(draw(st.floats(0.5, 3.0)) for _ in range(dim))
-    return Grid(n, length)
-
-
-def positive_fields(grid):
-    return arrays(np.float64, grid.n, elements=st.floats(1e-3, 1e3))
-
 
 @st.composite
 def coexistence_params(draw):

@@ -1,7 +1,11 @@
 """Stepper behavior: fluxes, limiter, positivity, sampling, crude bounds."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from preytaxis import (
     BlowUp,
@@ -24,6 +28,7 @@ from preytaxis import (
     steady_states,
 )
 from preytaxis.dynamics import CFL_SAFETY, REACTION_LIMITER
+from strategies import grids, positive_fields
 
 WORKED = ModelParams(d1=1.0, d2=1.0, m1=1.0, m2=2.0, chi=1.0, a=1.0, b=1.0)
 
@@ -142,7 +147,7 @@ def test_excessive_clamping_detection():
 
 
 def test_mass_rate_equals_reaction_integral():
-    """The flux divergence telescopes, so d/dt of prey mass is the reaction
+    """The flux divergence telescopes, so d/dt of predator mass is the reaction
     integral to rounding -- for both schemes and both dimensions."""
     rng = np.random.default_rng(41)
     for dim in (1, 2):
@@ -154,6 +159,28 @@ def test_mass_rate_equals_reaction_integral():
             du, _ = rhs(u, v, g, WORKED, cfg)
             ru, _ = reaction_rates(u, v, WORKED)
             assert abs(integrate_values(g, du) - integrate_values(g, ru)) < 1e-11
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    g=grids(),
+    scheme=st.sampled_from(TaxisScheme),
+    eps=st.sampled_from((0.0, 0.1, 1.0)),
+)
+def test_mass_rate_equals_reaction_integral_property(data, g, scheme, eps):
+    """On generated grids and fields, d/dt of predator mass is the reaction
+    integral up to rounding in the face fluxes the divergence sums."""
+    u = data.draw(positive_fields(g, high=10.0))
+    v = data.draw(positive_fields(g, high=10.0))
+    p = replace(WORKED, eps=eps)
+    cfg = SchemeConfig(taxis_scheme=scheme)
+    du, _ = rhs(u, v, g, p, cfg)
+    ru, _ = reaction_rates(u, v, p)
+    fluxes = flux_u(u, v, g, p, cfg)
+    scale = sum(2.0 * g.cell_volume / g.h[ax] * float(np.abs(f).sum()) for ax, f in enumerate(fluxes))
+    scale += integrate_values(g, np.abs(ru))
+    assert abs(integrate_values(g, du) - integrate_values(g, ru)) <= 1e-13 * scale
 
 
 def test_run_to_time_sampling_layout():

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from preytaxis import Field, Grid, read_snapshot, write_snapshot
 from preytaxis.grid import (
@@ -13,6 +16,7 @@ from preytaxis.grid import (
     integrate_values,
     laplacian_values,
 )
+from strategies import grids, positive_fields
 
 
 def test_grid_geometry():
@@ -87,6 +91,24 @@ def test_divergence_telescopes_to_zero_mass():
         assert abs(integrate_values(g, div)) < 1e-12
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), g=grids())
+def test_divergence_telescopes_to_zero_mass_property(data, g):
+    """Random face fluxes with zero boundary faces: the divergence integrates
+    to zero up to rounding in the face fluxes it sums."""
+    fluxes = []
+    scale = 0.0
+    for ax in range(g.dim):
+        fx = data.draw(arrays(np.float64, g.face_shape[ax], elements=st.floats(-1e3, 1e3)))
+        sl = [slice(None)] * g.dim
+        sl[ax] = [0, -1]
+        fx[tuple(sl)] = 0.0
+        fluxes.append(fx)
+        scale += 2.0 * g.cell_volume / g.h[ax] * float(np.abs(fx).sum())
+    div = divergence_values(g, tuple(fluxes))
+    assert abs(integrate_values(g, div)) <= 1e-13 * scale
+
+
 def test_laplacian_cosine_eigenmode():
     # cos(k pi x / L) is an exact eigenvector of the discrete operator
     g = Grid.uniform(1, 64, 1.0)
@@ -151,6 +173,19 @@ def test_snapshot_roundtrip_2d(tmp_path):
     assert np.array_equal(back.values, f.values)
     # one header line plus one line per first-axis row
     assert len(path.read_text().strip().splitlines()) == 7
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), g=grids(), t=st.floats(0.0, 1e6))
+def test_snapshot_roundtrip_property(tmp_path_factory, data, g, t):
+    values = data.draw(positive_fields(g, low=1e-300, high=1e300))
+    path = tmp_path_factory.mktemp("snap") / "field.txt"
+    write_snapshot(g.field(values), t, path)
+    back, t_back = read_snapshot(path)
+    assert t_back == t
+    assert back.grid.n == g.n
+    assert back.grid.length == g.length
+    assert back.values.tobytes() == values.tobytes()
 
 
 def test_snapshot_header_format(tmp_path):
