@@ -16,7 +16,7 @@ import numpy as np
 from . import model
 from .config import build_config, scenario_items
 from .diagnostics import check_energy_decay, entropy_lower_bound_residual, format_csv
-from .dynamics import BlowUp, SchemeConfig, State, reaction_rates, run_to_time, stable_dt, step
+from .dynamics import BlowUp, State, TaxisScheme, reaction_rates, run_to_time, stable_dt, step
 from .grid import Grid, integrate_values
 from .model import ModelParams, Regime, steady_states
 from .oracle import heat_eigenmode_error, homogeneous_ode, refinement_order
@@ -165,7 +165,7 @@ def _criterion_4() -> tuple[bool, str]:
         def sink(state: State, out=samples) -> None:
             out.append((state.t, float(state.u.values.mean()), float(state.v.values.mean())))
 
-        run_to_time(s0, p, SchemeConfig(), 10.0, 0.5, sink=sink)
+        run_to_time(s0, p, TaxisScheme.UPWIND, 10.0, 0.5, sink=sink)
         times = [t for t, _, _ in samples]
         ref = homogeneous_ode(1.0, 1.0, p, 10.0, t_eval=times)
         scale_u = float(np.max(np.abs(ref.u)))
@@ -207,13 +207,12 @@ def _criterion_6() -> tuple[bool, str]:
     bump = np.cos(np.pi * g.centers(0) / g.length[0])
     u0 = ss.u_star + 1e-4 * bump
     v0 = ss.v_star + 2e-4 * bump
-    cfg = SchemeConfig()
     dt0 = stable_dt(u0, v0, g, p) / 2.0
     mass0 = integrate_values(g, u0)
     expected = integrate_values(g, reaction_rates(u0, v0, p)[0])
 
     def residual(dt: float) -> float:
-        u1, _ = step(u0, v0, 0.0, g, p, cfg, dt)
+        u1, _ = step(u0, v0, 0.0, g, p, TaxisScheme.UPWIND, dt)
         return abs((integrate_values(g, u1) - mass0) / dt - expected)
 
     r_full = residual(dt0)

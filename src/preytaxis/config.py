@@ -13,7 +13,7 @@ from importlib import resources
 
 import numpy as np
 
-from .dynamics import SchemeConfig, State, TaxisScheme
+from .dynamics import State, TaxisScheme
 from .grid import Field, Grid
 from .model import ModelParams
 
@@ -97,7 +97,7 @@ class InitialCondition:
 class RunConfig:
     params: ModelParams
     grid: Grid
-    scheme: SchemeConfig
+    taxis: TaxisScheme
     initial: InitialCondition
     t_end: float
     sample_every: float
@@ -227,7 +227,7 @@ def build_config(items: dict[str, str]) -> RunConfig:
     return RunConfig(
         params=params,
         grid=grid,
-        scheme=SchemeConfig(taxis_scheme=taxis),
+        taxis=taxis,
         initial=initial,
         t_end=t_end,
         sample_every=sample_every,

@@ -1,16 +1,17 @@
 """Explicit finite-volume time stepping for the taxis system.
 
-The predator flux through each interior face combines prey-enhanced
-diffusion with drift up the prey gradient,
+The predator flux through each interior face is formed from the values
+of the two cells it separates, (u_L, v_L) and (u_R, v_R), and combines
+prey-enhanced diffusion with drift up the prey gradient,
 
-    flux = (d1 + chi*v_face) * du/dn - chi * F(u_upwind) * dv/dn,
+    flux = (d1 + chi*v_face) * (u_R - u_L)/h - chi * F(u_face) * (v_R - v_L)/h,
 
-where v_face is the arithmetic face mean and the drift carries the
-donor-cell (upwind) density by default.  Prey diffuse with the plain
-zero-flux Laplacian.  Time integration is Heun's two-stage scheme, which
-is a convex combination of forward Euler substeps, so the step-size
-limiter that keeps each substep positivity- and max-principle-safe
-protects the full step as well.
+where v_face is the arithmetic face mean and u_face is the donor cell's
+value (upwind, the default) or the face mean (central).  Boundary faces
+carry no flux.  Prey diffuse with the plain zero-flux Laplacian.  Time
+integration is Heun's two-stage scheme, which is a convex combination of
+forward Euler substeps, so the step-size limiter that keeps each substep
+positivity- and max-principle-safe protects the full step as well.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .grid import (
     Field,
     Grid,
     divergence_values,
-    face_gradient_values,
     integrate_values,
     laplacian_values,
 )
@@ -34,7 +34,6 @@ from .model import ModelParams, taxis_mobility
 
 __all__ = [
     "TaxisScheme",
-    "SchemeConfig",
     "State",
     "StepAccounting",
     "BlowUp",
@@ -42,6 +41,7 @@ __all__ = [
     "Stalled",
     "CFL_SAFETY",
     "REACTION_LIMITER",
+    "STEP_BUDGET",
     "reaction_rates",
     "flux_u",
     "rhs",
@@ -53,6 +53,7 @@ __all__ = [
 BLOWUP_LIMIT = 1e12
 CFL_SAFETY = 0.4  # fraction of the smallest limit that stable_dt returns
 REACTION_LIMITER = 0.5  # largest relative decay per step the reaction limit allows
+STEP_BUDGET = 1e8  # most limiter steps run_to_time lets the rest of a run need
 _TINY = 1e-300
 
 
@@ -65,19 +66,13 @@ class ExcessiveClamping(BlowUp):
 
 
 class Stalled(BlowUp):
-    """The limiter's step is too small to change t in floating point."""
+    """The limiter's step is too small to change t in floating point, or
+    to reach t_end within STEP_BUDGET steps."""
 
 
 class TaxisScheme(Enum):
     UPWIND = "upwind"
     CENTRAL = "central"
-
-
-@dataclass(frozen=True)
-class SchemeConfig:
-    """Numerical scheme choices."""
-
-    taxis_scheme: TaxisScheme = TaxisScheme.UPWIND
 
 
 @dataclass(frozen=True)
@@ -120,34 +115,34 @@ def reaction_rates(u: np.ndarray, v: np.ndarray, p: ModelParams) -> tuple[np.nda
 
 # --- predator flux ----------------------------------------------------------
 
-def flux_u(u, v, grid: Grid, p: ModelParams, cfg: SchemeConfig) -> tuple[np.ndarray, ...]:
-    """Per-face predator flux; boundary faces are exactly zero."""
-    gu = face_gradient_values(grid, u)
-    gv = face_gradient_values(grid, v)
+def flux_u(u, v, grid: Grid, p: ModelParams, taxis: TaxisScheme) -> tuple[np.ndarray, ...]:
+    """Per-face predator flux from the cell values; boundary faces are exactly zero."""
     fluxes = []
     for ax in range(grid.dim):
-        left, right, interior = grid.left[ax], grid.right[ax], grid.interior_faces[ax]
-        v_face = 0.5 * (v[left] + v[right])
-        drift = p.chi * gv[ax][interior]
-        if cfg.taxis_scheme is TaxisScheme.UPWIND:
+        left, right, h = grid.left[ax], grid.right[ax], grid.h[ax]
+        u_l, u_r, v_l, v_r = u[left], u[right], v[left], v[right]
+        v_face = 0.5 * (v_l + v_r)
+        drift = p.chi * ((v_r - v_l) / h)
+        if taxis is TaxisScheme.UPWIND:
             # donor cell: positive drift carries density from the left cell
-            u_face = np.where(drift > 0, u[left], u[right])
+            u_face = np.where(drift > 0, u_l, u_r)
         else:
-            u_face = 0.5 * (u[left] + u[right])
+            u_face = 0.5 * (u_l + u_r)
 
-        flux = np.zeros_like(gu[ax])
-        flux[interior] = (p.d1 + p.chi * v_face) * gu[ax][interior] - taxis_mobility(u_face, p.eps) * drift
+        diffusion = (p.d1 + p.chi * v_face) * ((u_r - u_l) / h)
+        flux = np.zeros(grid.face_shape[ax])
+        flux[grid.interior_faces[ax]] = diffusion - taxis_mobility(u_face, p.eps) * drift
         fluxes.append(flux)
     return tuple(fluxes)
 
 
 # --- semidiscrete right-hand side -------------------------------------------
 
-def rhs(u, v, grid: Grid, p: ModelParams, cfg: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
+def rhs(u, v, grid: Grid, p: ModelParams, taxis: TaxisScheme) -> tuple[np.ndarray, np.ndarray]:
     """Time derivatives of (u, v).  The flux part integrates to zero exactly,
     so the discrete mass identity d/dt integral(u) = integral(reaction_u)
     holds to rounding."""
-    fluxes = flux_u(u, v, grid, p, cfg)
+    fluxes = flux_u(u, v, grid, p, taxis)
     ru, rv = reaction_rates(u, v, p)
     du = divergence_values(grid, fluxes) + ru
     dv = p.d2 * laplacian_values(grid, v) + rv
@@ -159,7 +154,6 @@ def rhs(u, v, grid: Grid, p: ModelParams, cfg: SchemeConfig) -> tuple[np.ndarray
 def stable_dt(u, v, grid: Grid, p: ModelParams) -> float:
     """Largest step the limiter allows at this state: the minimum of the
     diffusive, drift, and relative-reaction-decay limits times CFL_SAFETY."""
-    gv = face_gradient_values(grid, v)
     h_min = min(grid.h)
     v_max = float(v.max())
     limits = [
@@ -167,7 +161,7 @@ def stable_dt(u, v, grid: Grid, p: ModelParams) -> float:
         h_min * h_min / (2.0 * grid.dim * p.d2),
     ]
     for ax in range(grid.dim):
-        speed = p.chi * float(np.abs(gv[ax]).max())
+        speed = p.chi * float(np.abs((v[grid.right[ax]] - v[grid.left[ax]]) / grid.h[ax]).max())
         limits.append(grid.h[ax] / (speed + _TINY))
     decay_u = max(0.0, float((u - p.a * v - p.m1).max()))
     decay_v = max(0.0, float((p.b * u + v - p.m2).max()))
@@ -188,7 +182,7 @@ def _clamp_negative(arr: np.ndarray) -> tuple[float, int]:
     return removed, count
 
 
-def step(u, v, t: float, grid: Grid, p: ModelParams, cfg: SchemeConfig, dt: float,
+def step(u, v, t: float, grid: Grid, p: ModelParams, taxis: TaxisScheme, dt: float,
          accounting: StepAccounting | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One RK2 (Heun) step of size dt from time t, with clamp-and-count
     positivity repair; returns the new (u, v) and leaves the inputs alone."""
@@ -197,13 +191,13 @@ def step(u, v, t: float, grid: Grid, p: ModelParams, cfg: SchemeConfig, dt: floa
     mass_u = integrate_values(grid, u)
     mass_v = integrate_values(grid, v)
 
-    du1, dv1 = rhs(u, v, grid, p, cfg)
+    du1, dv1 = rhs(u, v, grid, p, taxis)
     u1 = u + dt * du1
     v1 = v + dt * dv1
     removed_u, cells_u = _clamp_negative(u1)
     removed_v, cells_v = _clamp_negative(v1)
 
-    du2, dv2 = rhs(u1, v1, grid, p, cfg)
+    du2, dv2 = rhs(u1, v1, grid, p, taxis)
     u_new = u + 0.5 * dt * (du1 + du2)
     v_new = v + 0.5 * dt * (dv1 + dv2)
     ru, cu = _clamp_negative(u_new)
@@ -233,7 +227,7 @@ def step(u, v, t: float, grid: Grid, p: ModelParams, cfg: SchemeConfig, dt: floa
 def run_to_time(
     s0: State,
     p: ModelParams,
-    cfg: SchemeConfig,
+    taxis: TaxisScheme,
     t_end: float,
     sample_every: float,
     sink: Callable[[State], None] | None = None,
@@ -245,7 +239,8 @@ def run_to_time(
     step at or after each multiple of sample_every (no interpolation), so
     a full run emits floor((t_end - t0)/sample_every) + 1 samples.  The
     final step is clipped to land on t_end.  A step too small to change
-    t raises Stalled instead of looping without end.
+    t, or one at which the rest of the run would take more than
+    STEP_BUDGET steps, raises Stalled instead of looping without end.
     """
     if t_end < s0.t:
         raise ValueError(f"t_end {t_end} precedes the state time {s0.t}")
@@ -272,10 +267,13 @@ def run_to_time(
     time_eps = 1e-12 * max(1.0, abs(t_end))
     state = s0
     while t_end - t > time_eps:
-        dt = min(stable_dt(u, v, grid, p), t_end - t)
+        dt_limit = stable_dt(u, v, grid, p)
+        dt = min(dt_limit, t_end - t)
         if t + dt == t:
             raise Stalled(f"step {dt:.3e} does not advance t = {t:.6g}")
-        u, v = step(u, v, t, grid, p, cfg, dt, acc)
+        if t_end - t > STEP_BUDGET * dt_limit:
+            raise Stalled(f"step {dt_limit:.3e} at t = {t:.6g} leaves over {STEP_BUDGET:.0e} steps to t_end")
+        u, v = step(u, v, t, grid, p, taxis, dt, acc)
         t = t_end if t_end - (t + dt) <= time_eps else t + dt
         state = None
         while next_sample <= n_samples and t >= t0 + next_sample * sample_every - 1e-9 * sample_every:

@@ -83,7 +83,7 @@ def execute(config: RunConfig) -> RunResult:
         final_state = run_to_time(
             s0,
             config.params,
-            config.scheme,
+            config.taxis,
             config.t_end,
             config.sample_every,
             sink=sink,
@@ -108,7 +108,7 @@ def execute(config: RunConfig) -> RunResult:
 def _fingerprints(config: RunConfig) -> tuple[str, str]:
     g = config.grid
     grid_fp = f"{g.dim}d n={'x'.join(map(str, g.n))} length={'x'.join(f'{L:g}' for L in g.length)}"
-    scheme_fp = f"{config.scheme.taxis_scheme.value} cfl={CFL_SAFETY:g} limiter={REACTION_LIMITER:g}"
+    scheme_fp = f"{config.taxis.value} cfl={CFL_SAFETY:g} limiter={REACTION_LIMITER:g}"
     return grid_fp, scheme_fp
 
 

@@ -64,6 +64,15 @@ def test_run_blowup_exit_code(tmp_path):
     assert manifest["termination"].startswith("blowup:")
 
 
+def test_run_beyond_step_budget_exit_code(tmp_path):
+    cfg, out = write_cfg(tmp_path, extra="params.chi = 1e9\n")
+    assert main(["run", str(cfg)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["termination"].startswith("blowup:")
+    assert "steps to t_end" in manifest["termination"]
+    assert manifest["steps"] == 0
+
+
 def test_sweep_subcommand(tmp_path, monkeypatch):
     monkeypatch.setenv("PREYTAXIS_WORKERS", "1")
     cfg, out = write_cfg(tmp_path)

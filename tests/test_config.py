@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from preytaxis import (
     ConfigError,
@@ -25,7 +27,7 @@ def test_empty_text_gives_default_run():
     assert cfg.grid.n == (64,)
     assert cfg.grid.length == (1.0,)
     assert cfg.params.m2 == 2.0
-    assert cfg.scheme.taxis_scheme is TaxisScheme.UPWIND
+    assert cfg.taxis is TaxisScheme.UPWIND
     assert cfg.t_end == 1.0
     assert cfg.sample_every == 0.1
     assert cfg.seed == 0
@@ -152,7 +154,7 @@ def test_bundled_scenarios_build():
         cfg = build_config(scenario_items(name))
         assert cfg.t_end > 0
     assert build_config(scenario_items("coexistence_64")).grid.dim == 2
-    assert build_config(scenario_items("order_1d")).scheme.taxis_scheme is TaxisScheme.CENTRAL
+    assert build_config(scenario_items("order_1d")).taxis is TaxisScheme.CENTRAL
 
 
 def test_unknown_scenario_lists_available():
@@ -163,3 +165,57 @@ def test_unknown_scenario_lists_available():
 def test_build_config_rejects_unknown_items():
     with pytest.raises(ParseError, match="unknown keys"):
         build_config({"params.zeta": "1"})
+
+
+def _num(low, high):
+    return st.floats(low, high).map(repr)
+
+
+def _per_axis(dim, values):
+    """One value for every axis, or one value per axis."""
+    return st.one_of(values, st.lists(values, min_size=dim, max_size=dim).map(", ".join))
+
+
+@st.composite
+def valid_items(draw):
+    """A random subset of the keys, each with a value build_config accepts."""
+    keys = draw(st.permutations(sorted(DEFAULTS)))[: draw(st.integers(0, len(DEFAULTS)))]
+    dim = draw(st.sampled_from((1, 2))) if "grid.dim" in keys else 1
+    positive = _num(1e-3, 1e3)
+    values = {
+        **{f"params.{k}": positive for k in ("d1", "d2", "m1", "chi", "a", "b")},
+        "params.m2": _num(-1e3, 1e3),
+        "params.eps": _num(0.0, 1e3),
+        "grid.dim": st.just(str(dim)),
+        "grid.n": _per_axis(dim, st.integers(4, 256).map(str)),
+        "grid.length": _per_axis(dim, positive),
+        "scheme.taxis": st.sampled_from(("upwind", "central", "Central", "UPWIND")),
+        "initial.kind": st.sampled_from(("constant", "cosine")),
+        "initial.u_base": _num(1.0, 1e3),
+        "initial.u_amp": _num(0.0, 0.999),
+        "initial.v_base": _num(1.0, 1e3),
+        "initial.v_amp": _num(0.0, 0.999),
+        "run.t_end": positive,
+        "run.sample_every": positive,
+        "run.seed": st.integers(-(2**63), 2**63).map(str),
+        "output.dir": st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True),
+    }
+    assert set(values) == set(DEFAULTS)
+    return {k: draw(values[k]) for k in keys}
+
+
+@settings(max_examples=100, deadline=None)
+@given(items=valid_items(), data=st.data())
+def test_rendered_items_roundtrip_property(items, data):
+    """Items rendered as "key = value" lines, in any order, with padding and
+    comments, parse back to the same items and the same effective config."""
+    lines = []
+    for key, value in items.items():
+        pad = data.draw(st.sampled_from(("", " ", "  ")))
+        comment = data.draw(st.sampled_from(("", "  # note", "#")))
+        lines.append(f"{pad}{key}{pad}={pad}{value}{comment}")
+        if data.draw(st.booleans()):
+            lines.append(data.draw(st.sampled_from(("", "# comment line", "   "))))
+    parsed = parse_items("\n".join(lines))
+    assert parsed == items
+    assert build_config(parsed).items == build_config(items).items == {**DEFAULTS, **items}

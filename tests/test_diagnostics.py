@@ -1,6 +1,8 @@
 """Entropy/energy functionals, the decay checker, and the CSV layout."""
 
 import math
+import typing
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -307,3 +309,38 @@ def test_csv_roundtrips_doubles_and_keeps_ints_plain():
     assert float(cells[11]) == 1.0 / 3.0
     assert float(cells[12]) == 2.0**-40
     assert cells[17] == "7"
+
+
+# Column types as declared, so the property covers every column the CSV has.
+RECORD_TYPES = typing.get_type_hints(DiagnosticsRecord)
+
+
+@st.composite
+def finite_records(draw):
+    values = {}
+    for f in fields(DiagnosticsRecord):
+        if RECORD_TYPES[f.name] is int:
+            values[f.name] = draw(st.integers(0, 2**63))
+        else:
+            values[f.name] = draw(st.floats(allow_nan=False, allow_infinity=False))
+    return DiagnosticsRecord(**values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=st.lists(finite_records(), max_size=5))
+def test_csv_roundtrip_property(records):
+    """Every finite double reads back bitwise, -0.0 included; integer columns
+    are written as plain integers."""
+    lines = format_csv(records).split("\n")
+    assert lines[0] == csv_header()
+    assert lines[-1] == ""
+    assert len(lines) == len(records) + 2
+    for r, line in zip(records, lines[1:]):
+        cells = line.split(",")
+        assert len(cells) == len(fields(DiagnosticsRecord))
+        for f, cell in zip(fields(DiagnosticsRecord), cells):
+            value = getattr(r, f.name)
+            if RECORD_TYPES[f.name] is int:
+                assert cell == str(value)
+            else:
+                assert np.float64(float(cell)).tobytes() == np.float64(value).tobytes()

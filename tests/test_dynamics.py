@@ -12,7 +12,6 @@ from preytaxis import (
     ExcessiveClamping,
     Grid,
     ModelParams,
-    SchemeConfig,
     State,
     StepAccounting,
     TaxisScheme,
@@ -25,7 +24,9 @@ from preytaxis import (
     stable_dt,
     step,
     Stalled,
+    face_gradient_values,
     steady_states,
+    taxis_mobility,
 )
 from preytaxis.dynamics import CFL_SAFETY, REACTION_LIMITER
 from strategies import grids, positive_fields
@@ -56,12 +57,12 @@ def test_step_fixes_equilibrium_bitwise():
     """The spatially constant equilibrium is a fixed point of the stepper."""
     ss = steady_states(WORKED)
     u, v, g = make_arrays(np.full((8, 8), ss.u_star), np.full((8, 8), ss.v_star))
-    u1, v1 = step(u, v, 0.0, g, WORKED, SchemeConfig(), 0.01)
+    u1, v1 = step(u, v, 0.0, g, WORKED, TaxisScheme.UPWIND, 0.01)
     assert np.array_equal(u1, u)
     assert np.array_equal(v1, v)
     # the time is the caller's: run_to_time lands exactly on t_end
     s = make_state(u, v)
-    nxt = run_to_time(s, WORKED, SchemeConfig(), t_end=0.01, sample_every=0.01)
+    nxt = run_to_time(s, WORKED, TaxisScheme.UPWIND, t_end=0.01, sample_every=0.01)
     assert np.array_equal(nxt.u.values, u)
     assert np.array_equal(nxt.v.values, v)
     assert nxt.t == 0.01
@@ -71,7 +72,7 @@ def test_flux_is_plain_diffusion_when_v_constant():
     rng = np.random.default_rng(23)
     u = rng.uniform(0.5, 2.0, 8)
     _, v, g = make_arrays(u, np.full(8, 2.0))
-    (fx,) = flux_u(u, v, g, WORKED, SchemeConfig())
+    (fx,) = flux_u(u, v, g, WORKED, TaxisScheme.UPWIND)
     h = g.h[0]
     expected = (WORKED.d1 + WORKED.chi * 2.0) * np.diff(u) / h
     assert fx[0] == 0.0 and fx[-1] == 0.0
@@ -82,11 +83,11 @@ def test_upwind_flux_hand_case():
     # n=4, L=2 (h=0.5): du/dn = dv/dn = 2 on every interior face, drift > 0,
     # so the donor cell is the left one.
     u, v, g = make_arrays([1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 2.0, 3.0], length=2.0)
-    (fx,) = flux_u(u, v, g, WORKED, SchemeConfig(taxis_scheme=TaxisScheme.UPWIND))
+    (fx,) = flux_u(u, v, g, WORKED, TaxisScheme.UPWIND)
     # (d1 + chi*v_face)*2 - u_left*2 = 2*v_face + 2 - 2*u_left = 1 on each face
     assert np.allclose(fx, [0.0, 1.0, 1.0, 1.0, 0.0], atol=1e-14)
 
-    (fc,) = flux_u(u, v, g, WORKED, SchemeConfig(taxis_scheme=TaxisScheme.CENTRAL))
+    (fc,) = flux_u(u, v, g, WORKED, TaxisScheme.CENTRAL)
     # with the arithmetic face mean the two terms cancel exactly here
     assert np.allclose(fc, np.zeros(5), atol=1e-14)
 
@@ -94,9 +95,48 @@ def test_upwind_flux_hand_case():
 def test_saturating_mobility_weakens_drift():
     u, v, g = make_arrays([1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 2.0, 3.0], length=2.0)
     p_sat = ModelParams(d1=1.0, d2=1.0, m1=1.0, m2=2.0, chi=1.0, a=1.0, b=1.0, eps=0.5)
-    (fx,) = flux_u(u, v, g, p_sat, SchemeConfig())
+    (fx,) = flux_u(u, v, g, p_sat, TaxisScheme.UPWIND)
     # face between cells 0 and 1: 3 - 2*1/(1+0.5)
     assert fx[1] == pytest.approx(3.0 - 4.0 / 3.0, rel=1e-14)
+
+
+def padded_flux_u(u, v, g, p, taxis):
+    """The flux written on zero-padded face-gradient arrays: the layout the
+    stepper's flux must reproduce bitwise."""
+    gu = face_gradient_values(g, u)
+    gv = face_gradient_values(g, v)
+    fluxes = []
+    for ax in range(g.dim):
+        left, right, interior = g.left[ax], g.right[ax], g.interior_faces[ax]
+        v_face = 0.5 * (v[left] + v[right])
+        drift = p.chi * gv[ax][interior]
+        if taxis is TaxisScheme.UPWIND:
+            u_face = np.where(drift > 0, u[left], u[right])
+        else:
+            u_face = 0.5 * (u[left] + u[right])
+        flux = np.zeros_like(gu[ax])
+        flux[interior] = (p.d1 + p.chi * v_face) * gu[ax][interior] - taxis_mobility(u_face, p.eps) * drift
+        fluxes.append(flux)
+    return tuple(fluxes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    g=grids(),
+    taxis=st.sampled_from(TaxisScheme),
+    eps=st.sampled_from((0.0, 0.1, 1.0)),
+)
+def test_flux_from_cell_values_matches_padded_face_gradients_bitwise(data, g, taxis, eps):
+    u = data.draw(positive_fields(g))
+    v = data.draw(positive_fields(g))
+    p = replace(WORKED, eps=eps)
+    got = flux_u(u, v, g, p, taxis)
+    want = padded_flux_u(u, v, g, p, taxis)
+    assert len(got) == len(want) == g.dim
+    for f, ref in zip(got, want):
+        assert f.shape == ref.shape
+        assert f.tobytes() == ref.tobytes()
 
 
 def test_stable_dt_reaction_limited():
@@ -116,6 +156,24 @@ def test_stable_dt_diffusion_limited():
     assert stable_dt(u, v, g, hot) < dt
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    g=grids(),
+    taxis=st.sampled_from(TaxisScheme),
+    eps=st.sampled_from((0.0, 0.1, 1.0, 10.0)),
+)
+def test_step_at_limiter_dt_clamps_nothing(data, g, taxis, eps):
+    """The limiter's step keeps both Heun stages nonnegative on their own."""
+    u = data.draw(positive_fields(g))
+    v = data.draw(positive_fields(g))
+    p = replace(WORKED, eps=eps)
+    acc = StepAccounting()
+    step(u, v, 0.0, g, p, taxis, stable_dt(u, v, g, p), acc)
+    assert acc.clamped_cells == 0
+    assert acc.clamped_mass == 0.0
+
+
 def test_state_validation():
     g = Grid.uniform(1, 8, 1.0)
     with pytest.raises(ValueError):
@@ -129,21 +187,21 @@ def test_state_validation():
 def test_step_rejects_bad_dt():
     u, v, g = make_arrays(np.ones(8), np.ones(8))
     with pytest.raises(ValueError):
-        step(u, v, 0.0, g, WORKED, SchemeConfig(), 0.0)
+        step(u, v, 0.0, g, WORKED, TaxisScheme.UPWIND, 0.0)
 
 
 def test_blowup_detection():
     u, v, g = make_arrays(np.full(8, 1e13), np.zeros(8))
     with pytest.raises(BlowUp):
         # dt so small the huge density survives the step above the ceiling
-        step(u, v, 0.0, g, WORKED, SchemeConfig(), 1e-16)
+        step(u, v, 0.0, g, WORKED, TaxisScheme.UPWIND, 1e-16)
 
 
 def test_excessive_clamping_detection():
     # a huge forced step drives the logistic decay negative in one Euler stage
     u, v, g = make_arrays([10.0, 0.0, 0.0, 10.0], np.zeros(4))
     with pytest.raises(ExcessiveClamping):
-        step(u, v, 0.0, g, WORKED, SchemeConfig(), 0.2)
+        step(u, v, 0.0, g, WORKED, TaxisScheme.UPWIND, 0.2)
 
 
 def test_mass_rate_equals_reaction_integral():
@@ -155,8 +213,7 @@ def test_mass_rate_equals_reaction_integral():
             g = Grid.uniform(dim, 16, 2.0)
             u = rng.uniform(0.1, 2.0, g.n)
             v = rng.uniform(0.1, 2.0, g.n)
-            cfg = SchemeConfig(taxis_scheme=scheme)
-            du, _ = rhs(u, v, g, WORKED, cfg)
+            du, _ = rhs(u, v, g, WORKED, scheme)
             ru, _ = reaction_rates(u, v, WORKED)
             assert abs(integrate_values(g, du) - integrate_values(g, ru)) < 1e-11
 
@@ -174,10 +231,9 @@ def test_mass_rate_equals_reaction_integral_property(data, g, scheme, eps):
     u = data.draw(positive_fields(g, high=10.0))
     v = data.draw(positive_fields(g, high=10.0))
     p = replace(WORKED, eps=eps)
-    cfg = SchemeConfig(taxis_scheme=scheme)
-    du, _ = rhs(u, v, g, p, cfg)
+    du, _ = rhs(u, v, g, p, scheme)
     ru, _ = reaction_rates(u, v, p)
-    fluxes = flux_u(u, v, g, p, cfg)
+    fluxes = flux_u(u, v, g, p, scheme)
     scale = sum(2.0 * g.cell_volume / g.h[ax] * float(np.abs(f).sum()) for ax, f in enumerate(fluxes))
     scale += integrate_values(g, np.abs(ru))
     assert abs(integrate_values(g, du) - integrate_values(g, ru)) <= 1e-13 * scale
@@ -187,7 +243,7 @@ def test_run_to_time_sampling_layout():
     s = make_state(np.ones(16), np.ones(16))
     samples = []
     final = run_to_time(
-        s, WORKED, SchemeConfig(), t_end=1.0, sample_every=0.3,
+        s, WORKED, TaxisScheme.UPWIND, t_end=1.0, sample_every=0.3,
         sink=lambda st: samples.append(st.t),
     )
     assert len(samples) == 4  # t=0 plus multiples 0.3, 0.6, 0.9
@@ -200,7 +256,7 @@ def test_run_to_time_sampling_layout():
 def test_run_to_time_identity_when_already_there():
     s = make_state(np.ones(8), np.ones(8), t=2.0)
     seen = []
-    out = run_to_time(s, WORKED, SchemeConfig(), t_end=2.0, sample_every=0.5,
+    out = run_to_time(s, WORKED, TaxisScheme.UPWIND, t_end=2.0, sample_every=0.5,
                       sink=seen.append)
     assert out is s
     assert seen == [s]
@@ -209,9 +265,9 @@ def test_run_to_time_identity_when_already_there():
 def test_run_to_time_validation():
     s = make_state(np.ones(8), np.ones(8), t=1.0)
     with pytest.raises(ValueError):
-        run_to_time(s, WORKED, SchemeConfig(), t_end=0.5, sample_every=0.1)
+        run_to_time(s, WORKED, TaxisScheme.UPWIND, t_end=0.5, sample_every=0.1)
     with pytest.raises(ValueError):
-        run_to_time(s, WORKED, SchemeConfig(), t_end=2.0, sample_every=0.0)
+        run_to_time(s, WORKED, TaxisScheme.UPWIND, t_end=2.0, sample_every=0.0)
 
 
 def test_run_to_time_raises_stalled_when_t_cannot_move():
@@ -222,7 +278,7 @@ def test_run_to_time_raises_stalled_when_t_cannot_move():
     s = State(g.field(1.0), g.field(1.0), 1e8)
     acc = StepAccounting()
     with pytest.raises(Stalled, match="does not advance"):
-        run_to_time(s, p, SchemeConfig(), t_end=1e8 + 1.0, sample_every=0.5, accounting=acc)
+        run_to_time(s, p, TaxisScheme.UPWIND, t_end=1e8 + 1.0, sample_every=0.5, accounting=acc)
     assert acc.steps == 0
     assert issubclass(Stalled, BlowUp)  # execute and the CLI report it as a blow-up
 
@@ -233,7 +289,7 @@ def test_peak_v_includes_initial_state():
     p = ModelParams(d1=1.0, d2=1.0, m1=1.0, m2=0.5, chi=1.0, a=1.0, b=1.0)
     s = make_state(np.ones(16), np.full(16, 3.0))
     acc = StepAccounting()
-    run_to_time(s, p, SchemeConfig(), t_end=0.5, sample_every=0.5, accounting=acc)
+    run_to_time(s, p, TaxisScheme.UPWIND, t_end=0.5, sample_every=0.5, accounting=acc)
     assert acc.peak_v == 3.0
 
 
@@ -266,7 +322,7 @@ def test_random_runs_respect_bounds():
         acc = StepAccounting()
         records = []
         run_to_time(
-            s0, p, SchemeConfig(), t_end=1.0, sample_every=0.25,
+            s0, p, TaxisScheme.UPWIND, t_end=1.0, sample_every=0.25,
             sink=records.append, accounting=acc,
         )
         assert acc.clamped_mass == 0.0

@@ -84,6 +84,16 @@ def test_run_scenario_blowup(tmp_path):
     assert len((out / "diagnostics.csv").read_text().strip().splitlines()) == 2
 
 
+def test_execute_reports_a_run_beyond_the_step_budget():
+    # chi = 1e9 passes validation, but its first step is ~5e-14 against t_end = 30
+    result = execute(build_config({"params.chi": "1e9", "run.t_end": "30"}))
+    assert result.status.startswith("blowup: ")
+    assert "steps to t_end" in result.status
+    assert result.accounting.steps == 0
+    assert result.final_state is None
+    assert len(result.records) == 1  # the t = 0 sample
+
+
 def test_execute_is_deterministic():
     cfg = small_config("initial.kind = cosine\ninitial.u_amp = 0.3\ninitial.v_amp = 0.2")
     a = execute(cfg)
