@@ -192,7 +192,9 @@ def check_energy_decay(
     """Verify (E_{k+1} - E_k)/dt <= -delta * G_k + tol on records past t_settle.
 
     tol_slope = None applies the default 1e-6 * (1 + |E_k|) / dt per pair,
-    sized to absorb the first-order sampling error.
+    sized to absorb the first-order sampling error.  Pairs of records at
+    one time (a step longer than the sample spacing repeats a state) are
+    skipped and left out of n_pairs and slope_fraction.
     """
     if cert.delta is None or cert.t_settle is None:
         raise ValueError("certificate carries no decay data; call certify() first")
@@ -201,6 +203,7 @@ def check_energy_decay(
     if len(tail) < 2:
         return EnergyDecayReport(start, 0, 0, 1.0, 0.0, True, 0.0, 0.0, tol_budget, True)
     delta = cert.delta
+    n_pairs = 0
     violations = 0
     max_violation = 0.0
     max_increase = 0.0
@@ -209,6 +212,7 @@ def check_energy_decay(
         dt = right.t - left.t
         if dt <= 0:
             continue
+        n_pairs += 1
         tol = tol_slope if tol_slope is not None else 1e-6 * (1.0 + abs(left.energy)) / dt
         slope = (right.energy - left.energy) / dt
         excess = slope - (-delta * left.dissipation + tol)
@@ -217,13 +221,12 @@ def check_energy_decay(
             max_violation = max(max_violation, excess)
         max_increase = max(max_increase, slope - tol)
         budget_lhs += delta * left.dissipation * dt
-    n_pairs = len(tail) - 1
     budget_rhs = tail[0].energy - tail[-1].energy + tol_budget
     return EnergyDecayReport(
         start_time=start,
         n_pairs=n_pairs,
         n_slope_violations=violations,
-        slope_fraction=1.0 - violations / n_pairs,
+        slope_fraction=1.0 - violations / n_pairs if n_pairs else 1.0,
         max_slope_violation=max_violation,
         monotone_ok=max_increase <= 0.0,
         max_increase_rate=max_increase,

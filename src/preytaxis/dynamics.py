@@ -8,10 +8,16 @@ prey-enhanced diffusion with drift up the prey gradient,
 
 where v_face is the arithmetic face mean and u_face is the donor cell's
 value (upwind, the default) or the face mean (central).  Boundary faces
-carry no flux.  Prey diffuse with the plain zero-flux Laplacian.  Time
-integration is Heun's two-stage scheme, which is a convex combination of
-forward Euler substeps, so the step-size limiter that keeps each substep
-positivity- and max-principle-safe protects the full step as well.
+carry no flux.  Prey diffuse with the plain zero-flux Laplacian.
+
+Time integration is Heun's two-stage scheme.  It is a convex combination
+of forward-Euler substeps (SSP-RK2 with coefficient 1; Gottlieb, Shu &
+Tadmor 2001), so a step at which one forward-Euler substep keeps both
+fields nonnegative and the prey map monotone keeps them so for the whole
+Heun step.  A forward-Euler substep writes each new cell value as the
+old one times (1 - dt * loss rate) plus nonnegative inflow, so it is safe
+when dt times the largest loss rate stays below 1; stable_dt returns
+STEP_SAFETY over that rate.
 """
 
 from __future__ import annotations
@@ -39,8 +45,7 @@ __all__ = [
     "BlowUp",
     "ExcessiveClamping",
     "Stalled",
-    "CFL_SAFETY",
-    "REACTION_LIMITER",
+    "STEP_SAFETY",
     "STEP_BUDGET",
     "reaction_rates",
     "flux_u",
@@ -51,8 +56,7 @@ __all__ = [
 ]
 
 BLOWUP_LIMIT = 1e12
-CFL_SAFETY = 0.4  # fraction of the smallest limit that stable_dt returns
-REACTION_LIMITER = 0.5  # largest relative decay per step the reaction limit allows
+STEP_SAFETY = 0.9  # fraction of the forward-Euler positivity bound that stable_dt returns
 STEP_BUDGET = 1e8  # most limiter steps run_to_time lets the rest of a run need
 _TINY = 1e-300
 
@@ -96,12 +100,15 @@ class State:
 
 @dataclass
 class StepAccounting:
-    """Mutable counters threaded through a run."""
+    """Mutable counters threaded through a run.  dt_min and dt_max span
+    every step taken, the last one clipped to t_end included."""
 
     steps: int = 0
     clamped_mass: float = 0.0
     clamped_cells: int = 0
     peak_v: float = field(default=-math.inf)
+    dt_min: float = field(default=math.inf)
+    dt_max: float = 0.0
 
 
 # --- pointwise reactions ----------------------------------------------------
@@ -152,21 +159,39 @@ def rhs(u, v, grid: Grid, p: ModelParams, taxis: TaxisScheme) -> tuple[np.ndarra
 # --- step-size limiter --------------------------------------------------------
 
 def stable_dt(u, v, grid: Grid, p: ModelParams) -> float:
-    """Largest step the limiter allows at this state: the minimum of the
-    diffusive, drift, and relative-reaction-decay limits times CFL_SAFETY."""
-    h_min = min(grid.h)
+    """STEP_SAFETY over the largest forward-Euler loss rate of either species.
+
+    A forward-Euler substep multiplies each cell value by one minus dt
+    times its loss rate and adds nonnegative inflow.  The predator's loss
+    rate is at most
+
+        rate_u = sum_ax 2 (d1 + chi v_max)/h_ax^2          (face diffusion)
+               + sum_ax 2 chi max|v_R - v_L|/h_ax^2         (upwind donor drift, both faces)
+               + max|m1 - u + a v|                          (reaction, per capita)
+
+    and the prey's, counting the slope that keeps v -> v + dt v (m2 - v)
+    monotone below v_max, is at most
+
+        rate_v = sum_ax 2 d2/h_ax^2 + max(max|m2 - b u - v|, 2 v_max - m2).
+
+    So dt * max(rate_u, rate_v) <= 1 keeps the substep nonnegative and
+    gives the discrete comparison max v' <= V + dt V (m2 - V), V = max v.
+    The central flux's drift is covered by its face diffusion, so for it
+    the drift term only shortens the step.  The reaction rates count
+    growth as well as decay because Heun's second substep starts from the
+    first one's output, which growth may have raised.  Heun's step is a
+    convex combination of such substeps (SSP-RK2), so the same dt
+    protects it.
+    """
     v_max = float(v.max())
-    limits = [
-        h_min * h_min / (2.0 * grid.dim * (p.d1 + p.chi * v_max)),
-        h_min * h_min / (2.0 * grid.dim * p.d2),
-    ]
+    rate_u = float(np.abs(p.m1 - u + p.a * v).max())
+    rate_v = max(float(np.abs(p.m2 - p.b * u - v).max()), 2.0 * v_max - p.m2)
     for ax in range(grid.dim):
-        speed = p.chi * float(np.abs((v[grid.right[ax]] - v[grid.left[ax]]) / grid.h[ax]).max())
-        limits.append(grid.h[ax] / (speed + _TINY))
-    decay_u = max(0.0, float((u - p.a * v - p.m1).max()))
-    decay_v = max(0.0, float((p.b * u + v - p.m2).max()))
-    limits.append(REACTION_LIMITER / (max(decay_u, decay_v) + _TINY))
-    return CFL_SAFETY * min(limits)
+        two_over_h2 = 2.0 / (grid.h[ax] * grid.h[ax])
+        jump = float(np.abs(v[grid.right[ax]] - v[grid.left[ax]]).max())
+        rate_u += two_over_h2 * (p.d1 + p.chi * (v_max + jump))
+        rate_v += two_over_h2 * p.d2
+    return STEP_SAFETY / max(rate_u, rate_v)
 
 
 # --- time stepping -----------------------------------------------------------
@@ -221,6 +246,8 @@ def step(u, v, t: float, grid: Grid, p: ModelParams, taxis: TaxisScheme, dt: flo
         accounting.clamped_mass += vol * (removed_u + removed_v)
         accounting.clamped_cells += cells_u + cells_v + cu + cv
         accounting.peak_v = max(accounting.peak_v, float(v_new.max()))
+        accounting.dt_min = min(accounting.dt_min, dt)
+        accounting.dt_max = max(accounting.dt_max, dt)
     return u_new, v_new
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import diagnostics, model
 from .config import ConfigError, RunConfig, SWEEPABLE_KEYS, build_config, initial_state
 from .diagnostics import DiagnosticsRecord, RunContext
-from .dynamics import CFL_SAFETY, REACTION_LIMITER, BlowUp, State, StepAccounting, run_to_time
+from .dynamics import STEP_SAFETY, BlowUp, State, StepAccounting, run_to_time
 from .grid import gradient_sq_values, integrate_values, write_snapshot
 
 __all__ = ["RunResult", "execute", "run_scenario", "sweep", "worker_count", "WORKERS_ENV"]
@@ -108,13 +108,14 @@ def execute(config: RunConfig) -> RunResult:
 def _fingerprints(config: RunConfig) -> tuple[str, str]:
     g = config.grid
     grid_fp = f"{g.dim}d n={'x'.join(map(str, g.n))} length={'x'.join(f'{L:g}' for L in g.length)}"
-    scheme_fp = f"{config.taxis.value} cfl={CFL_SAFETY:g} limiter={REACTION_LIMITER:g}"
+    scheme_fp = f"{config.taxis.value} safety={STEP_SAFETY:g}"
     return grid_fp, scheme_fp
 
 
 def _write_manifest(result: RunResult, out: Path) -> None:
     grid_fp, scheme_fp = _fingerprints(result.config)
     cert = result.certificate
+    acc = result.accounting
     manifest = {
         "config": result.config.items,
         "steady_state": {
@@ -126,10 +127,12 @@ def _write_manifest(result: RunResult, out: Path) -> None:
         "grid": grid_fp,
         "scheme": scheme_fp,
         "wall_clock_seconds": result.wall_clock,
-        "steps": result.accounting.steps,
-        "clamped_mass": result.accounting.clamped_mass,
-        "clamped_cells": result.accounting.clamped_cells,
-        "peak_v": result.accounting.peak_v,
+        "steps": acc.steps,
+        "dt_min": acc.dt_min if acc.steps else None,
+        "dt_max": acc.dt_max if acc.steps else None,
+        "clamped_mass": acc.clamped_mass,
+        "clamped_cells": acc.clamped_cells,
+        "peak_v": acc.peak_v,
         "termination": result.status,
     }
     with open(out / "manifest.json", "w") as fh:

@@ -71,6 +71,7 @@ def test_run_beyond_step_budget_exit_code(tmp_path):
     assert manifest["termination"].startswith("blowup:")
     assert "steps to t_end" in manifest["termination"]
     assert manifest["steps"] == 0
+    assert manifest["dt_min"] is None and manifest["dt_max"] is None
 
 
 def test_sweep_subcommand(tmp_path, monkeypatch):

@@ -245,6 +245,30 @@ def test_check_energy_decay_flags_growth():
     assert not rep.budget_ok  # energy rose, dissipation never paid for it
 
 
+def test_check_energy_decay_counts_only_pairs_it_checks():
+    """Records repeated under one time (a step longer than the sample spacing)
+    form zero-width pairs that are skipped; they must not dilute the fraction."""
+    cert = certify(WORKED, v0_sup=1.5)
+    rises = {10, 50, 90, 130, 170}
+    recs = [
+        synthetic_record(0.1 * k, 1000.0 - k + (2.0 if k in rises else 0.0), 0.0)
+        for k in range(211)
+        for _ in range(14)
+    ]
+    rep = check_energy_decay(recs, cert, tol_slope=0.0)
+    assert rep.n_pairs == 210
+    assert rep.n_slope_violations == 5
+    assert rep.slope_fraction == pytest.approx(205 / 210, rel=1e-12)
+    assert rep.slope_fraction < 0.99
+
+
+def test_check_energy_decay_all_pairs_zero_width():
+    cert = certify(WORKED, v0_sup=1.5)
+    rep = check_energy_decay([synthetic_record(0.5, 1.0, 1.0)] * 3, cert)
+    assert rep.n_pairs == 0
+    assert rep.slope_fraction == 1.0
+
+
 def test_check_energy_decay_waits_for_settling():
     cert = certify(WORKED, v0_sup=3.0)
     assert cert.t_settle > 0.1

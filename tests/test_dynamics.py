@@ -28,7 +28,7 @@ from preytaxis import (
     steady_states,
     taxis_mobility,
 )
-from preytaxis.dynamics import CFL_SAFETY, REACTION_LIMITER
+from preytaxis.dynamics import STEP_SAFETY
 from strategies import grids, positive_fields
 
 WORKED = ModelParams(d1=1.0, d2=1.0, m1=1.0, m2=2.0, chi=1.0, a=1.0, b=1.0)
@@ -142,18 +142,85 @@ def test_flux_from_cell_values_matches_padded_face_gradients_bitwise(data, g, ta
 def test_stable_dt_reaction_limited():
     u, v, g = make_arrays(np.full(32, 1e6), np.zeros(32))
     dt = stable_dt(u, v, g, WORKED)
-    # per-capita decay of u is 1e6 - m1; that limit wins by far
-    assert dt == pytest.approx(CFL_SAFETY * REACTION_LIMITER / (1e6 - 1.0), rel=1e-9)
+    # predator loss rate: face diffusion 2 d1/h^2 = 2048 plus |m1 - u| = 1e6 - 1
+    assert dt == pytest.approx(STEP_SAFETY / 1_002_047, rel=1e-12)
 
 
 def test_stable_dt_diffusion_limited():
     u, v, g = make_arrays(np.full(32, 0.5), np.full(32, 1.0))
     h = 1.0 / 32
     dt = stable_dt(u, v, g, WORKED)
-    assert 0 < dt <= CFL_SAFETY * h * h / 2.0  # v-diffusion ceiling
+    # face diffusion 2 (d1 + chi v)/h^2 plus |m1 - u + a v| = 1.5
+    assert dt == pytest.approx(STEP_SAFETY / (4.0 / (h * h) + 1.5), rel=1e-12)
     # stronger taxis can only shrink the step
     hot = ModelParams(d1=1.0, d2=1.0, m1=1.0, m2=2.0, chi=10.0, a=1.0, b=1.0)
     assert stable_dt(u, v, g, hot) < dt
+
+
+def assert_forward_euler_substep_safe(u, v, g, p, taxis):
+    """At stable_dt one forward-Euler substep keeps both fields nonnegative
+    and the prey under its logistic comparison value V + dt V (m2 - V)."""
+    dt = stable_dt(u, v, g, p)
+    du, dv = rhs(u, v, g, p, taxis)
+    u1 = u + dt * du
+    v1 = v + dt * dv
+    big_v = float(v.max())
+    assert u1.min() >= 0.0
+    assert v1.min() >= 0.0
+    assert v1.max() <= big_v + dt * big_v * (p.m2 - big_v) + 1e-12 * big_v
+
+
+SLOW = ModelParams(d1=1e-2, d2=1e-2, m1=1e-2, m2=-3.0, chi=1e-2, a=1e-2, b=1e-2)
+
+
+@pytest.mark.parametrize(
+    "u, v, length, p",
+    [
+        # a prey trough under a predator peak: the donor cell loses through
+        # both faces, at more than twice its face-diffusion rate
+        ([1e-3, 1e3, 1e-3, 1e-3], [1e3, 1e-3, 1e3, 1e3], 1.0, WORKED),
+        # a lone prey peak with fast prey diffusion and slow everything else
+        ([1e-3] * 4, [1e-3, 1e3, 1e-3, 1e-3], 1.0, replace(SLOW, d2=1e2)),
+        # slow transport: the prey map must stay monotone below the peak, or
+        # the half-height cells overtake it
+        ([1e-3] * 4, [1e3, 556.0, 556.0, 556.0], 3.0, SLOW),
+        # slow transport and fast growth: a step sized by decay alone lets
+        # Heun's first stage overshoot the carrying capacity, and the second
+        # stage, starting there, drives the field negative
+        ([1e-3] * 4, [1.0] * 4, 3.0, replace(SLOW, m2=5.0)),
+        ([1.0] * 4, [1e-3] * 4, 3.0, replace(SLOW, m1=10.0, m2=2e-2)),
+    ],
+    ids=["donor-drift", "prey-diffusion", "prey-monotone", "prey-growth", "predator-growth"],
+)
+def test_each_limiter_term_binds_somewhere(u, v, length, p):
+    u, v, g = make_arrays(u, v, length)
+    for taxis in TaxisScheme:
+        assert_forward_euler_substep_safe(u, v, g, p, taxis)
+        acc = StepAccounting()
+        step(u, v, 0.0, g, p, taxis, stable_dt(u, v, g, p), acc)
+        assert acc.clamped_cells == 0
+
+
+def coefficients():
+    return st.floats(1e-2, 1e2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    g=grids(),
+    taxis=st.sampled_from(TaxisScheme),
+    eps=st.sampled_from((0.0, 0.1, 1.0, 10.0)),
+    d1=coefficients(), d2=coefficients(), chi=coefficients(),
+    m1=st.floats(1e-2, 10.0), a=st.floats(1e-2, 10.0), b=st.floats(1e-2, 10.0),
+    m2=st.floats(-3.0, 5.0),
+)
+def test_forward_euler_substep_at_limiter_dt_is_positive_and_monotone(
+        data, g, taxis, eps, d1, d2, chi, m1, a, b, m2):
+    u = data.draw(positive_fields(g))
+    v = data.draw(positive_fields(g))
+    p = ModelParams(d1=d1, d2=d2, m1=m1, m2=m2, chi=chi, a=a, b=b, eps=eps)
+    assert_forward_euler_substep_safe(u, v, g, p, taxis)
 
 
 @settings(max_examples=200, deadline=None)
