@@ -30,6 +30,7 @@ __all__ = [
     "scenario_items",
     "DEFAULTS",
     "SWEEPABLE_KEYS",
+    "SAMPLE_BUDGET",
 ]
 
 
@@ -68,6 +69,8 @@ DEFAULTS: dict[str, str] = {
     "run.seed": "0",
     "output.dir": "out",
 }
+
+SAMPLE_BUDGET = 1e6  # largest run.t_end / run.sample_every a config may ask for
 
 # Keys a sweep may vary: numeric scalars only.
 SWEEPABLE_KEYS = frozenset(
@@ -223,6 +226,11 @@ def build_config(items: dict[str, str]) -> RunConfig:
     sample_every = _float(merged, "run.sample_every")
     if sample_every <= 0:
         raise ValidationError(f"run.sample_every must be > 0 (got {sample_every})")
+    if t_end / sample_every > SAMPLE_BUDGET:
+        raise ValidationError(
+            f"run.t_end / run.sample_every must be <= {SAMPLE_BUDGET:.0e} "
+            f"(got {t_end / sample_every:.3g}); every sample keeps a record in memory"
+        )
 
     return RunConfig(
         params=params,

@@ -9,6 +9,7 @@ rounding: the discrete divergence theorem holds by construction.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,9 +38,15 @@ class Grid:
     def __post_init__(self):
         if len(self.n) not in (1, 2) or len(self.length) != len(self.n):
             raise ValueError(f"grid must be 1-D or 2-D with matching lengths (got {self.n}, {self.length})")
-        for k in self.n:
-            if not (isinstance(k, int) and k >= 4):
-                raise ValueError(f"each axis needs at least 4 cells (got {self.n})")
+        try:
+            if any(isinstance(k, bool) for k in self.n):
+                raise TypeError
+            n = tuple(operator.index(k) for k in self.n)
+        except TypeError:
+            raise ValueError(f"cell counts must be integers (got {self.n})") from None
+        if min(n) < 4:
+            raise ValueError(f"each axis needs at least 4 cells (got {n})")
+        object.__setattr__(self, "n", n)  # plain ints, whatever integer type came in
         for ell in self.length:
             if not (math.isfinite(ell) and ell > 0):
                 raise ValueError(f"axis lengths must be finite and > 0 (got {self.length})")

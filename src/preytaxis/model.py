@@ -138,12 +138,6 @@ def steady_states(p: ModelParams) -> SteadyState:
     return SteadyState(u_star=p.m1, v_star=0.0, regime=Regime.PREY_EXTINCTION)
 
 
-def _condition_rhs(p: ModelParams, ss: SteadyState, cap: float) -> float:
-    """Right-hand side of the taxis-smallness condition at prey bound `cap`."""
-    # single trailing division so round parameter sets give exact thresholds
-    return 4.0 * p.d1 * p.d2 * (p.a * ss.v_star / cap + 4.0 / p.b) / (p.b * cap * ss.u_star)
-
-
 def check_stabilization_condition(p: ModelParams) -> StabilizationCertificate:
     """Decide whether chi^2 is below the explicit stabilization threshold.
 
@@ -152,7 +146,10 @@ def check_stabilization_condition(p: ModelParams) -> StabilizationCertificate:
     """
     ss = steady_states(p)
     m2p = p.m2_plus
-    threshold = math.inf if m2p == 0.0 else _condition_rhs(p, ss, m2p)
+    if m2p == 0.0:
+        threshold = math.inf
+    else:  # single trailing division so round parameter sets give exact thresholds
+        threshold = 4.0 * p.d1 * p.d2 * (p.a * ss.v_star / m2p + 4.0 / p.b) / (p.b * m2p * ss.u_star)
     chi_sq = p.chi * p.chi
     return StabilizationCertificate(holds=chi_sq < threshold, chi_sq=chi_sq, threshold=threshold)
 
@@ -160,21 +157,33 @@ def check_stabilization_condition(p: ModelParams) -> StabilizationCertificate:
 def certify(p: ModelParams, v0_sup: float) -> StabilizationCertificate:
     """Produce a full decay certificate (m2_relaxed, delta, t_settle).
 
-    Raises ConditionViolated when the smallness condition fails.  The
-    relaxed prey bound is the midpoint of the admissible interval above
-    max(0, m2) (supremum located by geometric expansion + bisection);
-    delta is the largest margin jointly satisfying
+    Raises ConditionViolated when the smallness condition fails.  Both
+    numbers are roots of quadratics, so they are computed in closed form.
 
-        delta <= a/b,
-        (1 - delta) * m2_relaxed > max(0, m2),
-        d1 - delta/u_star > 0, and
-        (chi^2 u*/(4(d1 - delta/u*)) - 4 d2/(b^2 m2_relaxed)) m2_relaxed^2
-            - d2 v* (a/b) < -delta,
+    Relaxed prey bound.  A cap c > 0 is admissible (the smallness
+    condition still holds with c in place of max(0, m2)) iff
 
-    found by bisection to relative tolerance 1e-9 and then scaled by
-    0.99 so every inequality holds strictly.  t_settle is the waiting
-    time for the prey comparison bound to fall below
-    (1 - delta) * m2_relaxed starting from v0_sup.
+        chi^2 u* c^2 - (16 d1 d2/b^2) c - 4 d1 d2 a v*/b < 0,
+
+    so the admissible caps form the interval (max(0, m2), c+), with c+
+    the positive root; m2_relaxed is its midpoint.
+
+    Margin.  delta must satisfy delta <= a/b,
+    (1 - delta) * m2_relaxed > max(0, m2), and
+
+        (chi^2 u*/(4 s) - 4 d2/(b^2 m2r)) m2r^2 - d2 v* (a/b) < -delta,
+
+    with s = d1 - delta/u* > 0 and m2r = m2_relaxed.  Multiplied by s/u*
+    the last one reads s^2 + q s - chi^2 m2r^2/4 > 0, with
+    q = (4 d2 m2r/b^2 + d2 v* a/b)/u* - d1, i.e. s > s+ (its positive
+    root), i.e. delta < u*(d1 - s+).  delta is 0.99 times the smallest of
+    the three bounds, so every inequality holds strictly.  u*(d1 - s+) > 0
+    is exactly the admissibility of m2_relaxed; only rounding at the
+    threshold edge can leave delta <= 0 or (1 - delta) * m2_relaxed at
+    or below max(0, m2), and either raises ConditionViolated.
+
+    t_settle is the waiting time for the prey comparison bound to fall
+    below (1 - delta) * m2_relaxed starting from v0_sup.
     """
     if not (math.isfinite(v0_sup) and v0_sup > 0):
         raise ValueError(f"v0_sup must be finite and > 0 (got {v0_sup})")
@@ -187,55 +196,23 @@ def certify(p: ModelParams, v0_sup: float) -> StabilizationCertificate:
     m2p = p.m2_plus
     chi_sq = base.chi_sq
 
-    def admissible(cap: float) -> bool:
-        return chi_sq < _condition_rhs(p, ss, cap)
+    # both quadratics have a positive leading and a nonpositive constant
+    # coefficient; roots in the form that avoids cancellation
+    quad = chi_sq * ss.u_star
+    lin = 16.0 * p.d1 * p.d2 / (p.b * p.b)
+    const = 4.0 * p.d1 * p.d2 * p.a * ss.v_star / p.b
+    c_plus = (lin + math.sqrt(lin * lin + 4.0 * quad * const)) / (2.0 * quad)
+    m2_relaxed = 0.5 * (m2p + c_plus)
 
-    # The condition right-hand side is strictly decreasing in the cap and
-    # tends to 0, so the admissible caps form an interval (m2p, sup).
-    span = max(m2p, 1.0)
-    while admissible(m2p + span):
-        span *= 2.0
-    lo, hi = m2p, m2p + span
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if admissible(mid):
-            lo = mid
-        else:
-            hi = mid
-    m2_relaxed = 0.5 * (m2p + lo)
-    if not admissible(m2_relaxed):  # midpoint of a monotone interval
-        raise AssertionError("relaxed prey bound failed its own admissibility check")
-
-    def feasible(delta: float) -> bool:
-        if delta <= 0 or delta > p.a / p.b:
-            return False
-        if (1.0 - delta) * m2_relaxed <= m2p:
-            return False
-        slack = p.d1 - delta / ss.u_star
-        if slack <= 0:
-            return False
-        lhs = (
-            chi_sq * ss.u_star / (4.0 * slack) - 4.0 * p.d2 / (p.b * p.b * m2_relaxed)
-        ) * m2_relaxed * m2_relaxed - p.d2 * ss.v_star * (p.a / p.b)
-        return lhs < -delta
-
-    cap = min(p.a / p.b, 1.0 - m2p / m2_relaxed, p.d1 * ss.u_star)
-    if feasible(cap):
-        delta_max = cap  # only the a/b bound admits equality
-    else:
-        lo_d, hi_d = 0.0, cap
-        while hi_d - lo_d > 1e-9 * hi_d:
-            mid = 0.5 * (lo_d + hi_d)
-            if feasible(mid):
-                lo_d = mid
-            else:
-                hi_d = mid
-        delta_max = lo_d
-    delta = 0.99 * delta_max
-    if delta <= 0 or not feasible(delta):
+    q = (4.0 * p.d2 * m2_relaxed / (p.b * p.b) + p.d2 * ss.v_star * p.a / p.b) / ss.u_star - p.d1
+    disc = math.sqrt(q * q + chi_sq * m2_relaxed * m2_relaxed)
+    s_plus = 0.5 * chi_sq * m2_relaxed * m2_relaxed / (q + disc) if q > 0 else 0.5 * (disc - q)
+    delta = 0.99 * min(p.a / p.b, 1.0 - m2p / m2_relaxed, ss.u_star * (p.d1 - s_plus))
+    settle_cap = (1.0 - delta) * m2_relaxed
+    if delta <= 0 or settle_cap <= m2p:  # only rounding at the threshold edge gets here
         raise ConditionViolated("no positive dissipation margin survives the constraints")
 
-    t_settle = waiting_time((1.0 - delta) * m2_relaxed, p, v0_sup)
+    t_settle = waiting_time(settle_cap, p, v0_sup)
     return StabilizationCertificate(
         holds=True,
         chi_sq=chi_sq,

@@ -55,16 +55,12 @@ def execute(config: RunConfig) -> RunResult:
     s0 = initial_state(config)
     ss = model.steady_states(config.params)
     v0_sup = float(s0.v.values.max())
-    condition = model.check_stabilization_condition(config.params)
-    if condition.holds:
+    try:
         certificate = model.certify(config.params, v0_sup)
         reason = None
-    else:
+    except model.ConditionViolated as exc:
         certificate = None
-        reason = (
-            f"condition fails: chi^2 = {condition.chi_sq:.6g} "
-            f">= threshold = {condition.threshold:.6g}"
-        )
+        reason = f"condition fails: {exc}"
     accounting = StepAccounting()
     ctx = RunContext(
         params=config.params,

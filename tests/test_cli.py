@@ -74,6 +74,26 @@ def test_run_beyond_step_budget_exit_code(tmp_path):
     assert manifest["dt_min"] is None and manifest["dt_max"] is None
 
 
+def test_run_at_the_threshold_edge_exits_zero(tmp_path):
+    # chi^2 one ulp below the threshold 17/3: the condition holds, but the
+    # margin left may round to nothing
+    cfg, out = write_cfg(tmp_path, extra="params.chi = 2.380476142847616\n")
+    assert main(["run", str(cfg)]) == 0
+    certificate = json.loads((out / "manifest.json").read_text())["certificate"]
+    if "absent" in certificate:
+        assert certificate["absent"].startswith("condition fails: ")
+    else:
+        assert certificate["delta"] > 0
+
+
+def test_run_with_too_many_samples_is_usage_error(tmp_path):
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"grid.n = 4\nrun.t_end = 1\nrun.sample_every = 1e-9\noutput.dir = {out}\n")
+    assert main(["run", str(cfg)]) == 3
+    assert not out.exists()  # rejected before the run directory is made
+
+
 def test_sweep_subcommand(tmp_path, monkeypatch):
     monkeypatch.setenv("PREYTAXIS_WORKERS", "1")
     cfg, out = write_cfg(tmp_path)

@@ -77,6 +77,7 @@ def test_parse_errors_carry_line_numbers():
         ("initial.kind = two_bump", "initial.kind"),
         ("run.t_end = 0", "t_end"),
         ("run.sample_every = -0.1", "sample_every"),
+        ("run.t_end = 10\nrun.sample_every = 1e-6", "keeps a record in memory"),
         ("run.seed = 1.5", "integer"),
     ],
 )

@@ -45,6 +45,19 @@ def test_grid_validation():
         Grid((8,), (-1.0,))
     with pytest.raises(ValueError):
         Grid((8,), (1.0, 1.0))  # rank mismatch
+    for count in (True, 8.0, np.float64(8.0), "8", None):
+        with pytest.raises(ValueError, match="must be integers"):
+            Grid((count,), (1.0,))
+    with pytest.raises(ValueError, match="at least 4 cells"):
+        Grid((np.int64(3),), (1.0,))
+
+
+def test_grid_accepts_any_integral_count():
+    g = Grid((np.int64(8), np.int32(6)), (1.0, 1.0))
+    assert g.n == (8, 6)
+    assert all(type(k) is int for k in g.n)
+    assert g == Grid((8, 6), (1.0, 1.0))
+    assert Grid.uniform(1, np.int64(4), 1.0).n == (4,)
 
 
 def test_field_validation():

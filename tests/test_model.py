@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from preytaxis import (
     ConditionViolated,
@@ -152,6 +154,62 @@ def test_certify_waiting_time():
 def test_certify_rejects_large_chi():
     with pytest.raises(ConditionViolated):
         certify(params(chi=3.0), 1.0)  # 9 > 17/3
+
+
+def _admissible(p, ss, cap):
+    """The smallness condition with the prey cap in place of max(0, m2)."""
+    return p.chi**2 < 4 * p.d1 * p.d2 * (p.a * ss.v_star / cap + 4 / p.b) / (p.b * cap * ss.u_star)
+
+
+def _feasible(p, ss, m2r, delta):
+    """Every constraint the dissipation margin must meet at relaxed cap m2r."""
+    if not 0 < delta <= p.a / p.b:
+        return False
+    if (1 - delta) * m2r <= p.m2_plus:
+        return False
+    slack = p.d1 - delta / ss.u_star
+    if slack <= 0:
+        return False
+    lhs = (p.chi**2 * ss.u_star / (4 * slack) - 4 * p.d2 / (p.b**2 * m2r)) * m2r**2
+    return lhs - p.d2 * ss.v_star * (p.a / p.b) < -delta
+
+
+@st.composite
+def certifiable_params(draw):
+    """Constants from criterion 1's ranges for which the smallness condition holds."""
+    p = ModelParams(
+        d1=10.0 ** draw(st.floats(-1.0, 1.0)),
+        d2=10.0 ** draw(st.floats(-1.0, 1.0)),
+        m1=draw(st.floats(0.1, 5.0)),
+        m2=draw(st.floats(-2.0, 5.0)),
+        chi=draw(st.floats(0.05, 3.0)),
+        a=draw(st.floats(0.05, 4.0)),
+        b=draw(st.floats(0.05, 4.0)),
+    )
+    assume(check_stabilization_condition(p).holds)
+    return p
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=certifiable_params(), v0_sup=st.floats(0.1, 10.0))
+def test_certify_is_the_admissible_midpoint_and_near_maximal_margin_property(p, v0_sup):
+    ss = steady_states(p)
+    try:
+        cert = certify(p, v0_sup)
+    except ConditionViolated:
+        # only rounding at the threshold edge leaves no margin
+        c = check_stabilization_condition(p)
+        assert c.chi_sq > c.threshold * (1 - 1e-9)
+        return
+    m2r = cert.m2_relaxed
+    assert m2r > p.m2_plus and _admissible(p, ss, m2r)
+    c_sup = 2 * m2r - p.m2_plus  # m2r is the midpoint of (max(0, m2), c_sup)
+    assert _admissible(p, ss, c_sup * (1 - 1e-9))
+    assert not _admissible(p, ss, c_sup * (1 + 1e-9))
+
+    assert _feasible(p, ss, m2r, cert.delta)
+    if cert.delta != 0.99 * (p.a / p.b):  # a/b is the one bound met with equality
+        assert not _feasible(p, ss, m2r, 1.02 * cert.delta)
 
 
 def test_taxis_mobility():

@@ -140,6 +140,14 @@ def test_sweep_records_member_failures(tmp_path, monkeypatch):
     assert rows[1]["status"].startswith("config-error")
 
 
+def test_sweep_member_at_the_threshold_edge_is_a_summary_row(tmp_path, monkeypatch):
+    monkeypatch.setenv("PREYTAXIS_WORKERS", "1")
+    edge = 2.380476142847616  # chi^2 one ulp below the default parameters' threshold 17/3
+    rows = read_summary(sweep(parse_items(BASE), "params.chi", [1.0, edge], out_dir=str(tmp_path)))
+    assert [r["status"] for r in rows] == ["completed", "completed"]
+    assert float(rows[1]["value"]) == edge
+
+
 @pytest.mark.parametrize(
     "values, shown",
     [([1.0000001, 1.0000002], "1.0000001 and 1.0000002"), ([1.0, 1.0], "1.0 and 1.0")],
