@@ -313,7 +313,7 @@ def _criterion_11() -> tuple[bool, str]:
             i for i, (x, y) in enumerate(zip(csv_a.splitlines(), csv_b.splitlines())) if x != y
         )
         return False, f"diagnostics CSVs differ at line {mismatch + 1}"
-    return True, f"repeat run reproduced the diagnostics CSV byte for byte ({len(csv_a)} chars)"
+    return True, f"repeat run reproduced the diagnostics CSV byte for byte ({len(first.records)} rows)"
 
 
 _CRITERIA: list[tuple[int, str, object]] = [

@@ -10,14 +10,18 @@ where v_face is the arithmetic face mean and u_face is the donor cell's
 value (upwind, the default) or the face mean (central).  Boundary faces
 carry no flux.  Prey diffuse with the plain zero-flux Laplacian.
 
-Time integration is Heun's two-stage scheme.  It is a convex combination
-of forward-Euler substeps (SSP-RK2 with coefficient 1; Gottlieb, Shu &
-Tadmor 2001), so a step at which one forward-Euler substep keeps both
-fields nonnegative and the prey map monotone keeps them so for the whole
-Heun step.  A forward-Euler substep writes each new cell value as the
-old one times (1 - dt * loss rate) plus nonnegative inflow, so it is safe
-when dt times the largest loss rate stays below 1; stable_dt returns
-STEP_SAFETY over that rate.
+Time integration is the s-stage second-order SSP Runge-Kutta method
+SSP-RK(s, 2) with s = STAGES (Spiteri & Ruuth 2002; low-storage form
+after Ketcheson 2008).  Each stage is a forward-Euler substep of length
+dt/(s - 1), and the step is a convex combination of the start value and
+the last stage, so a substep length at which one forward-Euler substep
+keeps both fields nonnegative and the prey map monotone keeps them so
+for the whole step, which is (s - 1) times longer.  For s = 2 this is
+Heun's method.  A forward-Euler substep writes each new cell value as
+the old one times (1 - dt * loss rate) plus nonnegative inflow, so it
+is safe when dt times the largest loss rate stays below 1; stable_dt
+returns STEP_SAFETY over that rate, and step_limit returns the full
+step, (STAGES - 1) times as long unless the reaction cap binds.
 """
 
 from __future__ import annotations
@@ -46,17 +50,20 @@ __all__ = [
     "ExcessiveClamping",
     "Stalled",
     "STEP_SAFETY",
+    "STAGES",
     "STEP_BUDGET",
     "reaction_rates",
     "flux_u",
     "rhs",
     "stable_dt",
+    "step_limit",
     "step",
     "run_to_time",
 ]
 
 BLOWUP_LIMIT = 1e12
 STEP_SAFETY = 0.9  # fraction of the forward-Euler positivity bound that stable_dt returns
+STAGES = 4  # forward-Euler substeps per SSP-RK(s, 2) step, each of length dt/(STAGES - 1)
 STEP_BUDGET = 1e8  # most limiter steps run_to_time lets the rest of a run need
 _TINY = 1e-300
 
@@ -101,7 +108,9 @@ class State:
 @dataclass
 class StepAccounting:
     """Mutable counters threaded through a run.  dt_min and dt_max span
-    every step taken, the last one clipped to t_end included."""
+    every step taken, the last one clipped to t_end included;
+    reaction_capped counts the steps run_to_time sized by the reaction
+    cap of step_limit."""
 
     steps: int = 0
     clamped_mass: float = 0.0
@@ -109,6 +118,7 @@ class StepAccounting:
     peak_v: float = field(default=-math.inf)
     dt_min: float = field(default=math.inf)
     dt_max: float = 0.0
+    reaction_capped: int = 0
 
 
 # --- pointwise reactions ----------------------------------------------------
@@ -158,8 +168,23 @@ def rhs(u, v, grid: Grid, p: ModelParams, taxis: TaxisScheme) -> tuple[np.ndarra
 
 # --- step-size limiter --------------------------------------------------------
 
+def _loss_rates(u, v, grid: Grid, p: ModelParams) -> tuple[float, float]:
+    """(largest forward-Euler loss rate of either species, its reaction part)."""
+    v_max = float(v.max())
+    react_u = float(np.abs(p.m1 - u + p.a * v).max())
+    react_v = max(float(np.abs(p.m2 - p.b * u - v).max()), 2.0 * v_max - p.m2)
+    rate_u, rate_v = react_u, react_v
+    for ax in range(grid.dim):
+        two_over_h2 = 2.0 / (grid.h[ax] * grid.h[ax])
+        jump = float(np.abs(v[grid.right[ax]] - v[grid.left[ax]]).max())
+        rate_u += two_over_h2 * (p.d1 + p.chi * (v_max + jump))
+        rate_v += two_over_h2 * p.d2
+    return max(rate_u, rate_v), max(react_u, react_v)
+
+
 def stable_dt(u, v, grid: Grid, p: ModelParams) -> float:
-    """STEP_SAFETY over the largest forward-Euler loss rate of either species.
+    """STEP_SAFETY over the largest forward-Euler loss rate of either species:
+    the length of one stage substep.
 
     A forward-Euler substep multiplies each cell value by one minus dt
     times its loss rate and adds nonnegative inflow.  The predator's loss
@@ -178,20 +203,34 @@ def stable_dt(u, v, grid: Grid, p: ModelParams) -> float:
     gives the discrete comparison max v' <= V + dt V (m2 - V), V = max v.
     The central flux's drift is covered by its face diffusion, so for it
     the drift term only shortens the step.  The reaction rates count
-    growth as well as decay because Heun's second substep starts from the
-    first one's output, which growth may have raised.  Heun's step is a
-    convex combination of such substeps (SSP-RK2), so the same dt
-    protects it.
+    growth as well as decay because each later substep starts from the
+    previous one's output, which growth may have raised.
     """
-    v_max = float(v.max())
-    rate_u = float(np.abs(p.m1 - u + p.a * v).max())
-    rate_v = max(float(np.abs(p.m2 - p.b * u - v).max()), 2.0 * v_max - p.m2)
-    for ax in range(grid.dim):
-        two_over_h2 = 2.0 / (grid.h[ax] * grid.h[ax])
-        jump = float(np.abs(v[grid.right[ax]] - v[grid.left[ax]]).max())
-        rate_u += two_over_h2 * (p.d1 + p.chi * (v_max + jump))
-        rate_v += two_over_h2 * p.d2
-    return STEP_SAFETY / max(rate_u, rate_v)
+    rate, _ = _loss_rates(u, v, grid, p)
+    return STEP_SAFETY / rate
+
+
+def step_limit(u, v, grid: Grid, p: ModelParams) -> tuple[float, bool]:
+    """The step run_to_time takes from (u, v), and whether the reaction cap
+    bound it.
+
+    An SSP-RK(STAGES, 2) step of length dt runs its substeps at
+    dt/(STAGES - 1), so the forward-Euler bound allows (STAGES - 1) times
+    stable_dt.  The loss rates are taken at the start of the step, and
+    over several substeps growth can raise them: the predator's growth
+    raises the prey's loss rate b u.  The step is therefore also capped
+    at STEP_SAFETY over the reaction part of the rates,
+
+        react = max(max|m1 - u + a v|, max|m2 - b u - v|, 2 v_max - m2),
+
+    so the reactions change no field by more than about its own size
+    within one step.  No cap applies when react <= 0 (at a constant
+    equilibrium the first two terms vanish).
+    """
+    rate, react = _loss_rates(u, v, grid, p)
+    full = (STAGES - 1) / rate
+    capped = react * full > 1.0
+    return STEP_SAFETY * (1.0 / react if capped else full), capped
 
 
 # --- time stepping -----------------------------------------------------------
@@ -209,26 +248,36 @@ def _clamp_negative(arr: np.ndarray) -> tuple[float, int]:
 
 def step(u, v, t: float, grid: Grid, p: ModelParams, taxis: TaxisScheme, dt: float,
          accounting: StepAccounting | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """One RK2 (Heun) step of size dt from time t, with clamp-and-count
-    positivity repair; returns the new (u, v) and leaves the inputs alone."""
+    """One SSP-RK(STAGES, 2) step of size dt from time t, with clamp-and-count
+    positivity repair; returns the new (u, v) and leaves the inputs alone.
+
+    STAGES - 1 forward-Euler substeps y <- y + (dt/(STAGES - 1)) rhs(y),
+    each clamped and counted, and one more give y; the step returns
+    y + (u - y)/STAGES, clamped and counted too.  That is the convex
+    combination (u + (STAGES - 1) y)/STAGES, written so that a fixed
+    point of rhs is kept bitwise.
+    """
     if dt <= 0:
         raise ValueError(f"dt must be > 0 (got {dt})")
     mass_u = integrate_values(grid, u)
     mass_v = integrate_values(grid, v)
 
-    du1, dv1 = rhs(u, v, grid, p, taxis)
-    u1 = u + dt * du1
-    v1 = v + dt * dv1
-    removed_u, cells_u = _clamp_negative(u1)
-    removed_v, cells_v = _clamp_negative(v1)
-
-    du2, dv2 = rhs(u1, v1, grid, p, taxis)
-    u_new = u + 0.5 * dt * (du1 + du2)
-    v_new = v + 0.5 * dt * (dv1 + dv2)
-    ru, cu = _clamp_negative(u_new)
-    rv, cv = _clamp_negative(v_new)
-    removed_u += ru
-    removed_v += rv
+    sub = dt / (STAGES - 1)
+    u_new, v_new = u, v
+    removed_u = removed_v = 0.0
+    cells = 0
+    for stage in range(1, STAGES + 1):
+        du, dv = rhs(u_new, v_new, grid, p, taxis)
+        u_new = u_new + sub * du
+        v_new = v_new + sub * dv
+        if stage == STAGES:
+            u_new = u_new + (u - u_new) / STAGES
+            v_new = v_new + (v - v_new) / STAGES
+        ru, cu = _clamp_negative(u_new)
+        rv, cv = _clamp_negative(v_new)
+        removed_u += ru
+        removed_v += rv
+        cells += cu + cv
 
     if not (np.isfinite(u_new).all() and np.isfinite(v_new).all()):
         raise BlowUp(f"non-finite density at t = {t + dt:.6g}")
@@ -244,7 +293,7 @@ def step(u, v, t: float, grid: Grid, p: ModelParams, taxis: TaxisScheme, dt: flo
     if accounting is not None:
         accounting.steps += 1
         accounting.clamped_mass += vol * (removed_u + removed_v)
-        accounting.clamped_cells += cells_u + cells_v + cu + cv
+        accounting.clamped_cells += cells
         accounting.peak_v = max(accounting.peak_v, float(v_new.max()))
         accounting.dt_min = min(accounting.dt_min, dt)
         accounting.dt_max = max(accounting.dt_max, dt)
@@ -260,7 +309,7 @@ def run_to_time(
     sink: Callable[[State], None] | None = None,
     accounting: StepAccounting | None = None,
 ) -> State:
-    """March from s0 to t_end with per-step adaptive dt.
+    """March from s0 to t_end with steps of step_limit's length.
 
     The sink is called once at the start and then at the first completed
     step at or after each multiple of sample_every (no interpolation), so
@@ -294,13 +343,14 @@ def run_to_time(
     time_eps = 1e-12 * max(1.0, abs(t_end))
     state = s0
     while t_end - t > time_eps:
-        dt_limit = stable_dt(u, v, grid, p)
+        dt_limit, capped = step_limit(u, v, grid, p)
         dt = min(dt_limit, t_end - t)
         if t + dt == t:
             raise Stalled(f"step {dt:.3e} does not advance t = {t:.6g}")
         if t_end - t > STEP_BUDGET * dt_limit:
             raise Stalled(f"step {dt_limit:.3e} at t = {t:.6g} leaves over {STEP_BUDGET:.0e} steps to t_end")
         u, v = step(u, v, t, grid, p, taxis, dt, acc)
+        acc.reaction_capped += capped
         t = t_end if t_end - (t + dt) <= time_eps else t + dt
         state = None
         while next_sample <= n_samples and t >= t0 + next_sample * sample_every - 1e-9 * sample_every:

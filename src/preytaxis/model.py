@@ -142,14 +142,17 @@ def check_stabilization_condition(p: ModelParams) -> StabilizationCertificate:
     """Decide whether chi^2 is below the explicit stabilization threshold.
 
     The threshold is +inf when max(0, m2) = 0: the prey sup-norm then
-    decays to zero on its own and the condition is vacuous.
+    decays to zero on its own and the condition is vacuous.  It is +inf
+    too when max(0, m2) is so small that b max(0, m2) u* underflows, the
+    limit of the formula as m2 -> 0+.
     """
     ss = steady_states(p)
     m2p = p.m2_plus
-    if m2p == 0.0:
+    denom = p.b * m2p * ss.u_star
+    if denom == 0.0:  # m2p is 0, or so small that the product underflows: the limit is +inf
         threshold = math.inf
     else:  # single trailing division so round parameter sets give exact thresholds
-        threshold = 4.0 * p.d1 * p.d2 * (p.a * ss.v_star / m2p + 4.0 / p.b) / (p.b * m2p * ss.u_star)
+        threshold = 4.0 * p.d1 * p.d2 * (p.a * ss.v_star / m2p + 4.0 / p.b) / denom
     chi_sq = p.chi * p.chi
     return StabilizationCertificate(holds=chi_sq < threshold, chi_sq=chi_sq, threshold=threshold)
 

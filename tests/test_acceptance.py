@@ -9,7 +9,7 @@ order`) are made once per process.
 
 import pytest
 
-from preytaxis.acceptance import criterion_numbers, run_criterion
+from preytaxis.acceptance import _scenario_result, criterion_numbers, run_criterion
 
 
 @pytest.mark.parametrize("number", criterion_numbers())
@@ -20,3 +20,12 @@ def test_criterion(number, capsys):
     with capsys.disabled():
         print(f"\n{line}", end="", flush=True)
     assert result.passed, line
+
+
+def test_coexistence_run_is_never_reaction_capped():
+    """On the bundled coexistence scenario transport, not the reactions,
+    bounds every step (the run is the one criteria 7, 8 and 11 share)."""
+    acc = _scenario_result("coexistence_64").accounting
+    assert acc.steps > 0
+    assert acc.reaction_capped == 0
+    assert acc.clamped_cells == 0

@@ -1,10 +1,11 @@
 """Stepper behavior: fluxes, limiter, positivity, sampling, crude bounds."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from preytaxis import (
@@ -23,12 +24,13 @@ from preytaxis import (
     run_to_time,
     stable_dt,
     step,
+    step_limit,
     Stalled,
     face_gradient_values,
     steady_states,
     taxis_mobility,
 )
-from preytaxis.dynamics import STEP_SAFETY
+from preytaxis.dynamics import STAGES, STEP_SAFETY
 from strategies import grids, positive_fields
 
 WORKED = ModelParams(d1=1.0, d2=1.0, m1=1.0, m2=2.0, chi=1.0, a=1.0, b=1.0)
@@ -170,6 +172,14 @@ def assert_forward_euler_substep_safe(u, v, g, p, taxis):
     assert v1.max() <= big_v + dt * big_v * (p.m2 - big_v) + 1e-12 * big_v
 
 
+def assert_full_step_clean(u, v, g, p, taxis):
+    """One step at the length run_to_time takes clamps no cell and raises nothing."""
+    acc = StepAccounting()
+    step(u, v, 0.0, g, p, taxis, step_limit(u, v, g, p)[0], acc)
+    assert acc.clamped_cells == 0
+    assert acc.clamped_mass == 0.0
+
+
 SLOW = ModelParams(d1=1e-2, d2=1e-2, m1=1e-2, m2=-3.0, chi=1e-2, a=1e-2, b=1e-2)
 
 
@@ -185,12 +195,17 @@ SLOW = ModelParams(d1=1e-2, d2=1e-2, m1=1e-2, m2=-3.0, chi=1e-2, a=1e-2, b=1e-2)
         # the half-height cells overtake it
         ([1e-3] * 4, [1e3, 556.0, 556.0, 556.0], 3.0, SLOW),
         # slow transport and fast growth: a step sized by decay alone lets
-        # Heun's first stage overshoot the carrying capacity, and the second
+        # the first stage overshoot the carrying capacity, and the next
         # stage, starting there, drives the field negative
         ([1e-3] * 4, [1.0] * 4, 3.0, replace(SLOW, m2=5.0)),
         ([1.0] * 4, [1e-3] * 4, 3.0, replace(SLOW, m1=10.0, m2=2e-2)),
+        # slow transport, fast predator growth and strong predation: over the
+        # substeps of a full step the predators multiply and raise the prey's
+        # loss rate b u, so without the reaction cap the prey go negative
+        ([1.0] * 4, [1.0] * 4, 3.0, replace(SLOW, m1=10.0, b=10.0)),
     ],
-    ids=["donor-drift", "prey-diffusion", "prey-monotone", "prey-growth", "predator-growth"],
+    ids=["donor-drift", "prey-diffusion", "prey-monotone", "prey-growth", "predator-growth",
+         "predation"],
 )
 def test_each_limiter_term_binds_somewhere(u, v, length, p):
     u, v, g = make_arrays(u, v, length)
@@ -199,10 +214,17 @@ def test_each_limiter_term_binds_somewhere(u, v, length, p):
         acc = StepAccounting()
         step(u, v, 0.0, g, p, taxis, stable_dt(u, v, g, p), acc)
         assert acc.clamped_cells == 0
+        assert_full_step_clean(u, v, g, p, taxis)
 
 
 def coefficients():
     return st.floats(1e-2, 1e2)
+
+
+def log_coefficients():
+    """The range of coefficients(), drawn uniformly in log: hypothesis's own
+    float draws rarely give slow transport, where the reaction cap matters."""
+    return st.floats(-2.0, 2.0).map(lambda x: 10.0 ** x)
 
 
 @settings(max_examples=300, deadline=None)
@@ -221,6 +243,73 @@ def test_forward_euler_substep_at_limiter_dt_is_positive_and_monotone(
     v = data.draw(positive_fields(g))
     p = ModelParams(d1=d1, d2=d2, m1=m1, m2=m2, chi=chi, a=a, b=b, eps=eps)
     assert_forward_euler_substep_safe(u, v, g, p, taxis)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    data=st.data(),
+    g=grids(),
+    taxis=st.sampled_from(TaxisScheme),
+    eps=st.sampled_from((0.0, 0.1, 1.0, 10.0)),
+    d1=log_coefficients(), d2=log_coefficients(), chi=log_coefficients(),
+    m1=st.floats(1e-2, 10.0), a=st.floats(1e-2, 10.0), b=st.floats(1e-2, 10.0),
+    m2=st.floats(-3.0, 5.0),
+)
+def test_full_step_clamps_nothing_for_random_coefficients(
+        data, g, taxis, eps, d1, d2, chi, m1, a, b, m2):
+    """The full SSP-RK step of step_limit keeps every stage nonnegative on
+    its own, over the coefficient ranges of the forward-Euler property.
+    The search is steered toward predation that is fast against transport,
+    where predators multiplying over the substeps raise the prey's loss
+    rate b u and only the reaction cap keeps the prey positive."""
+    u = data.draw(positive_fields(g))
+    v = data.draw(positive_fields(g))
+    p = ModelParams(d1=d1, d2=d2, m1=m1, m2=m2, chi=chi, a=a, b=b, eps=eps)
+    transport = sum(2.0 * (d1 + d2 + chi * float(v.max())) / (h * h) for h in g.h)
+    target(math.log(b * float(u.max()) / transport), label="predation over transport")
+    assert_full_step_clean(u, v, g, p, taxis)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    g=grids(),
+    taxis=st.sampled_from(TaxisScheme),
+    eps=st.sampled_from((0.0, 0.1, 1.0, 10.0)),
+)
+def test_full_step_clamps_nothing(data, g, taxis, eps):
+    u = data.draw(positive_fields(g))
+    v = data.draw(positive_fields(g))
+    assert_full_step_clean(u, v, g, replace(WORKED, eps=eps), taxis)
+
+
+def test_step_limit_is_stages_minus_one_substeps_unless_capped():
+    # transport-dominated: the full step is (STAGES - 1) substeps
+    u, v, g = make_arrays(np.full(32, 0.5), np.full(32, 1.0))
+    dt, capped = step_limit(u, v, g, WORKED)
+    assert not capped
+    assert dt == pytest.approx((STAGES - 1) * stable_dt(u, v, g, WORKED), rel=1e-12)
+    # at a constant equilibrium the reaction part is 0 and caps nothing
+    ss = steady_states(WORKED)
+    u, v, g = make_arrays(np.full(8, ss.u_star), np.full(8, ss.v_star))
+    dt, capped = step_limit(u, v, g, WORKED)
+    assert not capped
+    assert dt == pytest.approx((STAGES - 1) * stable_dt(u, v, g, WORKED), rel=1e-12)
+    # predation case: the reaction cap binds at STEP_SAFETY over the reaction rate
+    p = replace(SLOW, m1=10.0, b=10.0)
+    u, v, g = make_arrays([1.0] * 4, [1.0] * 4, 3.0)
+    dt, capped = step_limit(u, v, g, p)
+    assert capped
+    assert dt == pytest.approx(STEP_SAFETY / max(abs(p.m1 - 1.0 + p.a), abs(p.m2 - p.b - 1.0)), rel=1e-12)
+
+
+def test_run_to_time_counts_reaction_capped_steps():
+    p = replace(SLOW, m1=10.0, b=10.0)
+    s = make_state([1.0] * 4, [1.0] * 4, length=3.0)
+    acc = StepAccounting()
+    run_to_time(s, p, TaxisScheme.UPWIND, t_end=0.5, sample_every=0.5, accounting=acc)
+    assert 0 < acc.reaction_capped <= acc.steps
+    assert acc.clamped_cells == 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -338,9 +427,10 @@ def test_run_to_time_validation():
 
 
 def test_run_to_time_raises_stalled_when_t_cannot_move():
-    # at t = 1e8 the spacing of doubles is ~1.5e-8, while chi = 1e6 on 8 cells
-    # limits dt to ~3e-9, so t + dt == t; the run must stop, not spin
-    p = ModelParams(d1=1.0, d2=1.0, m1=1.0, m2=2.0, chi=1e6, a=1.0, b=1.0)
+    # at t = 1e8 the spacing of doubles is ~1.5e-8, while chi = 1e7 on 8 cells
+    # limits the full step to ~2.1e-9, under half that spacing, so
+    # t + dt == t; the run must stop, not spin
+    p = ModelParams(d1=1.0, d2=1.0, m1=1.0, m2=2.0, chi=1e7, a=1.0, b=1.0)
     g = Grid.uniform(1, 8, 1.0)
     s = State(g.field(1.0), g.field(1.0), 1e8)
     acc = StepAccounting()

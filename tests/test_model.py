@@ -99,6 +99,11 @@ def test_threshold_worked_values():
     assert math.isinf(c.threshold)
     assert c.holds
 
+    # a subnormal m2 is the m2 -> 0+ limit, not a division by zero
+    c = check_stabilization_condition(params(m2=5e-324, b=0.5))
+    assert math.isinf(c.threshold)
+    assert c.holds
+
 
 def test_certify_relaxed_bound_is_admissible_midpoint():
     """The relaxed prey cap is the midpoint of the admissible interval.
