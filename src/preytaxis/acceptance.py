@@ -22,7 +22,7 @@ from .model import ModelParams, Regime, steady_states
 from .oracle import heat_eigenmode_error, homogeneous_ode, refinement_order
 from .runner import RunResult, execute
 
-__all__ = ["CriterionResult", "criterion_numbers", "run_criterion", "run_all", "heat_study",
+__all__ = ["CriterionResult", "criterion_numbers", "run_criterion", "heat_study",
            "refinement_study"]
 
 # Meshes of criterion 3 and `preytaxis oracle`; sharing them lets both reuse
@@ -341,7 +341,3 @@ def run_criterion(number: int) -> CriterionResult:
             passed, detail = fn()
             return CriterionResult(num, name, passed, detail)
     raise ValueError(f"no criterion numbered {number}")
-
-
-def run_all() -> list[CriterionResult]:
-    return [run_criterion(number) for number in criterion_numbers()]

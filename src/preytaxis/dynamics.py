@@ -7,8 +7,9 @@ prey-enhanced diffusion with drift up the prey gradient,
     flux = (d1 + chi*v_face) * (u_R - u_L)/h - chi * F(u_face) * (v_R - v_L)/h,
 
 where v_face is the arithmetic face mean and u_face is the donor cell's
-value (upwind, the default) or the face mean (central).  Boundary faces
-carry no flux.  Prey diffuse with the plain zero-flux Laplacian.
+value (upwind, the default) or the face mean (central).  flux_u forms
+the interior faces only, and divergence_values gives the walls zero
+flux.  Prey diffuse with the plain zero-flux Laplacian.
 
 Time integration is the s-stage second-order SSP Runge-Kutta method
 SSP-RK(s, 2) with s = STAGES (Spiteri & Ruuth 2002; low-storage form
@@ -133,7 +134,8 @@ def reaction_rates(u: np.ndarray, v: np.ndarray, p: ModelParams) -> tuple[np.nda
 # --- predator flux ----------------------------------------------------------
 
 def flux_u(u, v, grid: Grid, p: ModelParams, taxis: TaxisScheme) -> tuple[np.ndarray, ...]:
-    """Per-face predator flux from the cell values; boundary faces are exactly zero."""
+    """Predator flux on every interior face, per axis, from the values of the
+    two cells it separates; the walls carry none and have no entry."""
     fluxes = []
     for ax in range(grid.dim):
         left, right, h = grid.left[ax], grid.right[ax], grid.h[ax]
@@ -147,9 +149,7 @@ def flux_u(u, v, grid: Grid, p: ModelParams, taxis: TaxisScheme) -> tuple[np.nda
             u_face = 0.5 * (u_l + u_r)
 
         diffusion = (p.d1 + p.chi * v_face) * ((u_r - u_l) / h)
-        flux = np.zeros(grid.face_shape[ax])
-        flux[grid.interior_faces[ax]] = diffusion - taxis_mobility(u_face, p.eps) * drift
-        fluxes.append(flux)
+        fluxes.append(diffusion - taxis_mobility(u_face, p.eps) * drift)
     return tuple(fluxes)
 
 

@@ -1,9 +1,10 @@
 """Cell-centered finite-volume mesh and zero-flux spatial operators.
 
-A Grid is a uniform axis-aligned box mesh in 1 or 2 dimensions.  All
-operators use mirror ghost cells, which makes every boundary face flux
-exactly zero, so discrete integrals of divergences telescope to zero to
-rounding: the discrete divergence theorem holds by construction.
+A Grid is a uniform axis-aligned box mesh in 1 or 2 dimensions.  Face
+arrays hold the interior faces only, n - 1 along each axis, and
+divergence_values gives the walls zero flux: that is the discrete
+Neumann condition.  So discrete integrals of divergences telescope to
+zero to rounding: the discrete divergence theorem holds by construction.
 """
 
 from __future__ import annotations
@@ -69,11 +70,10 @@ class Grid:
     def cell_volume(self) -> float:
         return math.prod(self.h)
 
-    # Face layout: along each axis, face k separates cells k-1 and k, so a
-    # face array has one more entry than a cell array.  The index tuples
-    # below apply to both: on cell values, left/right pick the two cells of
-    # each interior face; on face values, they pick the low and high face
-    # of each cell.
+    # Face layout: along each axis, face k separates cells k and k+1, so a
+    # face array has one entry fewer than a cell array and no entry for
+    # either wall.  On cell values, left/right pick the two cells of each
+    # face.
 
     def _along(self, s: slice) -> tuple[tuple[slice, ...], ...]:
         return tuple(
@@ -89,18 +89,6 @@ class Grid:
     def right(self) -> tuple[tuple[slice, ...], ...]:
         """Per axis: index dropping the first entry along that axis."""
         return self._along(slice(1, None))
-
-    @cached_property
-    def interior_faces(self) -> tuple[tuple[slice, ...], ...]:
-        """Per axis: index of the faces between two cells on a face array."""
-        return self._along(slice(1, -1))
-
-    @cached_property
-    def face_shape(self) -> tuple[tuple[int, ...], ...]:
-        """Per axis: shape of the array of faces normal to that axis."""
-        return tuple(
-            tuple(k + 1 if i == ax else k for i, k in enumerate(self.n)) for ax in range(self.dim)
-        )
 
     @property
     def volume(self) -> float:
@@ -148,20 +136,19 @@ def integrate_values(grid: Grid, values: np.ndarray) -> float:
 
 
 def face_gradient_values(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Normal gradient on every face, per axis; boundary faces are zero."""
-    out = []
-    for ax in range(grid.dim):
-        faces = np.zeros(grid.face_shape[ax])
-        faces[grid.interior_faces[ax]] = (values[grid.right[ax]] - values[grid.left[ax]]) / grid.h[ax]
-        out.append(faces)
-    return tuple(out)
+    """Normal gradient on every interior face, per axis."""
+    return tuple((values[grid.right[ax]] - values[grid.left[ax]]) / grid.h[ax] for ax in range(grid.dim))
 
 
 def divergence_values(grid: Grid, fluxes: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Outflow-minus-inflow per cell volume; telescopes to zero mass total."""
+    """Outflow-minus-inflow per cell volume from interior-face fluxes; the
+    walls carry zero flux, so the total telescopes to zero mass."""
     out = np.zeros(grid.n)
     for ax in range(grid.dim):
-        out += (fluxes[ax][grid.right[ax]] - fluxes[ax][grid.left[ax]]) / grid.h[ax]
+        net = np.zeros(grid.n)
+        net[grid.left[ax]] = fluxes[ax]
+        net[grid.right[ax]] -= fluxes[ax]
+        out += net / grid.h[ax]
     return out
 
 
@@ -171,16 +158,19 @@ def laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 
 def gradient_sq_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Cell-centered |grad f|^2: per-axis mean of the two squared face gradients.
+    """Cell-centered |grad f|^2: per-axis mean of the two squared face
+    gradients, a wall face counting as zero.
 
     Nonnegative by construction and exact for linear profiles away from
     the boundary.
     """
     out = np.zeros(grid.n)
-    faces = face_gradient_values(grid, values)
-    for ax in range(grid.dim):
-        g = faces[ax]
-        out += 0.5 * (g[grid.left[ax]] ** 2 + g[grid.right[ax]] ** 2)
+    for ax, g in enumerate(face_gradient_values(grid, values)):
+        sq = g ** 2
+        pair = np.zeros(grid.n)
+        pair[grid.left[ax]] = sq
+        pair[grid.right[ax]] += sq
+        out += 0.5 * pair
     return out
 
 
@@ -197,9 +187,8 @@ def write_snapshot(f: Field, t: float, path) -> None:
         + [f"{ell:.17g}" for ell in g.length]
         + [f"{t:.17g}"]
     )
-    rows = f.values.reshape(1, -1) if g.dim == 1 else f.values
     lines = [header]
-    for row in rows:
+    for row in f.values.reshape(-1, g.n[-1]):
         lines.append(" ".join(f"{x:.17g}" for x in row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -220,7 +209,6 @@ def read_snapshot(path) -> tuple[Field, float]:
     grid = Grid(n, length)
     data = [[float(tok) for tok in line.split()] for line in lines[1:]]
     values = np.asarray(data)
-    expected_rows = 1 if dim == 1 else n[0]
-    if values.shape != (expected_rows, n[-1]):
+    if values.shape != (math.prod(n[:-1]), n[-1]):
         raise ValueError(f"snapshot body {values.shape} does not match header {n}")
     return Field(grid, values.reshape(grid.n)), t

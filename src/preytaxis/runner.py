@@ -69,9 +69,14 @@ def execute(config: RunConfig) -> RunResult:
         accounting=accounting,
     )
     records: list[DiagnosticsRecord] = []
+    last_state = None
 
     def sink(state: State) -> None:
-        records.append(diagnostics.record(state, ctx))
+        # run_to_time passes one State once per sample time its step
+        # crossed; nothing a record reads changes between those calls.
+        nonlocal last_state
+        records.append(records[-1] if state is last_state else diagnostics.record(state, ctx))
+        last_state = state
 
     status = "completed"
     final_state = None

@@ -77,8 +77,8 @@ def test_flux_is_plain_diffusion_when_v_constant():
     (fx,) = flux_u(u, v, g, WORKED, TaxisScheme.UPWIND)
     h = g.h[0]
     expected = (WORKED.d1 + WORKED.chi * 2.0) * np.diff(u) / h
-    assert fx[0] == 0.0 and fx[-1] == 0.0
-    assert np.allclose(fx[1:-1], expected, rtol=1e-14, atol=0.0)
+    assert fx.shape == (7,)
+    assert np.allclose(fx, expected, rtol=1e-14, atol=0.0)
 
 
 def test_upwind_flux_hand_case():
@@ -87,11 +87,13 @@ def test_upwind_flux_hand_case():
     u, v, g = make_arrays([1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 2.0, 3.0], length=2.0)
     (fx,) = flux_u(u, v, g, WORKED, TaxisScheme.UPWIND)
     # (d1 + chi*v_face)*2 - u_left*2 = 2*v_face + 2 - 2*u_left = 1 on each face
-    assert np.allclose(fx, [0.0, 1.0, 1.0, 1.0, 0.0], atol=1e-14)
+    assert fx.shape == (3,)
+    assert np.allclose(fx, [1.0, 1.0, 1.0], atol=1e-14)
 
     (fc,) = flux_u(u, v, g, WORKED, TaxisScheme.CENTRAL)
     # with the arithmetic face mean the two terms cancel exactly here
-    assert np.allclose(fc, np.zeros(5), atol=1e-14)
+    assert fc.shape == (3,)
+    assert np.allclose(fc, np.zeros(3), atol=1e-14)
 
 
 def test_saturating_mobility_weakens_drift():
@@ -99,25 +101,36 @@ def test_saturating_mobility_weakens_drift():
     p_sat = ModelParams(d1=1.0, d2=1.0, m1=1.0, m2=2.0, chi=1.0, a=1.0, b=1.0, eps=0.5)
     (fx,) = flux_u(u, v, g, p_sat, TaxisScheme.UPWIND)
     # face between cells 0 and 1: 3 - 2*1/(1+0.5)
-    assert fx[1] == pytest.approx(3.0 - 4.0 / 3.0, rel=1e-14)
+    assert fx[0] == pytest.approx(3.0 - 4.0 / 3.0, rel=1e-14)
+
+
+def interior(g, ax):
+    """Index of the faces between two cells on a face array with both walls."""
+    return tuple(slice(1, -1) if k == ax else slice(None) for k in range(g.dim))
+
+
+def padded_face_gradients(g, values):
+    """Face gradients with a zero wall face added at both ends of each axis."""
+    width = [[(1, 1) if k == ax else (0, 0) for k in range(g.dim)] for ax in range(g.dim)]
+    return tuple(np.pad(f, w) for f, w in zip(face_gradient_values(g, values), width))
 
 
 def padded_flux_u(u, v, g, p, taxis):
-    """The flux written on zero-padded face-gradient arrays: the layout the
-    stepper's flux must reproduce bitwise."""
-    gu = face_gradient_values(g, u)
-    gv = face_gradient_values(g, v)
+    """The flux written on zero-padded face-gradient arrays: the formula whose
+    interior the stepper's flux must reproduce bitwise."""
+    gu = padded_face_gradients(g, u)
+    gv = padded_face_gradients(g, v)
     fluxes = []
     for ax in range(g.dim):
-        left, right, interior = g.left[ax], g.right[ax], g.interior_faces[ax]
+        left, right, inner = g.left[ax], g.right[ax], interior(g, ax)
         v_face = 0.5 * (v[left] + v[right])
-        drift = p.chi * gv[ax][interior]
+        drift = p.chi * gv[ax][inner]
         if taxis is TaxisScheme.UPWIND:
             u_face = np.where(drift > 0, u[left], u[right])
         else:
             u_face = 0.5 * (u[left] + u[right])
         flux = np.zeros_like(gu[ax])
-        flux[interior] = (p.d1 + p.chi * v_face) * gu[ax][interior] - taxis_mobility(u_face, p.eps) * drift
+        flux[inner] = (p.d1 + p.chi * v_face) * gu[ax][inner] - taxis_mobility(u_face, p.eps) * drift
         fluxes.append(flux)
     return tuple(fluxes)
 
@@ -136,9 +149,9 @@ def test_flux_from_cell_values_matches_padded_face_gradients_bitwise(data, g, ta
     got = flux_u(u, v, g, p, taxis)
     want = padded_flux_u(u, v, g, p, taxis)
     assert len(got) == len(want) == g.dim
-    for f, ref in zip(got, want):
-        assert f.shape == ref.shape
-        assert f.tobytes() == ref.tobytes()
+    for ax, (f, ref) in enumerate(zip(got, want)):
+        assert f.shape == ref[interior(g, ax)].shape
+        assert f.tobytes() == ref[interior(g, ax)].tobytes()
 
 
 def test_stable_dt_reaction_limited():
@@ -173,11 +186,14 @@ def assert_forward_euler_substep_safe(u, v, g, p, taxis):
 
 
 def assert_full_step_clean(u, v, g, p, taxis):
-    """One step at the length run_to_time takes clamps no cell and raises nothing."""
+    """One step at the length run_to_time takes clamps no cell, raises
+    nothing, and keeps the prey under max(max v, max(0, m2)): the maximum
+    principle of the prey equation."""
     acc = StepAccounting()
-    step(u, v, 0.0, g, p, taxis, step_limit(u, v, g, p)[0], acc)
+    _, v1 = step(u, v, 0.0, g, p, taxis, step_limit(u, v, g, p)[0], acc)
     assert acc.clamped_cells == 0
     assert acc.clamped_mass == 0.0
+    assert float(v1.max()) <= max(float(v.max()), max(0.0, p.m2)) * (1.0 + 1e-12)
 
 
 SLOW = ModelParams(d1=1e-2, d2=1e-2, m1=1e-2, m2=-3.0, chi=1e-2, a=1e-2, b=1e-2)
@@ -320,7 +336,8 @@ def test_run_to_time_counts_reaction_capped_steps():
     eps=st.sampled_from((0.0, 0.1, 1.0, 10.0)),
 )
 def test_step_at_limiter_dt_clamps_nothing(data, g, taxis, eps):
-    """The limiter's step keeps both Heun stages nonnegative on their own."""
+    """A step of stable_dt's length, one substep's worth, keeps every stage
+    nonnegative on its own."""
     u = data.draw(positive_fields(g))
     v = data.draw(positive_fields(g))
     p = replace(WORKED, eps=eps)

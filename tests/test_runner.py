@@ -5,7 +5,18 @@ import math
 
 import pytest
 
-from preytaxis import ConfigError, build_config, execute, format_csv, parse_items, run_scenario, sweep
+from preytaxis import (
+    ConfigError,
+    build_config,
+    diagnostics,
+    execute,
+    format_csv,
+    initial_state,
+    parse_items,
+    run_scenario,
+    run_to_time,
+    sweep,
+)
 from preytaxis.runner import worker_count
 
 BASE = "grid.n = 16\nrun.t_end = 0.2\nrun.sample_every = 0.1\n"
@@ -102,6 +113,30 @@ def test_execute_is_deterministic():
     a = execute(cfg)
     b = execute(cfg)
     assert format_csv(a.records) == format_csv(b.records)
+
+
+def test_execute_records_each_sampled_state_once(monkeypatch):
+    """A step that crosses several sample times emits one State for each of
+    them; the record is computed once per State and repeated per row."""
+    cfg = small_config("run.t_end = 0.01\nrun.sample_every = 0.0005")
+    emitted = []
+    run_to_time(initial_state(cfg), cfg.params, cfg.taxis, cfg.t_end, cfg.sample_every,
+                sink=emitted.append)
+    distinct = len({id(state) for state in emitted})
+    assert len(emitted) == 21 and distinct < len(emitted)
+
+    recorded = []
+    original = diagnostics.record
+
+    def counting(state, ctx):
+        recorded.append(state)
+        return original(state, ctx)
+
+    monkeypatch.setattr(diagnostics, "record", counting)
+    result = execute(cfg)
+    assert len(result.records) == 21  # one row per sample time
+    assert len(recorded) == distinct
+    assert [r.t for r in result.records] == [state.t for state in emitted]
 
 
 def read_summary(path):
