@@ -2,9 +2,9 @@
 
 Subcommands: ``run`` executes one scenario file and writes its run
 directory; ``sweep`` fans a base scenario out over one numeric key;
-``accept`` runs the numbered acceptance checks; ``oracle`` prints the
-independent reference computations.  Exit codes: 0 ok, 1 assertion
-failure, 2 blow-up or stall, 3 config error.
+``accept`` runs the numbered acceptance checks, the one command that
+runs a verification study.  Exit codes: 0 ok, 1 assertion failure,
+2 blow-up or stall, 3 config error.
 """
 
 from __future__ import annotations
@@ -13,19 +13,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .acceptance import (
-    MIN_ORDER,
-    REFERENCE_MESH,
-    REFINEMENT_MESHES,
-    criterion_numbers,
-    heat_study,
-    refinement_study,
-    run_criterion,
-)
+from .acceptance import criterion_numbers, run_criterion
 from .config import ConfigError, build_config, parse_items
 from .dynamics import BlowUp
-from .model import ModelParams, steady_states
-from .oracle import homogeneous_ode, refinement_order
 from .runner import run_scenario, sweep
 
 __all__ = ["main", "console_main"]
@@ -84,32 +74,6 @@ def _cmd_accept(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    if args.name == "heat":
-        pairs = heat_study(REFINEMENT_MESHES)
-        for h, err in pairs:
-            print(f"h={h:.6g} max_error={err:.6e}")
-        order = refinement_order(pairs)
-        print(f"observed_order={order:.4f}")
-        return 0 if order >= MIN_ORDER else 1
-    if args.name == "ode":
-        p = ModelParams(d1=1.0, d2=1.0, m1=1.0, m2=2.0, chi=1.0, a=1.0, b=1.0)
-        traj = homogeneous_ode(1.0, 1.0, p, 50.0)
-        ss = steady_states(p)
-        u_end, v_end = float(traj.u[-1]), float(traj.v[-1])
-        gap = max(abs(u_end - ss.u_star), abs(v_end - ss.v_star))
-        print(f"endpoint u={u_end:.12f} v={v_end:.12f}")
-        print(f"equilibrium u*={ss.u_star:.12f} v*={ss.v_star:.12f} gap={gap:.3e}")
-        return 0 if gap <= 1e-6 else 1
-    # name == "order": nonlinear refinement study against a fine reference
-    pairs = refinement_study(REFINEMENT_MESHES, REFERENCE_MESH)
-    for n, (h, err) in zip(REFINEMENT_MESHES, pairs):
-        print(f"n={n} h={h:.6g} max_error={err:.6e}")
-    order = refinement_order(pairs)
-    print(f"observed_order={order:.4f}")
-    return 0 if order >= MIN_ORDER else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _Parser(prog="preytaxis", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -128,10 +92,6 @@ def main(argv: list[str] | None = None) -> int:
     p_accept = sub.add_parser("accept", help="run the acceptance checks")
     p_accept.add_argument("--criteria", default="", help="comma-separated subset (default: all)")
     p_accept.set_defaults(func=_cmd_accept)
-
-    p_oracle = sub.add_parser("oracle", help="print an independent reference computation")
-    p_oracle.add_argument("name", choices=("heat", "ode", "order"))
-    p_oracle.set_defaults(func=_cmd_oracle)
 
     try:
         args = parser.parse_args(argv)

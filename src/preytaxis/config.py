@@ -13,7 +13,7 @@ from importlib import resources
 
 import numpy as np
 
-from .dynamics import State, TaxisScheme
+from .dynamics import SAMPLE_BUDGET, State, TaxisScheme
 from .grid import Field, Grid
 from .model import ModelParams
 
@@ -69,8 +69,6 @@ DEFAULTS: dict[str, str] = {
     "run.seed": "0",
     "output.dir": "out",
 }
-
-SAMPLE_BUDGET = 1e6  # largest run.t_end / run.sample_every a config may ask for
 
 # Keys a sweep may vary: numeric scalars only.
 SWEEPABLE_KEYS = frozenset(

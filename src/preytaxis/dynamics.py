@@ -53,6 +53,7 @@ __all__ = [
     "STEP_SAFETY",
     "STAGES",
     "STEP_BUDGET",
+    "SAMPLE_BUDGET",
     "reaction_rates",
     "flux_u",
     "rhs",
@@ -66,6 +67,7 @@ BLOWUP_LIMIT = 1e12
 STEP_SAFETY = 0.9  # fraction of the forward-Euler positivity bound that stable_dt returns
 STAGES = 4  # forward-Euler substeps per SSP-RK(s, 2) step, each of length dt/(STAGES - 1)
 STEP_BUDGET = 1e8  # most limiter steps run_to_time lets the rest of a run need
+SAMPLE_BUDGET = 1e6  # most sample intervals run_to_time (and a config) may ask for
 _TINY = 1e-300
 
 
@@ -317,11 +319,16 @@ def run_to_time(
     final step is clipped to land on t_end.  A step too small to change
     t, or one at which the rest of the run would take more than
     STEP_BUDGET steps, raises Stalled instead of looping without end.
+    More than SAMPLE_BUDGET sample intervals raise ValueError before the
+    first sample is emitted.
     """
     if t_end < s0.t:
         raise ValueError(f"t_end {t_end} precedes the state time {s0.t}")
     if sample_every <= 0:
         raise ValueError(f"sample_every must be > 0 (got {sample_every})")
+    intervals = (t_end - s0.t) / sample_every
+    if intervals > SAMPLE_BUDGET:
+        raise ValueError(f"{intervals:.3g} sample intervals exceed SAMPLE_BUDGET = {SAMPLE_BUDGET:.0e}")
     acc = accounting if accounting is not None else StepAccounting()
     acc.peak_v = max(acc.peak_v, float(s0.v.values.max()))
 
@@ -338,7 +345,7 @@ def run_to_time(
     v = s0.v.values.copy()
     t0 = s0.t
     t = t0
-    n_samples = int(math.floor((t_end - t0) / sample_every + 1e-9))
+    n_samples = int(math.floor(intervals + 1e-9))
     next_sample = 1
     time_eps = 1e-12 * max(1.0, abs(t_end))
     state = s0

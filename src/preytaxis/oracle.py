@@ -8,7 +8,7 @@ zero-flux heat eigenmode.
 scipy is imported on the first homogeneous_ode call, not with this
 module: importing scipy.integrate costs about 0.5 s, more than the rest
 of the start-up to a run's first step, and only the ODE cross-check
-(acceptance criterion 4, ``preytaxis oracle ode``) needs it.
+(acceptance criterion 4) needs it.
 """
 
 from __future__ import annotations

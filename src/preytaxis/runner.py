@@ -117,6 +117,9 @@ def _write_manifest(result: RunResult, out: Path) -> None:
     grid_fp, scheme_fp = _fingerprints(result.config)
     cert = result.certificate
     acc = result.accounting
+    certificate = {"absent": result.certificate_reason} if cert is None else asdict(cert)
+    if cert is not None and math.isinf(cert.threshold):  # vacuous condition (m2 <= 0); JSON has no inf
+        certificate["threshold"] = None
     manifest = {
         "config": result.config.items,
         "steady_state": {
@@ -124,7 +127,7 @@ def _write_manifest(result: RunResult, out: Path) -> None:
             "v_star": result.steady_state.v_star,
             "regime": result.steady_state.regime.value,
         },
-        "certificate": asdict(cert) if cert is not None else {"absent": result.certificate_reason},
+        "certificate": certificate,
         "grid": grid_fp,
         "scheme": scheme_fp,
         "wall_clock_seconds": result.wall_clock,
@@ -138,7 +141,7 @@ def _write_manifest(result: RunResult, out: Path) -> None:
         "termination": result.status,
     }
     with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

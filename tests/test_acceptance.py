@@ -3,8 +3,8 @@
 Each criterion prints exactly one PASS/FAIL line (kept visible through
 pytest's capture) so a full run reads as a checklist.  The scenario runs
 behind criteria 3, 5, 7, 8, 10, and 11 go through the module-level cache
-in preytaxis.acceptance, so runs they share (also with `preytaxis oracle
-order`) are made once per process.
+in preytaxis.acceptance, so runs they share (also with `preytaxis accept`
+in tests/test_cli.py) are made once per process.
 """
 
 import pytest

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior via main(argv)."""
 
 import json
+import re
 
 import pytest
 
@@ -86,6 +87,19 @@ def test_run_at_the_threshold_edge_exits_zero(tmp_path):
         assert certificate["delta"] > 0
 
 
+def test_manifest_is_strict_json_when_the_condition_is_vacuous(tmp_path):
+    # m2 <= 0: the smallness threshold is +inf, which JSON cannot hold
+    cfg, out = write_cfg(tmp_path, extra="params.m2 = -1.0\n")
+    assert main(["run", str(cfg)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"non-finite number {constant} in manifest.json")
+
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=reject)
+    assert manifest["certificate"]["threshold"] is None
+    assert manifest["certificate"]["holds"] is True
+
+
 def test_run_with_too_many_samples_is_usage_error(tmp_path):
     out = tmp_path / "out"
     cfg = tmp_path / "run.cfg"
@@ -130,24 +144,19 @@ def test_accept_rejects_unknown_criterion():
     assert main(["accept", "--criteria", "99"]) == 3
 
 
-def test_oracle_heat(capsys):
-    assert main(["oracle", "heat"]) == 0
-    assert "order" in capsys.readouterr().out
-
-
-def test_oracle_order(capsys):
-    # reuses the runs of acceptance criterion 3 when that ran first in this process
-    assert main(["oracle", "order"]) == 0
-    assert "observed_order=" in capsys.readouterr().out
-
-
-def test_oracle_ode(capsys):
-    assert main(["oracle", "ode"]) == 0
-    assert "gap" in capsys.readouterr().out
+def test_accept_refinement_criterion_lists_orders_and_errors(capsys):
+    # reuses the refinement runs of acceptance criterion 3 when that ran first in this process
+    assert main(["accept", "--criteria", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("PASS criterion 3:")
+    orders, errors = out.split("; max errors at n = (32, 64, 128): ")
+    assert re.search(r"heat \d\.\d{3}, nonlinear \d\.\d{3}", orders)
+    assert len(re.findall(r"\d\.\d{3}e-\d\d", errors)) == 6
 
 
 def test_bad_subcommand_is_usage_error():
     assert main(["frobnicate"]) == 3
+    assert main(["oracle", "heat"]) == 3
     assert main([]) == 3
 
 

@@ -443,6 +443,25 @@ def test_run_to_time_validation():
         run_to_time(s, WORKED, TaxisScheme.UPWIND, t_end=2.0, sample_every=0.0)
 
 
+def test_run_to_time_rejects_more_samples_than_the_budget():
+    # 1e12 sample intervals: without the check the sink would be called
+    # about 1e12 times; it must not be called even once
+    class SinkCalled(Exception):
+        pass
+
+    calls = []
+
+    def sink(state):
+        calls.append(state.t)
+        if len(calls) > 1:
+            raise SinkCalled
+
+    s = make_state(np.ones(8), np.ones(8))
+    with pytest.raises(ValueError, match="SAMPLE_BUDGET"):
+        run_to_time(s, WORKED, TaxisScheme.UPWIND, t_end=1.0, sample_every=1e-12, sink=sink)
+    assert calls == []
+
+
 def test_run_to_time_raises_stalled_when_t_cannot_move():
     # at t = 1e8 the spacing of doubles is ~1.5e-8, while chi = 1e7 on 8 cells
     # limits the full step to ~2.1e-9, under half that spacing, so

@@ -1,15 +1,20 @@
-"""Every exported name resolves, and every name a demo imports exists."""
+"""Every exported name resolves, every name a demo imports exists, and
+every subcommand README lists exists."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
 import preytaxis
+from preytaxis.cli import main
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_SUBCOMMANDS = re.findall(r"^preytaxis (\S+)", (ROOT / "README.md").read_text(), re.MULTILINE)
 MODULES = sorted(info.name for info in pkgutil.iter_modules(preytaxis.__path__))
 
 
@@ -29,3 +34,15 @@ def test_demo_imports_exist(demo):
             mod = importlib.import_module(node.module)
             missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(mod, a.name)]
     assert not missing, f"{demo.name} imports names that do not exist: {missing}"
+
+
+def test_readme_lists_commands():
+    assert len(README_SUBCOMMANDS) >= 3
+
+
+@pytest.mark.parametrize("sub", README_SUBCOMMANDS)
+def test_readme_subcommand_exists(sub):
+    """An unknown subcommand returns the usage-error code 3 instead."""
+    with pytest.raises(SystemExit) as exc:
+        main([sub, "--help"])
+    assert exc.value.code == 0
