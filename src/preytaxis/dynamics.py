@@ -11,18 +11,30 @@ value (upwind, the default) or the face mean (central).  flux_u forms
 the interior faces only, and divergence_values gives the walls zero
 flux.  Prey diffuse with the plain zero-flux Laplacian.
 
-Time integration is the s-stage second-order SSP Runge-Kutta method
+run_to_time takes each step with advance, which picks between two
+second-order methods.  The long step is the s-stage Runge-Kutta-Legendre
+method RKL2 (Meyer, Balsara & Aslam 2014), whose stability interval
+grows as s^2, so diffusion no longer bounds the step; accuracy does.  Its
+length is RKL2_ACCURACY / J, J the largest row-sum norm of the reaction
+Jacobian over the cells, and s is the fewest stages whose stability
+interval covers it in units of stable_dt.  RKL2 does not preserve
+positivity, so a step with a negative or non-finite cell, or with the
+prey above their maximum principle, is discarded.
+
+The proven step is the s-stage second-order SSP Runge-Kutta method
 SSP-RK(s, 2) with s = STAGES (Spiteri & Ruuth 2002; low-storage form
-after Ketcheson 2008).  Each stage is a forward-Euler substep of length
-dt/(s - 1), and the step is a convex combination of the start value and
-the last stage, so a substep length at which one forward-Euler substep
-keeps both fields nonnegative and the prey map monotone keeps them so
-for the whole step, which is (s - 1) times longer.  For s = 2 this is
-Heun's method.  A forward-Euler substep writes each new cell value as
-the old one times (1 - dt * loss rate) plus nonnegative inflow, so it
-is safe when dt times the largest loss rate stays below 1; stable_dt
-returns STEP_SAFETY over that rate, and step_limit returns the full
-step, (STAGES - 1) times as long unless the reaction cap binds.
+after Ketcheson 2008).  advance takes it when it is at least as long as
+the RKL2 step and in place of a discarded one.  Each stage is a
+forward-Euler substep of length dt/(s - 1), and the step is a convex
+combination of the start value and the last stage, so a substep length
+at which one forward-Euler substep keeps both fields nonnegative and
+the prey map monotone keeps them so for the whole step, which is
+(s - 1) times longer.  For s = 2 this is Heun's method.  A
+forward-Euler substep writes each new cell value as the old one times
+(1 - dt * loss rate) plus nonnegative inflow, so it is safe when dt
+times the largest loss rate stays below 1; stable_dt returns STEP_SAFETY
+over that rate, and step_limit returns the full step, (STAGES - 1)
+times as long unless the reaction cap binds.
 """
 
 from __future__ import annotations
@@ -52,6 +64,7 @@ __all__ = [
     "Stalled",
     "STEP_SAFETY",
     "STAGES",
+    "RKL2_ACCURACY",
     "STEP_BUDGET",
     "SAMPLE_BUDGET",
     "reaction_rates",
@@ -60,12 +73,20 @@ __all__ = [
     "stable_dt",
     "step_limit",
     "step",
+    "rkl2_step",
+    "advance",
     "run_to_time",
 ]
 
 BLOWUP_LIMIT = 1e12
 STEP_SAFETY = 0.9  # fraction of the forward-Euler positivity bound that stable_dt returns
 STAGES = 4  # forward-Euler substeps per SSP-RK(s, 2) step, each of length dt/(STAGES - 1)
+# Largest dt * J of an RKL2 step, J the row-sum norm of the reaction
+# Jacobian.  Criterion 4's worst error grows about as its square: 3.1e-5
+# at 0.05 and 1.13e-4 at 0.1, over the 1e-4 cap (at 0.02 the SSP-RK step
+# is the longer one there, and the error is its 8.6e-6).  0.05 keeps a 3x
+# margin; criterion 3's nonlinear order is 2.043 with it.
+RKL2_ACCURACY = 0.05
 STEP_BUDGET = 1e8  # most limiter steps run_to_time lets the rest of a run need
 SAMPLE_BUDGET = 1e6  # most sample intervals run_to_time (and a config) may ask for
 _TINY = 1e-300
@@ -112,8 +133,11 @@ class State:
 class StepAccounting:
     """Mutable counters threaded through a run.  dt_min and dt_max span
     every step taken, the last one clipped to t_end included;
-    reaction_capped counts the steps run_to_time sized by the reaction
-    cap of step_limit."""
+    reaction_capped counts the SSP-RK steps advance sized by the reaction
+    cap of step_limit.  Of the steps, rkl2_steps were RKL2 steps;
+    rkl2_rejected counts the RKL2 steps advance discarded for an SSP-RK
+    step, and rhs_evaluations the right-hand sides advance evaluated,
+    those of discarded steps included."""
 
     steps: int = 0
     clamped_mass: float = 0.0
@@ -122,6 +146,9 @@ class StepAccounting:
     dt_min: float = field(default=math.inf)
     dt_max: float = 0.0
     reaction_capped: int = 0
+    rkl2_steps: int = 0
+    rkl2_rejected: int = 0
+    rhs_evaluations: int = 0
 
 
 # --- pointwise reactions ----------------------------------------------------
@@ -302,6 +329,108 @@ def step(u, v, t: float, grid: Grid, p: ModelParams, taxis: TaxisScheme, dt: flo
     return u_new, v_new
 
 
+def _reaction_jacobian_norm(u, v, p: ModelParams) -> float:
+    """Largest row-sum norm over the cells of the reaction Jacobian,
+    [[m1 - 2u + a v, a u], [-b v, m2 - b u - 2v]]."""
+    row_u = np.abs(p.m1 - 2.0 * u + p.a * v) + p.a * u
+    row_v = p.b * v + np.abs(p.m2 - p.b * u - 2.0 * v)
+    return max(float(row_u.max()), float(row_v.max()))
+
+
+def _rkl2_stages(ratio: float) -> int:
+    """Fewest stages s >= 2 whose stability interval, (s^2 + s - 2)/4
+    forward-Euler steps, covers `ratio` of them."""
+    s = max(2, math.ceil((math.sqrt(9.0 + 16.0 * ratio) - 1.0) / 2.0))
+    while (s * s + s - 2) / 4 < ratio:  # sqrt rounded down
+        s += 1
+    return s
+
+
+def rkl2_step(u, v, grid: Grid, p: ModelParams, taxis: TaxisScheme, dt: float,
+              stages: int) -> tuple[np.ndarray, np.ndarray]:
+    """One RKL2 step of size dt with the given number of stages (Meyer,
+    Balsara & Aslam 2014); returns the new (u, v) with no
+    positivity repair and leaves the inputs alone.
+
+    With b_0 = b_1 = b_2 = 1/3, b_j = (j^2 + j - 2)/(2j(j + 1)) and
+    w1 = 4/(s^2 + s - 2), the stages are Y_1 = Y_0 + b_1 w1 dt L(Y_0) and,
+    for j = 2..s,
+
+        Y_j = Y_0 + mu_j (Y_{j-1} - Y_0) + nu_j (Y_{j-2} - Y_0)
+              + mu_j w1 dt L(Y_{j-1}) - (1 - b_{j-1}) mu_j w1 dt L(Y_0),
+
+    with mu_j = (2j - 1) b_j/(j b_{j-1}) and nu_j = -(j - 1) b_j/(j b_{j-2}).
+    Writing each stage as increments on Y_0 keeps a fixed point of rhs
+    bitwise.  The step is stable while dt is at most (s^2 + s - 2)/4
+    forward-Euler steps.
+    """
+    if stages < 2:
+        raise ValueError(f"RKL2 needs at least 2 stages (got {stages})")
+    if dt <= 0:
+        raise ValueError(f"dt must be > 0 (got {dt})")
+    b = [1.0 / 3.0] * 3 + [(j * j + j - 2) / (2.0 * j * (j + 1)) for j in range(3, stages + 1)]
+    w1_dt = 4.0 / (stages * stages + stages - 2) * dt
+    du0, dv0 = rhs(u, v, grid, p, taxis)
+    u_prev, v_prev = u, v  # Y_{j-2}
+    u_cur = u + (b[1] * w1_dt) * du0  # Y_{j-1}
+    v_cur = v + (b[1] * w1_dt) * dv0
+    for j in range(2, stages + 1):
+        mu = (2 * j - 1) / j * b[j] / b[j - 1]
+        nu = -(j - 1) / j * b[j] / b[j - 2]
+        mu_dt = mu * w1_dt
+        gamma_dt = -(1.0 - b[j - 1]) * mu_dt
+        du, dv = rhs(u_cur, v_cur, grid, p, taxis)
+        u_next = u + mu * (u_cur - u) + nu * (u_prev - u) + mu_dt * du + gamma_dt * du0
+        v_next = v + mu * (v_cur - v) + nu * (v_prev - v) + mu_dt * dv + gamma_dt * dv0
+        u_prev, v_prev, u_cur, v_cur = u_cur, v_cur, u_next, v_next
+    return u_cur, v_cur
+
+
+def advance(u, v, t: float, t_end: float, grid: Grid, p: ModelParams, taxis: TaxisScheme,
+            accounting: StepAccounting) -> tuple[np.ndarray, np.ndarray, float]:
+    """One step of run_to_time from (u, v) at time t toward t_end; returns
+    the new (u, v) and the step length, and leaves the inputs alone.
+
+    The SSP-RK step `safe` of step_limit is the one the method guarantees,
+    so a `safe` too small to change t, or one at which the rest of the
+    run would take more than STEP_BUDGET steps, raises Stalled.  The RKL2
+    step is min(RKL2_ACCURACY / J, t_end - t).  When it is longer than
+    `safe`, advance takes it with _rkl2_stages(dt / stable_dt) stages and
+    keeps it if every cell is finite, nonnegative and at most
+    BLOWUP_LIMIT and max v' <= max(max v, max(0, m2)) (1 + 1e-12);
+    otherwise it discards it and takes the SSP-RK step of length `safe`.
+    A step no longer than `safe` is the SSP-RK step, clipped to t_end.
+    """
+    safe, capped = step_limit(u, v, grid, p)
+    dt = min(safe, t_end - t)
+    if t + dt == t:
+        raise Stalled(f"step {dt:.3e} does not advance t = {t:.6g}")
+    if t_end - t > STEP_BUDGET * safe:
+        raise Stalled(f"step {safe:.3e} at t = {t:.6g} leaves over {STEP_BUDGET:.0e} steps to t_end")
+    dt_rkl2 = min(RKL2_ACCURACY / _reaction_jacobian_norm(u, v, p), t_end - t)
+    if dt_rkl2 > safe:
+        stages = _rkl2_stages(dt_rkl2 / stable_dt(u, v, grid, p))
+        u_new, v_new = rkl2_step(u, v, grid, p, taxis, dt_rkl2, stages)
+        accounting.rhs_evaluations += stages
+        low = min(float(u_new.min()), float(v_new.min()))
+        high = max(float(u_new.max()), float(v_new.max()))
+        peak_v = float(v_new.max())
+        prey_cap = max(float(v.max()), max(0.0, p.m2)) * (1.0 + 1e-12)
+        # NaN fails every comparison, and an infinity fails one of the first two
+        if low >= 0.0 and high <= BLOWUP_LIMIT and peak_v <= prey_cap:
+            accounting.steps += 1
+            accounting.rkl2_steps += 1
+            accounting.peak_v = max(accounting.peak_v, peak_v)
+            accounting.dt_min = min(accounting.dt_min, dt_rkl2)
+            accounting.dt_max = max(accounting.dt_max, dt_rkl2)
+            return u_new, v_new, dt_rkl2
+        accounting.rkl2_rejected += 1
+    u_new, v_new = step(u, v, t, grid, p, taxis, dt, accounting)
+    accounting.rhs_evaluations += STAGES
+    accounting.reaction_capped += capped
+    return u_new, v_new, dt
+
+
 def run_to_time(
     s0: State,
     p: ModelParams,
@@ -311,14 +440,15 @@ def run_to_time(
     sink: Callable[[State], None] | None = None,
     accounting: StepAccounting | None = None,
 ) -> State:
-    """March from s0 to t_end with steps of step_limit's length.
+    """March from s0 to t_end with the steps of advance.
 
     The sink is called once at the start and then at the first completed
     step at or after each multiple of sample_every (no interpolation), so
     a full run emits floor((t_end - t0)/sample_every) + 1 samples.  The
     final step is clipped to land on t_end.  A step too small to change
     t, or one at which the rest of the run would take more than
-    STEP_BUDGET steps, raises Stalled instead of looping without end.
+    STEP_BUDGET steps, raises Stalled (from advance) instead of looping
+    without end.
     More than SAMPLE_BUDGET sample intervals raise ValueError before the
     first sample is emitted.
     """
@@ -350,14 +480,7 @@ def run_to_time(
     time_eps = 1e-12 * max(1.0, abs(t_end))
     state = s0
     while t_end - t > time_eps:
-        dt_limit, capped = step_limit(u, v, grid, p)
-        dt = min(dt_limit, t_end - t)
-        if t + dt == t:
-            raise Stalled(f"step {dt:.3e} does not advance t = {t:.6g}")
-        if t_end - t > STEP_BUDGET * dt_limit:
-            raise Stalled(f"step {dt_limit:.3e} at t = {t:.6g} leaves over {STEP_BUDGET:.0e} steps to t_end")
-        u, v = step(u, v, t, grid, p, taxis, dt, acc)
-        acc.reaction_capped += capped
+        u, v, dt = advance(u, v, t, t_end, grid, p, taxis, acc)
         t = t_end if t_end - (t + dt) <= time_eps else t + dt
         state = None
         while next_sample <= n_samples and t >= t0 + next_sample * sample_every - 1e-9 * sample_every:

@@ -21,7 +21,7 @@ import numpy as np
 from . import diagnostics, model
 from .config import ConfigError, RunConfig, SWEEPABLE_KEYS, build_config, initial_state
 from .diagnostics import DiagnosticsRecord, RunContext
-from .dynamics import STAGES, STEP_SAFETY, BlowUp, State, StepAccounting, run_to_time
+from .dynamics import RKL2_ACCURACY, STAGES, STEP_SAFETY, BlowUp, State, StepAccounting, run_to_time
 from .grid import gradient_sq_values, integrate_values, write_snapshot
 
 __all__ = ["RunResult", "execute", "run_scenario", "sweep", "worker_count", "WORKERS_ENV"]
@@ -109,7 +109,8 @@ def execute(config: RunConfig) -> RunResult:
 def _fingerprints(config: RunConfig) -> tuple[str, str]:
     g = config.grid
     grid_fp = f"{g.dim}d n={'x'.join(map(str, g.n))} length={'x'.join(f'{L:g}' for L in g.length)}"
-    scheme_fp = f"{config.taxis.value} safety={STEP_SAFETY:g} stages={STAGES}"
+    scheme_fp = (f"{config.taxis.value} rkl2 C={RKL2_ACCURACY:g} "
+                 f"ssp-rk stages={STAGES} safety={STEP_SAFETY:g}")
     return grid_fp, scheme_fp
 
 
@@ -135,6 +136,9 @@ def _write_manifest(result: RunResult, out: Path) -> None:
         "dt_min": acc.dt_min if acc.steps else None,
         "dt_max": acc.dt_max if acc.steps else None,
         "reaction_capped_steps": acc.reaction_capped,
+        "rkl2_steps": acc.rkl2_steps,
+        "rkl2_rejected_steps": acc.rkl2_rejected,
+        "rhs_evaluations": acc.rhs_evaluations,
         "clamped_mass": acc.clamped_mass,
         "clamped_cells": acc.clamped_cells,
         "peak_v": acc.peak_v,

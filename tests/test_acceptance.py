@@ -22,10 +22,11 @@ def test_criterion(number, capsys):
     assert result.passed, line
 
 
-def test_coexistence_run_is_never_reaction_capped():
-    """On the bundled coexistence scenario transport, not the reactions,
-    bounds every step (the run is the one criteria 7, 8 and 11 share)."""
+def test_coexistence_run_rejects_no_rkl2_step_and_clamps_nothing():
+    """On the bundled coexistence scenario (the run criteria 7, 8 and 11
+    share) RKL2 takes steps, every one passes its checks, and no SSP-RK
+    stage clamps a cell."""
     acc = _scenario_result("coexistence_64").accounting
-    assert acc.steps > 0
-    assert acc.reaction_capped == 0
+    assert acc.rkl2_steps > 0
+    assert acc.rkl2_rejected == 0
     assert acc.clamped_cells == 0

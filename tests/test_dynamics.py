@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, target
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from preytaxis import (
     BlowUp,
@@ -30,7 +31,8 @@ from preytaxis import (
     steady_states,
     taxis_mobility,
 )
-from preytaxis.dynamics import STAGES, STEP_SAFETY
+from preytaxis.dynamics import STAGES, STEP_SAFETY, _rkl2_stages, advance, rkl2_step
+from preytaxis.oracle import homogeneous_ode, refinement_order
 from strategies import grids, positive_fields
 
 WORKED = ModelParams(d1=1.0, d2=1.0, m1=1.0, m2=2.0, chi=1.0, a=1.0, b=1.0)
@@ -62,12 +64,15 @@ def test_step_fixes_equilibrium_bitwise():
     u1, v1 = step(u, v, 0.0, g, WORKED, TaxisScheme.UPWIND, 0.01)
     assert np.array_equal(u1, u)
     assert np.array_equal(v1, v)
-    # the time is the caller's: run_to_time lands exactly on t_end
+    # the time is the caller's: run_to_time lands exactly on t_end, here
+    # with RKL2 steps, which are longer than the SSP-RK step
     s = make_state(u, v)
-    nxt = run_to_time(s, WORKED, TaxisScheme.UPWIND, t_end=0.01, sample_every=0.01)
+    acc = StepAccounting()
+    nxt = run_to_time(s, WORKED, TaxisScheme.UPWIND, t_end=0.1, sample_every=0.1, accounting=acc)
     assert np.array_equal(nxt.u.values, u)
     assert np.array_equal(nxt.v.values, v)
-    assert nxt.t == 0.01
+    assert nxt.t == 0.1
+    assert acc.rkl2_steps == acc.steps > 1
 
 
 def test_flux_is_plain_diffusion_when_v_constant():
@@ -326,6 +331,74 @@ def test_run_to_time_counts_reaction_capped_steps():
     run_to_time(s, p, TaxisScheme.UPWIND, t_end=0.5, sample_every=0.5, accounting=acc)
     assert 0 < acc.reaction_capped <= acc.steps
     assert acc.clamped_cells == 0
+    # fast reactions keep the RKL2 step under the SSP-RK one: no RKL2 step is tried
+    assert acc.rkl2_steps == acc.rkl2_rejected == 0
+    assert acc.rhs_evaluations == STAGES * acc.steps
+
+
+@pytest.mark.parametrize("stages", [2, 5, 10, 20])
+@pytest.mark.parametrize("m2", [2.0, 0.5], ids=["coexistence", "extinction"])
+def test_rkl2_step_is_second_order_on_the_homogeneous_ode(stages, m2):
+    """Criterion 4's homogeneous case, run to t = 2 with fixed RKL2 steps."""
+    p = replace(WORKED, m2=m2)
+    g = Grid.uniform(1, 8, 1.0)
+    ref = homogeneous_ode(1.0, 1.0, p, 2.0, t_eval=[2.0])
+    pairs = []
+    for dt in (0.1, 0.05, 0.025):
+        u, v = np.ones(8), np.ones(8)
+        for _ in range(round(2.0 / dt)):
+            u, v = rkl2_step(u, v, g, p, TaxisScheme.UPWIND, dt, stages)
+        pairs.append((dt, max(abs(u[0] - ref.u[-1]), abs(v[0] - ref.v[-1]))))
+    assert refinement_order(pairs) >= 1.9
+
+
+def test_rkl2_stages_are_the_fewest_that_cover_the_ratio():
+    for ratio in np.linspace(0.0, 300.0, 3001):
+        s = _rkl2_stages(ratio)
+        assert (s * s + s - 2) / 4 >= ratio
+        assert s == 2 or ((s - 1) ** 2 + (s - 1) - 2) / 4 < ratio
+
+
+ROUGH = Grid.uniform(1, 16, 1.0)
+
+
+def assert_advance_safe(u, v, taxis):
+    """One step of run_to_time from a rough state is finite, nonnegative and
+    under the prey bound; unless it is an RKL2 step, it is the SSP-RK step
+    of step_limit's length bitwise."""
+    acc = StepAccounting()
+    u1, v1, dt = advance(u, v, 0.0, 1.0, ROUGH, WORKED, taxis, acc)
+    assert np.isfinite(u1).all() and np.isfinite(v1).all()
+    assert u1.min() >= 0.0 and v1.min() >= 0.0
+    assert v1.max() <= max(float(v.max()), WORKED.m2) * (1.0 + 1e-12)
+    assert acc.steps == 1
+    if acc.rkl2_steps == 0:
+        safe = step_limit(u, v, ROUGH, WORKED)[0]
+        u_ssp, v_ssp = step(u, v, 0.0, ROUGH, WORKED, taxis, safe)
+        assert dt == safe
+        assert u1.tobytes() == u_ssp.tobytes()
+        assert v1.tobytes() == v_ssp.tobytes()
+    return acc
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    u=arrays(np.float64, 16, elements=st.floats(0.0, 3.0)),
+    v=arrays(np.float64, 16, elements=st.floats(0.0, 3.0)),
+    taxis=st.sampled_from(TaxisScheme),
+)
+def test_advance_is_safe_on_rough_states(u, v, taxis):
+    assert_advance_safe(u, v, taxis)
+
+
+def test_advance_falls_back_to_the_ssp_step_when_rkl2_goes_negative():
+    # from this draw the 10-stage RKL2 step takes a predator cell to -0.21
+    rng = np.random.default_rng(299)
+    u, v = rng.uniform(0.0, 3.0, 16), rng.uniform(0.0, 3.0, 16)
+    acc = assert_advance_safe(u, v, TaxisScheme.UPWIND)
+    assert acc.rkl2_rejected == 1
+    assert acc.rkl2_steps == 0
+    assert acc.rhs_evaluations == 10 + STAGES
 
 
 @settings(max_examples=200, deadline=None)
