@@ -63,8 +63,6 @@ class DiagnosticsRecord:
     t: float
     mass_u: float
     linf_v: float
-    l2_v: float
-    l4_v: float
     dist_u_l1: float
     dist_u_l2: float
     dist_v_l1: float
@@ -73,9 +71,6 @@ class DiagnosticsRecord:
     entropy_v: float
     energy: float
     dissipation: float
-    ulogu: float
-    gradv2_over_v: float
-    gradv4_over_v3: float
     clamped_mass: float
     floored_cells: int
 
@@ -139,8 +134,6 @@ def record(s: State, ctx: RunContext) -> DiagnosticsRecord:
         t=s.t,
         mass_u=integrate_values(g, u),
         linf_v=float(v.max()),
-        l2_v=integrate_values(g, v**2) ** 0.5,
-        l4_v=integrate_values(g, v**4) ** 0.25,
         dist_u_l1=integrate_values(g, np.abs(u - ss.u_star)),
         dist_u_l2=sq_u**0.5,
         dist_v_l1=integrate_values(g, np.abs(v - ss.v_star)),
@@ -154,9 +147,6 @@ def record(s: State, ctx: RunContext) -> DiagnosticsRecord:
             + sq_u
             + sq_v
         ),
-        ulogu=integrate_values(g, uf * np.log(uf)),
-        gradv2_over_v=integrate_values(g, gsq_v / vf),
-        gradv4_over_v3=integrate_values(g, gsq_v**2 / vf**3),
         clamped_mass=ctx.accounting.clamped_mass,
         floored_cells=int((u < U_FLOOR).sum() + (v < U_FLOOR).sum()),
     )

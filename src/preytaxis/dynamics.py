@@ -11,30 +11,31 @@ value (upwind, the default) or the face mean (central).  flux_u forms
 the interior faces only, and divergence_values gives the walls zero
 flux.  Prey diffuse with the plain zero-flux Laplacian.
 
-run_to_time takes each step with advance, which picks between two
-second-order methods.  The long step is the s-stage Runge-Kutta-Legendre
+run_to_time takes each step with advance.  Every step is sized by one
+accuracy bound, dt * J <= RKL2_ACCURACY, J the largest row-sum norm of
+the reaction Jacobian over the cells, and clipped to t_end; advance
+picks the method that takes it.  When dt is longer than the SSP-RK
+positivity bound below, it takes the s-stage Runge-Kutta-Legendre
 method RKL2 (Meyer, Balsara & Aslam 2014), whose stability interval
-grows as s^2, so diffusion no longer bounds the step; accuracy does.  Its
-length is RKL2_ACCURACY / J, J the largest row-sum norm of the reaction
-Jacobian over the cells, and s is the fewest stages whose stability
-interval covers it in units of stable_dt.  RKL2 does not preserve
-positivity, so a step with a negative or non-finite cell, or with the
-prey above their maximum principle, is discarded.
+grows as s^2, so diffusion no longer bounds the step; s is the fewest
+stages whose stability interval covers dt in units of stable_dt.  RKL2
+does not preserve positivity, so a step with a negative or non-finite
+cell, or with the prey above their maximum principle, is discarded.
 
 The proven step is the s-stage second-order SSP Runge-Kutta method
 SSP-RK(s, 2) with s = STAGES (Spiteri & Ruuth 2002; low-storage form
-after Ketcheson 2008).  advance takes it when it is at least as long as
-the RKL2 step and in place of a discarded one.  Each stage is a
-forward-Euler substep of length dt/(s - 1), and the step is a convex
-combination of the start value and the last stage, so a substep length
-at which one forward-Euler substep keeps both fields nonnegative and
-the prey map monotone keeps them so for the whole step, which is
+after Ketcheson 2008).  advance takes it for a dt within the positivity
+bound, and at that bound in place of a discarded RKL2 step.  Each stage
+is a forward-Euler substep of length dt/(s - 1), and the step is a
+convex combination of the start value and the last stage, so a substep
+length at which one forward-Euler substep keeps both fields nonnegative
+and the prey map monotone keeps them so for the whole step, which is
 (s - 1) times longer.  For s = 2 this is Heun's method.  A
 forward-Euler substep writes each new cell value as the old one times
 (1 - dt * loss rate) plus nonnegative inflow, so it is safe when dt
 times the largest loss rate stays below 1; stable_dt returns STEP_SAFETY
-over that rate, and step_limit returns the full step, (STAGES - 1)
-times as long unless the reaction cap binds.
+over that rate, the positivity bound is (STAGES - 1) times as long, and
+step_limit returns the shorter of it and the accuracy bound.
 """
 
 from __future__ import annotations
@@ -81,11 +82,12 @@ __all__ = [
 BLOWUP_LIMIT = 1e12
 STEP_SAFETY = 0.9  # fraction of the forward-Euler positivity bound that stable_dt returns
 STAGES = 4  # forward-Euler substeps per SSP-RK(s, 2) step, each of length dt/(STAGES - 1)
-# Largest dt * J of an RKL2 step, J the row-sum norm of the reaction
+# Largest dt * J of every step, J the row-sum norm of the reaction
 # Jacobian.  Criterion 4's worst error grows about as its square: 3.1e-5
-# at 0.05 and 1.13e-4 at 0.1, over the 1e-4 cap (at 0.02 the SSP-RK step
-# is the longer one there, and the error is its 8.6e-6).  0.05 keeps a 3x
-# margin; criterion 3's nonlinear order is 2.043 with it.
+# at 0.05 and 1.13e-4 at 0.1, over the 1e-4 cap (at 0.02 the SSP-RK
+# positivity bound is the shorter one there, and the error is its
+# 8.6e-6).  0.05 keeps a 3x margin; criterion 3's nonlinear order is
+# 2.043 with it.
 RKL2_ACCURACY = 0.05
 STEP_BUDGET = 1e8  # most limiter steps run_to_time lets the rest of a run need
 SAMPLE_BUDGET = 1e6  # most sample intervals run_to_time (and a config) may ask for
@@ -132,12 +134,11 @@ class State:
 @dataclass
 class StepAccounting:
     """Mutable counters threaded through a run.  dt_min and dt_max span
-    every step taken, the last one clipped to t_end included;
-    reaction_capped counts the SSP-RK steps advance sized by the reaction
-    cap of step_limit.  Of the steps, rkl2_steps were RKL2 steps;
-    rkl2_rejected counts the RKL2 steps advance discarded for an SSP-RK
-    step, and rhs_evaluations the right-hand sides advance evaluated,
-    those of discarded steps included."""
+    every step taken, the last one clipped to t_end included.  Of the
+    steps, rkl2_steps were RKL2 steps; rkl2_rejected counts the RKL2 steps
+    advance discarded for an SSP-RK step, and rhs_evaluations the
+    right-hand sides advance evaluated, those of discarded steps
+    included."""
 
     steps: int = 0
     clamped_mass: float = 0.0
@@ -145,7 +146,6 @@ class StepAccounting:
     peak_v: float = field(default=-math.inf)
     dt_min: float = field(default=math.inf)
     dt_max: float = 0.0
-    reaction_capped: int = 0
     rkl2_steps: int = 0
     rkl2_rejected: int = 0
     rhs_evaluations: int = 0
@@ -197,18 +197,33 @@ def rhs(u, v, grid: Grid, p: ModelParams, taxis: TaxisScheme) -> tuple[np.ndarra
 
 # --- step-size limiter --------------------------------------------------------
 
-def _loss_rates(u, v, grid: Grid, p: ModelParams) -> tuple[float, float]:
-    """(largest forward-Euler loss rate of either species, its reaction part)."""
+def _loss_rates(u, v, grid: Grid, p: ModelParams) -> float:
+    """Largest forward-Euler loss rate of either species."""
     v_max = float(v.max())
-    react_u = float(np.abs(p.m1 - u + p.a * v).max())
-    react_v = max(float(np.abs(p.m2 - p.b * u - v).max()), 2.0 * v_max - p.m2)
-    rate_u, rate_v = react_u, react_v
+    rate_u = float(np.abs(p.m1 - u + p.a * v).max())
+    rate_v = max(float(np.abs(p.m2 - p.b * u - v).max()), 2.0 * v_max - p.m2)
     for ax in range(grid.dim):
         two_over_h2 = 2.0 / (grid.h[ax] * grid.h[ax])
         jump = float(np.abs(v[grid.right[ax]] - v[grid.left[ax]]).max())
         rate_u += two_over_h2 * (p.d1 + p.chi * (v_max + jump))
         rate_v += two_over_h2 * p.d2
-    return max(rate_u, rate_v), max(react_u, react_v)
+    return max(rate_u, rate_v)
+
+
+def _reaction_jacobian_norm(u, v, p: ModelParams) -> float:
+    """Largest row-sum norm over the cells of the reaction Jacobian,
+    [[m1 - 2u + a v, a u], [-b v, m2 - b u - 2v]]."""
+    row_u = np.abs(p.m1 - 2.0 * u + p.a * v) + p.a * u
+    row_v = p.b * v + np.abs(p.m2 - p.b * u - 2.0 * v)
+    return max(float(row_u.max()), float(row_v.max()))
+
+
+def _bounds(u, v, grid: Grid, p: ModelParams) -> tuple[float, float, float]:
+    """(stable_dt, the positivity bound (STAGES - 1) stable_dt, the
+    accuracy bound RKL2_ACCURACY / J)."""
+    rate = _loss_rates(u, v, grid, p)
+    accurate = RKL2_ACCURACY / _reaction_jacobian_norm(u, v, p)
+    return STEP_SAFETY / rate, STEP_SAFETY * ((STAGES - 1) / rate), accurate
 
 
 def stable_dt(u, v, grid: Grid, p: ModelParams) -> float:
@@ -235,31 +250,28 @@ def stable_dt(u, v, grid: Grid, p: ModelParams) -> float:
     growth as well as decay because each later substep starts from the
     previous one's output, which growth may have raised.
     """
-    rate, _ = _loss_rates(u, v, grid, p)
-    return STEP_SAFETY / rate
+    return STEP_SAFETY / _loss_rates(u, v, grid, p)
 
 
-def step_limit(u, v, grid: Grid, p: ModelParams) -> tuple[float, bool]:
-    """The step run_to_time takes from (u, v), and whether the reaction cap
-    bound it.
+def step_limit(u, v, grid: Grid, p: ModelParams) -> float:
+    """The length of the SSP-RK step advance takes from (u, v) before it
+    is clipped to t_end: the positivity bound (STAGES - 1) stable_dt or
+    the accuracy bound RKL2_ACCURACY / J, whichever is shorter.
 
     An SSP-RK(STAGES, 2) step of length dt runs its substeps at
     dt/(STAGES - 1), so the forward-Euler bound allows (STAGES - 1) times
-    stable_dt.  The loss rates are taken at the start of the step, and
-    over several substeps growth can raise them: the predator's growth
-    raises the prey's loss rate b u.  The step is therefore also capped
-    at STEP_SAFETY over the reaction part of the rates,
-
-        react = max(max|m1 - u + a v|, max|m2 - b u - v|, 2 v_max - m2),
-
-    so the reactions change no field by more than about its own size
-    within one step.  No cap applies when react <= 0 (at a constant
-    equilibrium the first two terms vanish).
+    stable_dt.  That bound holds for the loss rates at the start of the
+    step, with 1/STEP_SAFETY - 1 (11%) to spare, while each later substep
+    starts from a stage the reactions R have moved by about dt |R|.  So R
+    changes by at most J dt |R| <= RKL2_ACCURACY |R| over the step, 5%,
+    inside the margin.  The argument is linearised, not a proof: it fails
+    where J itself moves within a step, near u = (m1 + a v)/2, where the
+    Jacobian's diagonal vanishes.  The per-capita rate m1 - u + a v
+    cannot size the step either: it vanishes at the logistic level,
+    where the reaction's slope, about -u, does not.
     """
-    rate, react = _loss_rates(u, v, grid, p)
-    full = (STAGES - 1) / rate
-    capped = react * full > 1.0
-    return STEP_SAFETY * (1.0 / react if capped else full), capped
+    _, positive, accurate = _bounds(u, v, grid, p)
+    return min(positive, accurate)
 
 
 # --- time stepping -----------------------------------------------------------
@@ -329,14 +341,6 @@ def step(u, v, t: float, grid: Grid, p: ModelParams, taxis: TaxisScheme, dt: flo
     return u_new, v_new
 
 
-def _reaction_jacobian_norm(u, v, p: ModelParams) -> float:
-    """Largest row-sum norm over the cells of the reaction Jacobian,
-    [[m1 - 2u + a v, a u], [-b v, m2 - b u - 2v]]."""
-    row_u = np.abs(p.m1 - 2.0 * u + p.a * v) + p.a * u
-    row_v = p.b * v + np.abs(p.m2 - p.b * u - 2.0 * v)
-    return max(float(row_u.max()), float(row_v.max()))
-
-
 def _rkl2_stages(ratio: float) -> int:
     """Fewest stages s >= 2 whose stability interval, (s^2 + s - 2)/4
     forward-Euler steps, covers `ratio` of them."""
@@ -391,26 +395,27 @@ def advance(u, v, t: float, t_end: float, grid: Grid, p: ModelParams, taxis: Tax
     """One step of run_to_time from (u, v) at time t toward t_end; returns
     the new (u, v) and the step length, and leaves the inputs alone.
 
-    The SSP-RK step `safe` of step_limit is the one the method guarantees,
-    so a `safe` too small to change t, or one at which the rest of the
-    run would take more than STEP_BUDGET steps, raises Stalled.  The RKL2
-    step is min(RKL2_ACCURACY / J, t_end - t).  When it is longer than
-    `safe`, advance takes it with _rkl2_stages(dt / stable_dt) stages and
-    keeps it if every cell is finite, nonnegative and at most
-    BLOWUP_LIMIT and max v' <= max(max v, max(0, m2)) (1 + 1e-12);
-    otherwise it discards it and takes the SSP-RK step of length `safe`.
-    A step no longer than `safe` is the SSP-RK step, clipped to t_end.
+    The step is dt = min(RKL2_ACCURACY / J, t_end - t).  step_limit is the
+    longest step the method guarantees, so one too small to change t, or
+    one at which the rest of the run would take more than STEP_BUDGET
+    steps, raises Stalled.  When dt is longer than the SSP-RK positivity
+    bound (STAGES - 1) stable_dt, advance takes it with RKL2 in
+    _rkl2_stages(dt / stable_dt) stages and keeps it if every cell is
+    finite, nonnegative and at most BLOWUP_LIMIT and
+    max v' <= max(max v, max(0, m2)) (1 + 1e-12); otherwise it discards it
+    and takes the SSP-RK step at the positivity bound.  A dt no longer
+    than the positivity bound is taken with SSP-RK.
     """
-    safe, capped = step_limit(u, v, grid, p)
-    dt = min(safe, t_end - t)
-    if t + dt == t:
-        raise Stalled(f"step {dt:.3e} does not advance t = {t:.6g}")
-    if t_end - t > STEP_BUDGET * safe:
-        raise Stalled(f"step {safe:.3e} at t = {t:.6g} leaves over {STEP_BUDGET:.0e} steps to t_end")
-    dt_rkl2 = min(RKL2_ACCURACY / _reaction_jacobian_norm(u, v, p), t_end - t)
-    if dt_rkl2 > safe:
-        stages = _rkl2_stages(dt_rkl2 / stable_dt(u, v, grid, p))
-        u_new, v_new = rkl2_step(u, v, grid, p, taxis, dt_rkl2, stages)
+    stable, positive, accurate = _bounds(u, v, grid, p)
+    limit = min(positive, accurate)
+    if t + min(limit, t_end - t) == t:
+        raise Stalled(f"step {limit:.3e} does not advance t = {t:.6g}")
+    if t_end - t > STEP_BUDGET * limit:
+        raise Stalled(f"step {limit:.3e} at t = {t:.6g} leaves over {STEP_BUDGET:.0e} steps to t_end")
+    dt = min(accurate, t_end - t)
+    if dt > positive:
+        stages = _rkl2_stages(dt / stable)
+        u_new, v_new = rkl2_step(u, v, grid, p, taxis, dt, stages)
         accounting.rhs_evaluations += stages
         low = min(float(u_new.min()), float(v_new.min()))
         high = max(float(u_new.max()), float(v_new.max()))
@@ -421,13 +426,13 @@ def advance(u, v, t: float, t_end: float, grid: Grid, p: ModelParams, taxis: Tax
             accounting.steps += 1
             accounting.rkl2_steps += 1
             accounting.peak_v = max(accounting.peak_v, peak_v)
-            accounting.dt_min = min(accounting.dt_min, dt_rkl2)
-            accounting.dt_max = max(accounting.dt_max, dt_rkl2)
-            return u_new, v_new, dt_rkl2
+            accounting.dt_min = min(accounting.dt_min, dt)
+            accounting.dt_max = max(accounting.dt_max, dt)
+            return u_new, v_new, dt
         accounting.rkl2_rejected += 1
+        dt = positive
     u_new, v_new = step(u, v, t, grid, p, taxis, dt, accounting)
     accounting.rhs_evaluations += STAGES
-    accounting.reaction_capped += capped
     return u_new, v_new, dt
 
 

@@ -135,7 +135,6 @@ def _write_manifest(result: RunResult, out: Path) -> None:
         "steps": acc.steps,
         "dt_min": acc.dt_min if acc.steps else None,
         "dt_max": acc.dt_max if acc.steps else None,
-        "reaction_capped_steps": acc.reaction_capped,
         "rkl2_steps": acc.rkl2_steps,
         "rkl2_rejected_steps": acc.rkl2_rejected,
         "rhs_evaluations": acc.rhs_evaluations,

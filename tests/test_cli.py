@@ -75,6 +75,22 @@ def test_run_beyond_step_budget_exit_code(tmp_path):
     assert manifest["dt_min"] is None and manifest["dt_max"] is None
 
 
+def test_run_at_the_predator_logistic_level_clamps_nothing(tmp_path):
+    # u = m1 + a v: the per-capita rate is 0 but the reaction's slope is not,
+    # so a step sized by the per-capita rate overshoots into negative cells
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "params.d1 = 0.01\nparams.d2 = 0.01\nparams.chi = 1\nparams.m1 = 1\nparams.a = 1\n"
+        "params.b = 0.03125\nparams.m2 = 0\ngrid.n = 4\ngrid.length = 3\n"
+        "initial.u_base = 1\ninitial.v_base = 0.03125\nrun.t_end = 20\nrun.sample_every = 1\n"
+        f"output.dir = {out}\n")
+    assert main(["run", str(cfg)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["termination"] == "completed"
+    assert manifest["clamped_cells"] == 0
+
+
 def test_run_at_the_threshold_edge_exits_zero(tmp_path):
     # chi^2 one ulp below the threshold 17/3: the condition holds, but the
     # margin left may round to nothing

@@ -55,4 +55,21 @@ def test_changed_csv_value_fails_exact_and_names_its_column(run_dir, tmp_path, c
     assert "diagnostics.csv: rows 3 -> 3" in out
     moved = [line.split() for line in out.splitlines() if line.startswith("  energy ")]
     assert moved and 0.0 < float(moved[-1][1]) < 1e-8
-    assert "1 of 18 columns moved" in out
+    assert "1 of 13 shared columns moved" in out
+
+
+def test_dropped_csv_column_is_named_and_shared_columns_still_compared(run_dir, tmp_path, capsys):
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy)
+    with open(copy / "diagnostics.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    column = rows[0].index("entropy_v")
+    rows = [row[:column] + row[column + 1:] for row in rows]
+    with open(copy / "diagnostics.csv", "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+    assert drift.main([str(run_dir), str(copy)]) == 0
+    assert drift.main([str(run_dir), str(copy), "--exact"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    report = lines[lines.index("diagnostics.csv: rows 3 -> 3") + 1:][:2]
+    assert report == ["  columns only in base: entropy_v", "  0 of 12 shared columns moved"]

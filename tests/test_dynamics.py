@@ -31,7 +31,8 @@ from preytaxis import (
     steady_states,
     taxis_mobility,
 )
-from preytaxis.dynamics import STAGES, STEP_SAFETY, _rkl2_stages, advance, rkl2_step
+from preytaxis import dynamics
+from preytaxis.dynamics import RKL2_ACCURACY, STAGES, STEP_SAFETY, _rkl2_stages, advance, rkl2_step
 from preytaxis.oracle import homogeneous_ode, refinement_order
 from strategies import grids, positive_fields
 
@@ -195,13 +196,14 @@ def assert_full_step_clean(u, v, g, p, taxis):
     nothing, and keeps the prey under max(max v, max(0, m2)): the maximum
     principle of the prey equation."""
     acc = StepAccounting()
-    _, v1 = step(u, v, 0.0, g, p, taxis, step_limit(u, v, g, p)[0], acc)
+    _, v1 = step(u, v, 0.0, g, p, taxis, step_limit(u, v, g, p), acc)
     assert acc.clamped_cells == 0
     assert acc.clamped_mass == 0.0
     assert float(v1.max()) <= max(float(v.max()), max(0.0, p.m2)) * (1.0 + 1e-12)
 
 
 SLOW = ModelParams(d1=1e-2, d2=1e-2, m1=1e-2, m2=-3.0, chi=1e-2, a=1e-2, b=1e-2)
+LOGISTIC = ModelParams(d1=1e-2, d2=1e-2, m1=1.0, m2=0.0, chi=1.0, a=1.0, b=0.03125)
 
 
 @pytest.mark.parametrize(
@@ -222,11 +224,17 @@ SLOW = ModelParams(d1=1e-2, d2=1e-2, m1=1e-2, m2=-3.0, chi=1e-2, a=1e-2, b=1e-2)
         ([1.0] * 4, [1e-3] * 4, 3.0, replace(SLOW, m1=10.0, m2=2e-2)),
         # slow transport, fast predator growth and strong predation: over the
         # substeps of a full step the predators multiply and raise the prey's
-        # loss rate b u, so without the reaction cap the prey go negative
+        # loss rate b u, so a step sized by the start's loss rates alone lets
+        # the prey go negative
         ([1.0] * 4, [1.0] * 4, 3.0, replace(SLOW, m1=10.0, b=10.0)),
+        # predators at their logistic level u = m1 + a v: the per-capita rate
+        # m1 - u + a v vanishes while the reaction's slope, about -u, does
+        # not, so a step sized by the per-capita rate overshoots the level
+        # and the next stage drives the field negative
+        ([1.0] * 4, [0.03125] * 4, 3.0, LOGISTIC),
     ],
     ids=["donor-drift", "prey-diffusion", "prey-monotone", "prey-growth", "predator-growth",
-         "predation"],
+         "predation", "logistic-level"],
 )
 def test_each_limiter_term_binds_somewhere(u, v, length, p):
     u, v, g = make_arrays(u, v, length)
@@ -244,7 +252,8 @@ def coefficients():
 
 def log_coefficients():
     """The range of coefficients(), drawn uniformly in log: hypothesis's own
-    float draws rarely give slow transport, where the reaction cap matters."""
+    float draws rarely give slow transport, where the reactions size the
+    step."""
     return st.floats(-2.0, 2.0).map(lambda x: 10.0 ** x)
 
 
@@ -282,7 +291,7 @@ def test_full_step_clamps_nothing_for_random_coefficients(
     its own, over the coefficient ranges of the forward-Euler property.
     The search is steered toward predation that is fast against transport,
     where predators multiplying over the substeps raise the prey's loss
-    rate b u and only the reaction cap keeps the prey positive."""
+    rate b u and only the accuracy bound keeps the prey positive."""
     u = data.draw(positive_fields(g))
     v = data.draw(positive_fields(g))
     p = ModelParams(d1=d1, d2=d2, m1=m1, m2=m2, chi=chi, a=a, b=b, eps=eps)
@@ -304,34 +313,53 @@ def test_full_step_clamps_nothing(data, g, taxis, eps):
     assert_full_step_clean(u, v, g, replace(WORKED, eps=eps), taxis)
 
 
-def test_step_limit_is_stages_minus_one_substeps_unless_capped():
+@settings(max_examples=500, deadline=None)
+@given(
+    data=st.data(),
+    g=grids(),
+    taxis=st.sampled_from(TaxisScheme),
+    chi=log_coefficients(),
+    m1=st.floats(1e-2, 10.0), a=st.floats(1e-2, 10.0), b=st.floats(1e-2, 1.0),
+    m2=st.floats(-3.0, 5.0),
+    v_level=st.floats(1e-3, 0.3),
+)
+def test_full_step_clamps_nothing_near_the_predator_logistic_level(
+        data, g, taxis, chi, m1, a, b, m2, v_level):
+    """Near-uniform fields with the predators within 5% of their logistic
+    level m1 + a v and slow diffusion: the per-capita rate is near zero
+    there, so only the accuracy bound keeps the step from overshooting."""
+    wobble = arrays(np.float64, g.n, elements=st.floats(-0.05, 0.05))
+    v = v_level * (1.0 + data.draw(wobble))
+    u = (m1 + a * v) * (1.0 + data.draw(wobble))
+    p = ModelParams(d1=1e-2, d2=1e-2, m1=m1, m2=m2, chi=chi, a=a, b=b)
+    assert_full_step_clean(u, v, g, p, taxis)
+
+
+def test_step_limit_is_the_shorter_of_positivity_and_accuracy():
     # transport-dominated: the full step is (STAGES - 1) substeps
     u, v, g = make_arrays(np.full(32, 0.5), np.full(32, 1.0))
-    dt, capped = step_limit(u, v, g, WORKED)
-    assert not capped
-    assert dt == pytest.approx((STAGES - 1) * stable_dt(u, v, g, WORKED), rel=1e-12)
-    # at a constant equilibrium the reaction part is 0 and caps nothing
+    assert step_limit(u, v, g, WORKED) == pytest.approx((STAGES - 1) * stable_dt(u, v, g, WORKED), rel=1e-12)
+    # at a constant equilibrium the reactions are 0 but their Jacobian is not
     ss = steady_states(WORKED)
     u, v, g = make_arrays(np.full(8, ss.u_star), np.full(8, ss.v_star))
-    dt, capped = step_limit(u, v, g, WORKED)
-    assert not capped
-    assert dt == pytest.approx((STAGES - 1) * stable_dt(u, v, g, WORKED), rel=1e-12)
-    # predation case: the reaction cap binds at STEP_SAFETY over the reaction rate
+    assert step_limit(u, v, g, WORKED) == pytest.approx((STAGES - 1) * stable_dt(u, v, g, WORKED), rel=1e-12)
+    # predation case: the accuracy bound binds; the Jacobian's row sums are
+    # |m1 - 2 + a| + a = 8.02 and b + |m2 - b - 2| = 25
     p = replace(SLOW, m1=10.0, b=10.0)
     u, v, g = make_arrays([1.0] * 4, [1.0] * 4, 3.0)
-    dt, capped = step_limit(u, v, g, p)
-    assert capped
-    assert dt == pytest.approx(STEP_SAFETY / max(abs(p.m1 - 1.0 + p.a), abs(p.m2 - p.b - 1.0)), rel=1e-12)
+    assert step_limit(u, v, g, p) == pytest.approx(RKL2_ACCURACY / 25.0, rel=1e-12)
+    assert step_limit(u, v, g, p) < (STAGES - 1) * stable_dt(u, v, g, p)
 
 
-def test_run_to_time_counts_reaction_capped_steps():
+def test_run_to_time_takes_fast_reactions_with_ssp_rk_steps():
     p = replace(SLOW, m1=10.0, b=10.0)
     s = make_state([1.0] * 4, [1.0] * 4, length=3.0)
     acc = StepAccounting()
     run_to_time(s, p, TaxisScheme.UPWIND, t_end=0.5, sample_every=0.5, accounting=acc)
-    assert 0 < acc.reaction_capped <= acc.steps
+    assert acc.steps > 0
     assert acc.clamped_cells == 0
-    # fast reactions keep the RKL2 step under the SSP-RK one: no RKL2 step is tried
+    # fast reactions keep the accuracy bound under the positivity bound: no
+    # RKL2 step is tried
     assert acc.rkl2_steps == acc.rkl2_rejected == 0
     assert acc.rhs_evaluations == STAGES * acc.steps
 
@@ -373,7 +401,7 @@ def assert_advance_safe(u, v, taxis):
     assert v1.max() <= max(float(v.max()), WORKED.m2) * (1.0 + 1e-12)
     assert acc.steps == 1
     if acc.rkl2_steps == 0:
-        safe = step_limit(u, v, ROUGH, WORKED)[0]
+        safe = step_limit(u, v, ROUGH, WORKED)
         u_ssp, v_ssp = step(u, v, 0.0, ROUGH, WORKED, taxis, safe)
         assert dt == safe
         assert u1.tobytes() == u_ssp.tobytes()
@@ -399,6 +427,39 @@ def test_advance_falls_back_to_the_ssp_step_when_rkl2_goes_negative():
     assert acc.rkl2_rejected == 1
     assert acc.rkl2_steps == 0
     assert acc.rhs_evaluations == 10 + STAGES
+
+
+def count_limiter_passes(monkeypatch):
+    """Patch the two limiter passes of the dynamics module to count their calls."""
+    calls = {"_loss_rates": 0, "_reaction_jacobian_norm": 0}
+    for name in calls:
+        original = getattr(dynamics, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(dynamics, name, counted)
+    return calls
+
+
+def test_advance_runs_each_limiter_pass_once(monkeypatch):
+    rough = np.random.default_rng(299)
+    cases = [
+        # an RKL2 step kept, an SSP-RK step, and an RKL2 step discarded for one
+        (np.full(16, 0.5), np.full(16, 1.0), WORKED),
+        (np.ones(16), np.ones(16), replace(SLOW, m1=10.0, b=10.0)),
+        (rough.uniform(0.0, 3.0, 16), rough.uniform(0.0, 3.0, 16), WORKED),
+    ]
+    kinds = []
+    for u, v, p in cases:
+        calls = count_limiter_passes(monkeypatch)
+        acc = StepAccounting()
+        advance(u, v, 0.0, 1.0, ROUGH, p, TaxisScheme.UPWIND, acc)
+        assert calls == {"_loss_rates": 1, "_reaction_jacobian_norm": 1}
+        kinds.append((acc.rkl2_steps, acc.rkl2_rejected))
+        monkeypatch.undo()
+    assert kinds == [(1, 0), (0, 0), (0, 1)]
 
 
 @settings(max_examples=200, deadline=None)

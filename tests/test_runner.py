@@ -70,7 +70,6 @@ def test_run_scenario_writes_directory(tmp_path):
     assert manifest["peak_v"] >= 1.0
     assert manifest["scheme"] == "upwind rkl2 C=0.05 ssp-rk stages=4 safety=0.9"
     assert 0 < manifest["dt_min"] <= manifest["dt_max"] <= 0.2
-    assert manifest["reaction_capped_steps"] == 0
     assert 0 < manifest["rkl2_steps"] <= manifest["steps"]
     assert manifest["rkl2_rejected_steps"] == 0
     assert manifest["rhs_evaluations"] >= 2 * manifest["steps"]

@@ -5,8 +5,9 @@
 Files under the two directories are matched by relative path, and each
 is reported as "identical" or by how far it moved:
 
-- diagnostics.csv: the row counts and, for each column that moved, the
-  largest |delta| over the column's largest |value| in BASE_DIR;
+- diagnostics.csv: the row counts, the columns found on one side only,
+  and, for each column both sides share (matched by name) that moved,
+  the largest |delta| over the column's largest |value| in BASE_DIR;
 - snapshots (*.txt): the relative L1 distance of the cell values and the
   difference of the header times;
 - manifest.json: the keys whose values differ, leaving out
@@ -39,29 +40,36 @@ def _relative(delta: float, scale: float) -> float:
     return delta / scale if scale > 0.0 else math.inf
 
 
+def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
+    with open(path, newline="") as fh:
+        head, *rows = list(csv.reader(fh))
+    return head, np.array(rows, dtype=float).reshape(len(rows), len(head))
+
+
 def _csv_report(base: Path, new: Path) -> list[str]:
-    with open(base, newline="") as fh:
-        head_a, *rows_a = list(csv.reader(fh))
-    with open(new, newline="") as fh:
-        head_b, *rows_b = list(csv.reader(fh))
-    if head_a != head_b:
-        return [f"columns differ: {head_a} vs {head_b}"]
-    lines = [f"rows {len(rows_a)} -> {len(rows_b)}"]
-    common = min(len(rows_a), len(rows_b))
+    head_a, a = _read_csv(base)
+    head_b, b = _read_csv(new)
+    lines = [f"rows {len(a)} -> {len(b)}"]
+    for side, names in (("base", [n for n in head_a if n not in head_b]),
+                        ("new", [n for n in head_b if n not in head_a])):
+        if names:
+            lines.append(f"  columns only in {side}: {', '.join(names)}")
+    shared = [n for n in head_a if n in head_b]
+    common = min(len(a), len(b))
     if common == 0:
         return lines
-    a = np.array(rows_a[:common], dtype=float)
-    b = np.array(rows_b[:common], dtype=float)
     moved = 0
-    for j, name in enumerate(head_a):
-        same = (a[:, j] == b[:, j]) | (np.isnan(a[:, j]) & np.isnan(b[:, j]))
+    for name in shared:
+        col_a = a[:common, head_a.index(name)]
+        col_b = b[:common, head_b.index(name)]
+        same = (col_a == col_b) | (np.isnan(col_a) & np.isnan(col_b))
         if same.all():
             continue
         moved += 1
-        delta = float(np.abs(b[:, j] - a[:, j])[~same].max())
-        scale = float(np.abs(a[:, j]).max())
+        delta = float(np.abs(col_b - col_a)[~same].max())
+        scale = float(np.abs(col_a).max())
         lines.append(f"  {name:<16} {_relative(delta, scale):.3e}")
-    lines.append(f"  {moved} of {len(head_a)} columns moved")
+    lines.append(f"  {moved} of {len(shared)} shared columns moved")
     return lines
 
 
