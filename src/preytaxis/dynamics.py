@@ -11,16 +11,15 @@ value (upwind, the default) or the face mean (central).  flux_u forms
 the interior faces only, and divergence_values gives the walls zero
 flux.  Prey diffuse with the plain zero-flux Laplacian.
 
-run_to_time takes each step with advance.  Every step is sized by one
-accuracy bound, dt * J <= RKL2_ACCURACY, J the largest row-sum norm of
-the reaction Jacobian over the cells, and clipped to t_end; advance
-picks the method that takes it.  When dt is longer than the SSP-RK
-positivity bound below, it takes the s-stage Runge-Kutta-Legendre
-method RKL2 (Meyer, Balsara & Aslam 2014), whose stability interval
-grows as s^2, so diffusion no longer bounds the step; s is the fewest
-stages whose stability interval covers dt in units of stable_dt.  RKL2
-does not preserve positivity, so a step with a negative or non-finite
-cell, or with the prey above their maximum principle, is discarded.
+run_to_time takes each step with advance, the one place that keeps,
+discards and counts a step; step and rkl2_step only compute one.  Every
+step is sized by one accuracy bound, dt * J <= RKL2_ACCURACY, and
+clipped to t_end; advance picks the method that takes it.  When dt is
+longer than the SSP-RK positivity bound, it takes the s-stage
+Runge-Kutta-Legendre method RKL2 (Meyer, Balsara & Aslam 2014), whose
+stability interval grows as s^2, so diffusion no longer bounds the
+step.  RKL2 does not preserve positivity, so a step that is not
+admissible is discarded.
 
 The proven step is the s-stage second-order SSP Runge-Kutta method
 SSP-RK(s, 2) with s = STAGES (Spiteri & Ruuth 2002; low-storage form
@@ -30,12 +29,8 @@ is a forward-Euler substep of length dt/(s - 1), and the step is a
 convex combination of the start value and the last stage, so a substep
 length at which one forward-Euler substep keeps both fields nonnegative
 and the prey map monotone keeps them so for the whole step, which is
-(s - 1) times longer.  For s = 2 this is Heun's method.  A
-forward-Euler substep writes each new cell value as the old one times
-(1 - dt * loss rate) plus nonnegative inflow, so it is safe when dt
-times the largest loss rate stays below 1; stable_dt returns STEP_SAFETY
-over that rate, the positivity bound is (STAGES - 1) times as long, and
-step_limit returns the shorter of it and the accuracy bound.
+(s - 1) times longer.  For s = 2 this is Heun's method.  step_bounds
+derives the substep and both bounds.
 """
 
 from __future__ import annotations
@@ -71,8 +66,7 @@ __all__ = [
     "reaction_rates",
     "flux_u",
     "rhs",
-    "stable_dt",
-    "step_limit",
+    "step_bounds",
     "step",
     "rkl2_step",
     "advance",
@@ -80,10 +74,10 @@ __all__ = [
 ]
 
 BLOWUP_LIMIT = 1e12
-STEP_SAFETY = 0.9  # fraction of the forward-Euler positivity bound that stable_dt returns
+STEP_SAFETY = 0.9  # fraction of the forward-Euler positivity bound that a substep takes
 STAGES = 4  # forward-Euler substeps per SSP-RK(s, 2) step, each of length dt/(STAGES - 1)
 # Largest dt * J of every step, J the row-sum norm of the reaction
-# Jacobian.  Criterion 4's worst error grows about as its square: 3.1e-5
+# Jacobian or the per-capita reaction rate.  Criterion 4's worst error grows about as its square: 3.1e-5
 # at 0.05 and 1.13e-4 at 0.1, over the 1e-4 cap (at 0.02 the SSP-RK
 # positivity bound is the shorter one there, and the error is its
 # 8.6e-6).  0.05 keeps a 3x margin; criterion 3's nonlinear order is
@@ -133,12 +127,13 @@ class State:
 
 @dataclass
 class StepAccounting:
-    """Mutable counters threaded through a run.  dt_min and dt_max span
-    every step taken, the last one clipped to t_end included.  Of the
-    steps, rkl2_steps were RKL2 steps; rkl2_rejected counts the RKL2 steps
-    advance discarded for an SSP-RK step, and rhs_evaluations the
-    right-hand sides advance evaluated, those of discarded steps
-    included."""
+    """Mutable counters threaded through a run; advance writes them, and
+    run_to_time puts the initial prey maximum into peak_v.  dt_min and
+    dt_max span every step taken, the last one clipped to t_end
+    included.  Of the steps, rkl2_steps were RKL2 steps; rkl2_rejected
+    counts the RKL2 steps advance discarded for an SSP-RK step, and
+    rhs_evaluations the right-hand sides advance evaluated, those of
+    discarded steps included."""
 
     steps: int = 0
     clamped_mass: float = 0.0
@@ -197,17 +192,20 @@ def rhs(u, v, grid: Grid, p: ModelParams, taxis: TaxisScheme) -> tuple[np.ndarra
 
 # --- step-size limiter --------------------------------------------------------
 
-def _loss_rates(u, v, grid: Grid, p: ModelParams) -> float:
-    """Largest forward-Euler loss rate of either species."""
+def _loss_rates(u, v, grid: Grid, p: ModelParams) -> tuple[float, float]:
+    """(largest forward-Euler loss rate of either species, largest
+    per-capita reaction rate |m1 - u + a v| or |m2 - b u - v|)."""
     v_max = float(v.max())
     rate_u = float(np.abs(p.m1 - u + p.a * v).max())
-    rate_v = max(float(np.abs(p.m2 - p.b * u - v).max()), 2.0 * v_max - p.m2)
+    react_v = float(np.abs(p.m2 - p.b * u - v).max())
+    react = max(rate_u, react_v)
+    rate_v = max(react_v, 2.0 * v_max - p.m2)
     for ax in range(grid.dim):
         two_over_h2 = 2.0 / (grid.h[ax] * grid.h[ax])
         jump = float(np.abs(v[grid.right[ax]] - v[grid.left[ax]]).max())
         rate_u += two_over_h2 * (p.d1 + p.chi * (v_max + jump))
         rate_v += two_over_h2 * p.d2
-    return max(rate_u, rate_v)
+    return max(rate_u, rate_v), react
 
 
 def _reaction_jacobian_norm(u, v, p: ModelParams) -> float:
@@ -218,21 +216,14 @@ def _reaction_jacobian_norm(u, v, p: ModelParams) -> float:
     return max(float(row_u.max()), float(row_v.max()))
 
 
-def _bounds(u, v, grid: Grid, p: ModelParams) -> tuple[float, float, float]:
-    """(stable_dt, the positivity bound (STAGES - 1) stable_dt, the
-    accuracy bound RKL2_ACCURACY / J)."""
-    rate = _loss_rates(u, v, grid, p)
-    accurate = RKL2_ACCURACY / _reaction_jacobian_norm(u, v, p)
-    return STEP_SAFETY / rate, STEP_SAFETY * ((STAGES - 1) / rate), accurate
+def step_bounds(u, v, grid: Grid, p: ModelParams) -> tuple[float, float, float]:
+    """(substep, positivity, accuracy): the three step lengths advance
+    chooses from at (u, v).
 
-
-def stable_dt(u, v, grid: Grid, p: ModelParams) -> float:
-    """STEP_SAFETY over the largest forward-Euler loss rate of either species:
-    the length of one stage substep.
-
-    A forward-Euler substep multiplies each cell value by one minus dt
-    times its loss rate and adds nonnegative inflow.  The predator's loss
-    rate is at most
+    substep is STEP_SAFETY over the largest forward-Euler loss rate of
+    either species: the length of one stage substep.  A forward-Euler
+    substep multiplies each cell value by one minus dt times its loss
+    rate and adds nonnegative inflow.  The predator's loss rate is at most
 
         rate_u = sum_ax 2 (d1 + chi v_max)/h_ax^2          (face diffusion)
                + sum_ax 2 chi max|v_R - v_L|/h_ax^2         (upwind donor drift, both faces)
@@ -249,29 +240,23 @@ def stable_dt(u, v, grid: Grid, p: ModelParams) -> float:
     the drift term only shortens the step.  The reaction rates count
     growth as well as decay because each later substep starts from the
     previous one's output, which growth may have raised.
+
+    positivity, (STAGES - 1) substeps, keeps every SSP-RK(STAGES, 2)
+    stage so for the loss rates at the start of the step, with
+    1/STEP_SAFETY - 1 (11%) to spare, while each later stage starts from
+    one the reactions R have moved by about dt |R|.  accuracy is
+    RKL2_ACCURACY / J, J the largest row-sum norm of the reaction
+    Jacobian or per-capita rate |m1 - u + a v|, |m2 - b u - v| over the
+    cells, so R changes by about J dt |R| <= 5% of |R| over a step, inside
+    that margin.  The argument is linearised, not a proof.  Neither term
+    of J does alone: the row sums nearly vanish at a species' inflection
+    point u = (m1 + a v)/2 when a and b are small, the per-capita rate at
+    its logistic level u = m1 + a v, where the slope, about -u, does not.
+    When a, b >= 1 the row sums are the larger term.
     """
-    return STEP_SAFETY / _loss_rates(u, v, grid, p)
-
-
-def step_limit(u, v, grid: Grid, p: ModelParams) -> float:
-    """The length of the SSP-RK step advance takes from (u, v) before it
-    is clipped to t_end: the positivity bound (STAGES - 1) stable_dt or
-    the accuracy bound RKL2_ACCURACY / J, whichever is shorter.
-
-    An SSP-RK(STAGES, 2) step of length dt runs its substeps at
-    dt/(STAGES - 1), so the forward-Euler bound allows (STAGES - 1) times
-    stable_dt.  That bound holds for the loss rates at the start of the
-    step, with 1/STEP_SAFETY - 1 (11%) to spare, while each later substep
-    starts from a stage the reactions R have moved by about dt |R|.  So R
-    changes by at most J dt |R| <= RKL2_ACCURACY |R| over the step, 5%,
-    inside the margin.  The argument is linearised, not a proof: it fails
-    where J itself moves within a step, near u = (m1 + a v)/2, where the
-    Jacobian's diagonal vanishes.  The per-capita rate m1 - u + a v
-    cannot size the step either: it vanishes at the logistic level,
-    where the reaction's slope, about -u, does not.
-    """
-    _, positive, accurate = _bounds(u, v, grid, p)
-    return min(positive, accurate)
+    rate, react = _loss_rates(u, v, grid, p)
+    accuracy = RKL2_ACCURACY / max(_reaction_jacobian_norm(u, v, p), react)
+    return STEP_SAFETY / rate, STEP_SAFETY * ((STAGES - 1) / rate), accuracy
 
 
 # --- time stepping -----------------------------------------------------------
@@ -287,22 +272,32 @@ def _clamp_negative(arr: np.ndarray) -> tuple[float, int]:
     return removed, count
 
 
-def step(u, v, t: float, grid: Grid, p: ModelParams, taxis: TaxisScheme, dt: float,
-         accounting: StepAccounting | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _admissible(u, v, prey_cap: float) -> bool:
+    """Whether every cell of u and v is finite, nonnegative and at most
+    BLOWUP_LIMIT, and max v <= prey_cap.  The array minima and maxima are
+    NaN when any cell is, and NaN fails every comparison, so a NaN
+    anywhere makes the state inadmissible."""
+    v_max = v.max()
+    return bool(u.min() >= 0.0 and u.max() <= BLOWUP_LIMIT and v.min() >= 0.0
+                and v_max <= BLOWUP_LIMIT and v_max <= prey_cap)
+
+
+def step(u, v, t: float, grid: Grid, p: ModelParams, taxis: TaxisScheme,
+         dt: float) -> tuple[np.ndarray, np.ndarray, float, int]:
     """One SSP-RK(STAGES, 2) step of size dt from time t, with clamp-and-count
-    positivity repair; returns the new (u, v) and leaves the inputs alone.
+    positivity repair; returns the new (u, v), the mass clamped and the
+    cells clamped over its stages, and leaves the inputs alone.
 
     STAGES - 1 forward-Euler substeps y <- y + (dt/(STAGES - 1)) rhs(y),
     each clamped and counted, and one more give y; the step returns
     y + (u - y)/STAGES, clamped and counted too.  That is the convex
     combination (u + (STAGES - 1) y)/STAGES, written so that a fixed
-    point of rhs is kept bitwise.
+    point of rhs is kept bitwise.  A result with a cell that is not
+    finite or above BLOWUP_LIMIT raises BlowUp, and clamped mass above
+    1e-10 of either field's mass raises ExcessiveClamping.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0 (got {dt})")
-    mass_u = integrate_values(grid, u)
-    mass_v = integrate_values(grid, v)
-
     sub = dt / (STAGES - 1)
     u_new, v_new = u, v
     removed_u = removed_v = 0.0
@@ -320,25 +315,16 @@ def step(u, v, t: float, grid: Grid, p: ModelParams, taxis: TaxisScheme, dt: flo
         removed_v += rv
         cells += cu + cv
 
-    if not (np.isfinite(u_new).all() and np.isfinite(v_new).all()):
-        raise BlowUp(f"non-finite density at t = {t + dt:.6g}")
-    if max(float(u_new.max()), float(v_new.max())) > BLOWUP_LIMIT:
-        raise BlowUp(f"density above {BLOWUP_LIMIT:.0e} at t = {t + dt:.6g}")
-
+    if not _admissible(u_new, v_new, math.inf):
+        raise BlowUp(f"density not finite or above {BLOWUP_LIMIT:.0e} at t = {t + dt:.6g}")
     vol = grid.cell_volume
-    if vol * removed_u > 1e-10 * mass_u + _TINY or vol * removed_v > 1e-10 * mass_v + _TINY:
+    if cells and (vol * removed_u > 1e-10 * integrate_values(grid, u) + _TINY
+                  or vol * removed_v > 1e-10 * integrate_values(grid, v) + _TINY):
         raise ExcessiveClamping(
             f"clamped mass {vol * max(removed_u, removed_v):.3e} at t = {t + dt:.6g} "
             "exceeds 1e-10 of the field mass"
         )
-    if accounting is not None:
-        accounting.steps += 1
-        accounting.clamped_mass += vol * (removed_u + removed_v)
-        accounting.clamped_cells += cells
-        accounting.peak_v = max(accounting.peak_v, float(v_new.max()))
-        accounting.dt_min = min(accounting.dt_min, dt)
-        accounting.dt_max = max(accounting.dt_max, dt)
-    return u_new, v_new
+    return u_new, v_new, vol * (removed_u + removed_v), cells
 
 
 def _rkl2_stages(ratio: float) -> int:
@@ -393,46 +379,47 @@ def rkl2_step(u, v, grid: Grid, p: ModelParams, taxis: TaxisScheme, dt: float,
 def advance(u, v, t: float, t_end: float, grid: Grid, p: ModelParams, taxis: TaxisScheme,
             accounting: StepAccounting) -> tuple[np.ndarray, np.ndarray, float]:
     """One step of run_to_time from (u, v) at time t toward t_end; returns
-    the new (u, v) and the step length, and leaves the inputs alone.
+    the new (u, v) and the step length, leaves the inputs alone, and
+    counts the step in accounting.
 
-    The step is dt = min(RKL2_ACCURACY / J, t_end - t).  step_limit is the
+    With (substep, positivity, accuracy) from step_bounds, the step is
+    dt = min(accuracy, t_end - t).  min(positivity, accuracy) is the
     longest step the method guarantees, so one too small to change t, or
     one at which the rest of the run would take more than STEP_BUDGET
-    steps, raises Stalled.  When dt is longer than the SSP-RK positivity
-    bound (STAGES - 1) stable_dt, advance takes it with RKL2 in
-    _rkl2_stages(dt / stable_dt) stages and keeps it if every cell is
-    finite, nonnegative and at most BLOWUP_LIMIT and
+    steps, raises Stalled.  When dt is longer than positivity, advance
+    takes it with RKL2 in _rkl2_stages(dt / substep) stages and keeps it
+    if every cell is finite, nonnegative and at most BLOWUP_LIMIT and
     max v' <= max(max v, max(0, m2)) (1 + 1e-12); otherwise it discards it
-    and takes the SSP-RK step at the positivity bound.  A dt no longer
-    than the positivity bound is taken with SSP-RK.
+    and takes the SSP-RK step at positivity.  A dt no longer than
+    positivity is taken with SSP-RK.
     """
-    stable, positive, accurate = _bounds(u, v, grid, p)
-    limit = min(positive, accurate)
+    substep, positivity, accuracy = step_bounds(u, v, grid, p)
+    limit = min(positivity, accuracy)
     if t + min(limit, t_end - t) == t:
         raise Stalled(f"step {limit:.3e} does not advance t = {t:.6g}")
     if t_end - t > STEP_BUDGET * limit:
         raise Stalled(f"step {limit:.3e} at t = {t:.6g} leaves over {STEP_BUDGET:.0e} steps to t_end")
-    dt = min(accurate, t_end - t)
-    if dt > positive:
-        stages = _rkl2_stages(dt / stable)
+    dt = min(accuracy, t_end - t)
+    kept = False
+    if dt > positivity:
+        stages = _rkl2_stages(dt / substep)
         u_new, v_new = rkl2_step(u, v, grid, p, taxis, dt, stages)
         accounting.rhs_evaluations += stages
-        low = min(float(u_new.min()), float(v_new.min()))
-        high = max(float(u_new.max()), float(v_new.max()))
-        peak_v = float(v_new.max())
-        prey_cap = max(float(v.max()), max(0.0, p.m2)) * (1.0 + 1e-12)
-        # NaN fails every comparison, and an infinity fails one of the first two
-        if low >= 0.0 and high <= BLOWUP_LIMIT and peak_v <= prey_cap:
-            accounting.steps += 1
+        kept = _admissible(u_new, v_new, max(float(v.max()), max(0.0, p.m2)) * (1.0 + 1e-12))
+        if kept:
             accounting.rkl2_steps += 1
-            accounting.peak_v = max(accounting.peak_v, peak_v)
-            accounting.dt_min = min(accounting.dt_min, dt)
-            accounting.dt_max = max(accounting.dt_max, dt)
-            return u_new, v_new, dt
-        accounting.rkl2_rejected += 1
-        dt = positive
-    u_new, v_new = step(u, v, t, grid, p, taxis, dt, accounting)
-    accounting.rhs_evaluations += STAGES
+        else:
+            accounting.rkl2_rejected += 1
+            dt = positivity
+    if not kept:
+        u_new, v_new, clamped_mass, clamped_cells = step(u, v, t, grid, p, taxis, dt)
+        accounting.rhs_evaluations += STAGES
+        accounting.clamped_mass += clamped_mass
+        accounting.clamped_cells += clamped_cells
+    accounting.steps += 1
+    accounting.peak_v = max(accounting.peak_v, float(v_new.max()))
+    accounting.dt_min = min(accounting.dt_min, dt)
+    accounting.dt_max = max(accounting.dt_max, dt)
     return u_new, v_new, dt
 
 

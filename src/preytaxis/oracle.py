@@ -86,13 +86,16 @@ def homogeneous_ode(
 
 
 def heat_eigenmode_error(n_cells: int, k: int, d: float, t: float) -> float:
-    """Max-norm error of a simulated pure-diffusion run against the exact
-    zero-flux eigenmode on [0, 1].
+    """Max-norm error of the package's zero-flux Laplacian against the exact
+    zero-flux eigenmode on [0, 1], integrated exactly in time.
 
     The exact solution for initial data cos(k pi x) is
-    exp(-d (k pi)^2 t) cos(k pi x); the simulated run uses the package's
-    zero-flux Laplacian under Heun stepping with a conservative fixed dt,
-    so the reported error is dominated by the spatial discretization.
+    exp(-d (k pi)^2 t) cos(k pi x).  The sampled cosine w is an
+    eigenvector of the discrete Laplacian, so the semidiscrete solution
+    is exp(d lam t) w, lam the Rayleigh quotient of laplacian_values on w,
+    and the reported error is the spatial discretization's alone.
+    Raises RuntimeError when w is not an eigenvector (residual above
+    1e-10 |lam|), so a wrong Laplacian cannot pass for a right one.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0 (got {k})")
@@ -101,17 +104,13 @@ def heat_eigenmode_error(n_cells: int, k: int, d: float, t: float) -> float:
     g = Grid.uniform(1, n_cells, 1.0)
     x = g.centers(0)
     w = np.cos(k * math.pi * x)
-    h = g.h[0]
-    dt_cap = 0.2 * h * h / (2.0 * d)
-    elapsed = 0.0
-    while t - elapsed > 1e-15 * max(1.0, t):
-        dt = min(dt_cap, t - elapsed)
-        k1 = d * laplacian_values(g, w)
-        k2 = d * laplacian_values(g, w + dt * k1)
-        w = w + 0.5 * dt * (k1 + k2)
-        elapsed += dt
-    exact = math.exp(-d * (k * math.pi) ** 2 * t) * np.cos(k * math.pi * x)
-    return float(np.abs(w - exact).max())
+    lap = laplacian_values(g, w)
+    lam = float(w @ lap) / float(w @ w)
+    residual = float(np.abs(lap - lam * w).max())
+    if residual > 1e-10 * abs(lam):
+        raise RuntimeError(f"cos({k} pi x) is not a Laplacian eigenvector: residual {residual:.3e}")
+    exact = math.exp(-d * (k * math.pi) ** 2 * t) * w
+    return float(np.abs(math.exp(d * lam * t) * w - exact).max())
 
 
 def refinement_order(pairs: list[tuple[float, float]]) -> float:

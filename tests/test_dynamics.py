@@ -23,9 +23,8 @@ from preytaxis import (
     reaction_rates,
     rhs,
     run_to_time,
-    stable_dt,
     step,
-    step_limit,
+    step_bounds,
     Stalled,
     face_gradient_values,
     steady_states,
@@ -62,7 +61,8 @@ def test_step_fixes_equilibrium_bitwise():
     """The spatially constant equilibrium is a fixed point of the stepper."""
     ss = steady_states(WORKED)
     u, v, g = make_arrays(np.full((8, 8), ss.u_star), np.full((8, 8), ss.v_star))
-    u1, v1 = step(u, v, 0.0, g, WORKED, TaxisScheme.UPWIND, 0.01)
+    u1, v1, mass, cells = step(u, v, 0.0, g, WORKED, TaxisScheme.UPWIND, 0.01)
+    assert (mass, cells) == (0.0, 0)
     assert np.array_equal(u1, u)
     assert np.array_equal(v1, v)
     # the time is the caller's: run_to_time lands exactly on t_end, here
@@ -162,7 +162,7 @@ def test_flux_from_cell_values_matches_padded_face_gradients_bitwise(data, g, ta
 
 def test_stable_dt_reaction_limited():
     u, v, g = make_arrays(np.full(32, 1e6), np.zeros(32))
-    dt = stable_dt(u, v, g, WORKED)
+    dt = step_bounds(u, v, g, WORKED)[0]
     # predator loss rate: face diffusion 2 d1/h^2 = 2048 plus |m1 - u| = 1e6 - 1
     assert dt == pytest.approx(STEP_SAFETY / 1_002_047, rel=1e-12)
 
@@ -170,18 +170,19 @@ def test_stable_dt_reaction_limited():
 def test_stable_dt_diffusion_limited():
     u, v, g = make_arrays(np.full(32, 0.5), np.full(32, 1.0))
     h = 1.0 / 32
-    dt = stable_dt(u, v, g, WORKED)
+    dt = step_bounds(u, v, g, WORKED)[0]
     # face diffusion 2 (d1 + chi v)/h^2 plus |m1 - u + a v| = 1.5
     assert dt == pytest.approx(STEP_SAFETY / (4.0 / (h * h) + 1.5), rel=1e-12)
     # stronger taxis can only shrink the step
     hot = ModelParams(d1=1.0, d2=1.0, m1=1.0, m2=2.0, chi=10.0, a=1.0, b=1.0)
-    assert stable_dt(u, v, g, hot) < dt
+    assert step_bounds(u, v, g, hot)[0] < dt
 
 
 def assert_forward_euler_substep_safe(u, v, g, p, taxis):
-    """At stable_dt one forward-Euler substep keeps both fields nonnegative
-    and the prey under its logistic comparison value V + dt V (m2 - V)."""
-    dt = stable_dt(u, v, g, p)
+    """At the substep of step_bounds one forward-Euler substep keeps both
+    fields nonnegative and the prey under its logistic comparison value
+    V + dt V (m2 - V)."""
+    dt = step_bounds(u, v, g, p)[0]
     du, dv = rhs(u, v, g, p, taxis)
     u1 = u + dt * du
     v1 = v + dt * dv
@@ -191,19 +192,27 @@ def assert_forward_euler_substep_safe(u, v, g, p, taxis):
     assert v1.max() <= big_v + dt * big_v * (p.m2 - big_v) + 1e-12 * big_v
 
 
+def ssp_step_length(u, v, g, p):
+    """The SSP-RK step advance takes from (u, v), or falls back to, before
+    it is clipped to t_end: the shorter of the positivity and accuracy
+    bounds."""
+    _, positivity, accuracy = step_bounds(u, v, g, p)
+    return min(positivity, accuracy)
+
+
 def assert_full_step_clean(u, v, g, p, taxis):
-    """One step at the length run_to_time takes clamps no cell, raises
+    """One SSP-RK step at the length advance takes clamps no cell, raises
     nothing, and keeps the prey under max(max v, max(0, m2)): the maximum
     principle of the prey equation."""
-    acc = StepAccounting()
-    _, v1 = step(u, v, 0.0, g, p, taxis, step_limit(u, v, g, p), acc)
-    assert acc.clamped_cells == 0
-    assert acc.clamped_mass == 0.0
+    _, v1, mass, cells = step(u, v, 0.0, g, p, taxis, ssp_step_length(u, v, g, p))
+    assert cells == 0
+    assert mass == 0.0
     assert float(v1.max()) <= max(float(v.max()), max(0.0, p.m2)) * (1.0 + 1e-12)
 
 
 SLOW = ModelParams(d1=1e-2, d2=1e-2, m1=1e-2, m2=-3.0, chi=1e-2, a=1e-2, b=1e-2)
 LOGISTIC = ModelParams(d1=1e-2, d2=1e-2, m1=1.0, m2=0.0, chi=1.0, a=1.0, b=0.03125)
+INFLECTION = ModelParams(d1=1e-2, d2=1e-2, m1=6.6556, m2=3.7858, chi=1e-2, a=0.02006, b=1.1382)
 
 
 @pytest.mark.parametrize(
@@ -232,18 +241,39 @@ LOGISTIC = ModelParams(d1=1e-2, d2=1e-2, m1=1.0, m2=0.0, chi=1.0, a=1.0, b=0.031
         # not, so a step sized by the per-capita rate overshoots the level
         # and the next stage drives the field negative
         ([1.0] * 4, [0.03125] * 4, 3.0, LOGISTIC),
+        # predators at their inflection point u = (m1 + a v)/2 with a, b
+        # small: the Jacobian's row sums nearly vanish while the per-capita
+        # rates do not, so a step sized by the row sums alone carries the
+        # predators far enough to drive the prey negative
+        ([3.3280] * 4, [0.014535] * 4, 3.0, INFLECTION),
     ],
     ids=["donor-drift", "prey-diffusion", "prey-monotone", "prey-growth", "predator-growth",
-         "predation", "logistic-level"],
+         "predation", "logistic-level", "inflection"],
 )
 def test_each_limiter_term_binds_somewhere(u, v, length, p):
     u, v, g = make_arrays(u, v, length)
     for taxis in TaxisScheme:
         assert_forward_euler_substep_safe(u, v, g, p, taxis)
-        acc = StepAccounting()
-        step(u, v, 0.0, g, p, taxis, stable_dt(u, v, g, p), acc)
-        assert acc.clamped_cells == 0
+        _, _, mass, cells = step(u, v, 0.0, g, p, taxis, step_bounds(u, v, g, p)[0])
+        assert (mass, cells) == (0.0, 0)
         assert_full_step_clean(u, v, g, p, taxis)
+
+
+def test_advance_clamps_nothing_at_the_predator_inflection_point():
+    """Seeded sweep of constant states at the predators' inflection point
+    u = (m1 + a v)/2 with the prey near their balance m2 = b u and slow
+    transport: one step of advance clamps nothing and raises nothing."""
+    rng = np.random.default_rng(2718)
+    g = Grid.uniform(1, 4, 3.0)
+    for _ in range(3000):
+        m1, a = rng.uniform(0.1, 10.0), rng.uniform(0.01, 1.0)
+        v_level, b = 10.0 ** rng.uniform(-3.0, math.log10(0.3)), 10.0 ** rng.uniform(-2.0, 1.0)
+        u_level = (m1 + a * v_level) / 2.0
+        p = ModelParams(d1=1e-2, d2=1e-2, m1=m1, m2=b * u_level * rng.uniform(0.99, 1.01),
+                        chi=1e-2, a=a, b=b)
+        acc = StepAccounting()
+        advance(np.full(4, u_level), np.full(4, v_level), 0.0, 1e3, g, p, TaxisScheme.UPWIND, acc)
+        assert acc.clamped_cells == 0, p
 
 
 def coefficients():
@@ -287,7 +317,7 @@ def test_forward_euler_substep_at_limiter_dt_is_positive_and_monotone(
 )
 def test_full_step_clamps_nothing_for_random_coefficients(
         data, g, taxis, eps, d1, d2, chi, m1, a, b, m2):
-    """The full SSP-RK step of step_limit keeps every stage nonnegative on
+    """The full SSP-RK step of advance keeps every stage nonnegative on
     its own, over the coefficient ranges of the forward-Euler property.
     The search is steered toward predation that is fast against transport,
     where predators multiplying over the substeps raise the prey's loss
@@ -338,17 +368,26 @@ def test_full_step_clamps_nothing_near_the_predator_logistic_level(
 def test_step_limit_is_the_shorter_of_positivity_and_accuracy():
     # transport-dominated: the full step is (STAGES - 1) substeps
     u, v, g = make_arrays(np.full(32, 0.5), np.full(32, 1.0))
-    assert step_limit(u, v, g, WORKED) == pytest.approx((STAGES - 1) * stable_dt(u, v, g, WORKED), rel=1e-12)
+    substep, positivity, _ = step_bounds(u, v, g, WORKED)
+    assert positivity == pytest.approx((STAGES - 1) * substep, rel=1e-12)
+    assert ssp_step_length(u, v, g, WORKED) == positivity
     # at a constant equilibrium the reactions are 0 but their Jacobian is not
     ss = steady_states(WORKED)
     u, v, g = make_arrays(np.full(8, ss.u_star), np.full(8, ss.v_star))
-    assert step_limit(u, v, g, WORKED) == pytest.approx((STAGES - 1) * stable_dt(u, v, g, WORKED), rel=1e-12)
+    assert ssp_step_length(u, v, g, WORKED) == step_bounds(u, v, g, WORKED)[1]
     # predation case: the accuracy bound binds; the Jacobian's row sums are
-    # |m1 - 2 + a| + a = 8.02 and b + |m2 - b - 2| = 25
+    # |m1 - 2 + a| + a = 8.02 and b + |m2 - b - 2| = 25, over the
+    # per-capita rates |m1 - u + a v| = 10 and |m2 - b u - v| = 14
     p = replace(SLOW, m1=10.0, b=10.0)
     u, v, g = make_arrays([1.0] * 4, [1.0] * 4, 3.0)
-    assert step_limit(u, v, g, p) == pytest.approx(RKL2_ACCURACY / 25.0, rel=1e-12)
-    assert step_limit(u, v, g, p) < (STAGES - 1) * stable_dt(u, v, g, p)
+    _, positivity, accuracy = step_bounds(u, v, g, p)
+    assert accuracy == pytest.approx(RKL2_ACCURACY / 25.0, rel=1e-12)
+    assert accuracy < positivity
+    # at the inflection point the per-capita rate m1 - u + a v = 3.3279
+    # binds; the row sums are 0.0669 and 0.0477
+    u, v, g = make_arrays([3.3280] * 4, [0.014535] * 4, 3.0)
+    accuracy = step_bounds(u, v, g, INFLECTION)[2]
+    assert accuracy == pytest.approx(RKL2_ACCURACY / 3.3278915721, rel=1e-10)
 
 
 def test_run_to_time_takes_fast_reactions_with_ssp_rk_steps():
@@ -393,7 +432,7 @@ ROUGH = Grid.uniform(1, 16, 1.0)
 def assert_advance_safe(u, v, taxis):
     """One step of run_to_time from a rough state is finite, nonnegative and
     under the prey bound; unless it is an RKL2 step, it is the SSP-RK step
-    of step_limit's length bitwise."""
+    of ssp_step_length bitwise."""
     acc = StepAccounting()
     u1, v1, dt = advance(u, v, 0.0, 1.0, ROUGH, WORKED, taxis, acc)
     assert np.isfinite(u1).all() and np.isfinite(v1).all()
@@ -401,8 +440,8 @@ def assert_advance_safe(u, v, taxis):
     assert v1.max() <= max(float(v.max()), WORKED.m2) * (1.0 + 1e-12)
     assert acc.steps == 1
     if acc.rkl2_steps == 0:
-        safe = step_limit(u, v, ROUGH, WORKED)
-        u_ssp, v_ssp = step(u, v, 0.0, ROUGH, WORKED, taxis, safe)
+        safe = ssp_step_length(u, v, ROUGH, WORKED)
+        u_ssp, v_ssp, _, _ = step(u, v, 0.0, ROUGH, WORKED, taxis, safe)
         assert dt == safe
         assert u1.tobytes() == u_ssp.tobytes()
         assert v1.tobytes() == v_ssp.tobytes()
@@ -443,6 +482,31 @@ def count_limiter_passes(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("u", math.nan), ("v", math.nan), ("u", math.inf), ("v", -1e-300), ("v", 2.5)],
+    ids=["nan-u", "nan-v", "inf", "negative", "above-prey-cap"],
+)
+def test_advance_discards_an_inadmissible_rkl2_step(monkeypatch, field, value):
+    """An RKL2 result that fails the admissibility test in any one way is
+    discarded for the SSP-RK step at the positivity bound.  From this
+    state advance keeps the unpatched RKL2 step, and the prey cap is
+    max(max v, m2) = 2."""
+    def corrupted(*args):
+        u1, v1 = rkl2_step(*args)
+        (u1 if field == "u" else v1)[5] = value
+        return u1, v1
+
+    u, v = np.full(16, 0.5), np.full(16, 1.0)
+    monkeypatch.setattr(dynamics, "rkl2_step", corrupted)
+    acc = StepAccounting()
+    u1, v1, dt = advance(u, v, 0.0, 1.0, ROUGH, WORKED, TaxisScheme.UPWIND, acc)
+    assert (acc.rkl2_steps, acc.rkl2_rejected, acc.steps) == (0, 1, 1)
+    assert dt == step_bounds(u, v, ROUGH, WORKED)[1]
+    u_ssp, v_ssp, _, _ = step(u, v, 0.0, ROUGH, WORKED, TaxisScheme.UPWIND, dt)
+    assert u1.tobytes() == u_ssp.tobytes() and v1.tobytes() == v_ssp.tobytes()
+
+
 def test_advance_runs_each_limiter_pass_once(monkeypatch):
     rough = np.random.default_rng(299)
     cases = [
@@ -470,15 +534,14 @@ def test_advance_runs_each_limiter_pass_once(monkeypatch):
     eps=st.sampled_from((0.0, 0.1, 1.0, 10.0)),
 )
 def test_step_at_limiter_dt_clamps_nothing(data, g, taxis, eps):
-    """A step of stable_dt's length, one substep's worth, keeps every stage
+    """A step one substep of step_bounds long keeps every stage
     nonnegative on its own."""
     u = data.draw(positive_fields(g))
     v = data.draw(positive_fields(g))
     p = replace(WORKED, eps=eps)
-    acc = StepAccounting()
-    step(u, v, 0.0, g, p, taxis, stable_dt(u, v, g, p), acc)
-    assert acc.clamped_cells == 0
-    assert acc.clamped_mass == 0.0
+    _, _, mass, cells = step(u, v, 0.0, g, p, taxis, step_bounds(u, v, g, p)[0])
+    assert cells == 0
+    assert mass == 0.0
 
 
 def test_state_validation():
@@ -501,6 +564,14 @@ def test_blowup_detection():
     u, v, g = make_arrays(np.full(8, 1e13), np.zeros(8))
     with pytest.raises(BlowUp):
         # dt so small the huge density survives the step above the ceiling
+        step(u, v, 0.0, g, WORKED, TaxisScheme.UPWIND, 1e-16)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_step_raises_blowup_on_a_non_finite_cell(value):
+    u, v, g = make_arrays(np.ones(8), np.ones(8))
+    u[3] = value
+    with pytest.raises(BlowUp, match="not finite or above"), np.errstate(invalid="ignore"):
         step(u, v, 0.0, g, WORKED, TaxisScheme.UPWIND, 1e-16)
 
 

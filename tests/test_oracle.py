@@ -55,9 +55,9 @@ def test_ode_input_validation():
 
 
 def test_heat_error_matches_analytic_form():
-    """Under exact time integration the sup error of the eigenmode run is
-    |exp(-lam_h t) - exp(-lam t)| cos(k pi h / 2); Heun's time error only
-    perturbs that at the 1e-3 relative level here."""
+    """Integrated exactly in time, the sup error of the eigenmode is
+    |exp(-lam_h t) - exp(-lam t)| cos(k pi h / 2), lam_h the discrete
+    eigenvalue, up to rounding."""
     d, t, k = 1.0, 0.1, 1
     for n in (32, 64):
         h = 1.0 / n
@@ -65,7 +65,7 @@ def test_heat_error_matches_analytic_form():
         lam = d * (k * math.pi) ** 2
         predicted = abs(math.exp(-lam_h * t) - math.exp(-lam * t)) * math.cos(k * math.pi * h / 2)
         measured = heat_eigenmode_error(n, k, d, t)
-        assert measured == pytest.approx(predicted, rel=1e-3)
+        assert measured == pytest.approx(predicted, rel=1e-10)
 
 
 def test_heat_error_refines_at_second_order():
@@ -114,3 +114,12 @@ def test_seeded_fault_is_caught(monkeypatch):
     pairs = [(1.0 / n, oracle.heat_eigenmode_error(n, 1, 1.0, 1e-3)) for n in (16, 32, 64)]
     order = refinement_order(pairs)
     assert not order >= 1.9
+
+
+def test_heat_error_refuses_a_laplacian_the_cosine_is_no_eigenvector_of(monkeypatch):
+    """A Laplacian that mixes modes cannot be mistaken for one whose
+    eigenvalue merely differs: the closed form needs an eigenvector."""
+    true_lap = oracle.laplacian_values
+    monkeypatch.setattr(oracle, "laplacian_values", lambda g, w: true_lap(g, w) + 1e-6 * w[::-1] ** 2)
+    with pytest.raises(RuntimeError, match="not a Laplacian eigenvector"):
+        oracle.heat_eigenmode_error(16, 1, 1.0, 0.1)

@@ -1,14 +1,17 @@
 """Every exported name resolves, every name a demo or benchmark script
-imports exists, every attribute the benchmark's tracer wraps exists, and
-every subcommand README lists exists."""
+imports exists, every attribute the benchmark's tracer wraps exists, the
+benchmark's stored reference inputs are the ones its workloads generate,
+and every subcommand README lists exists."""
 
 import ast
 import importlib
 import importlib.util
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import preytaxis
@@ -57,6 +60,16 @@ def test_bench_imports_exist(script):
     assert not missing, f"bench/{script.name} imports names that do not exist: {missing}"
 
 
+def load_bench_module(name: str):
+    """bench/<name>.py loaded as the module bench_<name>, not run as a
+    script; it is registered first, as dataclasses need."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 # Span targets bench/spans.py still lists but the package dropped on
 # purpose; the tracer skips them.  Remove an entry when the benchmark does.
 STALE_SPAN_TARGETS = {
@@ -68,11 +81,21 @@ STALE_SPAN_TARGETS = {
 def test_bench_span_targets_exist():
     """Every (module, attribute) the traced benchmark run wraps exists,
     apart from the known stale ones."""
-    spec = importlib.util.spec_from_file_location("spans", ROOT / "bench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = load_bench_module("spans")
     missing = {f"{mod.__name__}.{attr}" for mod, attr, _ in spans.TARGETS if not hasattr(mod, attr)}
     assert missing == STALE_SPAN_TARGETS, f"bench/spans.py wraps attributes that do not exist: {missing}"
+
+
+def test_bench_reference_inputs_match_the_workloads():
+    """Each workload's default-seed input is the config text stored with
+    its reference final state, so an edit to a bundled scenario the
+    benchmark draws from, a comment included, fails here and not in the
+    reference call of every benchmark run."""
+    workloads = load_bench_module("workloads")
+    seed = load_bench_module("run").DEFAULT_SEED
+    stored = np.load(ROOT / "bench" / "reference.npz")
+    for name, workload in workloads.WORKLOADS.items():
+        assert str(stored[f"{name}.cfg"]) == next(workload.inputs(seed)), name
 
 
 def test_readme_lists_commands():
