@@ -169,8 +169,8 @@ def _criterion_4() -> tuple[bool, str]:
         s0 = State(g.field(np.full(g.n, 1.0)), g.field(np.full(g.n, 1.0)), 0.0)
         samples: list[tuple[float, float, float]] = []
 
-        def sink(state: State, out=samples) -> None:
-            out.append((state.t, float(state.u.values.mean()), float(state.v.values.mean())))
+        def sink(state: State, count: int, out=samples) -> None:
+            out.extend([(state.t, float(state.u.values.mean()), float(state.v.values.mean()))] * count)
 
         run_to_time(s0, p, TaxisScheme.UPWIND, 10.0, 0.5, sink=sink)
         times = [t for t, _, _ in samples]
@@ -241,7 +241,7 @@ def _criterion_7() -> tuple[bool, str]:
     if result.certificate is None:
         return False, f"no certificate: {result.certificate_reason}"
     report = check_energy_decay(result.records, result.certificate, tol_budget=1e-6)
-    passed = report.monotone_ok and report.slope_fraction >= 0.99 and report.budget_ok
+    passed = report.n_pairs > 0 and report.monotone_ok and report.slope_fraction >= 0.99 and report.budget_ok
     return passed, (
         f"monotone={report.monotone_ok} (max rise {report.max_increase_rate:.2e}); "
         f"slope bound holds at {report.slope_fraction:.2%} of {report.n_pairs} pairs "

@@ -30,14 +30,13 @@ from io import StringIO
 
 import numpy as np
 
-from .dynamics import State, StepAccounting
+from .dynamics import State
 from .grid import Grid, gradient_sq_values, integrate_values
 from .model import ModelParams, StabilizationCertificate, SteadyState
 
 __all__ = [
     "U_FLOOR",
     "DiagnosticsRecord",
-    "RunContext",
     "EnergyDecayReport",
     "entropy_integral",
     "record",
@@ -75,16 +74,6 @@ class DiagnosticsRecord:
     floored_cells: int
 
 
-@dataclass
-class RunContext:
-    """Static inputs a record needs besides the state itself."""
-
-    params: ModelParams
-    steady_state: SteadyState
-    certificate: StabilizationCertificate | None
-    accounting: StepAccounting
-
-
 def _entropy(grid: Grid, floored: np.ndarray, xi: float) -> float:
     """Entropy integral of values already floored at U_FLOOR."""
     if xi < 0:
@@ -105,18 +94,17 @@ def entropy_integral(grid: Grid, values: np.ndarray, xi: float) -> float:
     return _entropy(grid, np.maximum(values, U_FLOOR), xi)
 
 
-def record(s: State, ctx: RunContext) -> DiagnosticsRecord:
+def record(s: State, p: ModelParams, ss: SteadyState,
+           cert: StabilizationCertificate | None, clamped_mass: float) -> DiagnosticsRecord:
     """Assemble the full diagnostics row for one sampled state.
 
     Each integral is taken once: energy and dissipation are sums of the
     same numbers that fill the entropy and distance columns.  Without a
     certificate (or without a relaxed bound in it) the energy drops its
-    quadratic prey term, the observational fallback.
+    quadratic prey term, the observational fallback.  clamped_mass is
+    the mass the run has clamped so far; the row copies it.
     """
     g = s.grid
-    p = ctx.params
-    ss = ctx.steady_state
-    cert = ctx.certificate
     u = s.u.values
     v = s.v.values
     uf = np.maximum(u, U_FLOOR)
@@ -147,7 +135,7 @@ def record(s: State, ctx: RunContext) -> DiagnosticsRecord:
             + sq_u
             + sq_v
         ),
-        clamped_mass=ctx.accounting.clamped_mass,
+        clamped_mass=clamped_mass,
         floored_cells=int((u < U_FLOOR).sum() + (v < U_FLOOR).sum()),
     )
 

@@ -36,7 +36,7 @@ derives the substep and both bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -429,62 +429,53 @@ def run_to_time(
     taxis: TaxisScheme,
     t_end: float,
     sample_every: float,
-    sink: Callable[[State], None] | None = None,
+    sink: Callable[[State, int], None] | None = None,
     accounting: StepAccounting | None = None,
 ) -> State:
-    """March from s0 to t_end with the steps of advance.
+    """March from s0 to t_end with the steps of advance; return the state
+    at t_end.
 
-    The sink is called once at the start and then at the first completed
-    step at or after each multiple of sample_every (no interpolation), so
-    a full run emits floor((t_end - t0)/sample_every) + 1 samples.  The
-    final step is clipped to land on t_end.  A step too small to change
-    t, or one at which the rest of the run would take more than
-    STEP_BUDGET steps, raises Stalled (from advance) instead of looping
-    without end.
-    More than SAMPLE_BUDGET sample intervals raise ValueError before the
-    first sample is emitted.
+    run_to_time alone decides which sample times t0 + k*sample_every,
+    k = 1..floor((t_end - t0)/sample_every + 1e-9), a state fills; there
+    is no interpolation.  The sink gets s0 with count 1, then each step
+    end with the count, at least 1, of sample times it is the first step
+    end at or after (to 1e-9 of sample_every); the step that lands on
+    t_end counts every sample time still left.  So the counts of a full
+    run add up to floor((t_end - t0)/sample_every + 1e-9) + 1, and a step
+    reaching several sample times is passed once.  The final step is
+    clipped to land on t_end.  A step too small to change t, or one at
+    which the rest of the run would take more than STEP_BUDGET steps,
+    raises Stalled (from advance) instead of looping without end.
+    A NaN t_end or sample_every, or more than SAMPLE_BUDGET sample
+    intervals, raises ValueError before the sink is first called.
     """
-    if t_end < s0.t:
-        raise ValueError(f"t_end {t_end} precedes the state time {s0.t}")
-    if sample_every <= 0:
+    if not t_end >= s0.t:
+        raise ValueError(f"t_end must be >= the state time {s0.t} (got {t_end})")
+    if not sample_every > 0:
         raise ValueError(f"sample_every must be > 0 (got {sample_every})")
     intervals = (t_end - s0.t) / sample_every
     if intervals > SAMPLE_BUDGET:
         raise ValueError(f"{intervals:.3g} sample intervals exceed SAMPLE_BUDGET = {SAMPLE_BUDGET:.0e}")
     acc = accounting if accounting is not None else StepAccounting()
     acc.peak_v = max(acc.peak_v, float(s0.v.values.max()))
-
-    def emit(state: State) -> None:
-        if sink is not None:
-            sink(state)
-
-    emit(s0)
+    if sink is not None:
+        sink(s0, 1)
     if t_end == s0.t:
         return s0
 
     grid = s0.grid
-    u = s0.u.values.copy()
-    v = s0.v.values.copy()
-    t0 = s0.t
+    u, v, t0 = s0.u.values, s0.v.values, s0.t
     t = t0
     n_samples = int(math.floor(intervals + 1e-9))
     next_sample = 1
     time_eps = 1e-12 * max(1.0, abs(t_end))
-    state = s0
-    while t_end - t > time_eps:
+    while t < t_end:
         u, v, dt = advance(u, v, t, t_end, grid, p, taxis, acc)
         t = t_end if t_end - (t + dt) <= time_eps else t + dt
-        state = None
-        while next_sample <= n_samples and t >= t0 + next_sample * sample_every - 1e-9 * sample_every:
-            if state is None:
-                state = State(Field(grid, u), Field(grid, v), t)
-            emit(state)
-            next_sample += 1
-    if state is None:
-        state = State(Field(grid, u), Field(grid, v), t)
-    if state.t != t_end and abs(state.t - t_end) <= time_eps:
-        state = replace(state, t=t_end)
-    while next_sample <= n_samples:  # guard against float stragglers
-        emit(state)
-        next_sample += 1
-    return state
+        reached = n_samples + 1 if t == t_end else next_sample
+        while reached <= n_samples and t >= t0 + reached * sample_every - 1e-9 * sample_every:
+            reached += 1
+        if reached > next_sample and sink is not None:
+            sink(State(Field(grid, u), Field(grid, v), t), reached - next_sample)
+        next_sample = reached
+    return State(Field(grid, u), Field(grid, v), t_end)

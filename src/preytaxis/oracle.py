@@ -30,6 +30,10 @@ __all__ = [
 ]
 
 
+# Local relative tolerance of the reference ODE integration.
+_ODE_REL_TOL = 1e-10
+
+
 class DegenerateInput(ValueError):
     """Refinement data that cannot yield an order (zero error, single point)."""
 
@@ -46,7 +50,6 @@ def homogeneous_ode(
     v0: float,
     p: ModelParams,
     t_end: float,
-    rel_tol: float = 1e-10,
     t_eval=None,
 ) -> OdeTrajectory:
     """Reference solution of the space-free reaction system.
@@ -54,7 +57,8 @@ def homogeneous_ode(
     du/dt = u (m1 - u + a v),  dv/dt = v (m2 - b u - v),
 
     integrated with an adaptive embedded RK 4(5) pair at local relative
-    tolerance rel_tol.  t_eval optionally pins the output times.
+    tolerance _ODE_REL_TOL, absolute tolerance 1e-3 of it.  t_eval
+    optionally pins the output times.
 
     solve_ivp is imported here rather than at module top so that
     importing the package does not load scipy (see the module docstring).
@@ -75,8 +79,8 @@ def homogeneous_ode(
         (0.0, t_end),
         [u0, v0],
         method="RK45",
-        rtol=rel_tol,
-        atol=rel_tol * 1e-3,
+        rtol=_ODE_REL_TOL,
+        atol=_ODE_REL_TOL * 1e-3,
         t_eval=t_eval,
         dense_output=False,
     )

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import diagnostics, model
 from .config import ConfigError, RunConfig, SWEEPABLE_KEYS, build_config, initial_state
-from .diagnostics import DiagnosticsRecord, RunContext
+from .diagnostics import DiagnosticsRecord
 from .dynamics import RKL2_ACCURACY, STAGES, STEP_SAFETY, BlowUp, State, StepAccounting, run_to_time
 from .grid import gradient_sq_values, integrate_values, write_snapshot
 
@@ -62,21 +62,11 @@ def execute(config: RunConfig) -> RunResult:
         certificate = None
         reason = f"condition fails: {exc}"
     accounting = StepAccounting()
-    ctx = RunContext(
-        params=config.params,
-        steady_state=ss,
-        certificate=certificate,
-        accounting=accounting,
-    )
     records: list[DiagnosticsRecord] = []
-    last_state = None
 
-    def sink(state: State) -> None:
-        # run_to_time passes one State once per sample time its step
-        # crossed; nothing a record reads changes between those calls.
-        nonlocal last_state
-        records.append(records[-1] if state is last_state else diagnostics.record(state, ctx))
-        last_state = state
+    def sink(state: State, count: int) -> None:
+        row = diagnostics.record(state, config.params, ss, certificate, accounting.clamped_mass)
+        records.extend([row] * count)
 
     status = "completed"
     final_state = None

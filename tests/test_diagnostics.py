@@ -14,10 +14,8 @@ from preytaxis import (
     Grid,
     ModelParams,
     Regime,
-    RunContext,
     StabilizationCertificate,
     State,
-    StepAccounting,
     TaxisScheme,
     certify,
     check_energy_decay,
@@ -66,17 +64,12 @@ def test_entropy_integral_rejects_negative_level():
         entropy_integral(g, np.ones(8), -0.1)
 
 
-def fresh_context(p=WORKED, cert=None):
-    return RunContext(
-        params=p,
-        steady_state=steady_states(p),
-        certificate=cert,
-        accounting=StepAccounting(),
-    )
+def record_of(s, p=WORKED, cert=None):
+    return record(s, p, steady_states(p), cert, 0.0)
 
 
 def constant_record(grid, u, v, cert=None):
-    return record(State(grid.field(u), grid.field(v), 0.0), fresh_context(cert=cert))
+    return record_of(State(grid.field(u), grid.field(v), 0.0), cert=cert)
 
 
 def test_dissipation_constant_fields():
@@ -108,13 +101,12 @@ def test_energy_infinite_relaxed_bound_drops_quadratic_term():
 
 
 def test_record_constant_and_cosine_fields():
-    ctx = fresh_context()
-    ss = ctx.steady_state
+    ss = steady_states(WORKED)
     g = Grid.uniform(1, 32, 2.0)
     amp = 0.25
     v = ss.v_star + amp * np.cos(np.pi * g.centers(0) / 2.0)
     s = State(g.field(ss.u_star), g.field(v), 1.5)
-    r = record(s, ctx)
+    r = record_of(s)
     assert r.t == 1.5
     assert r.mass_u == pytest.approx(ss.u_star * 2.0, rel=1e-14)
     assert r.dist_u_l1 == 0.0
@@ -133,11 +125,10 @@ def test_record_constant_and_cosine_fields():
 
 def test_record_uses_certificate_relaxed_bound():
     cert = certify(WORKED, v0_sup=1.5)
-    ctx = fresh_context(cert=cert)
     g = Grid.uniform(1, 16, 2.0)
     s = State(g.field(1.0), g.field(1.0), 0.0)
-    r = record(s, ctx)
-    ss = ctx.steady_state
+    r = record_of(s, cert=cert)
+    ss = steady_states(WORKED)
     quad = (2.0 / cert.m2_relaxed) * 2.0 * (1.0 - ss.v_star) ** 2
     assert r.energy == pytest.approx(r.entropy_u + r.entropy_v + quad, rel=1e-13)
 
@@ -179,7 +170,7 @@ def test_record_energy_and_dissipation_are_sums_of_their_terms(data, p, cert):
     u = data.draw(positive_fields(g))
     v = data.draw(positive_fields(g))
     ss = steady_states(p)
-    r = record(State(g.field(u), g.field(v), 0.0), fresh_context(p, cert))
+    r = record_of(State(g.field(u), g.field(v), 0.0), p, cert)
 
     assert r.entropy_u >= 0.0 and r.entropy_v >= 0.0
     quad = 0.0 if cert is None else 2.0 / (p.b**2 * cert.m2_relaxed) * r.dist_v_l2**2
@@ -198,7 +189,7 @@ def test_record_energy_and_dissipation_are_sums_of_their_terms(data, p, cert):
 def test_record_vanishes_exactly_at_equilibrium(g, p, cert):
     ss = steady_states(p)
     assert ss.regime is Regime.COEXISTENCE
-    r = record(State(g.field(ss.u_star), g.field(ss.v_star), 0.0), fresh_context(p, cert))
+    r = record_of(State(g.field(ss.u_star), g.field(ss.v_star), 0.0), p, cert)
     assert r.energy == 0.0
     assert r.dissipation == 0.0
 
@@ -232,7 +223,7 @@ def test_energy_decays_at_the_certified_rate_on_a_steep_prey_state(chi, taxis):
     v = 0.05 * (1.0 + 0.9 * np.cos(4.0 * np.pi * g.centers(0)))
     cert = certify(p, float(v.max()))
     assert float(v.max()) <= (1.0 - cert.delta) * cert.m2_relaxed
-    dissipation = record(State(g.field(u), g.field(v), 0.0), fresh_context(p, cert)).dissipation
+    dissipation = record_of(State(g.field(u), g.field(v), 0.0), p, cert).dissipation
     assert energy_rate(u, v, g, p, cert, taxis) <= -cert.delta * dissipation
 
 

@@ -619,13 +619,15 @@ def test_mass_rate_equals_reaction_integral_property(data, g, scheme, eps):
 
 def test_run_to_time_sampling_layout():
     s = make_state(np.ones(16), np.ones(16))
-    samples = []
+    seen = []
     final = run_to_time(
         s, WORKED, TaxisScheme.UPWIND, t_end=1.0, sample_every=0.3,
-        sink=lambda st: samples.append(st.t),
+        sink=lambda st, count: seen.append((st.t, count)),
     )
+    assert seen[0] == (0.0, 1)
+    assert all(count >= 1 for _, count in seen)
+    samples = [t for t, count in seen for _ in range(count)]
     assert len(samples) == 4  # t=0 plus multiples 0.3, 0.6, 0.9
-    assert samples[0] == 0.0
     assert final.t == 1.0
     for k, t in enumerate(samples[1:], start=1):
         assert t >= 0.3 * k - 1e-12
@@ -635,9 +637,9 @@ def test_run_to_time_identity_when_already_there():
     s = make_state(np.ones(8), np.ones(8), t=2.0)
     seen = []
     out = run_to_time(s, WORKED, TaxisScheme.UPWIND, t_end=2.0, sample_every=0.5,
-                      sink=seen.append)
+                      sink=lambda st, count: seen.append((st, count)))
     assert out is s
-    assert seen == [s]
+    assert seen == [(s, 1)]
 
 
 def test_run_to_time_validation():
@@ -656,7 +658,7 @@ def test_run_to_time_rejects_more_samples_than_the_budget():
 
     calls = []
 
-    def sink(state):
+    def sink(state, count):
         calls.append(state.t)
         if len(calls) > 1:
             raise SinkCalled
@@ -665,6 +667,45 @@ def test_run_to_time_rejects_more_samples_than_the_budget():
     with pytest.raises(ValueError, match="SAMPLE_BUDGET"):
         run_to_time(s, WORKED, TaxisScheme.UPWIND, t_end=1.0, sample_every=1e-12, sink=sink)
     assert calls == []
+
+
+@pytest.mark.parametrize("arg", ["t_end", "sample_every"])
+def test_run_to_time_rejects_nan_before_the_first_sample(arg):
+    calls = []
+    times = {"t_end": 1.0, "sample_every": 0.25, arg: math.nan}
+    s = make_state(np.ones(8), np.ones(8))
+    with pytest.raises(ValueError, match=arg):
+        run_to_time(s, WORKED, TaxisScheme.UPWIND, sink=lambda *a: calls.append(a), **times)
+    assert calls == []
+
+
+def test_run_to_time_last_step_fills_every_sample_time_left():
+    # 951,157 intervals, and t_end falls short of the last sample time by
+    # more than the membership test's 1e-9 * sample_every slack, so only
+    # the step that lands on t_end can fill it
+    t0, sample_every, t_end = 43.43776922558479, 3.409968503057632e-06, 46.68118463704757
+    n = math.floor((t_end - t0) / sample_every + 1e-9)
+    assert n == 951_157
+    assert t_end < t0 + n * sample_every - 1e-9 * sample_every
+    ss = steady_states(WORKED)
+    s = make_state(np.full(4, ss.u_star), np.full(4, ss.v_star), t=t0)
+    seen = []
+    final = run_to_time(s, WORKED, TaxisScheme.UPWIND, t_end=t_end, sample_every=sample_every,
+                        sink=lambda st, count: seen.append((st.t, count)))
+    assert sum(count for _, count in seen) == n + 1
+    assert seen[-1][0] == t_end == final.t
+
+
+def test_run_to_time_steps_to_an_end_time_within_rounding_of_the_start():
+    # t_end - t0 is below the 1e-12 snapping tolerance; the sample at
+    # t_end is still a state a step reached, not s0 relabelled
+    s = make_state(np.ones(8), np.ones(8))
+    seen = []
+    acc = StepAccounting()
+    final = run_to_time(s, WORKED, TaxisScheme.UPWIND, t_end=1e-13, sample_every=1e-13,
+                        sink=lambda st, count: seen.append((st.t, count)), accounting=acc)
+    assert seen == [(0.0, 1), (1e-13, 1)]
+    assert acc.steps == 1 and final.t == 1e-13
 
 
 def test_run_to_time_raises_stalled_when_t_cannot_move():
@@ -721,7 +762,7 @@ def test_random_runs_respect_bounds():
         records = []
         run_to_time(
             s0, p, TaxisScheme.UPWIND, t_end=1.0, sample_every=0.25,
-            sink=records.append, accounting=acc,
+            sink=lambda st, count: records.append(st), accounting=acc,
         )
         assert acc.clamped_mass == 0.0
         assert acc.clamped_cells == 0

@@ -118,27 +118,27 @@ def test_execute_is_deterministic():
 
 
 def test_execute_records_each_sampled_state_once(monkeypatch):
-    """A step that crosses several sample times emits one State for each of
-    them; the record is computed once per State and repeated per row."""
+    """A step that reaches several sample times is passed to the sink once
+    with their count; the record is computed once per call and repeated
+    per row."""
     cfg = small_config("run.t_end = 0.01\nrun.sample_every = 0.0005")
     emitted = []
     run_to_time(initial_state(cfg), cfg.params, cfg.taxis, cfg.t_end, cfg.sample_every,
-                sink=emitted.append)
-    distinct = len({id(state) for state in emitted})
-    assert len(emitted) == 21 and distinct < len(emitted)
+                sink=lambda state, count: emitted.append((state.t, count)))
+    assert sum(count for _, count in emitted) == 21 and len(emitted) < 21
 
     recorded = []
     original = diagnostics.record
 
-    def counting(state, ctx):
-        recorded.append(state)
-        return original(state, ctx)
+    def counting(state, *args):
+        recorded.append(state.t)
+        return original(state, *args)
 
     monkeypatch.setattr(diagnostics, "record", counting)
     result = execute(cfg)
     assert len(result.records) == 21  # one row per sample time
-    assert len(recorded) == distinct
-    assert [r.t for r in result.records] == [state.t for state in emitted]
+    assert recorded == [t for t, _ in emitted]
+    assert [r.t for r in result.records] == [t for t, count in emitted for _ in range(count)]
 
 
 def read_summary(path):
