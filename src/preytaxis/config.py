@@ -103,7 +103,6 @@ class RunConfig:
     t_end: float
     sample_every: float
     out_dir: str
-    seed: int
     items: dict[str, str]  # effective key -> raw value echo
 
 
@@ -229,6 +228,7 @@ def build_config(items: dict[str, str]) -> RunConfig:
             f"run.t_end / run.sample_every must be <= {SAMPLE_BUDGET:.0e} "
             f"(got {t_end / sample_every:.3g}); every sample keeps a record in memory"
         )
+    _int(merged, "run.seed")  # validated and echoed in items; no recipe reads it
 
     return RunConfig(
         params=params,
@@ -238,7 +238,6 @@ def build_config(items: dict[str, str]) -> RunConfig:
         t_end=t_end,
         sample_every=sample_every,
         out_dir=merged["output.dir"],
-        seed=_int(merged, "run.seed"),
         items=merged,
     )
 
@@ -262,8 +261,8 @@ def scenario_items(name: str) -> dict[str, str]:
 def initial_state(config: RunConfig) -> State:
     """Evaluate the named recipe at the cell centers.
 
-    The seed is reserved for randomized recipes and echoed into the
-    manifest; both named recipes are deterministic.
+    Both named recipes are deterministic; run.seed is only echoed into
+    the manifest's config.
     """
     g = config.grid
     ic = config.initial

@@ -70,7 +70,6 @@ class DiagnosticsRecord:
     entropy_v: float
     energy: float
     dissipation: float
-    clamped_mass: float
     floored_cells: int
 
 
@@ -95,14 +94,13 @@ def entropy_integral(grid: Grid, values: np.ndarray, xi: float) -> float:
 
 
 def record(s: State, p: ModelParams, ss: SteadyState,
-           cert: StabilizationCertificate | None, clamped_mass: float) -> DiagnosticsRecord:
+           cert: StabilizationCertificate | None) -> DiagnosticsRecord:
     """Assemble the full diagnostics row for one sampled state.
 
     Each integral is taken once: energy and dissipation are sums of the
     same numbers that fill the entropy and distance columns.  Without a
     certificate (or without a relaxed bound in it) the energy drops its
-    quadratic prey term, the observational fallback.  clamped_mass is
-    the mass the run has clamped so far; the row copies it.
+    quadratic prey term, the observational fallback.
     """
     g = s.grid
     u = s.u.values
@@ -135,7 +133,6 @@ def record(s: State, p: ModelParams, ss: SteadyState,
             + sq_u
             + sq_v
         ),
-        clamped_mass=clamped_mass,
         floored_cells=int((u < U_FLOOR).sum() + (v < U_FLOOR).sum()),
     )
 

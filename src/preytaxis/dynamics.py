@@ -18,8 +18,13 @@ clipped to t_end; advance picks the method that takes it.  When dt is
 longer than the SSP-RK positivity bound, it takes the s-stage
 Runge-Kutta-Legendre method RKL2 (Meyer, Balsara & Aslam 2014), whose
 stability interval grows as s^2, so diffusion no longer bounds the
-step.  RKL2 does not preserve positivity, so a step that is not
-admissible is discarded.
+step.
+
+One admissibility rule judges both methods, and the stepper never
+repairs a state: every cell of a kept step is finite, nonnegative and at
+most BLOWUP_LIMIT.  RKL2 does not preserve positivity, so an RKL2 step
+that breaks it, or lifts the prey maximum past its cap, is discarded; an
+SSP-RK step that breaks it raises BlowUp.
 
 The proven step is the s-stage second-order SSP Runge-Kutta method
 SSP-RK(s, 2) with s = STAGES (Spiteri & Ruuth 2002; low-storage form
@@ -42,13 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import (
-    Field,
-    Grid,
-    divergence_values,
-    integrate_values,
-    laplacian_values,
-)
+from .grid import Field, Grid, divergence_values, laplacian_values
 from .model import ModelParams, taxis_mobility
 
 __all__ = [
@@ -56,7 +55,6 @@ __all__ = [
     "State",
     "StepAccounting",
     "BlowUp",
-    "ExcessiveClamping",
     "Stalled",
     "STEP_SAFETY",
     "STAGES",
@@ -85,15 +83,10 @@ STAGES = 4  # forward-Euler substeps per SSP-RK(s, 2) step, each of length dt/(S
 RKL2_ACCURACY = 0.05
 STEP_BUDGET = 1e8  # most limiter steps run_to_time lets the rest of a run need
 SAMPLE_BUDGET = 1e6  # most sample intervals run_to_time (and a config) may ask for
-_TINY = 1e-300
 
 
 class BlowUp(RuntimeError):
     """A field value left [0, 1e12] or stopped being finite."""
-
-
-class ExcessiveClamping(BlowUp):
-    """Negative mass removed in one step exceeded 1e-10 of the field mass."""
 
 
 class Stalled(BlowUp):
@@ -136,8 +129,7 @@ class StepAccounting:
     discarded steps included."""
 
     steps: int = 0
-    clamped_mass: float = 0.0
-    clamped_cells: int = 0
+    clamped_cells: int = 0  # always 0, since no step clamps; kept because bench/ reads it
     peak_v: float = field(default=-math.inf)
     dt_min: float = field(default=math.inf)
     dt_max: float = 0.0
@@ -261,17 +253,6 @@ def step_bounds(u, v, grid: Grid, p: ModelParams) -> tuple[float, float, float]:
 
 # --- time stepping -----------------------------------------------------------
 
-def _clamp_negative(arr: np.ndarray) -> tuple[float, int]:
-    """Zero out negative entries in place; return (removed sum, cell count)."""
-    negative = arr < 0
-    count = int(negative.sum())
-    if count == 0:
-        return 0.0, 0
-    removed = -float(arr[negative].sum())
-    arr[negative] = 0.0
-    return removed, count
-
-
 def _admissible(u, v, prey_cap: float) -> bool:
     """Whether every cell of u and v is finite, nonnegative and at most
     BLOWUP_LIMIT, and max v <= prey_cap.  The array minima and maxima are
@@ -283,48 +264,31 @@ def _admissible(u, v, prey_cap: float) -> bool:
 
 
 def step(u, v, t: float, grid: Grid, p: ModelParams, taxis: TaxisScheme,
-         dt: float) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """One SSP-RK(STAGES, 2) step of size dt from time t, with clamp-and-count
-    positivity repair; returns the new (u, v), the mass clamped and the
-    cells clamped over its stages, and leaves the inputs alone.
+         dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """One SSP-RK(STAGES, 2) step of size dt from time t; returns the new
+    (u, v) with no positivity repair and leaves the inputs alone.
 
-    STAGES - 1 forward-Euler substeps y <- y + (dt/(STAGES - 1)) rhs(y),
-    each clamped and counted, and one more give y; the step returns
-    y + (u - y)/STAGES, clamped and counted too.  That is the convex
-    combination (u + (STAGES - 1) y)/STAGES, written so that a fixed
-    point of rhs is kept bitwise.  A result with a cell that is not
-    finite or above BLOWUP_LIMIT raises BlowUp, and clamped mass above
-    1e-10 of either field's mass raises ExcessiveClamping.
+    STAGES - 1 forward-Euler substeps y <- y + (dt/(STAGES - 1)) rhs(y)
+    and one more give y; the step returns y + (u - y)/STAGES.  That is
+    the convex combination (u + (STAGES - 1) y)/STAGES, written so that a
+    fixed point of rhs is kept bitwise.  A result with a cell that is
+    negative, not finite or above BLOWUP_LIMIT raises BlowUp: the same
+    admissibility rule advance applies to an RKL2 step, without its prey
+    cap.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0 (got {dt})")
     sub = dt / (STAGES - 1)
     u_new, v_new = u, v
-    removed_u = removed_v = 0.0
-    cells = 0
-    for stage in range(1, STAGES + 1):
+    for _ in range(STAGES):
         du, dv = rhs(u_new, v_new, grid, p, taxis)
         u_new = u_new + sub * du
         v_new = v_new + sub * dv
-        if stage == STAGES:
-            u_new = u_new + (u - u_new) / STAGES
-            v_new = v_new + (v - v_new) / STAGES
-        ru, cu = _clamp_negative(u_new)
-        rv, cv = _clamp_negative(v_new)
-        removed_u += ru
-        removed_v += rv
-        cells += cu + cv
-
+    u_new = u_new + (u - u_new) / STAGES
+    v_new = v_new + (v - v_new) / STAGES
     if not _admissible(u_new, v_new, math.inf):
-        raise BlowUp(f"density not finite or above {BLOWUP_LIMIT:.0e} at t = {t + dt:.6g}")
-    vol = grid.cell_volume
-    if cells and (vol * removed_u > 1e-10 * integrate_values(grid, u) + _TINY
-                  or vol * removed_v > 1e-10 * integrate_values(grid, v) + _TINY):
-        raise ExcessiveClamping(
-            f"clamped mass {vol * max(removed_u, removed_v):.3e} at t = {t + dt:.6g} "
-            "exceeds 1e-10 of the field mass"
-        )
-    return u_new, v_new, vol * (removed_u + removed_v), cells
+        raise BlowUp(f"density negative, not finite or above {BLOWUP_LIMIT:.0e} at t = {t + dt:.6g}")
+    return u_new, v_new
 
 
 def _rkl2_stages(ratio: float) -> int:
@@ -391,7 +355,8 @@ def advance(u, v, t: float, t_end: float, grid: Grid, p: ModelParams, taxis: Tax
     if every cell is finite, nonnegative and at most BLOWUP_LIMIT and
     max v' <= max(max v, max(0, m2)) (1 + 1e-12); otherwise it discards it
     and takes the SSP-RK step at positivity.  A dt no longer than
-    positivity is taken with SSP-RK.
+    positivity is taken with SSP-RK, and an SSP-RK step that is not
+    admissible raises BlowUp (from step).
     """
     substep, positivity, accuracy = step_bounds(u, v, grid, p)
     limit = min(positivity, accuracy)
@@ -412,10 +377,8 @@ def advance(u, v, t: float, t_end: float, grid: Grid, p: ModelParams, taxis: Tax
             accounting.rkl2_rejected += 1
             dt = positivity
     if not kept:
-        u_new, v_new, clamped_mass, clamped_cells = step(u, v, t, grid, p, taxis, dt)
+        u_new, v_new = step(u, v, t, grid, p, taxis, dt)
         accounting.rhs_evaluations += STAGES
-        accounting.clamped_mass += clamped_mass
-        accounting.clamped_cells += clamped_cells
     accounting.steps += 1
     accounting.peak_v = max(accounting.peak_v, float(v_new.max()))
     accounting.dt_min = min(accounting.dt_min, dt)

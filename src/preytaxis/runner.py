@@ -65,7 +65,7 @@ def execute(config: RunConfig) -> RunResult:
     records: list[DiagnosticsRecord] = []
 
     def sink(state: State, count: int) -> None:
-        row = diagnostics.record(state, config.params, ss, certificate, accounting.clamped_mass)
+        row = diagnostics.record(state, config.params, ss, certificate)
         records.extend([row] * count)
 
     status = "completed"
@@ -128,8 +128,7 @@ def _write_manifest(result: RunResult, out: Path) -> None:
         "rkl2_steps": acc.rkl2_steps,
         "rkl2_rejected_steps": acc.rkl2_rejected,
         "rhs_evaluations": acc.rhs_evaluations,
-        "clamped_mass": acc.clamped_mass,
-        "clamped_cells": acc.clamped_cells,
+        "clamped_cells": acc.clamped_cells,  # always 0; kept because bench/ reads it
         "peak_v": acc.peak_v,
         "termination": result.status,
     }

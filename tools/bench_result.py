@@ -7,7 +7,10 @@ The last non-empty line of stdin must be strict JSON (NaN and Infinity
 are refused, as json.load would accept them) holding an object with
 the keys correct, attempted, failed and metrics.  The exit code is 1
 when it is not, when a call failed, or, with --no-clamping, when the
-traced run's dynamics.clamped_cells is not 0; otherwise 0.
+traced run's dynamics.clamped_cells is not 0; otherwise 0.  No step
+clamps any more, so that count is 0 on working code; --no-clamping
+checks that the benchmark still reads it and that the traced run's
+result line is strict JSON.
 """
 
 from __future__ import annotations
