@@ -7,9 +7,9 @@ prey-enhanced diffusion with drift up the prey gradient,
     flux = (d1 + chi*v_face) * (u_R - u_L)/h - chi * F(u_face) * (v_R - v_L)/h,
 
 where v_face is the arithmetic face mean and u_face is the donor cell's
-value (upwind, the default) or the face mean (central).  flux_u forms
-the interior faces only, and divergence_values gives the walls zero
-flux.  Prey diffuse with the plain zero-flux Laplacian.
+value (upwind, the default) or the face mean (central).  flux_u writes
+it into grid's face arrays, zero on the walls; rhs forms the prey's face
+gradients once, for the drift and for the prey's zero-flux diffusion.
 
 run_to_time takes each step with advance, the one place that keeps,
 discards and counts a step; step and rkl2_step only compute one.  Every
@@ -47,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import Field, Grid, divergence_values, laplacian_values
+from .grid import Field, Grid, divergence_values, face_gradient_values
 from .model import ModelParams, taxis_mobility
 
 __all__ = [
@@ -149,15 +149,17 @@ def reaction_rates(u: np.ndarray, v: np.ndarray, p: ModelParams) -> tuple[np.nda
 
 # --- predator flux ----------------------------------------------------------
 
-def flux_u(u, v, grid: Grid, p: ModelParams, taxis: TaxisScheme) -> tuple[np.ndarray, ...]:
-    """Predator flux on every interior face, per axis, from the values of the
-    two cells it separates; the walls carry none and have no entry."""
+def flux_u(u, v, grid: Grid, p: ModelParams, taxis: TaxisScheme,
+           grad_v: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """Predator flux on every face, per axis, as face arrays (see grid),
+    from the values of the two cells each face separates and the prey's
+    face gradients grad_v (face_gradient_values of v)."""
+    x_u, x_v = u.ravel(), v.ravel()
     fluxes = []
-    for ax in range(grid.dim):
-        left, right, h = grid.left[ax], grid.right[ax], grid.h[ax]
-        u_l, u_r, v_l, v_r = u[left], u[right], v[left], v[right]
+    for ax, (s, h) in enumerate(zip(grid.stride, grid.h)):
+        u_l, u_r, v_l, v_r = x_u[:-s], x_u[s:], x_v[:-s], x_v[s:]
         v_face = 0.5 * (v_l + v_r)
-        drift = p.chi * ((v_r - v_l) / h)
+        drift = p.chi * grad_v[ax][s:-s]
         if taxis is TaxisScheme.UPWIND:
             # donor cell: positive drift carries density from the left cell
             u_face = np.where(drift > 0, u_l, u_r)
@@ -165,20 +167,21 @@ def flux_u(u, v, grid: Grid, p: ModelParams, taxis: TaxisScheme) -> tuple[np.nda
             u_face = 0.5 * (u_l + u_r)
 
         diffusion = (p.d1 + p.chi * v_face) * ((u_r - u_l) / h)
-        fluxes.append(diffusion - taxis_mobility(u_face, p.eps) * drift)
+        fluxes.append(grid.face_difference(ax, diffusion, taxis_mobility(u_face, p.eps) * drift))
     return tuple(fluxes)
 
 
 # --- semidiscrete right-hand side -------------------------------------------
 
 def rhs(u, v, grid: Grid, p: ModelParams, taxis: TaxisScheme) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivatives of (u, v).  The flux part integrates to zero exactly,
-    so the discrete mass identity d/dt integral(u) = integral(reaction_u)
-    holds to rounding."""
-    fluxes = flux_u(u, v, grid, p, taxis)
+    """Time derivatives of (u, v), the prey's face gradients formed once.
+    The flux part integrates to zero exactly, so the discrete mass
+    identity d/dt integral(u) = integral(reaction_u) holds to rounding."""
+    grad_v = face_gradient_values(grid, v)
+    fluxes = flux_u(u, v, grid, p, taxis, grad_v)
     ru, rv = reaction_rates(u, v, p)
     du = divergence_values(grid, fluxes) + ru
-    dv = p.d2 * laplacian_values(grid, v) + rv
+    dv = p.d2 * divergence_values(grid, grad_v) + rv
     return du, dv
 
 
@@ -192,9 +195,11 @@ def _loss_rates(u, v, grid: Grid, p: ModelParams) -> tuple[float, float]:
     react_v = float(np.abs(p.m2 - p.b * u - v).max())
     react = max(rate_u, react_v)
     rate_v = max(react_v, 2.0 * v_max - p.m2)
-    for ax in range(grid.dim):
+    x = v.ravel()
+    for ax, s in enumerate(grid.stride):
         two_over_h2 = 2.0 / (grid.h[ax] * grid.h[ax])
-        jump = float(np.abs(v[grid.right[ax]] - v[grid.left[ax]]).max())
+        # walls and seams add zeros to a max of absolute values
+        jump = float(np.abs(grid.face_difference(ax, x[s:], x[:-s])).max())
         rate_u += two_over_h2 * (p.d1 + p.chi * (v_max + jump))
         rate_v += two_over_h2 * p.d2
     return max(rate_u, rate_v), react
@@ -334,10 +339,26 @@ def rkl2_step(u, v, grid: Grid, p: ModelParams, taxis: TaxisScheme, dt: float,
         mu_dt = mu * w1_dt
         gamma_dt = -(1.0 - b[j - 1]) * mu_dt
         du, dv = rhs(u_cur, v_cur, grid, p, taxis)
-        u_next = u + mu * (u_cur - u) + nu * (u_prev - u) + mu_dt * du + gamma_dt * du0
-        v_next = v + mu * (v_cur - v) + nu * (v_prev - v) + mu_dt * dv + gamma_dt * dv0
+        u_next = _rkl2_stage(u, u_cur, u_prev, du, du0, mu, nu, mu_dt, gamma_dt)
+        v_next = _rkl2_stage(v, v_cur, v_prev, dv, dv0, mu, nu, mu_dt, gamma_dt)
         u_prev, v_prev, u_cur, v_cur = u_cur, v_cur, u_next, v_next
     return u_cur, v_cur
+
+
+def _rkl2_stage(y0, cur, prev, d, d0, mu, nu, mu_dt, gamma_dt) -> np.ndarray:
+    """y0 + mu (cur - y0) + nu (prev - y0) + mu_dt d + gamma_dt d0, term by
+    term in that order, so bitwise, into one new array and one scratch."""
+    y = cur - y0
+    y *= mu
+    y += y0
+    tmp = prev - y0
+    tmp *= nu
+    y += tmp
+    np.multiply(d, mu_dt, out=tmp)
+    y += tmp
+    np.multiply(d0, gamma_dt, out=tmp)
+    y += tmp
+    return y
 
 
 def advance(u, v, t: float, t_end: float, grid: Grid, p: ModelParams, taxis: TaxisScheme,

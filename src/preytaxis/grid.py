@@ -1,10 +1,16 @@
 """Cell-centered finite-volume mesh and zero-flux spatial operators.
 
-A Grid is a uniform axis-aligned box mesh in 1 or 2 dimensions.  Face
-arrays hold the interior faces only, n - 1 along each axis, and
-divergence_values gives the walls zero flux: that is the discrete
-Neumann condition.  So discrete integrals of divergences telescope to
-zero to rounding: the discrete divergence theorem holds by construction.
+A Grid is a uniform axis-aligned box mesh in 1 or 2 dimensions.  The
+kernels work on the flattened (C-order) cell values x, N cells in all.
+Along axis ax cell k + s, s = Grid.stride[ax], follows cell k, so every
+face difference along ax is one subtraction of contiguous slices,
+x[s:] - x[:-s].  A face array along ax is flat, with N + s slots: slot
+s + k holds the face between cells k and k + s.  The first s slots and
+the "seams", the slots s + k of every cell k last along ax (the last s
+slots among them), are walls and hold 0, the discrete Neumann
+condition.  In 1-D and along axis 0 this is the zero-padded face array,
+flattened.  So discrete integrals of divergences telescope to zero to
+rounding: the discrete divergence theorem holds by construction.
 """
 
 from __future__ import annotations
@@ -70,25 +76,20 @@ class Grid:
     def cell_volume(self) -> float:
         return math.prod(self.h)
 
-    # Face layout: along each axis, face k separates cells k and k+1, so a
-    # face array has one entry fewer than a cell array and no entry for
-    # either wall.  On cell values, left/right pick the two cells of each
-    # face.
-
-    def _along(self, s: slice) -> tuple[tuple[slice, ...], ...]:
-        return tuple(
-            tuple(s if k == ax else slice(None) for k in range(self.dim)) for ax in range(self.dim)
-        )
-
     @cached_property
-    def left(self) -> tuple[tuple[slice, ...], ...]:
-        """Per axis: index dropping the last entry along that axis."""
-        return self._along(slice(None, -1))
+    def stride(self) -> tuple[int, ...]:
+        """Per axis: the C-order distance between neighbouring cells along it."""
+        return tuple(math.prod(self.n[ax + 1:]) for ax in range(self.dim))
 
-    @cached_property
-    def right(self) -> tuple[tuple[slice, ...], ...]:
-        """Per axis: index dropping the first entry along that axis."""
-        return self._along(slice(1, None))
+    def face_difference(self, ax: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The face array along axis ax holding a - b in slots s through
+        N - 1 (a and b are shaped like x[s:]) and 0 on the walls and seams."""
+        s = self.stride[ax]
+        faces = np.zeros(len(a) + 2 * s)
+        np.subtract(a, b, out=faces[s:-s])
+        if ax:  # along axis 0 the seams are the last s slots, which stay 0
+            faces[s:].reshape(-1, self.n[ax], s)[:, -1] = 0.0
+        return faces
 
     @property
     def volume(self) -> float:
@@ -136,20 +137,21 @@ def integrate_values(grid: Grid, values: np.ndarray) -> float:
 
 
 def face_gradient_values(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Normal gradient on every interior face, per axis."""
-    return tuple((values[grid.right[ax]] - values[grid.left[ax]]) / grid.h[ax] for ax in range(grid.dim))
+    """Normal gradient on every face, per axis, as face arrays: zero on
+    the walls and seams."""
+    x = values.ravel()
+    return tuple(grid.face_difference(ax, x[s:], x[:-s]) / grid.h[ax] for ax, s in enumerate(grid.stride))
 
 
 def divergence_values(grid: Grid, fluxes: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Outflow-minus-inflow per cell volume from interior-face fluxes; the
-    walls carry zero flux, so the total telescopes to zero mass."""
-    out = np.zeros(grid.n)
-    for ax in range(grid.dim):
-        net = np.zeros(grid.n)
-        net[grid.left[ax]] = fluxes[ax]
-        net[grid.right[ax]] -= fluxes[ax]
-        out += net / grid.h[ax]
-    return out
+    """Outflow-minus-inflow per cell volume from face-array fluxes, one
+    subtraction per axis; the walls carry zero flux, so the total
+    telescopes to zero mass.  The sum starts from 0.0, so a cell whose
+    only term is -0.0 gets +0.0."""
+    out = 0.0
+    for f, s, h in zip(fluxes, grid.stride, grid.h):
+        out = out + (f[s:] - f[:-s]) / h
+    return out.reshape(grid.n)
 
 
 def laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -164,14 +166,11 @@ def gradient_sq_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     Nonnegative by construction and exact for linear profiles away from
     the boundary.
     """
-    out = np.zeros(grid.n)
-    for ax, g in enumerate(face_gradient_values(grid, values)):
+    out = 0.0
+    for g, s in zip(face_gradient_values(grid, values), grid.stride):
         sq = g ** 2
-        pair = np.zeros(grid.n)
-        pair[grid.left[ax]] = sq
-        pair[grid.right[ax]] += sq
-        out += 0.5 * pair
-    return out
+        out = out + 0.5 * (sq[s:] + sq[:-s])
+    return out.reshape(grid.n)
 
 
 # --- snapshot format -------------------------------------------------------

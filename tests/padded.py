@@ -1,0 +1,100 @@
+"""Reference formulas on per-axis slices of the cell array, the layout the
+flat face kernels replaced: interior face arrays with n - 1 entries along
+their axis, optionally padded with a zero wall face at both ends.  The
+tests compare the package's kernels with these byte for byte.  The
+package's TaxisScheme, taxis_mobility and reaction_rates are used as
+they are."""
+
+import numpy as np
+
+from preytaxis import TaxisScheme, reaction_rates, taxis_mobility
+
+
+def left(g, ax):
+    """Index dropping the last entry along axis ax."""
+    return tuple(slice(None, -1) if k == ax else slice(None) for k in range(g.dim))
+
+
+def right(g, ax):
+    """Index dropping the first entry along axis ax."""
+    return tuple(slice(1, None) if k == ax else slice(None) for k in range(g.dim))
+
+
+def interior_face_shape(g, ax):
+    """Shape of the interior faces normal to axis ax: one fewer than the cells."""
+    return tuple(k - 1 if i == ax else k for i, k in enumerate(g.n))
+
+
+def with_walls(g, ax, faces):
+    """Interior faces with a zero wall face added at both ends of axis ax."""
+    width = [(0, 0)] * g.dim
+    width[ax] = (1, 1)
+    return np.pad(faces, width)
+
+
+def to_face_array(g, ax, faces):
+    """Interior faces along axis ax in the package's flat face layout:
+    stride zeros, then one slot per cell, the face after it along ax, 0
+    where the cell is last along ax."""
+    width = [(0, 0)] * g.dim
+    width[ax] = (0, 1)
+    return np.concatenate([np.zeros(g.stride[ax]), np.pad(faces, width).ravel()])
+
+
+def interior_of(g, ax, face_array):
+    """The interior faces along axis ax held by a flat face array."""
+    s = g.stride[ax]
+    return face_array[s:].reshape(g.n)[left(g, ax)]
+
+
+def interior_face_gradients(g, values):
+    """Normal gradient on every interior face, per axis."""
+    return tuple((values[right(g, ax)] - values[left(g, ax)]) / g.h[ax] for ax in range(g.dim))
+
+
+def padded_divergence(g, fluxes):
+    """The divergence of interior-face fluxes written on zero-padded face
+    arrays."""
+    out = np.zeros(g.n)
+    for ax in range(g.dim):
+        f = with_walls(g, ax, fluxes[ax])
+        out += (f[right(g, ax)] - f[left(g, ax)]) / g.h[ax]
+    return out
+
+
+def slicing_flux_u(u, v, g, p, taxis):
+    """The predator flux on every interior face, from per-axis slices."""
+    fluxes = []
+    for ax in range(g.dim):
+        lo, hi, h = left(g, ax), right(g, ax), g.h[ax]
+        u_l, u_r, v_l, v_r = u[lo], u[hi], v[lo], v[hi]
+        v_face = 0.5 * (v_l + v_r)
+        drift = p.chi * ((v_r - v_l) / h)
+        if taxis is TaxisScheme.UPWIND:
+            u_face = np.where(drift > 0, u_l, u_r)
+        else:
+            u_face = 0.5 * (u_l + u_r)
+        diffusion = (p.d1 + p.chi * v_face) * ((u_r - u_l) / h)
+        fluxes.append(diffusion - taxis_mobility(u_face, p.eps) * drift)
+    return tuple(fluxes)
+
+
+def slicing_divergence(g, fluxes):
+    """Outflow minus inflow per cell volume from interior-face fluxes, each
+    axis accumulated into a zero cell array."""
+    out = np.zeros(g.n)
+    for ax in range(g.dim):
+        net = np.zeros(g.n)
+        net[left(g, ax)] = fluxes[ax]
+        net[right(g, ax)] -= fluxes[ax]
+        out += net / g.h[ax]
+    return out
+
+
+def slicing_rhs(u, v, g, p, taxis):
+    """Time derivatives of (u, v) from per-axis slices, the prey's face
+    gradients formed twice: once for the drift, once for the Laplacian."""
+    ru, rv = reaction_rates(u, v, p)
+    du = slicing_divergence(g, slicing_flux_u(u, v, g, p, taxis)) + ru
+    dv = p.d2 * slicing_divergence(g, interior_face_gradients(g, v)) + rv
+    return du, dv

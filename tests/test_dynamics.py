@@ -32,6 +32,7 @@ from preytaxis import (
 from preytaxis import dynamics
 from preytaxis.dynamics import RKL2_ACCURACY, STAGES, STEP_SAFETY, _rkl2_stages, advance, rkl2_step
 from preytaxis.oracle import homogeneous_ode, refinement_order
+from padded import interior_face_gradients, left, right, slicing_rhs, to_face_array, with_walls
 from strategies import grids, positive_fields
 
 WORKED = ModelParams(d1=1.0, d2=1.0, m1=1.0, m2=2.0, chi=1.0, a=1.0, b=1.0)
@@ -74,38 +75,44 @@ def test_step_fixes_equilibrium_bitwise():
     assert acc.rkl2_steps == acc.steps > 1
 
 
+def flux_of(u, v, g, p, taxis):
+    """flux_u with the prey's face gradients it takes from rhs."""
+    return flux_u(u, v, g, p, taxis, face_gradient_values(g, v))
+
+
 def test_flux_is_plain_diffusion_when_v_constant():
     rng = np.random.default_rng(23)
     u = rng.uniform(0.5, 2.0, 8)
     _, v, g = make_arrays(u, np.full(8, 2.0))
-    (fx,) = flux_u(u, v, g, WORKED, TaxisScheme.UPWIND)
+    (fx,) = flux_of(u, v, g, WORKED, TaxisScheme.UPWIND)
     h = g.h[0]
     expected = (WORKED.d1 + WORKED.chi * 2.0) * np.diff(u) / h
-    assert fx.shape == (7,)
-    assert np.allclose(fx, expected, rtol=1e-14, atol=0.0)
+    assert fx.shape == (9,)
+    assert fx[0] == fx[-1] == 0.0  # the walls
+    assert np.allclose(fx[1:-1], expected, rtol=1e-14, atol=0.0)
 
 
 def test_upwind_flux_hand_case():
     # n=4, L=2 (h=0.5): du/dn = dv/dn = 2 on every interior face, drift > 0,
     # so the donor cell is the left one.
     u, v, g = make_arrays([1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 2.0, 3.0], length=2.0)
-    (fx,) = flux_u(u, v, g, WORKED, TaxisScheme.UPWIND)
+    (fx,) = flux_of(u, v, g, WORKED, TaxisScheme.UPWIND)
     # (d1 + chi*v_face)*2 - u_left*2 = 2*v_face + 2 - 2*u_left = 1 on each face
-    assert fx.shape == (3,)
-    assert np.allclose(fx, [1.0, 1.0, 1.0], atol=1e-14)
+    assert fx.shape == (5,)
+    assert np.allclose(fx, [0.0, 1.0, 1.0, 1.0, 0.0], atol=1e-14)
 
-    (fc,) = flux_u(u, v, g, WORKED, TaxisScheme.CENTRAL)
+    (fc,) = flux_of(u, v, g, WORKED, TaxisScheme.CENTRAL)
     # with the arithmetic face mean the two terms cancel exactly here
-    assert fc.shape == (3,)
-    assert np.allclose(fc, np.zeros(3), atol=1e-14)
+    assert fc.shape == (5,)
+    assert np.allclose(fc, np.zeros(5), atol=1e-14)
 
 
 def test_saturating_mobility_weakens_drift():
     u, v, g = make_arrays([1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 2.0, 3.0], length=2.0)
     p_sat = ModelParams(d1=1.0, d2=1.0, m1=1.0, m2=2.0, chi=1.0, a=1.0, b=1.0, eps=0.5)
-    (fx,) = flux_u(u, v, g, p_sat, TaxisScheme.UPWIND)
-    # face between cells 0 and 1: 3 - 2*1/(1+0.5)
-    assert fx[0] == pytest.approx(3.0 - 4.0 / 3.0, rel=1e-14)
+    (fx,) = flux_of(u, v, g, p_sat, TaxisScheme.UPWIND)
+    # face between cells 0 and 1, slot 1 after the wall: 3 - 2*1/(1+0.5)
+    assert fx[1] == pytest.approx(3.0 - 4.0 / 3.0, rel=1e-14)
 
 
 def interior(g, ax):
@@ -113,29 +120,20 @@ def interior(g, ax):
     return tuple(slice(1, -1) if k == ax else slice(None) for k in range(g.dim))
 
 
-def padded_face_gradients(g, values):
-    """Face gradients with a zero wall face added at both ends of each axis."""
-    width = [[(1, 1) if k == ax else (0, 0) for k in range(g.dim)] for ax in range(g.dim)]
-    return tuple(np.pad(f, w) for f, w in zip(face_gradient_values(g, values), width))
-
-
 def padded_flux_u(u, v, g, p, taxis):
-    """The flux written on zero-padded face-gradient arrays: the formula whose
-    interior the stepper's flux must reproduce bitwise."""
-    gu = padded_face_gradients(g, u)
-    gv = padded_face_gradients(g, v)
+    """The flux written on zero-padded face-gradient arrays, each axis's
+    interior faces: the formula the stepper's flux must reproduce bitwise."""
+    gu, gv = (tuple(with_walls(g, ax, f) for ax, f in enumerate(interior_face_gradients(g, x))) for x in (u, v))
     fluxes = []
     for ax in range(g.dim):
-        left, right, inner = g.left[ax], g.right[ax], interior(g, ax)
-        v_face = 0.5 * (v[left] + v[right])
+        lo, hi, inner = left(g, ax), right(g, ax), interior(g, ax)
+        v_face = 0.5 * (v[lo] + v[hi])
         drift = p.chi * gv[ax][inner]
         if taxis is TaxisScheme.UPWIND:
-            u_face = np.where(drift > 0, u[left], u[right])
+            u_face = np.where(drift > 0, u[lo], u[hi])
         else:
-            u_face = 0.5 * (u[left] + u[right])
-        flux = np.zeros_like(gu[ax])
-        flux[inner] = (p.d1 + p.chi * v_face) * gu[ax][inner] - taxis_mobility(u_face, p.eps) * drift
-        fluxes.append(flux)
+            u_face = 0.5 * (u[lo] + u[hi])
+        fluxes.append((p.d1 + p.chi * v_face) * gu[ax][inner] - taxis_mobility(u_face, p.eps) * drift)
     return tuple(fluxes)
 
 
@@ -147,15 +145,41 @@ def padded_flux_u(u, v, g, p, taxis):
     eps=st.sampled_from((0.0, 0.1, 1.0)),
 )
 def test_flux_from_cell_values_matches_padded_face_gradients_bitwise(data, g, taxis, eps):
+    """Each axis's face array holds the padded formula's interior faces,
+    bitwise, with zeros on the walls and seams."""
     u = data.draw(positive_fields(g))
     v = data.draw(positive_fields(g))
     p = replace(WORKED, eps=eps)
-    got = flux_u(u, v, g, p, taxis)
+    got = flux_of(u, v, g, p, taxis)
     want = padded_flux_u(u, v, g, p, taxis)
     assert len(got) == len(want) == g.dim
     for ax, (f, ref) in enumerate(zip(got, want)):
-        assert f.shape == ref[interior(g, ax)].shape
-        assert f.tobytes() == ref[interior(g, ax)].tobytes()
+        assert f.tobytes() == to_face_array(g, ax, ref).tobytes()
+
+
+def nonnegative_fields(g):
+    """Cell values in [1e-3, 1e3], or +0.0 or -0.0."""
+    return arrays(np.float64, g.n, elements=st.sampled_from((0.0, -0.0)) | st.floats(1e-3, 1e3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    g=grids(),
+    taxis=st.sampled_from(TaxisScheme),
+    eps=st.sampled_from((0.0, 0.1, 1.0)),
+)
+def test_rhs_matches_slicing_rhs_bitwise_property(data, g, taxis, eps):
+    """rhs on the flat face layout equals the per-axis slicing rhs byte for
+    byte, signed zeros included: a face array slot left nonzero on a wall
+    or seam moves the cells beside it."""
+    u = data.draw(nonnegative_fields(g))
+    v = data.draw(nonnegative_fields(g))
+    p = replace(WORKED, eps=eps)
+    got = rhs(u, v, g, p, taxis)
+    want = slicing_rhs(u, v, g, p, taxis)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
 
 
 def test_stable_dt_reaction_limited():
@@ -603,7 +627,7 @@ def test_mass_rate_equals_reaction_integral_property(data, g, scheme, eps):
     p = replace(WORKED, eps=eps)
     du, _ = rhs(u, v, g, p, scheme)
     ru, _ = reaction_rates(u, v, p)
-    fluxes = flux_u(u, v, g, p, scheme)
+    fluxes = flux_of(u, v, g, p, scheme)
     scale = sum(2.0 * g.cell_volume / g.h[ax] * float(np.abs(f).sum()) for ax, f in enumerate(fluxes))
     scale += integrate_values(g, np.abs(ru))
     assert abs(integrate_values(g, du) - integrate_values(g, ru)) <= 1e-13 * scale

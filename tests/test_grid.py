@@ -16,6 +16,16 @@ from preytaxis.grid import (
     integrate_values,
     laplacian_values,
 )
+from padded import (
+    interior_face_gradients,
+    interior_face_shape,
+    interior_of,
+    left,
+    padded_divergence,
+    right,
+    to_face_array,
+    with_walls,
+)
 from strategies import grids, positive_fields
 
 
@@ -75,38 +85,6 @@ def test_integrate_constant_is_exact():
     assert integrate_values(g, np.ones(g.n)) == pytest.approx(9.0, rel=1e-15)
 
 
-def interior_face_shape(g, ax):
-    """Shape of the interior faces normal to axis ax: one fewer than the cells."""
-    return tuple(k - 1 if i == ax else k for i, k in enumerate(g.n))
-
-
-def with_walls(g, ax, faces):
-    """Interior faces with a zero wall face added at both ends of axis ax."""
-    width = [(0, 0)] * g.dim
-    width[ax] = (1, 1)
-    return np.pad(faces, width)
-
-
-def padded_divergence(g, fluxes):
-    """The divergence written on zero-padded face arrays: the reference the
-    interior-face kernel must reproduce bitwise."""
-    out = np.zeros(g.n)
-    for ax in range(g.dim):
-        f = with_walls(g, ax, fluxes[ax])
-        out += (f[g.right[ax]] - f[g.left[ax]]) / g.h[ax]
-    return out
-
-
-def padded_gradient_sq(g, values):
-    """|grad f|^2 written on zero-padded face gradients: the reference the
-    interior-face kernel must reproduce bitwise."""
-    out = np.zeros(g.n)
-    for ax, faces in enumerate(face_gradient_values(g, values)):
-        f = with_walls(g, ax, faces)
-        out += 0.5 * (f[g.left[ax]] ** 2 + f[g.right[ax]] ** 2)
-    return out
-
-
 def interior_fluxes(g):
     """Random fluxes on the interior faces of every axis of g."""
     return st.tuples(*(
@@ -115,12 +93,51 @@ def interior_fluxes(g):
     ))
 
 
+def face_arrays(g, fluxes):
+    """Interior-face fluxes of every axis in the flat face layout."""
+    return tuple(to_face_array(g, ax, f) for ax, f in enumerate(fluxes))
+
+
+def padded_gradient_sq(g, values):
+    """|grad f|^2 written on zero-padded face gradients: the reference the
+    flat face kernel must reproduce bitwise."""
+    out = np.zeros(g.n)
+    for ax, faces in enumerate(interior_face_gradients(g, values)):
+        f = with_walls(g, ax, faces)
+        out += 0.5 * (f[left(g, ax)] ** 2 + f[right(g, ax)] ** 2)
+    return out
+
+
 def test_face_gradient_linear_profile():
-    """Face gradients of a linear profile are exact; the walls have no entry."""
+    """Face gradients of a linear profile are exact; the walls and, in 2-D,
+    the seams of the flat layout hold 0."""
     g = Grid.uniform(1, 10, 2.0)
     (gx,) = face_gradient_values(g, 3.0 * g.centers(0) + 1.0)
-    assert gx.shape == (9,)
-    assert np.allclose(gx, 3.0, rtol=1e-13)
+    assert gx.shape == (11,)
+    assert gx[0] == gx[-1] == 0.0
+    assert np.allclose(gx[1:-1], 3.0, rtol=1e-13)
+
+    g2 = Grid((5, 6), (2.0, 3.0))
+    X, Y = g2.meshcenters()
+    slopes = (3.0, -2.0)
+    for ax, faces in enumerate(face_gradient_values(g2, slopes[0] * X + slopes[1] * Y)):
+        s = g2.stride[ax]
+        assert faces.shape == (30 + s,)
+        assert np.allclose(interior_of(g2, ax, faces), slopes[ax], rtol=1e-13)
+        assert faces.tobytes() == to_face_array(g2, ax, interior_of(g2, ax, faces)).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), g=grids())
+def test_face_gradient_matches_slicing_bitwise_property(data, g):
+    """Each axis's face array holds the interior-face gradients of the
+    per-axis slices, bitwise, with zeros on the walls and seams."""
+    values = data.draw(positive_fields(g))
+    got = face_gradient_values(g, values)
+    want = interior_face_gradients(g, values)
+    assert len(got) == g.dim
+    for ax in range(g.dim):
+        assert got[ax].tobytes() == to_face_array(g, ax, want[ax]).tobytes()
 
 
 def test_divergence_telescopes_to_zero_mass():
@@ -128,7 +145,7 @@ def test_divergence_telescopes_to_zero_mass():
     for dim in (1, 2):
         g = Grid.uniform(dim, 12, 1.5)
         fluxes = tuple(rng.normal(size=interior_face_shape(g, ax)) for ax in range(dim))
-        div = divergence_values(g, fluxes)
+        div = divergence_values(g, face_arrays(g, fluxes))
         assert abs(integrate_values(g, div)) < 1e-12
 
 
@@ -139,15 +156,27 @@ def test_divergence_telescopes_to_zero_mass_property(data, g):
     rounding in the face fluxes it sums."""
     fluxes = data.draw(interior_fluxes(g))
     scale = sum(2.0 * g.cell_volume / g.h[ax] * float(np.abs(fx).sum()) for ax, fx in enumerate(fluxes))
-    div = divergence_values(g, fluxes)
+    div = divergence_values(g, face_arrays(g, fluxes))
     assert abs(integrate_values(g, div)) <= 1e-13 * scale
+
+
+def test_divergence_of_minus_zero_fluxes_is_plus_zero():
+    """The sum starts from 0.0, as the padded reference's zero array does:
+    a cell whose every flux difference is -0.0 gets +0.0."""
+    for dim in (1, 2):
+        g = Grid.uniform(dim, 4, 1.0)
+        fluxes = tuple(np.zeros(interior_face_shape(g, ax)) for ax in range(dim))
+        for f in fluxes:
+            f.flat[0] = -0.0
+        div = divergence_values(g, face_arrays(g, fluxes))
+        assert div.tobytes() == padded_divergence(g, fluxes).tobytes() == np.zeros(g.n).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), g=grids())
 def test_divergence_matches_padded_faces_bitwise_property(data, g):
     fluxes = data.draw(interior_fluxes(g))
-    assert divergence_values(g, fluxes).tobytes() == padded_divergence(g, fluxes).tobytes()
+    assert divergence_values(g, face_arrays(g, fluxes)).tobytes() == padded_divergence(g, fluxes).tobytes()
 
 
 @settings(max_examples=200, deadline=None)

@@ -74,8 +74,9 @@ def load_bench_module(name: str):
 # Span targets bench/spans.py still lists but the package dropped on
 # purpose; the tracer skips them.  Remove an entry when the benchmark does.
 STALE_SPAN_TARGETS = {
-    # dynamics forms the predator flux from cell values, not face gradients
-    "preytaxis.dynamics.face_gradient_values",
+    # rhs takes the prey's divergence of the face gradients it already
+    # formed; grid.laplacian_values is still wrapped
+    "preytaxis.dynamics.laplacian_values",
     # dynamics no longer integrates; grid.integrate_values is still wrapped
     "preytaxis.dynamics.integrate_values",
 }
@@ -102,19 +103,25 @@ def test_bench_reference_inputs_match_the_workloads():
 
 
 def test_traced_bench_call_gives_strict_json_and_no_clamped_cell(tmp_path):
-    """One traced default-seed epsfam_1d call, as bench/run.py --trace 1
-    makes it: its per-layer metrics serialise as strict JSON, which the
-    result line must be, and the clamped-cell count the benchmark reads
-    is 0."""
+    """One traced default-seed call of the 1-D epsfam_1d and of the 2-D
+    coexist_2d workload, as bench/run.py --trace 1 makes it: each call
+    succeeds under the shims, its per-layer metrics serialise as strict
+    JSON, which the result line must be, and the clamped-cell count the
+    benchmark reads is 0.  Both workloads run in this one test, whose
+    name the tier-1 floor list pins."""
     spans = load_bench_module("spans")
-    workload = load_bench_module("workloads").WORKLOADS["epsfam_1d"]
-    text = next(workload.inputs(load_bench_module("run").DEFAULT_SEED))
-    tracer = spans.Tracer()
-    with tracer.installed():
-        traced = workload.call(text, tmp_path)
-    assert traced.ok, traced.failure
-    json.dumps(tracer.layer_metrics(traced.steps, workload.cells(), traced.wall_s), allow_nan=False)
-    assert traced.clamped_cells == 0
+    workloads = load_bench_module("workloads").WORKLOADS
+    seed = load_bench_module("run").DEFAULT_SEED
+    for name in ("epsfam_1d", "coexist_2d"):
+        workload = workloads[name]
+        text = next(workload.inputs(seed))
+        tracer = spans.Tracer()
+        (tmp_path / name).mkdir()
+        with tracer.installed():
+            traced = workload.call(text, tmp_path / name)
+        assert traced.ok, (name, traced.failure)
+        json.dumps(tracer.layer_metrics(traced.steps, workload.cells(), traced.wall_s), allow_nan=False)
+        assert traced.clamped_cells == 0, name
 
 
 def test_readme_lists_commands():
