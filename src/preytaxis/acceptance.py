@@ -104,8 +104,7 @@ def _criterion_1() -> tuple[bool, str]:
         else:
             if gap < 0.0 or ss.u_star <= 0.0 or ss.v_star < 0.0:
                 return False, f"wrong coexistence equilibrium for {p}"
-        rate_u = ss.u_star * (p.m1 - ss.u_star + p.a * ss.v_star)
-        rate_v = ss.v_star * (p.m2 - p.b * ss.u_star - ss.v_star)
+        rate_u, rate_v = reaction_rates(ss.u_star, ss.v_star, p)
         scale_u = max(1.0, ss.u_star * (abs(p.m1) + ss.u_star + p.a * ss.v_star))
         scale_v = max(1.0, ss.v_star * (abs(p.m2) + p.b * ss.u_star + ss.v_star))
         worst = max(worst, abs(rate_u) / scale_u, abs(rate_v) / scale_v)

@@ -235,18 +235,13 @@ def csv_header() -> str:
     return ",".join(f.name for f in fields(DiagnosticsRecord))
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.17g}"
-
-
 def format_csv(records: list[DiagnosticsRecord]) -> str:
+    columns = fields(DiagnosticsRecord)
+    # object rows keep each int exact; a float64 array would round 2**53 + 1
+    rows = np.array([[getattr(r, f.name) for f in columns] for r in records], dtype=object)
     out = StringIO()
-    out.write(csv_header() + "\n")
-    for r in records:
-        out.write(",".join(_format_cell(getattr(r, f.name)) for f in fields(DiagnosticsRecord)))
-        out.write("\n")
+    fmt = ["%d" if f.type == "int" else "%.17g" for f in columns]
+    np.savetxt(out, rows.reshape(-1, len(columns)), fmt=fmt, delimiter=",", header=csv_header(), comments="")
     return out.getvalue()
 
 

@@ -187,32 +187,6 @@ def rhs(u, v, grid: Grid, p: ModelParams, taxis: TaxisScheme) -> tuple[np.ndarra
 
 # --- step-size limiter --------------------------------------------------------
 
-def _loss_rates(u, v, grid: Grid, p: ModelParams) -> tuple[float, float]:
-    """(largest forward-Euler loss rate of either species, largest
-    per-capita reaction rate |m1 - u + a v| or |m2 - b u - v|)."""
-    v_max = float(v.max())
-    rate_u = float(np.abs(p.m1 - u + p.a * v).max())
-    react_v = float(np.abs(p.m2 - p.b * u - v).max())
-    react = max(rate_u, react_v)
-    rate_v = max(react_v, 2.0 * v_max - p.m2)
-    x = v.ravel()
-    for ax, s in enumerate(grid.stride):
-        two_over_h2 = 2.0 / (grid.h[ax] * grid.h[ax])
-        # walls and seams add zeros to a max of absolute values
-        jump = float(np.abs(grid.face_difference(ax, x[s:], x[:-s])).max())
-        rate_u += two_over_h2 * (p.d1 + p.chi * (v_max + jump))
-        rate_v += two_over_h2 * p.d2
-    return max(rate_u, rate_v), react
-
-
-def _reaction_jacobian_norm(u, v, p: ModelParams) -> float:
-    """Largest row-sum norm over the cells of the reaction Jacobian,
-    [[m1 - 2u + a v, a u], [-b v, m2 - b u - 2v]]."""
-    row_u = np.abs(p.m1 - 2.0 * u + p.a * v) + p.a * u
-    row_v = p.b * v + np.abs(p.m2 - p.b * u - 2.0 * v)
-    return max(float(row_u.max()), float(row_v.max()))
-
-
 def step_bounds(u, v, grid: Grid, p: ModelParams) -> tuple[float, float, float]:
     """(substep, positivity, accuracy): the three step lengths advance
     chooses from at (u, v).
@@ -243,16 +217,31 @@ def step_bounds(u, v, grid: Grid, p: ModelParams) -> tuple[float, float, float]:
     1/STEP_SAFETY - 1 (11%) to spare, while each later stage starts from
     one the reactions R have moved by about dt |R|.  accuracy is
     RKL2_ACCURACY / J, J the largest row-sum norm of the reaction
-    Jacobian or per-capita rate |m1 - u + a v|, |m2 - b u - v| over the
-    cells, so R changes by about J dt |R| <= 5% of |R| over a step, inside
-    that margin.  The argument is linearised, not a proof.  Neither term
-    of J does alone: the row sums nearly vanish at a species' inflection
-    point u = (m1 + a v)/2 when a and b are small, the per-capita rate at
-    its logistic level u = m1 + a v, where the slope, about -u, does not.
+    Jacobian [[m1 - 2u + a v, a u], [-b v, m2 - b u - 2v]] or per-capita
+    rate |m1 - u + a v|, |m2 - b u - v| over the cells, so R changes by
+    about J dt |R| <= 5% of |R| over a step, inside that margin.  The
+    argument is linearised, not a proof.  Neither term of J does alone:
+    the row sums nearly vanish at a species' inflection point
+    u = (m1 + a v)/2 when a and b are small, the per-capita rate at its
+    logistic level u = m1 + a v, where the slope, about -u, does not.
     When a, b >= 1 the row sums are the larger term.
     """
-    rate, react = _loss_rates(u, v, grid, p)
-    accuracy = RKL2_ACCURACY / max(_reaction_jacobian_norm(u, v, p), react)
+    v_max = float(v.max())
+    rate_u = float(np.abs(p.m1 - u + p.a * v).max())
+    react_v = float(np.abs(p.m2 - p.b * u - v).max())
+    react = max(rate_u, react_v)
+    rate_v = max(react_v, 2.0 * v_max - p.m2)
+    x = v.ravel()
+    for ax, s in enumerate(grid.stride):
+        two_over_h2 = 2.0 / (grid.h[ax] * grid.h[ax])
+        # walls and seams add zeros to a max of absolute values
+        jump = float(np.abs(grid.face_difference(ax, x[s:], x[:-s])).max())
+        rate_u += two_over_h2 * (p.d1 + p.chi * (v_max + jump))
+        rate_v += two_over_h2 * p.d2
+    rate = max(rate_u, rate_v)
+    row_u = np.abs(p.m1 - 2.0 * u + p.a * v) + p.a * u
+    row_v = p.b * v + np.abs(p.m2 - p.b * u - 2.0 * v)
+    accuracy = RKL2_ACCURACY / max(float(row_u.max()), float(row_v.max()), react)
     return STEP_SAFETY / rate, STEP_SAFETY * ((STAGES - 1) / rate), accuracy
 
 
@@ -391,7 +380,7 @@ def advance(u, v, t: float, t_end: float, grid: Grid, p: ModelParams, taxis: Tax
         stages = _rkl2_stages(dt / substep)
         u_new, v_new = rkl2_step(u, v, grid, p, taxis, dt, stages)
         accounting.rhs_evaluations += stages
-        kept = _admissible(u_new, v_new, max(float(v.max()), max(0.0, p.m2)) * (1.0 + 1e-12))
+        kept = _admissible(u_new, v_new, max(float(v.max()), p.m2_plus) * (1.0 + 1e-12))
         if kept:
             accounting.rkl2_steps += 1
         else:

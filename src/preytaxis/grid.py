@@ -186,11 +186,7 @@ def write_snapshot(f: Field, t: float, path) -> None:
         + [f"{ell:.17g}" for ell in g.length]
         + [f"{t:.17g}"]
     )
-    lines = [header]
-    for row in f.values.reshape(-1, g.n[-1]):
-        lines.append(" ".join(f"{x:.17g}" for x in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    np.savetxt(path, f.values.reshape(-1, g.n[-1]), fmt="%.17g", header=header, comments="")
 
 
 def read_snapshot(path) -> tuple[Field, float]:
@@ -206,8 +202,8 @@ def read_snapshot(path) -> tuple[Field, float]:
     length = tuple(float(tok) for tok in head[1 + dim : 1 + 2 * dim])
     t = float(head[-1])
     grid = Grid(n, length)
-    data = [[float(tok) for tok in line.split()] for line in lines[1:]]
-    values = np.asarray(data)
+    # loadtxt warns on an empty body, which the shape check rejects anyway
+    values = np.loadtxt(lines[1:], comments=None, ndmin=2) if len(lines) > 1 else np.empty(0)
     if values.shape != (math.prod(n[:-1]), n[-1]):
         raise ValueError(f"snapshot body {values.shape} does not match header {n}")
     return Field(grid, values.reshape(grid.n)), t

@@ -9,6 +9,7 @@ individual failures are recorded and the sweep continues.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -349,11 +350,12 @@ def sweep(items: dict[str, str], axis: str, values: list[float], out_dir: str | 
             rows = list(pool.map(_sweep_worker, jobs))
     summary = root / "sweep_summary.csv"
     with open(summary, "w") as fh:
-        fh.write(",".join(_SUMMARY_COLUMNS) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_SUMMARY_COLUMNS)
         for row in rows:
             cells = []
             for name in _SUMMARY_COLUMNS:
                 cell = row.get(name, math.nan)
                 cells.append(cell if isinstance(cell, str) else f"{cell:.17g}")
-            fh.write(",".join(cells) + "\n")
+            writer.writerow(cells)
     return summary

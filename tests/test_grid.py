@@ -278,3 +278,24 @@ def test_read_snapshot_rejects_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError, match="empty"):
         read_snapshot(path)
+
+
+@pytest.mark.filterwarnings("error")  # a header-only file must not warn from np.loadtxt
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("1 4 1\n1 2 3 4\n", "malformed snapshot header"),
+        ("3 4 4 4 1 1 1 0\n" + "1 2 3 4\n" * 16, "malformed snapshot header"),
+        ("2 4 4 1 1 0\n", "does not match header"),
+        ("2 4 4 1 1 0\n" + "1 2 3 4\n" * 3 + "1 2 3\n", None),
+        ("2 4 4 1 1 0\n" + "1 2 3 4\n" * 3, "does not match header"),
+        ("1 4 1 0\n1 x 3 4\n", None),
+        ("1 4 1 0\n1 2 3 4 # 5\n", None),
+    ],
+    ids=["header-token-count", "dim-3", "header-only", "ragged-row", "row-count", "non-numeric", "comment-mark"],
+)
+def test_read_snapshot_rejects_malformed_input(tmp_path, text, match):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        read_snapshot(path)

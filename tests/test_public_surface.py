@@ -103,16 +103,17 @@ def test_bench_reference_inputs_match_the_workloads():
 
 
 def test_traced_bench_call_gives_strict_json_and_no_clamped_cell(tmp_path):
-    """One traced default-seed call of the 1-D epsfam_1d and of the 2-D
-    coexist_2d workload, as bench/run.py --trace 1 makes it: each call
-    succeeds under the shims, its per-layer metrics serialise as strict
-    JSON, which the result line must be, and the clamped-cell count the
-    benchmark reads is 0.  Both workloads run in this one test, whose
-    name the tier-1 floor list pins."""
+    """One traced default-seed call of the 1-D epsfam_1d, the 2-D
+    coexist_2d and the 2-D dense_rundir_2d workload (the CLI and the file
+    writers), as bench/run.py --trace 1 makes it: each call succeeds
+    under the shims, its per-layer metrics serialise as strict JSON,
+    which the result line must be, and the clamped-cell count the
+    benchmark reads is 0.  All three workloads run in this one test,
+    whose name the tier-1 floor list pins."""
     spans = load_bench_module("spans")
     workloads = load_bench_module("workloads").WORKLOADS
     seed = load_bench_module("run").DEFAULT_SEED
-    for name in ("epsfam_1d", "coexist_2d"):
+    for name in ("epsfam_1d", "coexist_2d", "dense_rundir_2d"):
         workload = workloads[name]
         text = next(workload.inputs(seed))
         tracer = spans.Tracer()

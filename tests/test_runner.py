@@ -1,5 +1,6 @@
 """Scenario execution, run directories, manifests, and sweeps."""
 
+import csv
 import json
 import math
 
@@ -204,6 +205,23 @@ def test_sweep_records_member_failures(tmp_path, monkeypatch):
     rows = read_summary(sweep(items, "params.d1", [1.0, -1.0], out_dir=str(tmp_path)))
     assert rows[0]["status"] == "completed"
     assert rows[1]["status"].startswith("config-error")
+
+
+def test_sweep_summary_quotes_a_status_holding_a_comma(tmp_path, monkeypatch):
+    """A member whose run directory is blocked by a file reports the OSError,
+    path and all; a comma in that path stays inside the status cell."""
+    monkeypatch.setenv("PREYTAXIS_WORKERS", "1")
+    root = tmp_path / "a,b" / "root"
+    root.mkdir(parents=True)
+    (root / "params_d1_1").write_text("")
+    summary = sweep(parse_items(BASE), "params.d1", [1.0, 2.0], out_dir=str(root))
+    with open(summary, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [10, 10, 10]
+    status = dict(zip(rows[0], rows[1]))["status"]
+    assert status.startswith("config-error cannot create run directory:")
+    assert str(root / "params_d1_1") in status
+    assert dict(zip(rows[0], rows[2]))["status"] == "completed"
 
 
 def test_sweep_member_at_the_threshold_edge_is_a_summary_row(tmp_path, monkeypatch):
