@@ -59,6 +59,8 @@ def _cmd_accept(args: argparse.Namespace) -> int:
             numbers = [int(tok) for tok in args.criteria.split(",") if tok.strip()]
         except ValueError:
             raise ConfigError(f"--criteria must be a comma-separated integer list (got {args.criteria!r})")
+        if not numbers:
+            raise ConfigError("accept --criteria needs at least one criterion number")
         unknown = [n for n in numbers if n not in criterion_numbers()]
         if unknown:
             raise ConfigError(f"no such criteria: {unknown} (have 1..{max(criterion_numbers())})")

@@ -12,13 +12,18 @@ it into grid's face arrays, zero on the walls; rhs forms the prey's face
 gradients once, for the drift and for the prey's zero-flux diffusion.
 
 run_to_time takes each step with advance, the one place that keeps,
-discards and counts a step; step and rkl2_step only compute one.  Every
-step is sized by one accuracy bound, dt * J <= RKL2_ACCURACY, and
-clipped to t_end; advance picks the method that takes it.  When dt is
-longer than the SSP-RK positivity bound, it takes the s-stage
-Runge-Kutta-Legendre method RKL2 (Meyer, Balsara & Aslam 2014), whose
-stability interval grows as s^2, so diffusion no longer bounds the
-step.
+discards and counts a step; step and rkl2_step only compute one.  The
+accuracy bound dt * J <= RKL2_ACCURACY, C/J, is the floor of every RKL2
+step, and no SSP-RK step is longer.  When the step is longer than the
+SSP-RK positivity bound, advance takes the s-stage Runge-Kutta-Legendre
+method RKL2 (Meyer, Balsara & Aslam 2014), whose stability interval
+grows as s^2, so diffusion no longer bounds the step.  Within a run an
+RKL2 step may be longer than C/J, up to one sample interval, when a
+local error estimate accepts it (step control after Hairer, Norsett &
+Wanner, Solving ODEs I, II.4): the trapezoidal defect
+Y1 - Y0 - (dt/2)(L(Y0) + L(Y1)), whose L(Y1) is the next step's first
+right-hand side, so the estimate costs none.  Every step is clipped to
+t_end.
 
 One admissibility rule judges both methods, and the stepper never
 repairs a state: every cell of a kept step is finite, nonnegative and at
@@ -54,11 +59,13 @@ __all__ = [
     "TaxisScheme",
     "State",
     "StepAccounting",
+    "StepControl",
     "BlowUp",
     "Stalled",
     "STEP_SAFETY",
     "STAGES",
     "RKL2_ACCURACY",
+    "RKL2_TOL",
     "STEP_BUDGET",
     "SAMPLE_BUDGET",
     "reaction_rates",
@@ -81,6 +88,11 @@ STAGES = 4  # forward-Euler substeps per SSP-RK(s, 2) step, each of length dt/(S
 # 8.6e-6).  0.05 keeps a 3x margin; criterion 3's nonlinear order is
 # 2.043 with it.
 RKL2_ACCURACY = 0.05
+# Largest trapezoidal defect advance accepts in a step longer than C/J,
+# relative to 1 + |Y1| in each cell.  Criterion 4's worst error is 7.2e-5
+# at 1e-5 (cap 1e-4) and 3.0e-4 at 1e-4; at 1e-6 the C/J floor binds on
+# its runs and the error is the floor's 3.1e-5.
+RKL2_TOL = 1e-5
 STEP_BUDGET = 1e8  # most limiter steps run_to_time lets the rest of a run need
 SAMPLE_BUDGET = 1e6  # most sample intervals run_to_time (and a config) may ask for
 
@@ -124,7 +136,9 @@ class StepAccounting:
     run_to_time puts the initial prey maximum into peak_v.  dt_min and
     dt_max span every step taken, the last one clipped to t_end
     included.  Of the steps, rkl2_steps were RKL2 steps; rkl2_rejected
-    counts the RKL2 steps advance discarded for an SSP-RK step, and
+    counts the inadmissible RKL2 steps advance discarded for an SSP-RK
+    step, rkl2_error_rejected the admissible RKL2 steps longer than C/J
+    that the error estimate rejected for a shorter one, and
     rhs_evaluations the right-hand sides advance evaluated, those of
     discarded steps included."""
 
@@ -135,7 +149,21 @@ class StepAccounting:
     dt_max: float = 0.0
     rkl2_steps: int = 0
     rkl2_rejected: int = 0
+    rkl2_error_rejected: int = 0
     rhs_evaluations: int = 0
+
+
+@dataclass
+class StepControl:
+    """What advance carries from one step of a run to the next: longest,
+    the longest step the error estimate may accept (one sample interval;
+    0 accepts none past C/J), proposal, the step length it proposes next
+    (0, the C/J floor, before the first estimate), and rates, the
+    right-hand side at the state advance returned when it formed it."""
+
+    longest: float = 0.0
+    proposal: float = 0.0
+    rates: tuple[np.ndarray, np.ndarray] | None = None
 
 
 # --- pointwise reactions ----------------------------------------------------
@@ -258,9 +286,10 @@ def _admissible(u, v, prey_cap: float) -> bool:
 
 
 def step(u, v, t: float, grid: Grid, p: ModelParams, taxis: TaxisScheme,
-         dt: float) -> tuple[np.ndarray, np.ndarray]:
+         dt: float, rates: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One SSP-RK(STAGES, 2) step of size dt from time t; returns the new
-    (u, v) with no positivity repair and leaves the inputs alone.
+    (u, v) with no positivity repair and leaves the inputs alone.  rates,
+    when given, is rhs(u, v), which the first substep then does not form.
 
     STAGES - 1 forward-Euler substeps y <- y + (dt/(STAGES - 1)) rhs(y)
     and one more give y; the step returns y + (u - y)/STAGES.  That is
@@ -274,8 +303,8 @@ def step(u, v, t: float, grid: Grid, p: ModelParams, taxis: TaxisScheme,
         raise ValueError(f"dt must be > 0 (got {dt})")
     sub = dt / (STAGES - 1)
     u_new, v_new = u, v
-    for _ in range(STAGES):
-        du, dv = rhs(u_new, v_new, grid, p, taxis)
+    for k in range(STAGES):
+        du, dv = rates if k == 0 and rates is not None else rhs(u_new, v_new, grid, p, taxis)
         u_new = u_new + sub * du
         v_new = v_new + sub * dv
     u_new = u_new + (u - u_new) / STAGES
@@ -294,11 +323,12 @@ def _rkl2_stages(ratio: float) -> int:
     return s
 
 
-def rkl2_step(u, v, grid: Grid, p: ModelParams, taxis: TaxisScheme, dt: float,
-              stages: int) -> tuple[np.ndarray, np.ndarray]:
+def rkl2_step(u, v, grid: Grid, p: ModelParams, taxis: TaxisScheme, dt: float, stages: int,
+              rates: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One RKL2 step of size dt with the given number of stages (Meyer,
     Balsara & Aslam 2014); returns the new (u, v) with no
-    positivity repair and leaves the inputs alone.
+    positivity repair and leaves the inputs alone.  rates, when given, is
+    L(Y_0) = rhs(u, v), which the step then does not form.
 
     With b_0 = b_1 = b_2 = 1/3, b_j = (j^2 + j - 2)/(2j(j + 1)) and
     w1 = 4/(s^2 + s - 2), the stages are Y_1 = Y_0 + b_1 w1 dt L(Y_0) and,
@@ -318,7 +348,7 @@ def rkl2_step(u, v, grid: Grid, p: ModelParams, taxis: TaxisScheme, dt: float,
         raise ValueError(f"dt must be > 0 (got {dt})")
     b = [1.0 / 3.0] * 3 + [(j * j + j - 2) / (2.0 * j * (j + 1)) for j in range(3, stages + 1)]
     w1_dt = 4.0 / (stages * stages + stages - 2) * dt
-    du0, dv0 = rhs(u, v, grid, p, taxis)
+    du0, dv0 = rates if rates is not None else rhs(u, v, grid, p, taxis)
     u_prev, v_prev = u, v  # Y_{j-2}
     u_cur = u + (b[1] * w1_dt) * du0  # Y_{j-1}
     v_cur = v + (b[1] * w1_dt) * dv0
@@ -350,23 +380,50 @@ def _rkl2_stage(y0, cur, prev, d, d0, mu, nu, mu_dt, gamma_dt) -> np.ndarray:
     return y
 
 
+def _defect(y0, y1, rates0, rates1, dt: float) -> float:
+    """max over cells of |y1 - y0 - (dt/2)(rates0 + rates1)| / (1 + |y1|):
+    the trapezoidal defect of one field, relative to its size."""
+    e = rates0 + rates1
+    e *= -0.5 * dt
+    e += y1
+    e -= y0
+    np.abs(e, out=e)
+    e /= 1.0 + np.abs(y1)
+    return float(e.max())
+
+
 def advance(u, v, t: float, t_end: float, grid: Grid, p: ModelParams, taxis: TaxisScheme,
-            accounting: StepAccounting) -> tuple[np.ndarray, np.ndarray, float]:
+            accounting: StepAccounting,
+            control: StepControl | None = None) -> tuple[np.ndarray, np.ndarray, float]:
     """One step of run_to_time from (u, v) at time t toward t_end; returns
-    the new (u, v) and the step length, leaves the inputs alone, and
-    counts the step in accounting.
+    the new (u, v) and the step length, leaves the inputs alone, counts
+    the step in accounting and updates control for the next step.
 
     With (substep, positivity, accuracy) from step_bounds, the step is
-    dt = min(accuracy, t_end - t).  min(positivity, accuracy) is the
-    longest step the method guarantees, so one too small to change t, or
-    one at which the rest of the run would take more than STEP_BUDGET
-    steps, raises Stalled.  When dt is longer than positivity, advance
-    takes it with RKL2 in _rkl2_stages(dt / substep) stages and keeps it
-    if every cell is finite, nonnegative and at most BLOWUP_LIMIT and
-    max v' <= max(max v, max(0, m2)) (1 + 1e-12); otherwise it discards it
-    and takes the SSP-RK step at positivity.  A dt no longer than
-    positivity is taken with SSP-RK, and an SSP-RK step that is not
-    admissible raises BlowUp (from step).
+    dt = min(max(accuracy, min(proposal, longest)), t_end - t), proposal
+    and longest from control, so without one dt = min(accuracy, t_end - t).
+    min(positivity, accuracy) is the longest step the method guarantees,
+    so one too small to change t, or one at which the rest of the run
+    would take more than STEP_BUDGET steps, raises Stalled.
+
+    When dt is longer than positivity, advance takes it with RKL2 in
+    _rkl2_stages(dt / substep) stages, from control.rates when it holds
+    L(Y0).  An RKL2 step is admissible if every cell is finite,
+    nonnegative and at most BLOWUP_LIMIT and max v' <= max(max v,
+    max(0, m2)) (1 + 1e-12); an inadmissible one is discarded, and the
+    next step is proposed at the floor again.  When longest exceeds accuracy and
+    the step does not land on t_end, advance forms L(Y1) and
+    err = max|Y1 - Y0 - (dt/2)(L(Y0) + L(Y1))| / (RKL2_TOL (1 + |Y1|))
+    over both fields.  It keeps the step if err <= 1 or dt <= accuracy,
+    proposes dt min(5, max(0.2, 0.9 err^(-1/3))) next and carries L(Y1);
+    otherwise it retries from (u, v) at max(accuracy, dt max(0.2,
+    0.9 err^(-1/3))).  accuracy is the floor because shortening a step
+    below it only adds steps: the SSP-RK step is never longer.
+
+    A step that is not kept as RKL2, and a dt no longer than positivity,
+    is taken with SSP-RK at min(positivity, accuracy, t_end - t), the
+    bound it guarantees; an SSP-RK step that is not admissible raises
+    BlowUp (from step).
     """
     substep, positivity, accuracy = step_bounds(u, v, grid, p)
     limit = min(positivity, accuracy)
@@ -374,21 +431,43 @@ def advance(u, v, t: float, t_end: float, grid: Grid, p: ModelParams, taxis: Tax
         raise Stalled(f"step {limit:.3e} does not advance t = {t:.6g}")
     if t_end - t > STEP_BUDGET * limit:
         raise Stalled(f"step {limit:.3e} at t = {t:.6g} leaves over {STEP_BUDGET:.0e} steps to t_end")
-    dt = min(accuracy, t_end - t)
+    ctl = control if control is not None else StepControl()
+    rates, ctl.rates = ctl.rates, None
+    dt = min(max(accuracy, min(ctl.proposal, ctl.longest)), t_end - t)
+    estimate = ctl.longest > accuracy and dt < t_end - t
     kept = False
-    if dt > positivity:
+    while dt > positivity:
+        if rates is None:
+            rates = rhs(u, v, grid, p, taxis)
+            accounting.rhs_evaluations += 1
         stages = _rkl2_stages(dt / substep)
-        u_new, v_new = rkl2_step(u, v, grid, p, taxis, dt, stages)
-        accounting.rhs_evaluations += stages
-        kept = _admissible(u_new, v_new, max(float(v.max()), p.m2_plus) * (1.0 + 1e-12))
-        if kept:
-            accounting.rkl2_steps += 1
-        else:
+        u_new, v_new = rkl2_step(u, v, grid, p, taxis, dt, stages, rates)
+        accounting.rhs_evaluations += stages - 1
+        if not _admissible(u_new, v_new, max(float(v.max()), p.m2_plus) * (1.0 + 1e-12)):
             accounting.rkl2_rejected += 1
-            dt = positivity
-    if not kept:
-        u_new, v_new = step(u, v, t, grid, p, taxis, dt)
-        accounting.rhs_evaluations += STAGES
+            ctl.proposal = 0.0
+            break
+        if not estimate:
+            kept = True
+            break
+        rates_new = rhs(u_new, v_new, grid, p, taxis)
+        accounting.rhs_evaluations += 1
+        err = max(_defect(u, u_new, rates[0], rates_new[0], dt),
+                  _defect(v, v_new, rates[1], rates_new[1], dt)) / RKL2_TOL
+        # a NaN err takes the 0.2 of max(0.2, nan) and is rejected
+        factor = max(0.2, 0.9 * err ** (-1.0 / 3.0)) if err != 0.0 else math.inf
+        if err <= 1.0 or dt <= accuracy:
+            kept = True
+            ctl.proposal, ctl.rates = dt * min(5.0, factor), rates_new
+            break
+        accounting.rkl2_error_rejected += 1
+        dt = max(accuracy, dt * factor)
+    if kept:
+        accounting.rkl2_steps += 1
+    else:
+        dt = min(limit, t_end - t)
+        u_new, v_new = step(u, v, t, grid, p, taxis, dt, rates)
+        accounting.rhs_evaluations += STAGES - (rates is not None)
     accounting.steps += 1
     accounting.peak_v = max(accounting.peak_v, float(v_new.max()))
     accounting.dt_min = min(accounting.dt_min, dt)
@@ -406,7 +485,10 @@ def run_to_time(
     accounting: StepAccounting | None = None,
 ) -> State:
     """March from s0 to t_end with the steps of advance; return the state
-    at t_end.
+    at t_end.  advance may lengthen an RKL2 step past C/J, where its
+    error estimate accepts it, up to sample_every and no further, so a
+    lengthened step reaches at most one sample time and the records of a
+    settling run hold a state each.
 
     run_to_time alone decides which sample times t0 + k*sample_every,
     k = 1..floor((t_end - t0)/sample_every + 1e-9), a state fills; there
@@ -442,8 +524,9 @@ def run_to_time(
     n_samples = int(math.floor(intervals + 1e-9))
     next_sample = 1
     time_eps = 1e-12 * max(1.0, abs(t_end))
+    control = StepControl(longest=sample_every)
     while t < t_end:
-        u, v, dt = advance(u, v, t, t_end, grid, p, taxis, acc)
+        u, v, dt = advance(u, v, t, t_end, grid, p, taxis, acc, control)
         t = t_end if t_end - (t + dt) <= time_eps else t + dt
         reached = n_samples + 1 if t == t_end else next_sample
         while reached <= n_samples and t >= t0 + reached * sample_every - 1e-9 * sample_every:

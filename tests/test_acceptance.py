@@ -7,10 +7,12 @@ in preytaxis.acceptance, so runs they share (also with `preytaxis accept`
 in tests/test_cli.py) are made once per process.
 """
 
+import math
+
 import pytest
 
-from preytaxis import EnergyDecayReport, acceptance
-from preytaxis.acceptance import _scenario_result, criterion_numbers, run_criterion
+from preytaxis import EnergyDecayReport, acceptance, dynamics
+from preytaxis.acceptance import _scenario_result, criterion_numbers, homogeneous_errors, run_criterion
 
 
 @pytest.mark.parametrize("number", criterion_numbers())
@@ -41,3 +43,22 @@ def test_criterion_7_fails_without_a_pair_past_t_settle(monkeypatch):
                               budget_lhs=0.0, budget_rhs=0.0, budget_ok=True)
     monkeypatch.setattr(acceptance, "check_energy_decay", lambda *args, **kwargs: empty)
     assert not run_criterion(7).passed
+
+
+def test_criterion_4_error_follows_the_error_tolerance(monkeypatch):
+    """Criterion 4's worst error grows with RKL2_TOL: at ten times the
+    tolerance it is at least sqrt(10) times larger, so the error estimate,
+    not the C/J floor, sets the steps there.  (At a tenth of it the floor
+    binds and the error does not move, so the test looks only upward.)"""
+    at_tol = max(err for _, err in homogeneous_errors())
+    monkeypatch.setattr(dynamics, "RKL2_TOL", 10.0 * dynamics.RKL2_TOL)
+    at_ten_tol = max(err for _, err in homogeneous_errors())
+    assert at_ten_tol >= math.sqrt(10.0) * at_tol
+
+
+@pytest.mark.parametrize("scenario", ["coexistence_64", "extinction_64", "max_principle_64"])
+def test_settling_runs_record_a_distinct_time_at_every_sample(scenario):
+    """Steps longer than C/J stop at one sample interval, so no step fills
+    two sample times and every CSV row holds its own state."""
+    times = [r.t for r in _scenario_result(scenario).records]
+    assert len(set(times)) == len(times)

@@ -160,6 +160,14 @@ def test_accept_rejects_unknown_criterion():
     assert main(["accept", "--criteria", "99"]) == 3
 
 
+def test_accept_with_an_empty_subset_is_usage_error(capsys):
+    """A subset that names no criterion checks nothing; it must not exit 0."""
+    assert main(["accept", "--criteria", ","]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "at least one criterion" in err
+
+
 def test_accept_refinement_criterion_lists_orders_and_errors(capsys):
     # reuses the refinement runs of acceptance criterion 3 when that ran first in this process
     assert main(["accept", "--criteria", "3"]) == 0

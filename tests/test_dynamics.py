@@ -30,7 +30,8 @@ from preytaxis import (
     taxis_mobility,
 )
 from preytaxis import dynamics
-from preytaxis.dynamics import RKL2_ACCURACY, STAGES, STEP_SAFETY, _rkl2_stages, advance, rkl2_step
+from preytaxis.dynamics import (RKL2_ACCURACY, STAGES, STEP_SAFETY, StepControl, _rkl2_stages, advance,
+                                rkl2_step)
 from preytaxis.oracle import homogeneous_ode, refinement_order
 from padded import interior_face_gradients, left, right, slicing_rhs, to_face_array, with_walls
 from strategies import grids, positive_fields
@@ -483,7 +484,8 @@ def test_advance_falls_back_to_the_ssp_step_when_rkl2_goes_negative():
     acc = assert_advance_safe(u, v, TaxisScheme.UPWIND)
     assert acc.rkl2_rejected == 1
     assert acc.rkl2_steps == 0
-    assert acc.rhs_evaluations == 10 + STAGES
+    # the SSP-RK step's first substep reuses the RKL2 step's L(Y0)
+    assert acc.rhs_evaluations == 10 + STAGES - 1
 
 
 @pytest.mark.parametrize(
@@ -534,6 +536,43 @@ def test_advance_runs_each_limiter_pass_once(monkeypatch):
         assert len(calls) == 1
         kinds.append((acc.rkl2_steps, acc.rkl2_rejected))
     assert kinds == [(1, 0), (0, 0), (0, 1)]
+
+
+def cosine_pair():
+    x = np.cos(np.pi * ROUGH.centers(0))
+    return 1.0 + 0.5 * x, 1.0 - 0.5 * x
+
+
+def test_advance_retries_a_step_the_error_estimate_rejects():
+    """A proposed step of one whole time unit from a cosine profile fails
+    the error estimate; advance retries it shorter down to the C/J floor,
+    keeps it there as RKL2, proposes a shorter step next and carries the
+    right-hand side at the kept state."""
+    u, v = cosine_pair()
+    _, positivity, accuracy = step_bounds(u, v, ROUGH, WORKED)
+    control, acc = StepControl(longest=1.0, proposal=1.0), StepAccounting()
+    u1, v1, dt = advance(u, v, 0.0, 10.0, ROUGH, WORKED, TaxisScheme.UPWIND, acc, control)
+    assert dt == accuracy > positivity
+    assert acc.rkl2_error_rejected >= 1
+    assert (acc.rkl2_steps, acc.rkl2_rejected, acc.steps) == (1, 0, 1)
+    assert control.proposal < accuracy
+    for carried, fresh in zip(control.rates, rhs(u1, v1, ROUGH, WORKED, TaxisScheme.UPWIND)):
+        assert carried.tobytes() == fresh.tobytes()
+
+
+def test_advance_forms_no_estimate_when_no_step_can_be_longer():
+    """With a sample interval under C/J, or a step that lands on t_end,
+    advance takes the C/J step as without a controller and forms no L(Y1)."""
+    u, v = cosine_pair()
+    substep, _, accuracy = step_bounds(u, v, ROUGH, WORKED)
+    plain = advance(u, v, 0.0, 10.0, ROUGH, WORKED, TaxisScheme.UPWIND, StepAccounting())
+    for longest, t_end in ((0.5 * accuracy, 10.0), (1.0, accuracy)):
+        control, acc = StepControl(longest=longest), StepAccounting()
+        u1, v1, dt = advance(u, v, 0.0, t_end, ROUGH, WORKED, TaxisScheme.UPWIND, acc, control)
+        assert dt == plain[2] == accuracy
+        assert u1.tobytes() == plain[0].tobytes() and v1.tobytes() == plain[1].tobytes()
+        assert acc.rhs_evaluations == _rkl2_stages(accuracy / substep)
+        assert control.rates is None and control.proposal == 0.0
 
 
 @settings(max_examples=200, deadline=None)

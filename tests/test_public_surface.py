@@ -108,8 +108,10 @@ def test_traced_bench_call_gives_strict_json_and_no_clamped_cell(tmp_path):
     writers), as bench/run.py --trace 1 makes it: each call succeeds
     under the shims, its per-layer metrics serialise as strict JSON,
     which the result line must be, and the clamped-cell count the
-    benchmark reads is 0.  All three workloads run in this one test,
-    whose name the tier-1 floor list pins."""
+    benchmark reads is 0.  Every per-layer metric is measured: a kernel
+    that stepping stops calling through its module attribute leaves a
+    metric unmeasured, and the result line then lacks its name.  All
+    three workloads run in this one test."""
     spans = load_bench_module("spans")
     workloads = load_bench_module("workloads").WORKLOADS
     seed = load_bench_module("run").DEFAULT_SEED
@@ -123,6 +125,8 @@ def test_traced_bench_call_gives_strict_json_and_no_clamped_cell(tmp_path):
         assert traced.ok, (name, traced.failure)
         json.dumps(tracer.layer_metrics(traced.steps, workload.cells(), traced.wall_s), allow_nan=False)
         assert traced.clamped_cells == 0, name
+        assert tracer.not_measured == {}, name
+        assert set(tracer.missing) == STALE_SPAN_TARGETS, name
 
 
 def test_readme_lists_commands():

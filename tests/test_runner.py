@@ -73,10 +73,11 @@ def test_run_scenario_writes_directory(tmp_path):
     assert manifest["certificate"]["holds"] is True
     assert manifest["certificate"]["m2_relaxed"] > 2.0
     assert manifest["peak_v"] >= 1.0
-    assert manifest["scheme"] == "upwind rkl2 C=0.05 ssp-rk stages=4 safety=0.9"
+    assert manifest["scheme"] == "upwind rkl2 C=0.05 tol=1e-05 ssp-rk stages=4 safety=0.9"
     assert 0 < manifest["dt_min"] <= manifest["dt_max"] <= 0.2
     assert 0 < manifest["rkl2_steps"] <= manifest["steps"]
     assert manifest["rkl2_rejected_steps"] == 0
+    assert manifest["rkl2_error_rejected_steps"] == 0
     assert manifest["rhs_evaluations"] >= 2 * manifest["steps"]
 
     csv = (out / "diagnostics.csv").read_text().strip().splitlines()
