@@ -225,7 +225,7 @@ def _criterion_6() -> tuple[bool, str]:
     expected = integrate_values(g, reaction_rates(u0, v0, p)[0])
 
     def residual(dt: float) -> float:
-        u1 = step(u0, v0, 0.0, g, p, TaxisScheme.UPWIND, dt)[0]
+        u1 = step(np.stack((u0, v0)), 0.0, g, p, TaxisScheme.UPWIND, dt)[0]
         return abs((integrate_values(g, u1) - mass0) / dt - expected)
 
     r_full = residual(dt0)

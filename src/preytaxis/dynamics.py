@@ -7,9 +7,17 @@ prey-enhanced diffusion with drift up the prey gradient,
     flux = (d1 + chi*v_face) * (u_R - u_L)/h - chi * F(u_face) * (v_R - v_L)/h,
 
 where v_face is the arithmetic face mean and u_face is the donor cell's
-value (upwind, the default) or the face mean (central).  flux_u writes
-it into grid's face arrays, zero on the walls; rhs forms the prey's face
-gradients once, for the drift and for the prey's zero-flux diffusion.
+value (upwind, the default) or the face mean (central).
+
+The stepper carries the state as one C-contiguous array y of shape
+(2, *grid.n), y[0] the predator u and y[1] the prey v, so each operation
+the two species share runs as one array call on both.  rhs forms the
+face gradients of both fields in one call, flux_u writes the predator
+flux over u's row of those face arrays (zero on the walls), and one
+divergence call gives the predator's flux divergence and the prey's
+Laplacian, so the prey's face gradients are formed once, for the drift
+and for its zero-flux diffusion.  Right-hand sides, stage updates, error
+defects and admissibility checks all work on the stacked array.
 
 run_to_time takes each step with advance, the one place that keeps,
 discards and counts a step; step and rkl2_step only compute one.  The
@@ -163,7 +171,7 @@ class StepControl:
 
     longest: float = 0.0
     proposal: float = 0.0
-    rates: tuple[np.ndarray, np.ndarray] | None = None
+    rates: np.ndarray | None = None
 
 
 # --- pointwise reactions ----------------------------------------------------
@@ -177,40 +185,47 @@ def reaction_rates(u: np.ndarray, v: np.ndarray, p: ModelParams) -> tuple[np.nda
 
 # --- predator flux ----------------------------------------------------------
 
-def flux_u(u, v, grid: Grid, p: ModelParams, taxis: TaxisScheme,
-           grad_v: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    """Predator flux on every face, per axis, as face arrays (see grid),
-    from the values of the two cells each face separates and the prey's
-    face gradients grad_v (face_gradient_values of v)."""
-    x_u, x_v = u.ravel(), v.ravel()
-    fluxes = []
-    for ax, (s, h) in enumerate(zip(grid.stride, grid.h)):
-        u_l, u_r, v_l, v_r = x_u[:-s], x_u[s:], x_v[:-s], x_v[s:]
-        v_face = 0.5 * (v_l + v_r)
-        drift = p.chi * grad_v[ax][s:-s]
+def flux_u(y: np.ndarray, grid: Grid, p: ModelParams, taxis: TaxisScheme,
+           grads: tuple[np.ndarray, ...]) -> None:
+    """Write the predator flux on every face over row 0 of grads, the
+    face gradients of the stacked state y (face_gradient_values of y):
+    per axis a (2, N + s) face array (see grid) whose row 0 holds u's
+    gradients on entry and the flux on return, and whose row 1, the
+    prey's gradients, is left alone.  Each face's flux is formed from
+    the values of the two cells it separates."""
+    x_u, x_v = y.reshape(2, -1)
+    for ax, (s, faces) in enumerate(zip(grid.stride, grads)):
+        u_l, u_r = x_u[:-s], x_u[s:]
+        grad_u = faces[0, s:-s]
+        drift = p.chi * faces[1, s:-s]
         if taxis is TaxisScheme.UPWIND:
             # donor cell: positive drift carries density from the left cell
             u_face = np.where(drift > 0, u_l, u_r)
         else:
             u_face = 0.5 * (u_l + u_r)
 
-        diffusion = (p.d1 + p.chi * v_face) * ((u_r - u_l) / h)
-        fluxes.append(grid.face_difference(ax, diffusion, taxis_mobility(u_face, p.eps) * drift))
-    return tuple(fluxes)
+        # (0.5 chi)(v_L + v_R) is chi times the face mean bit for bit
+        diffusion = (p.d1 + (0.5 * p.chi) * (x_v[:-s] + x_v[s:])) * grad_u
+        np.subtract(diffusion, taxis_mobility(u_face, p.eps) * drift, out=grad_u)
+        grid.zero_seams(ax, faces[0])
 
 
 # --- semidiscrete right-hand side -------------------------------------------
 
-def rhs(u, v, grid: Grid, p: ModelParams, taxis: TaxisScheme) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivatives of (u, v), the prey's face gradients formed once.
-    The flux part integrates to zero exactly, so the discrete mass
-    identity d/dt integral(u) = integral(reaction_u) holds to rounding."""
-    grad_v = face_gradient_values(grid, v)
-    fluxes = flux_u(u, v, grid, p, taxis, grad_v)
-    ru, rv = reaction_rates(u, v, p)
-    du = divergence_values(grid, fluxes) + ru
-    dv = p.d2 * divergence_values(grid, grad_v) + rv
-    return du, dv
+def rhs(y: np.ndarray, grid: Grid, p: ModelParams, taxis: TaxisScheme) -> np.ndarray:
+    """Time derivatives of the stacked state y, shaped like y: one face
+    gradient call for both fields, whose prey row serves the drift and
+    the prey's diffusion, and one divergence call.  The flux part
+    integrates to zero exactly, so the discrete mass identity
+    d/dt integral(u) = integral(reaction_u) holds to rounding."""
+    grads = face_gradient_values(grid, y)
+    flux_u(y, grid, p, taxis, grads)
+    out = divergence_values(grid, grads)
+    out[1] *= p.d2
+    ru, rv = reaction_rates(y[0], y[1], p)
+    out[0] += ru
+    out[1] += rv
+    return out
 
 
 # --- step-size limiter --------------------------------------------------------
@@ -275,25 +290,24 @@ def step_bounds(u, v, grid: Grid, p: ModelParams) -> tuple[float, float, float]:
 
 # --- time stepping -----------------------------------------------------------
 
-def _admissible(u, v, prey_cap: float) -> bool:
-    """Whether every cell of u and v is finite, nonnegative and at most
-    BLOWUP_LIMIT, and max v <= prey_cap.  The array minima and maxima are
-    NaN when any cell is, and NaN fails every comparison, so a NaN
-    anywhere makes the state inadmissible."""
-    v_max = v.max()
-    return bool(u.min() >= 0.0 and u.max() <= BLOWUP_LIMIT and v.min() >= 0.0
-                and v_max <= BLOWUP_LIMIT and v_max <= prey_cap)
+def _admissible(y: np.ndarray, prey_cap: float) -> bool:
+    """Whether every cell of the stacked state y is finite, nonnegative
+    and at most BLOWUP_LIMIT, and max v <= prey_cap.  The array minima
+    and maxima are NaN when any cell is, and NaN fails every comparison,
+    so a NaN anywhere makes the state inadmissible."""
+    return bool(y.min() >= 0.0 and y.max() <= BLOWUP_LIMIT and y[1].max() <= prey_cap)
 
 
-def step(u, v, t: float, grid: Grid, p: ModelParams, taxis: TaxisScheme,
-         dt: float, rates: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """One SSP-RK(STAGES, 2) step of size dt from time t; returns the new
-    (u, v) with no positivity repair and leaves the inputs alone.  rates,
-    when given, is rhs(u, v), which the first substep then does not form.
+def step(y: np.ndarray, t: float, grid: Grid, p: ModelParams, taxis: TaxisScheme,
+         dt: float, rates: np.ndarray | None = None) -> np.ndarray:
+    """One SSP-RK(STAGES, 2) step of size dt from the stacked state y at
+    time t; returns the new stacked state with no positivity repair and
+    leaves the inputs alone.  rates, when given, is rhs(y), which the
+    first substep then does not form.
 
-    STAGES - 1 forward-Euler substeps y <- y + (dt/(STAGES - 1)) rhs(y)
-    and one more give y; the step returns y + (u - y)/STAGES.  That is
-    the convex combination (u + (STAGES - 1) y)/STAGES, written so that a
+    STAGES - 1 forward-Euler substeps z <- z + (dt/(STAGES - 1)) rhs(z)
+    and one more give z; the step returns z + (y - z)/STAGES.  That is
+    the convex combination (y + (STAGES - 1) z)/STAGES, written so that a
     fixed point of rhs is kept bitwise.  A result with a cell that is
     negative, not finite or above BLOWUP_LIMIT raises BlowUp: the same
     admissibility rule advance applies to an RKL2 step, without its prey
@@ -302,16 +316,14 @@ def step(u, v, t: float, grid: Grid, p: ModelParams, taxis: TaxisScheme,
     if dt <= 0:
         raise ValueError(f"dt must be > 0 (got {dt})")
     sub = dt / (STAGES - 1)
-    u_new, v_new = u, v
+    z = y
     for k in range(STAGES):
-        du, dv = rates if k == 0 and rates is not None else rhs(u_new, v_new, grid, p, taxis)
-        u_new = u_new + sub * du
-        v_new = v_new + sub * dv
-    u_new = u_new + (u - u_new) / STAGES
-    v_new = v_new + (v - v_new) / STAGES
-    if not _admissible(u_new, v_new, math.inf):
+        d = rates if k == 0 and rates is not None else rhs(z, grid, p, taxis)
+        z = z + sub * d
+    z = z + (y - z) / STAGES
+    if not _admissible(z, math.inf):
         raise BlowUp(f"density negative, not finite or above {BLOWUP_LIMIT:.0e} at t = {t + dt:.6g}")
-    return u_new, v_new
+    return z
 
 
 def _rkl2_stages(ratio: float) -> int:
@@ -323,12 +335,13 @@ def _rkl2_stages(ratio: float) -> int:
     return s
 
 
-def rkl2_step(u, v, grid: Grid, p: ModelParams, taxis: TaxisScheme, dt: float, stages: int,
-              rates: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
+def rkl2_step(y: np.ndarray, grid: Grid, p: ModelParams, taxis: TaxisScheme, dt: float, stages: int,
+              rates: np.ndarray | None = None) -> np.ndarray:
     """One RKL2 step of size dt with the given number of stages (Meyer,
-    Balsara & Aslam 2014); returns the new (u, v) with no
-    positivity repair and leaves the inputs alone.  rates, when given, is
-    L(Y_0) = rhs(u, v), which the step then does not form.
+    Balsara & Aslam 2014) from the stacked state Y_0 = y; returns the new
+    stacked state with no positivity repair and leaves the inputs alone.
+    rates, when given, is L(Y_0) = rhs(y), which the step then does not
+    form.
 
     With b_0 = b_1 = b_2 = 1/3, b_j = (j^2 + j - 2)/(2j(j + 1)) and
     w1 = 4/(s^2 + s - 2), the stages are Y_1 = Y_0 + b_1 w1 dt L(Y_0) and,
@@ -339,8 +352,9 @@ def rkl2_step(u, v, grid: Grid, p: ModelParams, taxis: TaxisScheme, dt: float, s
 
     with mu_j = (2j - 1) b_j/(j b_{j-1}) and nu_j = -(j - 1) b_j/(j b_{j-2}).
     Writing each stage as increments on Y_0 keeps a fixed point of rhs
-    bitwise.  The step is stable while dt is at most (s^2 + s - 2)/4
-    forward-Euler steps.
+    bitwise.  Stage j's Y_{j-1} - Y_0 is kept as stage j + 1's
+    Y_{j-2} - Y_0; stage 2's is Y_0 - Y_0.  The step is stable while dt
+    is at most (s^2 + s - 2)/4 forward-Euler steps.
     """
     if stages < 2:
         raise ValueError(f"RKL2 needs at least 2 stages (got {stages})")
@@ -348,41 +362,40 @@ def rkl2_step(u, v, grid: Grid, p: ModelParams, taxis: TaxisScheme, dt: float, s
         raise ValueError(f"dt must be > 0 (got {dt})")
     b = [1.0 / 3.0] * 3 + [(j * j + j - 2) / (2.0 * j * (j + 1)) for j in range(3, stages + 1)]
     w1_dt = 4.0 / (stages * stages + stages - 2) * dt
-    du0, dv0 = rates if rates is not None else rhs(u, v, grid, p, taxis)
-    u_prev, v_prev = u, v  # Y_{j-2}
-    u_cur = u + (b[1] * w1_dt) * du0  # Y_{j-1}
-    v_cur = v + (b[1] * w1_dt) * dv0
+    d0 = rates if rates is not None else rhs(y, grid, p, taxis)
+    prev_inc = y - y  # Y_{j-2} - Y_0
+    cur = y + (b[1] * w1_dt) * d0  # Y_{j-1}
     for j in range(2, stages + 1):
         mu = (2 * j - 1) / j * b[j] / b[j - 1]
         nu = -(j - 1) / j * b[j] / b[j - 2]
         mu_dt = mu * w1_dt
         gamma_dt = -(1.0 - b[j - 1]) * mu_dt
-        du, dv = rhs(u_cur, v_cur, grid, p, taxis)
-        u_next = _rkl2_stage(u, u_cur, u_prev, du, du0, mu, nu, mu_dt, gamma_dt)
-        v_next = _rkl2_stage(v, v_cur, v_prev, dv, dv0, mu, nu, mu_dt, gamma_dt)
-        u_prev, v_prev, u_cur, v_cur = u_cur, v_cur, u_next, v_next
-    return u_cur, v_cur
+        d = rhs(cur, grid, p, taxis)
+        cur, prev_inc = _rkl2_stage(y, cur, prev_inc, d, d0, mu, nu, mu_dt, gamma_dt)
+    return cur
 
 
-def _rkl2_stage(y0, cur, prev, d, d0, mu, nu, mu_dt, gamma_dt) -> np.ndarray:
-    """y0 + mu (cur - y0) + nu (prev - y0) + mu_dt d + gamma_dt d0, term by
-    term in that order, so bitwise, into one new array and one scratch."""
-    y = cur - y0
-    y *= mu
+def _rkl2_stage(y0, cur, prev_inc, d, d0, mu, nu, mu_dt, gamma_dt) -> tuple[np.ndarray, np.ndarray]:
+    """(y0 + mu (cur - y0) + nu prev_inc + mu_dt d + gamma_dt d0, cur - y0):
+    the next stage, summed term by term in that order, so bitwise, into
+    one new array and one scratch, and the increment the stage after it
+    takes as prev_inc."""
+    inc = cur - y0
+    y = inc * mu
     y += y0
-    tmp = prev - y0
-    tmp *= nu
+    tmp = prev_inc * nu
     y += tmp
     np.multiply(d, mu_dt, out=tmp)
     y += tmp
     np.multiply(d0, gamma_dt, out=tmp)
     y += tmp
-    return y
+    return y, inc
 
 
 def _defect(y0, y1, rates0, rates1, dt: float) -> float:
     """max over cells of |y1 - y0 - (dt/2)(rates0 + rates1)| / (1 + |y1|):
-    the trapezoidal defect of one field, relative to its size."""
+    the trapezoidal defect, relative to its size, over both fields of the
+    stacked states."""
     e = rates0 + rates1
     e *= -0.5 * dt
     e += y1
@@ -392,12 +405,13 @@ def _defect(y0, y1, rates0, rates1, dt: float) -> float:
     return float(e.max())
 
 
-def advance(u, v, t: float, t_end: float, grid: Grid, p: ModelParams, taxis: TaxisScheme,
+def advance(y: np.ndarray, t: float, t_end: float, grid: Grid, p: ModelParams, taxis: TaxisScheme,
             accounting: StepAccounting,
-            control: StepControl | None = None) -> tuple[np.ndarray, np.ndarray, float]:
-    """One step of run_to_time from (u, v) at time t toward t_end; returns
-    the new (u, v) and the step length, leaves the inputs alone, counts
-    the step in accounting and updates control for the next step.
+            control: StepControl | None = None) -> tuple[np.ndarray, float]:
+    """One step of run_to_time from the stacked state y = (u, v) at time t
+    toward t_end; returns the new stacked state and the step length,
+    leaves the inputs alone, counts the step in accounting and updates
+    control for the next step.
 
     With (substep, positivity, accuracy) from step_bounds, the step is
     dt = min(max(accuracy, min(proposal, longest)), t_end - t), proposal
@@ -416,7 +430,7 @@ def advance(u, v, t: float, t_end: float, grid: Grid, p: ModelParams, taxis: Tax
     err = max|Y1 - Y0 - (dt/2)(L(Y0) + L(Y1))| / (RKL2_TOL (1 + |Y1|))
     over both fields.  It keeps the step if err <= 1 or dt <= accuracy,
     proposes dt min(5, max(0.2, 0.9 err^(-1/3))) next and carries L(Y1);
-    otherwise it retries from (u, v) at max(accuracy, dt max(0.2,
+    otherwise it retries from y at max(accuracy, dt max(0.2,
     0.9 err^(-1/3))).  accuracy is the floor because shortening a step
     below it only adds steps: the SSP-RK step is never longer.
 
@@ -425,7 +439,7 @@ def advance(u, v, t: float, t_end: float, grid: Grid, p: ModelParams, taxis: Tax
     bound it guarantees; an SSP-RK step that is not admissible raises
     BlowUp (from step).
     """
-    substep, positivity, accuracy = step_bounds(u, v, grid, p)
+    substep, positivity, accuracy = step_bounds(y[0], y[1], grid, p)
     limit = min(positivity, accuracy)
     if t + min(limit, t_end - t) == t:
         raise Stalled(f"step {limit:.3e} does not advance t = {t:.6g}")
@@ -438,22 +452,21 @@ def advance(u, v, t: float, t_end: float, grid: Grid, p: ModelParams, taxis: Tax
     kept = False
     while dt > positivity:
         if rates is None:
-            rates = rhs(u, v, grid, p, taxis)
+            rates = rhs(y, grid, p, taxis)
             accounting.rhs_evaluations += 1
         stages = _rkl2_stages(dt / substep)
-        u_new, v_new = rkl2_step(u, v, grid, p, taxis, dt, stages, rates)
+        y_new = rkl2_step(y, grid, p, taxis, dt, stages, rates)
         accounting.rhs_evaluations += stages - 1
-        if not _admissible(u_new, v_new, max(float(v.max()), p.m2_plus) * (1.0 + 1e-12)):
+        if not _admissible(y_new, max(float(y[1].max()), p.m2_plus) * (1.0 + 1e-12)):
             accounting.rkl2_rejected += 1
             ctl.proposal = 0.0
             break
         if not estimate:
             kept = True
             break
-        rates_new = rhs(u_new, v_new, grid, p, taxis)
+        rates_new = rhs(y_new, grid, p, taxis)
         accounting.rhs_evaluations += 1
-        err = max(_defect(u, u_new, rates[0], rates_new[0], dt),
-                  _defect(v, v_new, rates[1], rates_new[1], dt)) / RKL2_TOL
+        err = _defect(y, y_new, rates, rates_new, dt) / RKL2_TOL
         # a NaN err takes the 0.2 of max(0.2, nan) and is rejected
         factor = max(0.2, 0.9 * err ** (-1.0 / 3.0)) if err != 0.0 else math.inf
         if err <= 1.0 or dt <= accuracy:
@@ -466,13 +479,13 @@ def advance(u, v, t: float, t_end: float, grid: Grid, p: ModelParams, taxis: Tax
         accounting.rkl2_steps += 1
     else:
         dt = min(limit, t_end - t)
-        u_new, v_new = step(u, v, t, grid, p, taxis, dt, rates)
+        y_new = step(y, t, grid, p, taxis, dt, rates)
         accounting.rhs_evaluations += STAGES - (rates is not None)
     accounting.steps += 1
-    accounting.peak_v = max(accounting.peak_v, float(v_new.max()))
+    accounting.peak_v = max(accounting.peak_v, float(y_new[1].max()))
     accounting.dt_min = min(accounting.dt_min, dt)
     accounting.dt_max = max(accounting.dt_max, dt)
-    return u_new, v_new, dt
+    return y_new, dt
 
 
 def run_to_time(
@@ -501,6 +514,8 @@ def run_to_time(
     clipped to land on t_end.  A step too small to change t, or one at
     which the rest of the run would take more than STEP_BUDGET steps,
     raises Stalled (from advance) instead of looping without end.
+    The states passed to the sink hold views of the stepper's stacked
+    array, which is never written again once handed out.
     A NaN t_end or sample_every, or more than SAMPLE_BUDGET sample
     intervals, raises ValueError before the sink is first called.
     """
@@ -519,19 +534,19 @@ def run_to_time(
         return s0
 
     grid = s0.grid
-    u, v, t0 = s0.u.values, s0.v.values, s0.t
+    y, t0 = np.stack((s0.u.values, s0.v.values)), s0.t
     t = t0
     n_samples = int(math.floor(intervals + 1e-9))
     next_sample = 1
     time_eps = 1e-12 * max(1.0, abs(t_end))
     control = StepControl(longest=sample_every)
     while t < t_end:
-        u, v, dt = advance(u, v, t, t_end, grid, p, taxis, acc, control)
+        y, dt = advance(y, t, t_end, grid, p, taxis, acc, control)
         t = t_end if t_end - (t + dt) <= time_eps else t + dt
         reached = n_samples + 1 if t == t_end else next_sample
         while reached <= n_samples and t >= t0 + reached * sample_every - 1e-9 * sample_every:
             reached += 1
         if reached > next_sample and sink is not None:
-            sink(State(Field(grid, u), Field(grid, v), t), reached - next_sample)
+            sink(State(Field(grid, y[0]), Field(grid, y[1]), t), reached - next_sample)
         next_sample = reached
-    return State(Field(grid, u), Field(grid, v), t_end)
+    return State(Field(grid, y[0]), Field(grid, y[1]), t_end)

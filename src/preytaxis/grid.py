@@ -11,6 +11,11 @@ slots among them), are walls and hold 0, the discrete Neumann
 condition.  In 1-D and along axis 0 this is the zero-padded face array,
 flattened.  So discrete integrals of divergences telescope to zero to
 rounding: the discrete divergence theorem holds by construction.
+
+The kernels also take a stack of fields, values shaped lead + Grid.n
+(dynamics passes both species as one (2, *n) array): face arrays then
+come back shaped lead + (N + s,) and divergences lead + Grid.n, and each
+field of the stack gets the same bits as on its own.
 """
 
 from __future__ import annotations
@@ -83,13 +88,21 @@ class Grid:
 
     def face_difference(self, ax: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The face array along axis ax holding a - b in slots s through
-        N - 1 (a and b are shaped like x[s:]) and 0 on the walls and seams."""
+        N - 1 (a and b are shaped like x[..., s:]) and 0 on the walls and
+        seams; leading axes of a and b are kept."""
         s = self.stride[ax]
-        faces = np.zeros(len(a) + 2 * s)
-        np.subtract(a, b, out=faces[s:-s])
-        if ax:  # along axis 0 the seams are the last s slots, which stay 0
-            faces[s:].reshape(-1, self.n[ax], s)[:, -1] = 0.0
+        faces = np.zeros(a.shape[:-1] + (a.shape[-1] + 2 * s,))
+        np.subtract(a, b, out=faces[..., s:-s])
+        self.zero_seams(ax, faces)
         return faces
+
+    def zero_seams(self, ax: int, faces: np.ndarray) -> None:
+        """Set the seams of face arrays along axis ax (last axis of faces)
+        to 0 in place.  Along axis 0 the seams are the last s slots, which
+        face_difference leaves 0."""
+        if ax:
+            s = self.stride[ax]
+            faces[..., s:].reshape(faces.shape[:-1] + (-1, self.n[ax], s))[..., -1, :] = 0.0
 
     @property
     def volume(self) -> float:
@@ -139,8 +152,13 @@ def integrate_values(grid: Grid, values: np.ndarray) -> float:
 def face_gradient_values(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ...]:
     """Normal gradient on every face, per axis, as face arrays: zero on
     the walls and seams."""
-    x = values.ravel()
-    return tuple(grid.face_difference(ax, x[s:], x[:-s]) / grid.h[ax] for ax, s in enumerate(grid.stride))
+    x = values.reshape(values.shape[:values.ndim - grid.dim] + (-1,))  # lead + (N,)
+    grads = []
+    for ax, s in enumerate(grid.stride):
+        f = grid.face_difference(ax, x[..., s:], x[..., :-s])
+        f /= grid.h[ax]
+        grads.append(f)
+    return tuple(grads)
 
 
 def divergence_values(grid: Grid, fluxes: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -150,8 +168,8 @@ def divergence_values(grid: Grid, fluxes: tuple[np.ndarray, ...]) -> np.ndarray:
     only term is -0.0 gets +0.0."""
     out = 0.0
     for f, s, h in zip(fluxes, grid.stride, grid.h):
-        out = out + (f[s:] - f[:-s]) / h
-    return out.reshape(grid.n)
+        out = out + (f[..., s:] - f[..., :-s]) / h
+    return out.reshape(out.shape[:-1] + grid.n)
 
 
 def laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -169,8 +187,8 @@ def gradient_sq_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     out = 0.0
     for g, s in zip(face_gradient_values(grid, values), grid.stride):
         sq = g ** 2
-        out = out + 0.5 * (sq[s:] + sq[:-s])
-    return out.reshape(grid.n)
+        out = out + 0.5 * (sq[..., s:] + sq[..., :-s])
+    return out.reshape(out.shape[:-1] + grid.n)
 
 
 # --- snapshot format -------------------------------------------------------

@@ -33,7 +33,8 @@ from preytaxis import dynamics
 from preytaxis.dynamics import (RKL2_ACCURACY, STAGES, STEP_SAFETY, StepControl, _rkl2_stages, advance,
                                 rkl2_step)
 from preytaxis.oracle import homogeneous_ode, refinement_order
-from padded import interior_face_gradients, left, right, slicing_rhs, to_face_array, with_walls
+from padded import (interior_face_gradients, left, per_field_rkl2_step, per_field_step, right, slicing_rhs,
+                    to_face_array, with_walls)
 from strategies import grids, positive_fields
 
 WORKED = ModelParams(d1=1.0, d2=1.0, m1=1.0, m2=2.0, chi=1.0, a=1.0, b=1.0)
@@ -62,7 +63,7 @@ def test_step_fixes_equilibrium_bitwise():
     """The spatially constant equilibrium is a fixed point of the stepper."""
     ss = steady_states(WORKED)
     u, v, g = make_arrays(np.full((8, 8), ss.u_star), np.full((8, 8), ss.v_star))
-    u1, v1 = step(u, v, 0.0, g, WORKED, TaxisScheme.UPWIND, 0.01)
+    u1, v1 = step(np.stack((u, v)), 0.0, g, WORKED, TaxisScheme.UPWIND, 0.01)
     assert np.array_equal(u1, u)
     assert np.array_equal(v1, v)
     # the time is the caller's: run_to_time lands exactly on t_end, here
@@ -77,8 +78,12 @@ def test_step_fixes_equilibrium_bitwise():
 
 
 def flux_of(u, v, g, p, taxis):
-    """flux_u with the prey's face gradients it takes from rhs."""
-    return flux_u(u, v, g, p, taxis, face_gradient_values(g, v))
+    """flux_u with the face gradients it takes from rhs: the predator rows
+    of the face arrays it writes."""
+    y = np.stack((u, v))
+    grads = face_gradient_values(g, y)
+    flux_u(y, g, p, taxis, grads)
+    return tuple(faces[0] for faces in grads)
 
 
 def test_flux_is_plain_diffusion_when_v_constant():
@@ -177,7 +182,7 @@ def test_rhs_matches_slicing_rhs_bitwise_property(data, g, taxis, eps):
     u = data.draw(nonnegative_fields(g))
     v = data.draw(nonnegative_fields(g))
     p = replace(WORKED, eps=eps)
-    got = rhs(u, v, g, p, taxis)
+    got = rhs(np.stack((u, v)), g, p, taxis)
     want = slicing_rhs(u, v, g, p, taxis)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
@@ -206,7 +211,7 @@ def assert_forward_euler_substep_safe(u, v, g, p, taxis):
     fields nonnegative and the prey under its logistic comparison value
     V + dt V (m2 - V)."""
     dt = step_bounds(u, v, g, p)[0]
-    du, dv = rhs(u, v, g, p, taxis)
+    du, dv = rhs(np.stack((u, v)), g, p, taxis)
     u1 = u + dt * du
     v1 = v + dt * dv
     big_v = float(v.max())
@@ -227,7 +232,7 @@ def assert_full_step_clean(u, v, g, p, taxis):
     """One SSP-RK step at the length advance takes is admissible, so step
     raises no BlowUp for a negative cell, and keeps the prey under
     max(max v, max(0, m2)): the maximum principle of the prey equation."""
-    _, v1 = step(u, v, 0.0, g, p, taxis, ssp_step_length(u, v, g, p))
+    _, v1 = step(np.stack((u, v)), 0.0, g, p, taxis, ssp_step_length(u, v, g, p))
     assert float(v1.max()) <= max(float(v.max()), max(0.0, p.m2)) * (1.0 + 1e-12)
 
 
@@ -275,7 +280,7 @@ def test_each_limiter_term_binds_somewhere(u, v, length, p):
     u, v, g = make_arrays(u, v, length)
     for taxis in TaxisScheme:
         assert_forward_euler_substep_safe(u, v, g, p, taxis)
-        step(u, v, 0.0, g, p, taxis, step_bounds(u, v, g, p)[0])  # raises BlowUp on a negative cell
+        step(np.stack((u, v)), 0.0, g, p, taxis, step_bounds(u, v, g, p)[0])  # raises BlowUp on a negative cell
         assert_full_step_clean(u, v, g, p, taxis)
 
 
@@ -292,7 +297,7 @@ def test_advance_clamps_nothing_at_the_predator_inflection_point():
         u_level = (m1 + a * v_level) / 2.0
         p = ModelParams(d1=1e-2, d2=1e-2, m1=m1, m2=b * u_level * rng.uniform(0.99, 1.01),
                         chi=1e-2, a=a, b=b)
-        advance(np.full(4, u_level), np.full(4, v_level), 0.0, 1e3, g, p, TaxisScheme.UPWIND,
+        advance(np.stack((np.full(4, u_level), np.full(4, v_level))), 0.0, 1e3, g, p, TaxisScheme.UPWIND,
                 StepAccounting())
 
 
@@ -433,9 +438,60 @@ def test_rkl2_step_is_second_order_on_the_homogeneous_ode(stages, m2):
     for dt in (0.1, 0.05, 0.025):
         u, v = np.ones(8), np.ones(8)
         for _ in range(round(2.0 / dt)):
-            u, v = rkl2_step(u, v, g, p, TaxisScheme.UPWIND, dt, stages)
+            u, v = rkl2_step(np.stack((u, v)), g, p, TaxisScheme.UPWIND, dt, stages)
         pairs.append((dt, max(abs(u[0] - ref.u[-1]), abs(v[0] - ref.v[-1]))))
     assert refinement_order(pairs) >= 1.9
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    g=grids(),
+    taxis=st.sampled_from(TaxisScheme),
+    eps=st.sampled_from((0.0, 0.1, 1.0)),
+    stages=st.integers(2, 25),
+    fraction=st.floats(0.01, 1.0),
+    carried=st.booleans(),
+)
+def test_rkl2_step_matches_the_per_field_recurrence_bitwise_property(
+        data, g, taxis, eps, stages, fraction, carried):
+    """The stacked RKL2 step, with L(Y_0) carried in or formed, equals each
+    field's own stage recurrence on the slicing rhs byte for byte, at up
+    to the longest step its stage count covers."""
+    u = data.draw(positive_fields(g))
+    v = data.draw(positive_fields(g))
+    p = replace(WORKED, eps=eps)
+    y = np.stack((u, v))
+    dt = fraction * (stages * stages + stages - 2) / 4 * step_bounds(u, v, g, p)[0]
+    rates = rhs(y, g, p, taxis) if carried else None
+    got = rkl2_step(y, g, p, taxis, dt, stages, rates)
+    want = per_field_rkl2_step(u, v, g, p, taxis, dt, stages)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    g=grids(),
+    taxis=st.sampled_from(TaxisScheme),
+    eps=st.sampled_from((0.0, 0.1, 1.0)),
+    fraction=st.floats(0.01, 1.0),
+    carried=st.booleans(),
+)
+def test_step_matches_the_per_field_loop_bitwise_property(data, g, taxis, eps, fraction, carried):
+    """The stacked SSP-RK step, with rhs(y) carried in or formed, equals
+    each field's own substep loop on the slicing rhs byte for byte."""
+    u = data.draw(positive_fields(g))
+    v = data.draw(positive_fields(g))
+    p = replace(WORKED, eps=eps)
+    y = np.stack((u, v))
+    dt = fraction * ssp_step_length(u, v, g, p)
+    rates = rhs(y, g, p, taxis) if carried else None
+    got = step(y, 0.0, g, p, taxis, dt, rates)
+    want = per_field_step(u, v, g, p, taxis, dt)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
 
 
 def test_rkl2_stages_are_the_fewest_that_cover_the_ratio():
@@ -453,14 +509,14 @@ def assert_advance_safe(u, v, taxis):
     under the prey bound; unless it is an RKL2 step, it is the SSP-RK step
     of ssp_step_length bitwise."""
     acc = StepAccounting()
-    u1, v1, dt = advance(u, v, 0.0, 1.0, ROUGH, WORKED, taxis, acc)
+    (u1, v1), dt = advance(np.stack((u, v)), 0.0, 1.0, ROUGH, WORKED, taxis, acc)
     assert np.isfinite(u1).all() and np.isfinite(v1).all()
     assert u1.min() >= 0.0 and v1.min() >= 0.0
     assert v1.max() <= max(float(v.max()), WORKED.m2) * (1.0 + 1e-12)
     assert acc.steps == 1
     if acc.rkl2_steps == 0:
         safe = ssp_step_length(u, v, ROUGH, WORKED)
-        u_ssp, v_ssp = step(u, v, 0.0, ROUGH, WORKED, taxis, safe)
+        u_ssp, v_ssp = step(np.stack((u, v)), 0.0, ROUGH, WORKED, taxis, safe)
         assert dt == safe
         assert u1.tobytes() == u_ssp.tobytes()
         assert v1.tobytes() == v_ssp.tobytes()
@@ -499,17 +555,17 @@ def test_advance_discards_an_inadmissible_rkl2_step(monkeypatch, field, value):
     state advance keeps the unpatched RKL2 step, and the prey cap is
     max(max v, m2) = 2."""
     def corrupted(*args):
-        u1, v1 = rkl2_step(*args)
-        (u1 if field == "u" else v1)[5] = value
-        return u1, v1
+        y1 = rkl2_step(*args)
+        y1[0 if field == "u" else 1][5] = value
+        return y1
 
     u, v = np.full(16, 0.5), np.full(16, 1.0)
     monkeypatch.setattr(dynamics, "rkl2_step", corrupted)
     acc = StepAccounting()
-    u1, v1, dt = advance(u, v, 0.0, 1.0, ROUGH, WORKED, TaxisScheme.UPWIND, acc)
+    (u1, v1), dt = advance(np.stack((u, v)), 0.0, 1.0, ROUGH, WORKED, TaxisScheme.UPWIND, acc)
     assert (acc.rkl2_steps, acc.rkl2_rejected, acc.steps) == (0, 1, 1)
     assert dt == step_bounds(u, v, ROUGH, WORKED)[1]
-    u_ssp, v_ssp = step(u, v, 0.0, ROUGH, WORKED, TaxisScheme.UPWIND, dt)
+    u_ssp, v_ssp = step(np.stack((u, v)), 0.0, ROUGH, WORKED, TaxisScheme.UPWIND, dt)
     assert u1.tobytes() == u_ssp.tobytes() and v1.tobytes() == v_ssp.tobytes()
 
 
@@ -532,7 +588,7 @@ def test_advance_runs_each_limiter_pass_once(monkeypatch):
     for u, v, p in cases:
         calls.clear()
         acc = StepAccounting()
-        advance(u, v, 0.0, 1.0, ROUGH, p, TaxisScheme.UPWIND, acc)
+        advance(np.stack((u, v)), 0.0, 1.0, ROUGH, p, TaxisScheme.UPWIND, acc)
         assert len(calls) == 1
         kinds.append((acc.rkl2_steps, acc.rkl2_rejected))
     assert kinds == [(1, 0), (0, 0), (0, 1)]
@@ -551,12 +607,12 @@ def test_advance_retries_a_step_the_error_estimate_rejects():
     u, v = cosine_pair()
     _, positivity, accuracy = step_bounds(u, v, ROUGH, WORKED)
     control, acc = StepControl(longest=1.0, proposal=1.0), StepAccounting()
-    u1, v1, dt = advance(u, v, 0.0, 10.0, ROUGH, WORKED, TaxisScheme.UPWIND, acc, control)
+    (u1, v1), dt = advance(np.stack((u, v)), 0.0, 10.0, ROUGH, WORKED, TaxisScheme.UPWIND, acc, control)
     assert dt == accuracy > positivity
     assert acc.rkl2_error_rejected >= 1
     assert (acc.rkl2_steps, acc.rkl2_rejected, acc.steps) == (1, 0, 1)
     assert control.proposal < accuracy
-    for carried, fresh in zip(control.rates, rhs(u1, v1, ROUGH, WORKED, TaxisScheme.UPWIND)):
+    for carried, fresh in zip(control.rates, rhs(np.stack((u1, v1)), ROUGH, WORKED, TaxisScheme.UPWIND)):
         assert carried.tobytes() == fresh.tobytes()
 
 
@@ -565,12 +621,13 @@ def test_advance_forms_no_estimate_when_no_step_can_be_longer():
     advance takes the C/J step as without a controller and forms no L(Y1)."""
     u, v = cosine_pair()
     substep, _, accuracy = step_bounds(u, v, ROUGH, WORKED)
-    plain = advance(u, v, 0.0, 10.0, ROUGH, WORKED, TaxisScheme.UPWIND, StepAccounting())
+    (plain_u, plain_v), plain_dt = advance(np.stack((u, v)), 0.0, 10.0, ROUGH, WORKED, TaxisScheme.UPWIND,
+                                           StepAccounting())
     for longest, t_end in ((0.5 * accuracy, 10.0), (1.0, accuracy)):
         control, acc = StepControl(longest=longest), StepAccounting()
-        u1, v1, dt = advance(u, v, 0.0, t_end, ROUGH, WORKED, TaxisScheme.UPWIND, acc, control)
-        assert dt == plain[2] == accuracy
-        assert u1.tobytes() == plain[0].tobytes() and v1.tobytes() == plain[1].tobytes()
+        (u1, v1), dt = advance(np.stack((u, v)), 0.0, t_end, ROUGH, WORKED, TaxisScheme.UPWIND, acc, control)
+        assert dt == plain_dt == accuracy
+        assert u1.tobytes() == plain_u.tobytes() and v1.tobytes() == plain_v.tobytes()
         assert acc.rhs_evaluations == _rkl2_stages(accuracy / substep)
         assert control.rates is None and control.proposal == 0.0
 
@@ -588,7 +645,7 @@ def test_step_at_limiter_dt_clamps_nothing(data, g, taxis, eps):
     u = data.draw(positive_fields(g))
     v = data.draw(positive_fields(g))
     p = replace(WORKED, eps=eps)
-    step(u, v, 0.0, g, p, taxis, step_bounds(u, v, g, p)[0])
+    step(np.stack((u, v)), 0.0, g, p, taxis, step_bounds(u, v, g, p)[0])
 
 
 def test_state_validation():
@@ -604,14 +661,14 @@ def test_state_validation():
 def test_step_rejects_bad_dt():
     u, v, g = make_arrays(np.ones(8), np.ones(8))
     with pytest.raises(ValueError):
-        step(u, v, 0.0, g, WORKED, TaxisScheme.UPWIND, 0.0)
+        step(np.stack((u, v)), 0.0, g, WORKED, TaxisScheme.UPWIND, 0.0)
 
 
 def test_blowup_detection():
     u, v, g = make_arrays(np.full(8, 1e13), np.zeros(8))
     with pytest.raises(BlowUp):
         # dt so small the huge density survives the step above the ceiling
-        step(u, v, 0.0, g, WORKED, TaxisScheme.UPWIND, 1e-16)
+        step(np.stack((u, v)), 0.0, g, WORKED, TaxisScheme.UPWIND, 1e-16)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
@@ -619,14 +676,14 @@ def test_step_raises_blowup_on_a_non_finite_cell(value):
     u, v, g = make_arrays(np.ones(8), np.ones(8))
     u[3] = value
     with pytest.raises(BlowUp, match="not finite or above"), np.errstate(invalid="ignore"):
-        step(u, v, 0.0, g, WORKED, TaxisScheme.UPWIND, 1e-16)
+        step(np.stack((u, v)), 0.0, g, WORKED, TaxisScheme.UPWIND, 1e-16)
 
 
 def test_step_raises_blowup_on_a_negative_cell():
     # a huge forced step drives the logistic decay negative; step repairs nothing
     u, v, g = make_arrays([10.0, 0.0, 0.0, 10.0], np.zeros(4))
     with pytest.raises(BlowUp, match="negative"):
-        step(u, v, 0.0, g, WORKED, TaxisScheme.UPWIND, 0.2)
+        step(np.stack((u, v)), 0.0, g, WORKED, TaxisScheme.UPWIND, 0.2)
 
 
 def test_mass_rate_equals_reaction_integral():
@@ -638,7 +695,7 @@ def test_mass_rate_equals_reaction_integral():
             g = Grid.uniform(dim, 16, 2.0)
             u = rng.uniform(0.1, 2.0, g.n)
             v = rng.uniform(0.1, 2.0, g.n)
-            du, _ = rhs(u, v, g, WORKED, scheme)
+            du, _ = rhs(np.stack((u, v)), g, WORKED, scheme)
             ru, _ = reaction_rates(u, v, WORKED)
             assert abs(integrate_values(g, du) - integrate_values(g, ru)) < 1e-11
 
@@ -656,7 +713,7 @@ def test_mass_rate_equals_reaction_integral_property(data, g, scheme, eps):
     u = data.draw(positive_fields(g, high=10.0))
     v = data.draw(positive_fields(g, high=10.0))
     p = replace(WORKED, eps=eps)
-    du, _ = rhs(u, v, g, p, scheme)
+    du, _ = rhs(np.stack((u, v)), g, p, scheme)
     ru, _ = reaction_rates(u, v, p)
     fluxes = flux_of(u, v, g, p, scheme)
     scale = sum(2.0 * g.cell_volume / g.h[ax] * float(np.abs(f).sum()) for ax, f in enumerate(fluxes))
