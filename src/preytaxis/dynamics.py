@@ -12,12 +12,15 @@ value (upwind, the default) or the face mean (central).
 The stepper carries the state as one C-contiguous array y of shape
 (2, *grid.n), y[0] the predator u and y[1] the prey v, so each operation
 the two species share runs as one array call on both.  rhs forms the
-face gradients of both fields in one call, flux_u writes the predator
-flux over u's row of those face arrays (zero on the walls), and one
-divergence call gives the predator's flux divergence and the prey's
-Laplacian, so the prey's face gradients are formed once, for the drift
-and for its zero-flux diffusion.  Right-hand sides, stage updates, error
-defects and admissibility checks all work on the stacked array.
+face gradients of both fields in one call, and flux_u writes both
+species' fluxes over h onto those face arrays (zero on the walls), 1/h
+folded into the flux coefficients: the predator's over u's row, and
+d2/h times the prey's gradient over v's row, so the prey's face
+gradients are formed once, for the drift and for its zero-flux
+diffusion.  The reactions of both rows start the result, and the
+divergence of the fluxes is accumulated onto it in place, two slice
+updates per axis.  Right-hand sides, stage updates, error defects and
+admissibility checks all work on the stacked array.
 
 run_to_time takes each step with advance, the one place that keeps,
 discards and counts a step; step and rkl2_step only compute one.  The
@@ -60,7 +63,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import Field, Grid, divergence_values, face_gradient_values
+from .grid import Field, Grid, accumulate_divergence, face_gradient_values
 from .model import ModelParams, taxis_mobility
 
 __all__ = [
@@ -176,56 +179,79 @@ class StepControl:
 
 # --- pointwise reactions ----------------------------------------------------
 
-def reaction_rates(u: np.ndarray, v: np.ndarray, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Logistic reaction terms of both species."""
-    ru = u * (p.m1 - u + p.a * v)
-    rv = v * (p.m2 - p.b * u - v)
-    return ru, rv
+def _reactions(x: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Logistic reactions x (m + [[-1, a], [-b, -1]] x) of the stacked
+    rows x = (u, v), shaped (2, N), as a new array: one elementwise pass
+    per operation on both rows."""
+    c = np.array(((p.a, p.m1), (-p.b, p.m2)))
+    r = x[::-1] * c[:, :1]
+    r -= x
+    r += c[:, 1:]
+    r *= x
+    return r
 
 
-# --- predator flux ----------------------------------------------------------
+def reaction_rates(u, v, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Logistic reaction terms of both species, u (m1 - u + a v) and
+    v (m2 - b u - v), with the bits rhs adds."""
+    y = np.stack(np.broadcast_arrays(u, v))
+    r = _reactions(y.reshape(2, -1), p).reshape(y.shape)
+    return r[0], r[1]
+
+
+# --- face fluxes --------------------------------------------------------------
 
 def flux_u(y: np.ndarray, grid: Grid, p: ModelParams, taxis: TaxisScheme,
            grads: tuple[np.ndarray, ...]) -> None:
-    """Write the predator flux on every face over row 0 of grads, the
-    face gradients of the stacked state y (face_gradient_values of y):
-    per axis a (2, N + s) face array (see grid) whose row 0 holds u's
-    gradients on entry and the flux on return, and whose row 1, the
-    prey's gradients, is left alone.  Each face's flux is formed from
-    the values of the two cells it separates."""
-    x_u, x_v = y.reshape(2, -1)
-    for ax, (s, faces) in enumerate(zip(grid.stride, grads)):
-        u_l, u_r = x_u[:-s], x_u[s:]
-        grad_u = faces[0, s:-s]
-        drift = p.chi * faces[1, s:-s]
-        if taxis is TaxisScheme.UPWIND:
-            # donor cell: positive drift carries density from the left cell
-            u_face = np.where(drift > 0, u_l, u_r)
-        else:
-            u_face = 0.5 * (u_l + u_r)
+    """Write both species' fluxes on every face, each over its axis's h,
+    over grads, the face gradients g = (g_u, g_v) of the stacked state y
+    (face_gradient_values of y): per axis a (2, N + s) face array (see
+    grid).  Row 0 gets the predator flux over h,
 
-        # (0.5 chi)(v_L + v_R) is chi times the face mean bit for bit
-        diffusion = (p.d1 + (0.5 * p.chi) * (x_v[:-s] + x_v[s:])) * grad_u
-        np.subtract(diffusion, taxis_mobility(u_face, p.eps) * drift, out=grad_u)
-        grid.zero_seams(ax, faces[0])
+        (d1/h + (chi/2h)(v_L + v_R)) g_u - (chi/h) F_donor g_v,
+
+    and row 1 the prey's, (d2/h) g_v.  Each face's flux is formed from
+    the values of the two cells it separates; on the walls and seams
+    both gradients are 0, and so is each flux of finite cell values.
+    Upwind, F = taxis_mobility(u) is formed once on the cells, and
+    F_donor is the left cell's where g_v > 0 (chi > 0, so that is where
+    the drift carries density rightward), else the right cell's; central,
+    F_donor is the mobility of the face mean of u."""
+    x = y.reshape(2, -1)
+    x_u, x_v = x[0], x[1]
+    if taxis is TaxisScheme.UPWIND:
+        mobility = taxis_mobility(x_u, p.eps)
+    for s, h, faces in zip(grid.stride, grid.h, grads):
+        grad_u, grad_v = faces[0, s:-s], faces[1, s:-s]
+        if taxis is TaxisScheme.UPWIND:
+            drift = np.where(grad_v > 0, mobility[:-s], mobility[s:])
+        else:
+            drift = taxis_mobility(0.5 * (x_u[:-s] + x_u[s:]), p.eps)
+        drift *= grad_v
+        drift *= p.chi / h
+        flux = x_v[:-s] + x_v[s:]
+        flux *= 0.5 * p.chi / h
+        flux += p.d1 / h
+        flux *= grad_u
+        np.subtract(flux, drift, out=grad_u)
+        grad_v *= p.d2 / h
 
 
 # --- semidiscrete right-hand side -------------------------------------------
 
 def rhs(y: np.ndarray, grid: Grid, p: ModelParams, taxis: TaxisScheme) -> np.ndarray:
-    """Time derivatives of the stacked state y, shaped like y: one face
-    gradient call for both fields, whose prey row serves the drift and
-    the prey's diffusion, and one divergence call.  The flux part
-    integrates to zero exactly, so the discrete mass identity
+    """Time derivatives of the stacked state y, shaped like y: the
+    reactions of both rows start the result, and the divergence of both
+    species' face fluxes over h (flux_u, on one face gradient call for
+    both fields, whose prey row serves the drift and the prey's
+    diffusion) is accumulated onto it in place.  The flux part
+    integrates to zero to rounding, so the discrete mass identity
     d/dt integral(u) = integral(reaction_u) holds to rounding."""
     grads = face_gradient_values(grid, y)
     flux_u(y, grid, p, taxis, grads)
-    out = divergence_values(grid, grads)
-    out[1] *= p.d2
-    ru, rv = reaction_rates(y[0], y[1], p)
-    out[0] += ru
-    out[1] += rv
-    return out
+    out = _reactions(y.reshape(2, -1), p)
+    accumulate_divergence(grid, out, grads)
+    return out.reshape(y.shape)
 
 
 # --- step-size limiter --------------------------------------------------------

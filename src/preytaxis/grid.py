@@ -12,6 +12,13 @@ condition.  In 1-D and along axis 0 this is the zero-padded face array,
 flattened.  So discrete integrals of divergences telescope to zero to
 rounding: the discrete divergence theorem holds by construction.
 
+A divergence is accumulated in place, one axis after the other: face
+fluxes already divided by h are added to the cells before the faces
+(x[:-s] += f[s:-s]) and taken from the cells after them
+(x[s:] -= f[s:-s]); the seams among those slots hold 0 and move no
+mass.  accumulate_divergence is that one accumulation: divergence_values
+runs it from zero, and dynamics.rhs from the reaction terms.
+
 The kernels also take a stack of fields, values shaped lead + Grid.n
 (dynamics passes both species as one (2, *n) array): face arrays then
 come back shaped lead + (N + s,) and divergences lead + Grid.n, and each
@@ -32,6 +39,7 @@ __all__ = [
     "Field",
     "integrate_values",
     "face_gradient_values",
+    "accumulate_divergence",
     "divergence_values",
     "laplacian_values",
     "gradient_sq_values",
@@ -89,20 +97,14 @@ class Grid:
     def face_difference(self, ax: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The face array along axis ax holding a - b in slots s through
         N - 1 (a and b are shaped like x[..., s:]) and 0 on the walls and
-        seams; leading axes of a and b are kept."""
+        seams; leading axes of a and b are kept.  Along axis 0 the seams
+        are the last s slots, which the subtraction does not write."""
         s = self.stride[ax]
         faces = np.zeros(a.shape[:-1] + (a.shape[-1] + 2 * s,))
         np.subtract(a, b, out=faces[..., s:-s])
-        self.zero_seams(ax, faces)
-        return faces
-
-    def zero_seams(self, ax: int, faces: np.ndarray) -> None:
-        """Set the seams of face arrays along axis ax (last axis of faces)
-        to 0 in place.  Along axis 0 the seams are the last s slots, which
-        face_difference leaves 0."""
         if ax:
-            s = self.stride[ax]
             faces[..., s:].reshape(faces.shape[:-1] + (-1, self.n[ax], s))[..., -1, :] = 0.0
+        return faces
 
     @property
     def volume(self) -> float:
@@ -161,15 +163,26 @@ def face_gradient_values(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ..
     return tuple(grads)
 
 
+def accumulate_divergence(grid: Grid, out: np.ndarray, fluxes: tuple[np.ndarray, ...]) -> None:
+    """Add outflow minus inflow to out, flat cell values shaped lead + (N,),
+    in place, from face-array fluxes already divided by their axis's h:
+    per axis, each cell's outflow, then its inflow, two slice updates of
+    the whole stack.  The walls carry zero flux, so the total telescopes
+    to zero mass."""
+    for f, s in zip(fluxes, grid.stride):
+        inner, before, after = f[..., s:-s], out[..., :-s], out[..., s:]
+        before += inner
+        after -= inner
+
+
 def divergence_values(grid: Grid, fluxes: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Outflow-minus-inflow per cell volume from face-array fluxes, one
-    subtraction per axis; the walls carry zero flux, so the total
-    telescopes to zero mass.  The sum starts from 0.0, so a cell whose
-    only term is -0.0 gets +0.0."""
-    out = 0.0
-    for f, s, h in zip(fluxes, grid.stride, grid.h):
-        out = out + (f[..., s:] - f[..., :-s]) / h
-    return out.reshape(out.shape[:-1] + grid.n)
+    """Outflow-minus-inflow per cell volume from face-array fluxes: each
+    flux over its axis's h accumulated from 0.0 (accumulate_divergence),
+    so a cell whose only terms are -0.0 gets +0.0."""
+    lead = fluxes[0].shape[:-1]
+    out = np.zeros(lead + (math.prod(grid.n),))
+    accumulate_divergence(grid, out, tuple(f / h for f, h in zip(fluxes, grid.h)))
+    return out.reshape(lead + grid.n)
 
 
 def laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:

@@ -2,9 +2,12 @@
 flat face kernels replaced: interior face arrays with n - 1 entries along
 their axis, optionally padded with a zero wall face at both ends; and the
 two time steppers' recurrences written one field at a time on that
-slicing rhs.  The tests compare the package's kernels and steps with these byte for
-byte.  The package's TaxisScheme, taxis_mobility, reaction_rates and
-STAGES are used as they are."""
+slicing rhs.  The slicing rhs takes the package's operation order, so the
+tests compare the package's kernels and steps with these byte for byte.
+The package's TaxisScheme, taxis_mobility, reaction_rates and STAGES are
+used as they are.  unfused_rhs is the right-hand side as first written,
+the divergence of the flux with its reactions typed out, for checks of
+the algebra within rounding."""
 
 import numpy as np
 
@@ -56,50 +59,88 @@ def interior_face_gradients(g, values):
 
 def padded_divergence(g, fluxes):
     """The divergence of interior-face fluxes written on zero-padded face
-    arrays."""
+    arrays of the fluxes over h: each cell's outflow, then its inflow,
+    added to zeros axis by axis."""
     out = np.zeros(g.n)
     for ax in range(g.dim):
-        f = with_walls(g, ax, fluxes[ax])
-        out += (f[right(g, ax)] - f[left(g, ax)]) / g.h[ax]
+        f = with_walls(g, ax, fluxes[ax] / g.h[ax])
+        out += f[right(g, ax)]
+        out -= f[left(g, ax)]
     return out
 
 
-def slicing_flux_u(u, v, g, p, taxis):
-    """The predator flux on every interior face, from per-axis slices."""
-    fluxes = []
+def slicing_fluxes(u, v, g, p, taxis):
+    """Both species' fluxes over h on every interior face, from per-axis
+    slices, in rhs's operation order: per axis, the predator's
+    (d1/h + (chi/2h)(v_L + v_R)) g_u - (chi/h) F_donor g_v and the prey's
+    (d2/h) g_v."""
+    fluxes_u, fluxes_v = [], []
+    mobility = taxis_mobility(u, p.eps)
     for ax in range(g.dim):
         lo, hi, h = left(g, ax), right(g, ax), g.h[ax]
-        u_l, u_r, v_l, v_r = u[lo], u[hi], v[lo], v[hi]
-        v_face = 0.5 * (v_l + v_r)
-        drift = p.chi * ((v_r - v_l) / h)
+        grad_u = (u[hi] - u[lo]) / h
+        grad_v = (v[hi] - v[lo]) / h
         if taxis is TaxisScheme.UPWIND:
-            u_face = np.where(drift > 0, u_l, u_r)
+            drift = np.where(grad_v > 0, mobility[lo], mobility[hi])
         else:
-            u_face = 0.5 * (u_l + u_r)
-        diffusion = (p.d1 + p.chi * v_face) * ((u_r - u_l) / h)
-        fluxes.append(diffusion - taxis_mobility(u_face, p.eps) * drift)
-    return tuple(fluxes)
+            drift = taxis_mobility(0.5 * (u[lo] + u[hi]), p.eps)
+        drift = drift * grad_v * (p.chi / h)
+        diffusion = ((v[lo] + v[hi]) * (0.5 * p.chi / h) + p.d1 / h) * grad_u
+        fluxes_u.append(diffusion - drift)
+        fluxes_v.append(grad_v * (p.d2 / h))
+    return fluxes_u, fluxes_v
 
 
-def slicing_divergence(g, fluxes):
-    """Outflow minus inflow per cell volume from interior-face fluxes, each
-    axis accumulated into a zero cell array."""
-    out = np.zeros(g.n)
+def slicing_divergence(g, out, fluxes):
+    """Add outflow minus inflow of interior-face fluxes over h to out in
+    place, axis by axis: each cell's outflow, then its inflow.  The flat
+    layout also adds the seam's 0.0 to each cell last along axis 1 but the
+    last cell, which turns a -0.0 there into +0.0; so this does too."""
     for ax in range(g.dim):
-        net = np.zeros(g.n)
-        net[left(g, ax)] = fluxes[ax]
-        net[right(g, ax)] -= fluxes[ax]
-        out += net / g.h[ax]
-    return out
+        out[left(g, ax)] += fluxes[ax]
+        if ax:
+            out[:-1, -1] += 0.0
+        out[right(g, ax)] -= fluxes[ax]
 
 
 def slicing_rhs(u, v, g, p, taxis):
-    """Time derivatives of (u, v) from per-axis slices, the prey's face
-    gradients formed twice: once for the drift, once for the Laplacian."""
-    ru, rv = reaction_rates(u, v, p)
-    du = slicing_divergence(g, slicing_flux_u(u, v, g, p, taxis)) + ru
-    dv = p.d2 * slicing_divergence(g, interior_face_gradients(g, v)) + rv
+    """Time derivatives of (u, v) from per-axis slices: the reactions, then
+    each field's flux divergence added onto them."""
+    du, dv = reaction_rates(u, v, p)
+    fluxes_u, fluxes_v = slicing_fluxes(u, v, g, p, taxis)
+    slicing_divergence(g, du, fluxes_u)
+    slicing_divergence(g, dv, fluxes_v)
     return du, dv
+
+
+def unfused_rhs(u, v, g, p, taxis):
+    """Time derivatives of (u, v) as first written: the divergence of the
+    predator flux (d1 + chi v_face) grad u - chi F(u_face) grad v plus
+    u (m1 - u + a v), and d2 times the divergence of grad v plus
+    v (m2 - b u - v), each face difference over h; and, per field, the
+    scale of the terms summed, the largest reaction plus twice the largest
+    flux over h per axis."""
+    ru, rv = u * (p.m1 - u + p.a * v), v * (p.m2 - p.b * u - v)
+    div_u, div_v = np.zeros(g.n), np.zeros(g.n)
+    scale_u, scale_v = float(np.abs(ru).max()), float(np.abs(rv).max())
+    for ax in range(g.dim):
+        lo, hi, h = left(g, ax), right(g, ax), g.h[ax]
+        drift = p.chi * ((v[hi] - v[lo]) / h)
+        if taxis is TaxisScheme.UPWIND:
+            u_face = np.where(drift > 0, u[lo], u[hi])
+        else:
+            u_face = 0.5 * (u[lo] + u[hi])
+        v_face = 0.5 * (v[lo] + v[hi])
+        flux = (p.d1 + p.chi * v_face) * ((u[hi] - u[lo]) / h) - taxis_mobility(u_face, p.eps) * drift
+        grad_v = (v[hi] - v[lo]) / h
+        for div, f in ((div_u, flux), (div_v, grad_v)):
+            net = np.zeros(g.n)
+            net[lo] = f
+            net[hi] -= f
+            div += net / h
+        scale_u += 2.0 * float(np.abs(flux).max()) / h
+        scale_v += 2.0 * p.d2 * float(np.abs(grad_v).max()) / h
+    return div_u + ru, p.d2 * div_v + rv, scale_u, scale_v
 
 
 def per_field_step(u, v, g, p, taxis, dt):

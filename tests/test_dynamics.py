@@ -18,6 +18,7 @@ from preytaxis import (
     TaxisScheme,
     flux_u,
     integrate_values,
+    laplacian_values,
     logistic_comparison,
     reaction_rates,
     rhs,
@@ -27,14 +28,12 @@ from preytaxis import (
     Stalled,
     face_gradient_values,
     steady_states,
-    taxis_mobility,
 )
 from preytaxis import dynamics
 from preytaxis.dynamics import (RKL2_ACCURACY, STAGES, STEP_SAFETY, StepControl, _rkl2_stages, advance,
                                 rkl2_step)
 from preytaxis.oracle import homogeneous_ode, refinement_order
-from padded import (interior_face_gradients, left, per_field_rkl2_step, per_field_step, right, slicing_rhs,
-                    to_face_array, with_walls)
+from padded import per_field_rkl2_step, per_field_step, slicing_fluxes, slicing_rhs, to_face_array, unfused_rhs
 from strategies import grids, positive_fields
 
 WORKED = ModelParams(d1=1.0, d2=1.0, m1=1.0, m2=2.0, chi=1.0, a=1.0, b=1.0)
@@ -77,13 +76,18 @@ def test_step_fixes_equilibrium_bitwise():
     assert acc.rkl2_steps == acc.steps > 1
 
 
-def flux_of(u, v, g, p, taxis):
-    """flux_u with the face gradients it takes from rhs: the predator rows
-    of the face arrays it writes."""
+def fluxes_over_h(u, v, g, p, taxis):
+    """flux_u with the face gradients it takes from rhs: the face arrays it
+    writes, both species' fluxes over h."""
     y = np.stack((u, v))
     grads = face_gradient_values(g, y)
     flux_u(y, g, p, taxis, grads)
-    return tuple(faces[0] for faces in grads)
+    return grads
+
+
+def flux_of(u, v, g, p, taxis):
+    """The predator flux per axis: row 0 of flux_u's face arrays times h."""
+    return tuple(faces[0] * h for faces, h in zip(fluxes_over_h(u, v, g, p, taxis), g.h))
 
 
 def test_flux_is_plain_diffusion_when_v_constant():
@@ -121,28 +125,6 @@ def test_saturating_mobility_weakens_drift():
     assert fx[1] == pytest.approx(3.0 - 4.0 / 3.0, rel=1e-14)
 
 
-def interior(g, ax):
-    """Index of the faces between two cells on a face array with both walls."""
-    return tuple(slice(1, -1) if k == ax else slice(None) for k in range(g.dim))
-
-
-def padded_flux_u(u, v, g, p, taxis):
-    """The flux written on zero-padded face-gradient arrays, each axis's
-    interior faces: the formula the stepper's flux must reproduce bitwise."""
-    gu, gv = (tuple(with_walls(g, ax, f) for ax, f in enumerate(interior_face_gradients(g, x))) for x in (u, v))
-    fluxes = []
-    for ax in range(g.dim):
-        lo, hi, inner = left(g, ax), right(g, ax), interior(g, ax)
-        v_face = 0.5 * (v[lo] + v[hi])
-        drift = p.chi * gv[ax][inner]
-        if taxis is TaxisScheme.UPWIND:
-            u_face = np.where(drift > 0, u[lo], u[hi])
-        else:
-            u_face = 0.5 * (u[lo] + u[hi])
-        fluxes.append((p.d1 + p.chi * v_face) * gu[ax][inner] - taxis_mobility(u_face, p.eps) * drift)
-    return tuple(fluxes)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     data=st.data(),
@@ -151,16 +133,18 @@ def padded_flux_u(u, v, g, p, taxis):
     eps=st.sampled_from((0.0, 0.1, 1.0)),
 )
 def test_flux_from_cell_values_matches_padded_face_gradients_bitwise(data, g, taxis, eps):
-    """Each axis's face array holds the padded formula's interior faces,
-    bitwise, with zeros on the walls and seams."""
+    """Each axis's face array holds both species' fluxes over h on the
+    interior faces, bitwise those of the per-axis slicing formula, with
+    zeros on the walls and seams."""
     u = data.draw(positive_fields(g))
     v = data.draw(positive_fields(g))
     p = replace(WORKED, eps=eps)
-    got = flux_of(u, v, g, p, taxis)
-    want = padded_flux_u(u, v, g, p, taxis)
-    assert len(got) == len(want) == g.dim
-    for ax, (f, ref) in enumerate(zip(got, want)):
-        assert f.tobytes() == to_face_array(g, ax, ref).tobytes()
+    got = fluxes_over_h(u, v, g, p, taxis)
+    want = slicing_fluxes(u, v, g, p, taxis)
+    assert len(got) == g.dim
+    for ax, faces in enumerate(got):
+        for row, ref in zip(faces, want):
+            assert row.tobytes() == to_face_array(g, ax, ref[ax]).tobytes()
 
 
 def nonnegative_fields(g):
@@ -186,6 +170,56 @@ def test_rhs_matches_slicing_rhs_bitwise_property(data, g, taxis, eps):
     want = slicing_rhs(u, v, g, p, taxis)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    g=grids(),
+    taxis=st.sampled_from(TaxisScheme),
+    eps=st.sampled_from((0.0, 0.1, 1.0)),
+    coefficients=st.tuples(*(st.floats(0.1, 3.0) for _ in range(6)), st.floats(-2.0, 3.0)),
+)
+def test_rhs_matches_the_unfused_formula_property(data, g, taxis, eps, coefficients):
+    """rhs, with 1/h folded into the flux coefficients, the reactions
+    formed on the stacked rows and the divergence accumulated onto them,
+    is the right-hand side as first written to 1e-13 of the scale of the
+    flux and reaction terms summed, on non-square cells."""
+    u = data.draw(positive_fields(g))
+    v = data.draw(positive_fields(g))
+    d1, d2, chi, a, b, m1, m2 = coefficients
+    p = ModelParams(d1=d1, d2=d2, m1=m1, m2=m2, chi=chi, a=a, b=b, eps=eps)
+    got = rhs(np.stack((u, v)), g, p, taxis)
+    want_u, want_v, scale_u, scale_v = unfused_rhs(u, v, g, p, taxis)
+    assert np.abs(got[0] - want_u).max() <= 1e-13 * scale_u
+    assert np.abs(got[1] - want_v).max() <= 1e-13 * scale_v
+
+
+@pytest.mark.parametrize("taxis", TaxisScheme)
+def test_rhs_on_a_2d_cosine_eigenmode(taxis):
+    """w = cos(pi x/L0) cos(2 pi y/L1) on 16 x 24 cells over 1 x 1.5 is an
+    eigenvector of the zero-flux Laplacian, lam its eigenvalue from
+    laplacian_values.  With u = 0 the prey's rhs less its reaction is
+    d2 lam v, and with v = c the predator's is (d1 + chi c) lam u, to
+    1e-12 |lam|: both species' fluxes cross the seams between rows as
+    zero."""
+    g = Grid((16, 24), (1.0, 1.5))
+    x, y = g.meshcenters()
+    w = np.cos(np.pi * x / g.length[0]) * np.cos(2.0 * np.pi * y / g.length[1])
+    lap = laplacian_values(g, w)
+    lam = float((w * lap).sum() / (w * w).sum())
+    tol = 1e-12 * abs(lam)
+    assert np.abs(lap - lam * w).max() <= tol
+    p = ModelParams(d1=0.7, d2=1.3, m1=1.0, m2=2.0, chi=0.9, a=1.1, b=0.8)
+
+    d = rhs(np.stack((np.zeros(g.n), w)), g, p, taxis)
+    assert np.all(d[0] == 0.0)
+    assert np.abs(d[1] - w * (p.m2 - w) - p.d2 * lam * w).max() <= tol
+
+    c = 0.6
+    d = rhs(np.stack((w, np.full(g.n, c))), g, p, taxis)
+    assert np.abs(d[0] - w * (p.m1 - w + p.a * c) - (p.d1 + p.chi * c) * lam * w).max() <= tol
+    assert np.abs(d[1] - c * (p.m2 - p.b * w - c)).max() <= tol
 
 
 def test_stable_dt_reaction_limited():

@@ -79,6 +79,10 @@ STALE_SPAN_TARGETS = {
     "preytaxis.dynamics.laplacian_values",
     # dynamics no longer integrates; grid.integrate_values is still wrapped
     "preytaxis.dynamics.integrate_values",
+    # rhs accumulates the divergence of its fluxes onto the reactions in
+    # place (grid.accumulate_divergence); grid.divergence_values is still
+    # wrapped
+    "preytaxis.dynamics.divergence_values",
 }
 
 
