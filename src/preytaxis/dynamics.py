@@ -12,15 +12,25 @@ value (upwind, the default) or the face mean (central).
 The stepper carries the state as one C-contiguous array y of shape
 (2, *grid.n), y[0] the predator u and y[1] the prey v, so each operation
 the two species share runs as one array call on both.  rhs forms the
-face gradients of both fields in one call, and flux_u writes both
-species' fluxes over h onto those face arrays (zero on the walls), 1/h
-folded into the flux coefficients: the predator's over u's row, and
-d2/h times the prey's gradient over v's row, so the prey's face
-gradients are formed once, for the drift and for its zero-flux
-diffusion.  The reactions of both rows start the result, and the
-divergence of the fluxes is accumulated onto it in place, two slice
-updates per axis.  Right-hand sides, stage updates, error defects and
-admissibility checks all work on the stacked array.
+face gradients of both fields in one call and writes both species'
+fluxes over h onto those face arrays (zero on the walls), 1/h folded
+into the flux coefficients: the predator's over u's row, and d2/h times
+the prey's gradient over v's row, so the prey's face gradients are
+formed once, for the drift and for its zero-flux diffusion.  The
+reactions of both rows start the result, and the divergence of the
+fluxes is accumulated onto it in place, two slice updates per axis.
+Right-hand sides, stage updates, error defects and admissibility checks
+all work on the stacked array.
+
+Only y changes from one right-hand side of a run to the next, so a
+StepPlan holds the rest: each axis's stacked face arrays, their walls
+zeroed once, with the interior views of their rows; the per-axis flux
+constants chi/h, chi/2h, d1/h and d2/h; and the reaction coefficients.
+A plan belongs to one run, one grid, p and taxis: advance builds it on
+the run's first step and StepControl carries it, step and rkl2_step hand
+it to every stage, and rhs without one builds a fresh one.  rhs still
+returns a new array, so no result, carried right-hand side or state is
+ever a plan buffer.
 
 run_to_time takes each step with advance, the one place that keeps,
 discards and counts a step; step and rkl2_step only compute one.  The
@@ -56,6 +66,7 @@ derives the substep and both bounds.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -71,6 +82,7 @@ __all__ = [
     "State",
     "StepAccounting",
     "StepControl",
+    "StepPlan",
     "BlowUp",
     "Stalled",
     "STEP_SAFETY",
@@ -80,7 +92,6 @@ __all__ = [
     "STEP_BUDGET",
     "SAMPLE_BUDGET",
     "reaction_rates",
-    "flux_u",
     "rhs",
     "step_bounds",
     "step",
@@ -169,24 +180,35 @@ class StepControl:
     """What advance carries from one step of a run to the next: longest,
     the longest step the error estimate may accept (one sample interval;
     0 accepts none past C/J), proposal, the step length it proposes next
-    (0, the C/J floor, before the first estimate), and rates, the
-    right-hand side at the state advance returned when it formed it."""
+    (0, the C/J floor, before the first estimate), rates, the right-hand
+    side at the state advance returned when it formed it, and plan, the
+    run's StepPlan, which advance builds on the first step and rebuilds
+    for another grid, p or taxis."""
 
     longest: float = 0.0
     proposal: float = 0.0
     rates: np.ndarray | None = None
+    plan: StepPlan | None = None
 
 
 # --- pointwise reactions ----------------------------------------------------
 
-def _reactions(x: np.ndarray, p: ModelParams) -> np.ndarray:
+def _reaction_coefficients(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """The columns (a, -b) and (m1, m2) of the reactions' coefficients,
+    each shaped (2, 1), as _reactions takes them."""
+    c = np.array(((p.a, p.m1), (-p.b, p.m2)))
+    return c[:, :1], c[:, 1:]
+
+
+def _reactions(x: np.ndarray, coefficients: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Logistic reactions x (m + [[-1, a], [-b, -1]] x) of the stacked
     rows x = (u, v), shaped (2, N), as a new array: one elementwise pass
-    per operation on both rows."""
-    c = np.array(((p.a, p.m1), (-p.b, p.m2)))
-    r = x[::-1] * c[:, :1]
+    per operation on both rows.  coefficients is
+    _reaction_coefficients(p)."""
+    cross, growth = coefficients
+    r = x[::-1] * cross
     r -= x
-    r += c[:, 1:]
+    r += growth
     r *= x
     return r
 
@@ -195,62 +217,84 @@ def reaction_rates(u, v, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Logistic reaction terms of both species, u (m1 - u + a v) and
     v (m2 - b u - v), with the bits rhs adds."""
     y = np.stack(np.broadcast_arrays(u, v))
-    r = _reactions(y.reshape(2, -1), p).reshape(y.shape)
+    r = _reactions(y.reshape(2, -1), _reaction_coefficients(p)).reshape(y.shape)
     return r[0], r[1]
-
-
-# --- face fluxes --------------------------------------------------------------
-
-def flux_u(y: np.ndarray, grid: Grid, p: ModelParams, taxis: TaxisScheme,
-           grads: tuple[np.ndarray, ...]) -> None:
-    """Write both species' fluxes on every face, each over its axis's h,
-    over grads, the face gradients g = (g_u, g_v) of the stacked state y
-    (face_gradient_values of y): per axis a (2, N + s) face array (see
-    grid).  Row 0 gets the predator flux over h,
-
-        (d1/h + (chi/2h)(v_L + v_R)) g_u - (chi/h) F_donor g_v,
-
-    and row 1 the prey's, (d2/h) g_v.  Each face's flux is formed from
-    the values of the two cells it separates; on the walls and seams
-    both gradients are 0, and so is each flux of finite cell values.
-    Upwind, F = taxis_mobility(u) is formed once on the cells, and
-    F_donor is the left cell's where g_v > 0 (chi > 0, so that is where
-    the drift carries density rightward), else the right cell's; central,
-    F_donor is the mobility of the face mean of u."""
-    x = y.reshape(2, -1)
-    x_u, x_v = x[0], x[1]
-    if taxis is TaxisScheme.UPWIND:
-        mobility = taxis_mobility(x_u, p.eps)
-    for s, h, faces in zip(grid.stride, grid.h, grads):
-        grad_u, grad_v = faces[0, s:-s], faces[1, s:-s]
-        if taxis is TaxisScheme.UPWIND:
-            drift = np.where(grad_v > 0, mobility[:-s], mobility[s:])
-        else:
-            drift = taxis_mobility(0.5 * (x_u[:-s] + x_u[s:]), p.eps)
-        drift *= grad_v
-        drift *= p.chi / h
-        flux = x_v[:-s] + x_v[s:]
-        flux *= 0.5 * p.chi / h
-        flux += p.d1 / h
-        flux *= grad_u
-        np.subtract(flux, drift, out=grad_u)
-        grad_v *= p.d2 / h
 
 
 # --- semidiscrete right-hand side -------------------------------------------
 
-def rhs(y: np.ndarray, grid: Grid, p: ModelParams, taxis: TaxisScheme) -> np.ndarray:
-    """Time derivatives of the stacked state y, shaped like y: the
-    reactions of both rows start the result, and the divergence of both
-    species' face fluxes over h (flux_u, on one face gradient call for
-    both fields, whose prey row serves the drift and the prey's
-    diffusion) is accumulated onto it in place.  The flux part
-    integrates to zero to rounding, so the discrete mass identity
-    d/dt integral(u) = integral(reaction_u) holds to rounding."""
-    grads = face_gradient_values(grid, y)
-    flux_u(y, grid, p, taxis, grads)
-    out = _reactions(y.reshape(2, -1), p)
-    accumulate_divergence(grid, out, grads)
+class StepPlan:
+    """What every right-hand side of one run on grid with p and taxis
+    reuses, since only the state changes: faces, per axis a stacked
+    (2, N + s) face array (see grid) whose walls are zeroed here once and
+    stay 0; axes, per axis (s, the interior views faces[0, s:-s]
+    and faces[1, s:-s], chi/h, chi/2h, d1/h, d2/h); and reactions,
+    _reaction_coefficients(p).  rhs writes the face gradients, then the
+    fluxes over h, into faces on every call."""
+
+    __slots__ = ("grid", "p", "taxis", "faces", "axes", "reactions")
+
+    def __init__(self, grid: Grid, p: ModelParams, taxis: TaxisScheme):
+        self.grid, self.p, self.taxis = grid, p, taxis
+        cells = math.prod(grid.n)
+        self.faces = tuple(np.zeros((2, cells + s)) for s in grid.stride)
+        self.axes = tuple(
+            (s, faces[0, s:-s], faces[1, s:-s], p.chi / h, 0.5 * p.chi / h, p.d1 / h, p.d2 / h)
+            for s, h, faces in zip(grid.stride, grid.h, self.faces)
+        )
+        self.reactions = _reaction_coefficients(p)
+
+    def fits(self, grid: Grid, p: ModelParams, taxis: TaxisScheme) -> bool:
+        """Whether this plan was built for these very objects."""
+        return self.grid is grid and self.p is p and self.taxis is taxis
+
+
+def rhs(y: np.ndarray, grid: Grid, p: ModelParams, taxis: TaxisScheme,
+        plan: StepPlan | None = None) -> np.ndarray:
+    """Time derivatives of the stacked state y, as a new array shaped like
+    y, on plan, a StepPlan(grid, p, taxis) (a fresh one without it).
+
+    One face gradient call writes g = (g_u, g_v) of y into the plan's
+    face arrays, and each axis's fluxes over h are written over them: row
+    0 gets the predator flux over h,
+
+        (d1/h + (chi/2h)(v_L + v_R)) g_u - (chi/h) F_donor g_v,
+
+    and row 1 the prey's, (d2/h) g_v, so the prey's gradient serves the
+    drift and its diffusion.  Each face's flux is formed from the values
+    of the two cells it separates; on the walls and seams both gradients
+    are 0, and so is each flux of finite cell values.  Upwind, F =
+    taxis_mobility(u) is formed once on the cells, and F_donor is the
+    left cell's where g_v > 0 (chi > 0, so that is where the drift
+    carries density rightward), else the right cell's; central, F_donor
+    is the mobility of the face mean of u.  The reactions of both rows
+    start the result, and the divergence of the fluxes is accumulated
+    onto it in place.  The flux part integrates to zero to rounding, so
+    the discrete mass identity d/dt integral(u) = integral(reaction_u)
+    holds to rounding."""
+    if plan is None:
+        plan = StepPlan(grid, p, taxis)
+    fluxes = face_gradient_values(grid, y, out=plan.faces)
+    x = y.reshape(2, -1)
+    x_u, x_v = x
+    upwind = taxis is TaxisScheme.UPWIND
+    if upwind:
+        mobility = taxis_mobility(x_u, p.eps)
+    for s, grad_u, grad_v, chi_h, half_chi_h, d1_h, d2_h in plan.axes:
+        if upwind:
+            drift = np.where(grad_v > 0, mobility[:-s], mobility[s:])
+        else:
+            drift = taxis_mobility(0.5 * (x_u[:-s] + x_u[s:]), p.eps)
+        drift *= grad_v
+        drift *= chi_h
+        flux = x_v[:-s] + x_v[s:]
+        flux *= half_chi_h
+        flux += d1_h
+        flux *= grad_u
+        np.subtract(flux, drift, out=grad_u)
+        grad_v *= d2_h
+    out = _reactions(x, plan.reactions)
+    accumulate_divergence(grid, out, fluxes)
     return out.reshape(y.shape)
 
 
@@ -300,11 +344,9 @@ def step_bounds(u, v, grid: Grid, p: ModelParams) -> tuple[float, float, float]:
     react_v = float(np.abs(p.m2 - p.b * u - v).max())
     react = max(rate_u, react_v)
     rate_v = max(react_v, 2.0 * v_max - p.m2)
-    x = v.ravel()
-    for ax, s in enumerate(grid.stride):
-        two_over_h2 = 2.0 / (grid.h[ax] * grid.h[ax])
-        # walls and seams add zeros to a max of absolute values
-        jump = float(np.abs(grid.face_difference(ax, x[s:], x[:-s])).max())
+    for ax, h in enumerate(grid.h):
+        two_over_h2 = 2.0 / (h * h)
+        jump = float(np.abs(np.diff(v, axis=ax)).max())
         rate_u += two_over_h2 * (p.d1 + p.chi * (v_max + jump))
         rate_v += two_over_h2 * p.d2
     rate = max(rate_u, rate_v)
@@ -325,11 +367,12 @@ def _admissible(y: np.ndarray, prey_cap: float) -> bool:
 
 
 def step(y: np.ndarray, t: float, grid: Grid, p: ModelParams, taxis: TaxisScheme,
-         dt: float, rates: np.ndarray | None = None) -> np.ndarray:
+         dt: float, rates: np.ndarray | None = None, plan: StepPlan | None = None) -> np.ndarray:
     """One SSP-RK(STAGES, 2) step of size dt from the stacked state y at
     time t; returns the new stacked state with no positivity repair and
     leaves the inputs alone.  rates, when given, is rhs(y), which the
-    first substep then does not form.
+    first substep then does not form.  Every substep's rhs runs on plan,
+    a StepPlan(grid, p, taxis) (a fresh one without it).
 
     STAGES - 1 forward-Euler substeps z <- z + (dt/(STAGES - 1)) rhs(z)
     and one more give z; the step returns z + (y - z)/STAGES.  That is
@@ -341,10 +384,12 @@ def step(y: np.ndarray, t: float, grid: Grid, p: ModelParams, taxis: TaxisScheme
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0 (got {dt})")
+    if plan is None:
+        plan = StepPlan(grid, p, taxis)
     sub = dt / (STAGES - 1)
     z = y
     for k in range(STAGES):
-        d = rates if k == 0 and rates is not None else rhs(z, grid, p, taxis)
+        d = rates if k == 0 and rates is not None else rhs(z, grid, p, taxis, plan)
         z = z + sub * d
     z = z + (y - z) / STAGES
     if not _admissible(z, math.inf):
@@ -361,13 +406,27 @@ def _rkl2_stages(ratio: float) -> int:
     return s
 
 
+@functools.lru_cache(maxsize=64)
+def _rkl2_coefficients(stages: int) -> tuple[float, float, tuple[tuple[float, float, float], ...]]:
+    """(w1, b_1, ((mu_j, nu_j, 1 - b_{j-1}) for j = 2..stages)): the
+    coefficients of rkl2_step's recurrence, which depend on the stage
+    count alone."""
+    b = [1.0 / 3.0] * 3 + [(j * j + j - 2) / (2.0 * j * (j + 1)) for j in range(3, stages + 1)]
+    w1 = 4.0 / (stages * stages + stages - 2)
+    return w1, b[1], tuple(
+        ((2 * j - 1) / j * b[j] / b[j - 1], -(j - 1) / j * b[j] / b[j - 2], 1.0 - b[j - 1])
+        for j in range(2, stages + 1)
+    )
+
+
 def rkl2_step(y: np.ndarray, grid: Grid, p: ModelParams, taxis: TaxisScheme, dt: float, stages: int,
-              rates: np.ndarray | None = None) -> np.ndarray:
+              rates: np.ndarray | None = None, plan: StepPlan | None = None) -> np.ndarray:
     """One RKL2 step of size dt with the given number of stages (Meyer,
     Balsara & Aslam 2014) from the stacked state Y_0 = y; returns the new
     stacked state with no positivity repair and leaves the inputs alone.
     rates, when given, is L(Y_0) = rhs(y), which the step then does not
-    form.
+    form.  Every stage's rhs runs on plan, a StepPlan(grid, p, taxis) (a
+    fresh one without it).
 
     With b_0 = b_1 = b_2 = 1/3, b_j = (j^2 + j - 2)/(2j(j + 1)) and
     w1 = 4/(s^2 + s - 2), the stages are Y_1 = Y_0 + b_1 w1 dt L(Y_0) and,
@@ -386,17 +445,17 @@ def rkl2_step(y: np.ndarray, grid: Grid, p: ModelParams, taxis: TaxisScheme, dt:
         raise ValueError(f"RKL2 needs at least 2 stages (got {stages})")
     if dt <= 0:
         raise ValueError(f"dt must be > 0 (got {dt})")
-    b = [1.0 / 3.0] * 3 + [(j * j + j - 2) / (2.0 * j * (j + 1)) for j in range(3, stages + 1)]
-    w1_dt = 4.0 / (stages * stages + stages - 2) * dt
-    d0 = rates if rates is not None else rhs(y, grid, p, taxis)
+    if plan is None:
+        plan = StepPlan(grid, p, taxis)
+    w1, b1, table = _rkl2_coefficients(stages)
+    w1_dt = w1 * dt
+    d0 = rates if rates is not None else rhs(y, grid, p, taxis, plan)
     prev_inc = y - y  # Y_{j-2} - Y_0
-    cur = y + (b[1] * w1_dt) * d0  # Y_{j-1}
-    for j in range(2, stages + 1):
-        mu = (2 * j - 1) / j * b[j] / b[j - 1]
-        nu = -(j - 1) / j * b[j] / b[j - 2]
+    cur = y + (b1 * w1_dt) * d0  # Y_{j-1}
+    for mu, nu, one_minus_b in table:
         mu_dt = mu * w1_dt
-        gamma_dt = -(1.0 - b[j - 1]) * mu_dt
-        d = rhs(cur, grid, p, taxis)
+        gamma_dt = -one_minus_b * mu_dt
+        d = rhs(cur, grid, p, taxis, plan)
         cur, prev_inc = _rkl2_stage(y, cur, prev_inc, d, d0, mu, nu, mu_dt, gamma_dt)
     return cur
 
@@ -437,7 +496,9 @@ def advance(y: np.ndarray, t: float, t_end: float, grid: Grid, p: ModelParams, t
     """One step of run_to_time from the stacked state y = (u, v) at time t
     toward t_end; returns the new stacked state and the step length,
     leaves the inputs alone, counts the step in accounting and updates
-    control for the next step.
+    control for the next step.  Every right-hand side of the step runs on
+    control's plan, built here when control holds none for this grid, p
+    and taxis.
 
     With (substep, positivity, accuracy) from step_bounds, the step is
     dt = min(max(accuracy, min(proposal, longest)), t_end - t), proposal
@@ -472,16 +533,19 @@ def advance(y: np.ndarray, t: float, t_end: float, grid: Grid, p: ModelParams, t
     if t_end - t > STEP_BUDGET * limit:
         raise Stalled(f"step {limit:.3e} at t = {t:.6g} leaves over {STEP_BUDGET:.0e} steps to t_end")
     ctl = control if control is not None else StepControl()
+    if ctl.plan is None or not ctl.plan.fits(grid, p, taxis):
+        ctl.plan = StepPlan(grid, p, taxis)
+    plan = ctl.plan
     rates, ctl.rates = ctl.rates, None
     dt = min(max(accuracy, min(ctl.proposal, ctl.longest)), t_end - t)
     estimate = ctl.longest > accuracy and dt < t_end - t
     kept = False
     while dt > positivity:
         if rates is None:
-            rates = rhs(y, grid, p, taxis)
+            rates = rhs(y, grid, p, taxis, plan)
             accounting.rhs_evaluations += 1
         stages = _rkl2_stages(dt / substep)
-        y_new = rkl2_step(y, grid, p, taxis, dt, stages, rates)
+        y_new = rkl2_step(y, grid, p, taxis, dt, stages, rates, plan)
         accounting.rhs_evaluations += stages - 1
         if not _admissible(y_new, max(float(y[1].max()), p.m2_plus) * (1.0 + 1e-12)):
             accounting.rkl2_rejected += 1
@@ -490,7 +554,7 @@ def advance(y: np.ndarray, t: float, t_end: float, grid: Grid, p: ModelParams, t
         if not estimate:
             kept = True
             break
-        rates_new = rhs(y_new, grid, p, taxis)
+        rates_new = rhs(y_new, grid, p, taxis, plan)
         accounting.rhs_evaluations += 1
         err = _defect(y, y_new, rates, rates_new, dt) / RKL2_TOL
         # a NaN err takes the 0.2 of max(0.2, nan) and is rejected
@@ -505,7 +569,7 @@ def advance(y: np.ndarray, t: float, t_end: float, grid: Grid, p: ModelParams, t
         accounting.rkl2_steps += 1
     else:
         dt = min(limit, t_end - t)
-        y_new = step(y, t, grid, p, taxis, dt, rates)
+        y_new = step(y, t, grid, p, taxis, dt, rates, plan)
         accounting.rhs_evaluations += STAGES - (rates is not None)
     accounting.steps += 1
     accounting.peak_v = max(accounting.peak_v, float(y_new[1].max()))

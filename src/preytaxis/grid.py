@@ -94,18 +94,6 @@ class Grid:
         """Per axis: the C-order distance between neighbouring cells along it."""
         return tuple(math.prod(self.n[ax + 1:]) for ax in range(self.dim))
 
-    def face_difference(self, ax: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The face array along axis ax holding a - b in slots s through
-        N - 1 (a and b are shaped like x[..., s:]) and 0 on the walls and
-        seams; leading axes of a and b are kept.  Along axis 0 the seams
-        are the last s slots, which the subtraction does not write."""
-        s = self.stride[ax]
-        faces = np.zeros(a.shape[:-1] + (a.shape[-1] + 2 * s,))
-        np.subtract(a, b, out=faces[..., s:-s])
-        if ax:
-            faces[..., s:].reshape(faces.shape[:-1] + (-1, self.n[ax], s))[..., -1, :] = 0.0
-        return faces
-
     @property
     def volume(self) -> float:
         """Measure of the whole box."""
@@ -151,16 +139,23 @@ def integrate_values(grid: Grid, values: np.ndarray) -> float:
     return grid.cell_volume * float(values.sum())
 
 
-def face_gradient_values(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ...]:
+def face_gradient_values(grid: Grid, values: np.ndarray,
+                         out: tuple[np.ndarray, ...] | None = None) -> tuple[np.ndarray, ...]:
     """Normal gradient on every face, per axis, as face arrays: zero on
-    the walls and seams."""
-    x = values.reshape(values.shape[:values.ndim - grid.dim] + (-1,))  # lead + (N,)
-    grads = []
-    for ax, s in enumerate(grid.stride):
-        f = grid.face_difference(ax, x[..., s:], x[..., :-s])
-        f /= grid.h[ax]
-        grads.append(f)
-    return tuple(grads)
+    the walls and seams.  out, when given, holds a face array per axis
+    shaped lead + (N + s,) whose first and last s slots are 0; the
+    gradients are written into it, whatever its other slots held, and
+    out is returned.  Along axis 0 the seams are those last s slots,
+    which the difference does not write."""
+    lead = values.shape[:-len(grid.n)]
+    x = values.reshape(lead + (-1,))  # lead + (N,)
+    grads = out if out is not None else tuple(np.zeros(lead + (x.shape[-1] + s,)) for s in grid.stride)
+    for ax, (s, h, f) in enumerate(zip(grid.stride, grid.h, grads)):
+        np.subtract(x[..., s:], x[..., :-s], out=f[..., s:-s])
+        if ax:
+            f[..., s:].reshape(lead + (-1, grid.n[ax], s))[..., -1, :] = 0.0
+        f /= h
+    return grads
 
 
 def accumulate_divergence(grid: Grid, out: np.ndarray, fluxes: tuple[np.ndarray, ...]) -> None:

@@ -16,7 +16,6 @@ from preytaxis import (
     State,
     StepAccounting,
     TaxisScheme,
-    flux_u,
     integrate_values,
     laplacian_values,
     logistic_comparison,
@@ -26,12 +25,11 @@ from preytaxis import (
     step,
     step_bounds,
     Stalled,
-    face_gradient_values,
     steady_states,
 )
 from preytaxis import dynamics
-from preytaxis.dynamics import (RKL2_ACCURACY, STAGES, STEP_SAFETY, StepControl, _rkl2_stages, advance,
-                                rkl2_step)
+from preytaxis.dynamics import (RKL2_ACCURACY, STAGES, STEP_SAFETY, StepControl, StepPlan, _rkl2_stages,
+                                advance, rkl2_step)
 from preytaxis.oracle import homogeneous_ode, refinement_order
 from padded import per_field_rkl2_step, per_field_step, slicing_fluxes, slicing_rhs, to_face_array, unfused_rhs
 from strategies import grids, positive_fields
@@ -77,16 +75,14 @@ def test_step_fixes_equilibrium_bitwise():
 
 
 def fluxes_over_h(u, v, g, p, taxis):
-    """flux_u with the face gradients it takes from rhs: the face arrays it
-    writes, both species' fluxes over h."""
-    y = np.stack((u, v))
-    grads = face_gradient_values(g, y)
-    flux_u(y, g, p, taxis, grads)
-    return grads
+    """The face arrays rhs leaves in its plan: both species' fluxes over h."""
+    plan = StepPlan(g, p, taxis)
+    rhs(np.stack((u, v)), g, p, taxis, plan)
+    return plan.faces
 
 
 def flux_of(u, v, g, p, taxis):
-    """The predator flux per axis: row 0 of flux_u's face arrays times h."""
+    """The predator flux per axis: row 0 of rhs's face arrays times h."""
     return tuple(faces[0] * h for faces, h in zip(fluxes_over_h(u, v, g, p, taxis), g.h))
 
 
@@ -170,6 +166,31 @@ def test_rhs_matches_slicing_rhs_bitwise_property(data, g, taxis, eps):
     want = slicing_rhs(u, v, g, p, taxis)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    g=grids(),
+    taxis=st.sampled_from(TaxisScheme),
+    eps=st.sampled_from((0.0, 0.1)),
+    count=st.integers(2, 4),
+)
+def test_rhs_on_a_reused_plan_matches_fresh_calls_property(data, g, taxis, eps, count):
+    """One StepPlan reused over a sequence of states gives each rhs the
+    bytes of a call on a fresh plan, and no later call changes an earlier
+    result: nothing one call leaves in the plan reaches the next, and no
+    result is a plan buffer."""
+    p = replace(WORKED, eps=eps)
+    plan = StepPlan(g, p, taxis)
+    results = []
+    for _ in range(count):
+        y = np.stack((data.draw(nonnegative_fields(g)), data.draw(nonnegative_fields(g))))
+        d = rhs(y, g, p, taxis, plan)
+        assert d.tobytes() == rhs(y, g, p, taxis).tobytes()
+        results.append((d, d.tobytes()))
+    for d, first in results:
+        assert d.tobytes() == first
 
 
 @settings(max_examples=200, deadline=None)
@@ -664,6 +685,68 @@ def test_advance_forms_no_estimate_when_no_step_can_be_longer():
         assert u1.tobytes() == plain_u.tobytes() and v1.tobytes() == plain_v.tobytes()
         assert acc.rhs_evaluations == _rkl2_stages(accuracy / substep)
         assert control.rates is None and control.proposal == 0.0
+
+
+@pytest.mark.parametrize(
+    "other",
+    [{"grid": Grid.uniform(1, 16, 2.0)}, {"p": replace(WORKED, chi=2.0)}, {"taxis": TaxisScheme.CENTRAL}],
+    ids=["grid", "params", "taxis"],
+)
+def test_advance_rebuilds_a_plan_built_for_another_run(other):
+    """A control carrying a plan for another grid, other parameters or
+    another flux gets a plan for this run, and the step is the one taken
+    without a control."""
+    u, v = cosine_pair()
+    run = {"grid": ROUGH, "p": WORKED, "taxis": TaxisScheme.UPWIND}
+    control = StepControl(plan=StepPlan(**{**run, **other}))
+    y = np.stack((u, v))
+    got, dt = advance(y, 0.0, 10.0, ROUGH, WORKED, TaxisScheme.UPWIND, StepAccounting(), control)
+    want, plain_dt = advance(y, 0.0, 10.0, ROUGH, WORKED, TaxisScheme.UPWIND, StepAccounting())
+    assert control.plan.fits(ROUGH, WORKED, TaxisScheme.UPWIND)
+    assert dt == plain_dt and got.tobytes() == want.tobytes()
+
+
+def run_bytes(s0, p, taxis, t_end, sample_every):
+    """The sink's states with their counts, the accounting and the final
+    state of a run_to_time call, each as bytes taken after the run ends."""
+    seen, acc = [], StepAccounting()
+    final = run_to_time(s0, p, taxis, t_end, sample_every, sink=lambda st, count: seen.append((st, count)),
+                        accounting=acc)
+    records = [(st.t, count, st.u.values.tobytes(), st.v.values.tobytes()) for st, count in seen]
+    return records, acc, final.u.values.tobytes() + final.v.values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "n, length, taxis, eps, sample_every",
+    [((12, 16), (1.0, 1.5), TaxisScheme.UPWIND, 0.0, 0.25), ((32,), (2.0,), TaxisScheme.CENTRAL, 0.1, 0.05)],
+    ids=["2d", "1d"],
+)
+def test_run_to_time_with_its_plan_dropped_before_every_step_gives_the_same_bytes(
+        monkeypatch, n, length, taxis, eps, sample_every):
+    """A run whose StepControl keeps its plan gives the records, accounting
+    and final state, byte for byte, of the same run with the plan dropped
+    before every step, so that each step builds a fresh one: no buffer
+    carries anything from one step into the next, and neither the
+    carried L(Y1) nor a state handed to the sink is a plan buffer.  Both
+    runs' sample_every is over C/J, so the error estimate runs and L(Y1)
+    is carried."""
+    g = Grid(n, length)
+    x = g.meshcenters()
+    w = np.cos(np.pi * x[0] / length[0]) * (np.cos(2.0 * np.pi * x[1] / length[1]) if len(n) == 2 else 1.0)
+    s0 = State(g.field(1.5 + 0.5 * w), g.field(0.5 - 0.25 * w), 0.0)
+    p = replace(WORKED, eps=eps)
+    kept = run_bytes(s0, p, taxis, 0.5, sample_every)
+    carried = []
+
+    def dropping(y, t, t_end, grid, p, taxis, accounting, control):
+        carried.append(control.rates is not None)
+        control.plan = None
+        return advance(y, t, t_end, grid, p, taxis, accounting, control)
+
+    monkeypatch.setattr(dynamics, "advance", dropping)
+    assert run_bytes(s0, p, taxis, 0.5, sample_every) == kept
+    assert kept[1].rkl2_steps > 0
+    assert any(carried)
 
 
 @settings(max_examples=200, deadline=None)

@@ -141,6 +141,27 @@ def test_face_gradient_matches_slicing_bitwise_property(data, g):
 
 
 @settings(max_examples=200, deadline=None)
+@given(data=st.data(), g=grids(), lead=st.sampled_from(((), (2,))))
+def test_face_gradient_into_face_arrays_holding_garbage_property(data, g, lead):
+    """Written into face arrays whose walls hold 0 and whose other slots
+    hold anything, NaN included, as a reused face array's do, the face
+    gradients are the allocating call's byte for byte: the seams are
+    zeroed again on every call."""
+    values = data.draw(arrays(np.float64, lead + g.n, elements=st.floats(-1e3, 1e3)))
+    garbage = st.floats(allow_nan=True, allow_infinity=True)
+    out = []
+    for s in g.stride:
+        faces = np.zeros(lead + (math.prod(g.n) + s,))
+        faces[..., s:-s] = data.draw(arrays(np.float64, faces[..., s:-s].shape, elements=garbage))
+        out.append(faces)
+    out = tuple(out)
+    got = face_gradient_values(g, values, out=out)
+    assert got is out
+    for faces, want in zip(got, face_gradient_values(g, values)):
+        assert faces.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
 @given(data=st.data(), g=grids())
 def test_stacked_kernels_are_the_single_field_kernels_row_by_row_property(data, g):
     """A (2, *n) stack of fields through each kernel gives, row by row, the
