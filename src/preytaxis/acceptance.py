@@ -16,7 +16,7 @@ import numpy as np
 from . import model
 from .config import build_config, scenario_items
 from .diagnostics import check_energy_decay, entropy_lower_bound_residual, format_csv
-from .dynamics import BlowUp, State, TaxisScheme, reaction_rates, run_to_time, step, step_bounds
+from .dynamics import BlowUp, State, StepPlan, TaxisScheme, reaction_rates, run_to_time, step, step_bounds
 from .grid import Grid, integrate_values
 from .model import ModelParams, Regime, steady_states
 from .oracle import heat_eigenmode_error, homogeneous_ode, refinement_order
@@ -225,7 +225,7 @@ def _criterion_6() -> tuple[bool, str]:
     expected = integrate_values(g, reaction_rates(u0, v0, p)[0])
 
     def residual(dt: float) -> float:
-        u1 = step(np.stack((u0, v0)), 0.0, g, p, TaxisScheme.UPWIND, dt)[0]
+        u1 = step(np.stack((u0, v0)), 0.0, StepPlan(g, p, TaxisScheme.UPWIND), dt)[0]
         return abs((integrate_values(g, u1) - mass0) / dt - expected)
 
     r_full = residual(dt0)

@@ -22,15 +22,13 @@ fluxes is accumulated onto it in place, two slice updates per axis.
 Right-hand sides, stage updates, error defects and admissibility checks
 all work on the stacked array.
 
-Only y changes from one right-hand side of a run to the next, so a
-StepPlan holds the rest: each axis's stacked face arrays, their walls
-zeroed once, with the interior views of their rows; the per-axis flux
-constants chi/h, chi/2h, d1/h and d2/h; and the reaction coefficients.
-A plan belongs to one run, one grid, p and taxis: advance builds it on
-the run's first step and StepControl carries it, step and rkl2_step hand
-it to every stage, and rhs without one builds a fresh one.  rhs still
-returns a new array, so no result, carried right-hand side or state is
-ever a plan buffer.
+A run's steps share one StepPlan: its grid, p and taxis; each axis's
+stacked face arrays, their walls zeroed once, with the interior views of
+their rows; the per-axis flux constants chi/h, chi/2h, d1/h and d2/h;
+the reaction coefficients; and what advance carries from one step to
+the next.  run_to_time builds it, and rhs, step, rkl2_step and advance
+take it in place of (grid, p, taxis).  rhs still returns a new array, so
+no result, carried right-hand side or state is ever a plan buffer.
 
 run_to_time takes each step with advance, the one place that keeps,
 discards and counts a step; step and rkl2_step only compute one.  The
@@ -81,7 +79,6 @@ __all__ = [
     "TaxisScheme",
     "State",
     "StepAccounting",
-    "StepControl",
     "StepPlan",
     "BlowUp",
     "Stalled",
@@ -175,22 +172,6 @@ class StepAccounting:
     rhs_evaluations: int = 0
 
 
-@dataclass
-class StepControl:
-    """What advance carries from one step of a run to the next: longest,
-    the longest step the error estimate may accept (one sample interval;
-    0 accepts none past C/J), proposal, the step length it proposes next
-    (0, the C/J floor, before the first estimate), rates, the right-hand
-    side at the state advance returned when it formed it, and plan, the
-    run's StepPlan, which advance builds on the first step and rebuilds
-    for another grid, p or taxis."""
-
-    longest: float = 0.0
-    proposal: float = 0.0
-    rates: np.ndarray | None = None
-    plan: StepPlan | None = None
-
-
 # --- pointwise reactions ----------------------------------------------------
 
 def _reaction_coefficients(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -224,18 +205,25 @@ def reaction_rates(u, v, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
 # --- semidiscrete right-hand side -------------------------------------------
 
 class StepPlan:
-    """What every right-hand side of one run on grid with p and taxis
+    """One run on grid with p and taxis.  What every right-hand side
     reuses, since only the state changes: faces, per axis a stacked
     (2, N + s) face array (see grid) whose walls are zeroed here once and
     stay 0; axes, per axis (s, the interior views faces[0, s:-s]
     and faces[1, s:-s], chi/h, chi/2h, d1/h, d2/h); and reactions,
     _reaction_coefficients(p).  rhs writes the face gradients, then the
-    fluxes over h, into faces on every call."""
+    fluxes over h, into faces on every call.
 
-    __slots__ = ("grid", "p", "taxis", "faces", "axes", "reactions")
+    What advance carries from one step to the next: longest, the longest
+    step the error estimate may accept (one sample interval; 0 accepts
+    none past C/J), proposal, the step length it proposes next (0, the
+    C/J floor, before the first estimate), and rates, the right-hand side
+    at the state advance returned when it formed it."""
 
-    def __init__(self, grid: Grid, p: ModelParams, taxis: TaxisScheme):
+    __slots__ = ("grid", "p", "taxis", "faces", "axes", "reactions", "longest", "proposal", "rates")
+
+    def __init__(self, grid: Grid, p: ModelParams, taxis: TaxisScheme, longest: float = 0.0):
         self.grid, self.p, self.taxis = grid, p, taxis
+        self.longest, self.proposal, self.rates = longest, 0.0, None
         cells = math.prod(grid.n)
         self.faces = tuple(np.zeros((2, cells + s)) for s in grid.stride)
         self.axes = tuple(
@@ -244,15 +232,10 @@ class StepPlan:
         )
         self.reactions = _reaction_coefficients(p)
 
-    def fits(self, grid: Grid, p: ModelParams, taxis: TaxisScheme) -> bool:
-        """Whether this plan was built for these very objects."""
-        return self.grid is grid and self.p is p and self.taxis is taxis
 
-
-def rhs(y: np.ndarray, grid: Grid, p: ModelParams, taxis: TaxisScheme,
-        plan: StepPlan | None = None) -> np.ndarray:
-    """Time derivatives of the stacked state y, as a new array shaped like
-    y, on plan, a StepPlan(grid, p, taxis) (a fresh one without it).
+def rhs(y: np.ndarray, plan: StepPlan) -> np.ndarray:
+    """Time derivatives of the stacked state y on plan's grid with its p
+    and taxis, as a new array shaped like y.
 
     One face gradient call writes g = (g_u, g_v) of y into the plan's
     face arrays, and each axis's fluxes over h are written over them: row
@@ -272,19 +255,18 @@ def rhs(y: np.ndarray, grid: Grid, p: ModelParams, taxis: TaxisScheme,
     onto it in place.  The flux part integrates to zero to rounding, so
     the discrete mass identity d/dt integral(u) = integral(reaction_u)
     holds to rounding."""
-    if plan is None:
-        plan = StepPlan(grid, p, taxis)
-    fluxes = face_gradient_values(grid, y, out=plan.faces)
+    eps = plan.p.eps
+    fluxes = face_gradient_values(plan.grid, y, out=plan.faces)
     x = y.reshape(2, -1)
     x_u, x_v = x
-    upwind = taxis is TaxisScheme.UPWIND
+    upwind = plan.taxis is TaxisScheme.UPWIND
     if upwind:
-        mobility = taxis_mobility(x_u, p.eps)
+        mobility = taxis_mobility(x_u, eps)
     for s, grad_u, grad_v, chi_h, half_chi_h, d1_h, d2_h in plan.axes:
         if upwind:
             drift = np.where(grad_v > 0, mobility[:-s], mobility[s:])
         else:
-            drift = taxis_mobility(0.5 * (x_u[:-s] + x_u[s:]), p.eps)
+            drift = taxis_mobility(0.5 * (x_u[:-s] + x_u[s:]), eps)
         drift *= grad_v
         drift *= chi_h
         flux = x_v[:-s] + x_v[s:]
@@ -294,7 +276,7 @@ def rhs(y: np.ndarray, grid: Grid, p: ModelParams, taxis: TaxisScheme,
         np.subtract(flux, drift, out=grad_u)
         grad_v *= d2_h
     out = _reactions(x, plan.reactions)
-    accumulate_divergence(grid, out, fluxes)
+    accumulate_divergence(plan.grid, out, fluxes)
     return out.reshape(y.shape)
 
 
@@ -366,13 +348,12 @@ def _admissible(y: np.ndarray, prey_cap: float) -> bool:
     return bool(y.min() >= 0.0 and y.max() <= BLOWUP_LIMIT and y[1].max() <= prey_cap)
 
 
-def step(y: np.ndarray, t: float, grid: Grid, p: ModelParams, taxis: TaxisScheme,
-         dt: float, rates: np.ndarray | None = None, plan: StepPlan | None = None) -> np.ndarray:
-    """One SSP-RK(STAGES, 2) step of size dt from the stacked state y at
-    time t; returns the new stacked state with no positivity repair and
-    leaves the inputs alone.  rates, when given, is rhs(y), which the
-    first substep then does not form.  Every substep's rhs runs on plan,
-    a StepPlan(grid, p, taxis) (a fresh one without it).
+def step(y: np.ndarray, t: float, plan: StepPlan, dt: float, rates: np.ndarray | None = None) -> np.ndarray:
+    """One SSP-RK(STAGES, 2) step of size dt, 0 < dt < inf, from the
+    stacked state y at time t; returns the new stacked state with no
+    positivity repair and leaves the inputs alone.  Every substep's rhs
+    runs on plan; rates, when given, is rhs(y, plan), which the first
+    substep then does not form.
 
     STAGES - 1 forward-Euler substeps z <- z + (dt/(STAGES - 1)) rhs(z)
     and one more give z; the step returns z + (y - z)/STAGES.  That is
@@ -382,14 +363,12 @@ def step(y: np.ndarray, t: float, grid: Grid, p: ModelParams, taxis: TaxisScheme
     admissibility rule advance applies to an RKL2 step, without its prey
     cap.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0 (got {dt})")
-    if plan is None:
-        plan = StepPlan(grid, p, taxis)
+    if not 0.0 < dt < math.inf:  # a NaN dt fails too
+        raise ValueError(f"dt must be finite and > 0 (got {dt})")
     sub = dt / (STAGES - 1)
     z = y
     for k in range(STAGES):
-        d = rates if k == 0 and rates is not None else rhs(z, grid, p, taxis, plan)
+        d = rates if k == 0 and rates is not None else rhs(z, plan)
         z = z + sub * d
     z = z + (y - z) / STAGES
     if not _admissible(z, math.inf):
@@ -419,14 +398,13 @@ def _rkl2_coefficients(stages: int) -> tuple[float, float, tuple[tuple[float, fl
     )
 
 
-def rkl2_step(y: np.ndarray, grid: Grid, p: ModelParams, taxis: TaxisScheme, dt: float, stages: int,
-              rates: np.ndarray | None = None, plan: StepPlan | None = None) -> np.ndarray:
-    """One RKL2 step of size dt with the given number of stages (Meyer,
-    Balsara & Aslam 2014) from the stacked state Y_0 = y; returns the new
-    stacked state with no positivity repair and leaves the inputs alone.
-    rates, when given, is L(Y_0) = rhs(y), which the step then does not
-    form.  Every stage's rhs runs on plan, a StepPlan(grid, p, taxis) (a
-    fresh one without it).
+def rkl2_step(y: np.ndarray, plan: StepPlan, dt: float, stages: int,
+              rates: np.ndarray | None = None) -> np.ndarray:
+    """One RKL2 step of size dt, 0 < dt < inf, with the given number of
+    stages (Meyer, Balsara & Aslam 2014) from the stacked state Y_0 = y;
+    returns the new stacked state with no positivity repair and leaves
+    the inputs alone.  Every stage's rhs runs on plan; rates, when given,
+    is L(Y_0) = rhs(y, plan), which the step then does not form.
 
     With b_0 = b_1 = b_2 = 1/3, b_j = (j^2 + j - 2)/(2j(j + 1)) and
     w1 = 4/(s^2 + s - 2), the stages are Y_1 = Y_0 + b_1 w1 dt L(Y_0) and,
@@ -443,19 +421,17 @@ def rkl2_step(y: np.ndarray, grid: Grid, p: ModelParams, taxis: TaxisScheme, dt:
     """
     if stages < 2:
         raise ValueError(f"RKL2 needs at least 2 stages (got {stages})")
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0 (got {dt})")
-    if plan is None:
-        plan = StepPlan(grid, p, taxis)
+    if not 0.0 < dt < math.inf:  # a NaN dt fails too
+        raise ValueError(f"dt must be finite and > 0 (got {dt})")
     w1, b1, table = _rkl2_coefficients(stages)
     w1_dt = w1 * dt
-    d0 = rates if rates is not None else rhs(y, grid, p, taxis, plan)
+    d0 = rates if rates is not None else rhs(y, plan)
     prev_inc = y - y  # Y_{j-2} - Y_0
     cur = y + (b1 * w1_dt) * d0  # Y_{j-1}
     for mu, nu, one_minus_b in table:
         mu_dt = mu * w1_dt
         gamma_dt = -one_minus_b * mu_dt
-        d = rhs(cur, grid, p, taxis, plan)
+        d = rhs(cur, plan)
         cur, prev_inc = _rkl2_stage(y, cur, prev_inc, d, d0, mu, nu, mu_dt, gamma_dt)
     return cur
 
@@ -490,25 +466,23 @@ def _defect(y0, y1, rates0, rates1, dt: float) -> float:
     return float(e.max())
 
 
-def advance(y: np.ndarray, t: float, t_end: float, grid: Grid, p: ModelParams, taxis: TaxisScheme,
-            accounting: StepAccounting,
-            control: StepControl | None = None) -> tuple[np.ndarray, float]:
+def advance(y: np.ndarray, t: float, t_end: float, plan: StepPlan,
+            accounting: StepAccounting) -> tuple[np.ndarray, float]:
     """One step of run_to_time from the stacked state y = (u, v) at time t
     toward t_end; returns the new stacked state and the step length,
     leaves the inputs alone, counts the step in accounting and updates
-    control for the next step.  Every right-hand side of the step runs on
-    control's plan, built here when control holds none for this grid, p
-    and taxis.
+    plan's proposal and rates for the next step.  Every right-hand side
+    of the step runs on plan.
 
     With (substep, positivity, accuracy) from step_bounds, the step is
     dt = min(max(accuracy, min(proposal, longest)), t_end - t), proposal
-    and longest from control, so without one dt = min(accuracy, t_end - t).
+    and longest from plan, so with longest 0 dt = min(accuracy, t_end - t).
     min(positivity, accuracy) is the longest step the method guarantees,
     so one too small to change t, or one at which the rest of the run
     would take more than STEP_BUDGET steps, raises Stalled.
 
     When dt is longer than positivity, advance takes it with RKL2 in
-    _rkl2_stages(dt / substep) stages, from control.rates when it holds
+    _rkl2_stages(dt / substep) stages, from plan.rates when it holds
     L(Y0).  An RKL2 step is admissible if every cell is finite,
     nonnegative and at most BLOWUP_LIMIT and max v' <= max(max v,
     max(0, m2)) (1 + 1e-12); an inadmissible one is discarded, and the
@@ -526,42 +500,38 @@ def advance(y: np.ndarray, t: float, t_end: float, grid: Grid, p: ModelParams, t
     bound it guarantees; an SSP-RK step that is not admissible raises
     BlowUp (from step).
     """
-    substep, positivity, accuracy = step_bounds(y[0], y[1], grid, p)
+    substep, positivity, accuracy = step_bounds(y[0], y[1], plan.grid, plan.p)
     limit = min(positivity, accuracy)
     if t + min(limit, t_end - t) == t:
         raise Stalled(f"step {limit:.3e} does not advance t = {t:.6g}")
     if t_end - t > STEP_BUDGET * limit:
         raise Stalled(f"step {limit:.3e} at t = {t:.6g} leaves over {STEP_BUDGET:.0e} steps to t_end")
-    ctl = control if control is not None else StepControl()
-    if ctl.plan is None or not ctl.plan.fits(grid, p, taxis):
-        ctl.plan = StepPlan(grid, p, taxis)
-    plan = ctl.plan
-    rates, ctl.rates = ctl.rates, None
-    dt = min(max(accuracy, min(ctl.proposal, ctl.longest)), t_end - t)
-    estimate = ctl.longest > accuracy and dt < t_end - t
+    rates, plan.rates = plan.rates, None
+    dt = min(max(accuracy, min(plan.proposal, plan.longest)), t_end - t)
+    estimate = plan.longest > accuracy and dt < t_end - t
     kept = False
     while dt > positivity:
         if rates is None:
-            rates = rhs(y, grid, p, taxis, plan)
+            rates = rhs(y, plan)
             accounting.rhs_evaluations += 1
         stages = _rkl2_stages(dt / substep)
-        y_new = rkl2_step(y, grid, p, taxis, dt, stages, rates, plan)
+        y_new = rkl2_step(y, plan, dt, stages, rates)
         accounting.rhs_evaluations += stages - 1
-        if not _admissible(y_new, max(float(y[1].max()), p.m2_plus) * (1.0 + 1e-12)):
+        if not _admissible(y_new, max(float(y[1].max()), plan.p.m2_plus) * (1.0 + 1e-12)):
             accounting.rkl2_rejected += 1
-            ctl.proposal = 0.0
+            plan.proposal = 0.0
             break
         if not estimate:
             kept = True
             break
-        rates_new = rhs(y_new, grid, p, taxis, plan)
+        rates_new = rhs(y_new, plan)
         accounting.rhs_evaluations += 1
         err = _defect(y, y_new, rates, rates_new, dt) / RKL2_TOL
         # a NaN err takes the 0.2 of max(0.2, nan) and is rejected
         factor = max(0.2, 0.9 * err ** (-1.0 / 3.0)) if err != 0.0 else math.inf
         if err <= 1.0 or dt <= accuracy:
             kept = True
-            ctl.proposal, ctl.rates = dt * min(5.0, factor), rates_new
+            plan.proposal, plan.rates = dt * min(5.0, factor), rates_new
             break
         accounting.rkl2_error_rejected += 1
         dt = max(accuracy, dt * factor)
@@ -569,7 +539,7 @@ def advance(y: np.ndarray, t: float, t_end: float, grid: Grid, p: ModelParams, t
         accounting.rkl2_steps += 1
     else:
         dt = min(limit, t_end - t)
-        y_new = step(y, t, grid, p, taxis, dt, rates, plan)
+        y_new = step(y, t, plan, dt, rates)
         accounting.rhs_evaluations += STAGES - (rates is not None)
     accounting.steps += 1
     accounting.peak_v = max(accounting.peak_v, float(y_new[1].max()))
@@ -629,9 +599,9 @@ def run_to_time(
     n_samples = int(math.floor(intervals + 1e-9))
     next_sample = 1
     time_eps = 1e-12 * max(1.0, abs(t_end))
-    control = StepControl(longest=sample_every)
+    plan = StepPlan(grid, p, taxis, longest=sample_every)
     while t < t_end:
-        y, dt = advance(y, t, t_end, grid, p, taxis, acc, control)
+        y, dt = advance(y, t, t_end, plan, acc)
         t = t_end if t_end - (t + dt) <= time_eps else t + dt
         reached = n_samples + 1 if t == t_end else next_sample
         while reached <= n_samples and t >= t0 + reached * sample_every - 1e-9 * sample_every:

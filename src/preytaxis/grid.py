@@ -221,12 +221,11 @@ def read_snapshot(path) -> tuple[Field, float]:
     if not lines:
         raise ValueError(f"empty snapshot file: {path}")
     head = lines[0].split()
-    dim = int(head[0])
-    if dim not in (1, 2) or len(head) != 2 * dim + 2:
+    dim, t = int(head[0]), float(head[-1])
+    if dim not in (1, 2) or len(head) != 2 * dim + 2 or not 0.0 <= t < math.inf:  # State's t rule
         raise ValueError(f"malformed snapshot header: {lines[0]!r}")
     n = tuple(int(tok) for tok in head[1 : 1 + dim])
     length = tuple(float(tok) for tok in head[1 + dim : 1 + 2 * dim])
-    t = float(head[-1])
     grid = Grid(n, length)
     # loadtxt warns on an empty body, which the shape check rejects anyway
     values = np.loadtxt(lines[1:], comments=None, ndmin=2) if len(lines) > 1 else np.empty(0)

@@ -16,6 +16,7 @@ from preytaxis import (
     Regime,
     StabilizationCertificate,
     State,
+    StepPlan,
     TaxisScheme,
     certify,
     check_energy_decay,
@@ -197,7 +198,7 @@ def energy_rate(u, v, g, p, cert, taxis):
     """dE_h/dt along the semidiscrete flow: the energy's gradient in (u, v)
     paired with rhs, for fields far enough above U_FLOOR that no floor acts."""
     ss = steady_states(p)
-    du, dv = rhs(np.stack((u, v)), g, p, taxis)
+    du, dv = rhs(np.stack((u, v)), StepPlan(g, p, taxis))
     quad = 4.0 / (p.b * p.b * cert.m2_relaxed)
     density = ((1.0 - ss.u_star / u) * du + (p.a / p.b) * (1.0 - ss.v_star / v) * dv
                + quad * (v - ss.v_star) * dv)

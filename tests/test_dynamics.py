@@ -15,6 +15,7 @@ from preytaxis import (
     ModelParams,
     State,
     StepAccounting,
+    StepPlan,
     TaxisScheme,
     integrate_values,
     laplacian_values,
@@ -28,8 +29,7 @@ from preytaxis import (
     steady_states,
 )
 from preytaxis import dynamics
-from preytaxis.dynamics import (RKL2_ACCURACY, STAGES, STEP_SAFETY, StepControl, StepPlan, _rkl2_stages,
-                                advance, rkl2_step)
+from preytaxis.dynamics import RKL2_ACCURACY, STAGES, STEP_SAFETY, _rkl2_stages, advance, rkl2_step
 from preytaxis.oracle import homogeneous_ode, refinement_order
 from padded import per_field_rkl2_step, per_field_step, slicing_fluxes, slicing_rhs, to_face_array, unfused_rhs
 from strategies import grids, positive_fields
@@ -60,7 +60,7 @@ def test_step_fixes_equilibrium_bitwise():
     """The spatially constant equilibrium is a fixed point of the stepper."""
     ss = steady_states(WORKED)
     u, v, g = make_arrays(np.full((8, 8), ss.u_star), np.full((8, 8), ss.v_star))
-    u1, v1 = step(np.stack((u, v)), 0.0, g, WORKED, TaxisScheme.UPWIND, 0.01)
+    u1, v1 = step(np.stack((u, v)), 0.0, StepPlan(g, WORKED, TaxisScheme.UPWIND), 0.01)
     assert np.array_equal(u1, u)
     assert np.array_equal(v1, v)
     # the time is the caller's: run_to_time lands exactly on t_end, here
@@ -77,7 +77,7 @@ def test_step_fixes_equilibrium_bitwise():
 def fluxes_over_h(u, v, g, p, taxis):
     """The face arrays rhs leaves in its plan: both species' fluxes over h."""
     plan = StepPlan(g, p, taxis)
-    rhs(np.stack((u, v)), g, p, taxis, plan)
+    rhs(np.stack((u, v)), plan)
     return plan.faces
 
 
@@ -162,7 +162,7 @@ def test_rhs_matches_slicing_rhs_bitwise_property(data, g, taxis, eps):
     u = data.draw(nonnegative_fields(g))
     v = data.draw(nonnegative_fields(g))
     p = replace(WORKED, eps=eps)
-    got = rhs(np.stack((u, v)), g, p, taxis)
+    got = rhs(np.stack((u, v)), StepPlan(g, p, taxis))
     want = slicing_rhs(u, v, g, p, taxis)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
@@ -186,8 +186,8 @@ def test_rhs_on_a_reused_plan_matches_fresh_calls_property(data, g, taxis, eps, 
     results = []
     for _ in range(count):
         y = np.stack((data.draw(nonnegative_fields(g)), data.draw(nonnegative_fields(g))))
-        d = rhs(y, g, p, taxis, plan)
-        assert d.tobytes() == rhs(y, g, p, taxis).tobytes()
+        d = rhs(y, plan)
+        assert d.tobytes() == rhs(y, StepPlan(g, p, taxis)).tobytes()
         results.append((d, d.tobytes()))
     for d, first in results:
         assert d.tobytes() == first
@@ -210,7 +210,7 @@ def test_rhs_matches_the_unfused_formula_property(data, g, taxis, eps, coefficie
     v = data.draw(positive_fields(g))
     d1, d2, chi, a, b, m1, m2 = coefficients
     p = ModelParams(d1=d1, d2=d2, m1=m1, m2=m2, chi=chi, a=a, b=b, eps=eps)
-    got = rhs(np.stack((u, v)), g, p, taxis)
+    got = rhs(np.stack((u, v)), StepPlan(g, p, taxis))
     want_u, want_v, scale_u, scale_v = unfused_rhs(u, v, g, p, taxis)
     assert np.abs(got[0] - want_u).max() <= 1e-13 * scale_u
     assert np.abs(got[1] - want_v).max() <= 1e-13 * scale_v
@@ -233,12 +233,12 @@ def test_rhs_on_a_2d_cosine_eigenmode(taxis):
     assert np.abs(lap - lam * w).max() <= tol
     p = ModelParams(d1=0.7, d2=1.3, m1=1.0, m2=2.0, chi=0.9, a=1.1, b=0.8)
 
-    d = rhs(np.stack((np.zeros(g.n), w)), g, p, taxis)
+    d = rhs(np.stack((np.zeros(g.n), w)), StepPlan(g, p, taxis))
     assert np.all(d[0] == 0.0)
     assert np.abs(d[1] - w * (p.m2 - w) - p.d2 * lam * w).max() <= tol
 
     c = 0.6
-    d = rhs(np.stack((w, np.full(g.n, c))), g, p, taxis)
+    d = rhs(np.stack((w, np.full(g.n, c))), StepPlan(g, p, taxis))
     assert np.abs(d[0] - w * (p.m1 - w + p.a * c) - (p.d1 + p.chi * c) * lam * w).max() <= tol
     assert np.abs(d[1] - c * (p.m2 - p.b * w - c)).max() <= tol
 
@@ -266,7 +266,7 @@ def assert_forward_euler_substep_safe(u, v, g, p, taxis):
     fields nonnegative and the prey under its logistic comparison value
     V + dt V (m2 - V)."""
     dt = step_bounds(u, v, g, p)[0]
-    du, dv = rhs(np.stack((u, v)), g, p, taxis)
+    du, dv = rhs(np.stack((u, v)), StepPlan(g, p, taxis))
     u1 = u + dt * du
     v1 = v + dt * dv
     big_v = float(v.max())
@@ -287,7 +287,7 @@ def assert_full_step_clean(u, v, g, p, taxis):
     """One SSP-RK step at the length advance takes is admissible, so step
     raises no BlowUp for a negative cell, and keeps the prey under
     max(max v, max(0, m2)): the maximum principle of the prey equation."""
-    _, v1 = step(np.stack((u, v)), 0.0, g, p, taxis, ssp_step_length(u, v, g, p))
+    _, v1 = step(np.stack((u, v)), 0.0, StepPlan(g, p, taxis), ssp_step_length(u, v, g, p))
     assert float(v1.max()) <= max(float(v.max()), max(0.0, p.m2)) * (1.0 + 1e-12)
 
 
@@ -335,7 +335,8 @@ def test_each_limiter_term_binds_somewhere(u, v, length, p):
     u, v, g = make_arrays(u, v, length)
     for taxis in TaxisScheme:
         assert_forward_euler_substep_safe(u, v, g, p, taxis)
-        step(np.stack((u, v)), 0.0, g, p, taxis, step_bounds(u, v, g, p)[0])  # raises BlowUp on a negative cell
+        # raises BlowUp on a negative cell
+        step(np.stack((u, v)), 0.0, StepPlan(g, p, taxis), step_bounds(u, v, g, p)[0])
         assert_full_step_clean(u, v, g, p, taxis)
 
 
@@ -352,7 +353,7 @@ def test_advance_clamps_nothing_at_the_predator_inflection_point():
         u_level = (m1 + a * v_level) / 2.0
         p = ModelParams(d1=1e-2, d2=1e-2, m1=m1, m2=b * u_level * rng.uniform(0.99, 1.01),
                         chi=1e-2, a=a, b=b)
-        advance(np.stack((np.full(4, u_level), np.full(4, v_level))), 0.0, 1e3, g, p, TaxisScheme.UPWIND,
+        advance(np.stack((np.full(4, u_level), np.full(4, v_level))), 0.0, 1e3, StepPlan(g, p, TaxisScheme.UPWIND),
                 StepAccounting())
 
 
@@ -489,11 +490,12 @@ def test_rkl2_step_is_second_order_on_the_homogeneous_ode(stages, m2):
     p = replace(WORKED, m2=m2)
     g = Grid.uniform(1, 8, 1.0)
     ref = homogeneous_ode(1.0, 1.0, p, 2.0, t_eval=[2.0])
+    plan = StepPlan(g, p, TaxisScheme.UPWIND)
     pairs = []
     for dt in (0.1, 0.05, 0.025):
         u, v = np.ones(8), np.ones(8)
         for _ in range(round(2.0 / dt)):
-            u, v = rkl2_step(np.stack((u, v)), g, p, TaxisScheme.UPWIND, dt, stages)
+            u, v = rkl2_step(np.stack((u, v)), plan, dt, stages)
         pairs.append((dt, max(abs(u[0] - ref.u[-1]), abs(v[0] - ref.v[-1]))))
     assert refinement_order(pairs) >= 1.9
 
@@ -518,8 +520,9 @@ def test_rkl2_step_matches_the_per_field_recurrence_bitwise_property(
     p = replace(WORKED, eps=eps)
     y = np.stack((u, v))
     dt = fraction * (stages * stages + stages - 2) / 4 * step_bounds(u, v, g, p)[0]
-    rates = rhs(y, g, p, taxis) if carried else None
-    got = rkl2_step(y, g, p, taxis, dt, stages, rates)
+    plan = StepPlan(g, p, taxis)
+    rates = rhs(y, plan) if carried else None
+    got = rkl2_step(y, plan, dt, stages, rates)
     want = per_field_rkl2_step(u, v, g, p, taxis, dt, stages)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
@@ -542,8 +545,9 @@ def test_step_matches_the_per_field_loop_bitwise_property(data, g, taxis, eps, f
     p = replace(WORKED, eps=eps)
     y = np.stack((u, v))
     dt = fraction * ssp_step_length(u, v, g, p)
-    rates = rhs(y, g, p, taxis) if carried else None
-    got = step(y, 0.0, g, p, taxis, dt, rates)
+    plan = StepPlan(g, p, taxis)
+    rates = rhs(y, plan) if carried else None
+    got = step(y, 0.0, plan, dt, rates)
     want = per_field_step(u, v, g, p, taxis, dt)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
@@ -564,14 +568,14 @@ def assert_advance_safe(u, v, taxis):
     under the prey bound; unless it is an RKL2 step, it is the SSP-RK step
     of ssp_step_length bitwise."""
     acc = StepAccounting()
-    (u1, v1), dt = advance(np.stack((u, v)), 0.0, 1.0, ROUGH, WORKED, taxis, acc)
+    (u1, v1), dt = advance(np.stack((u, v)), 0.0, 1.0, StepPlan(ROUGH, WORKED, taxis), acc)
     assert np.isfinite(u1).all() and np.isfinite(v1).all()
     assert u1.min() >= 0.0 and v1.min() >= 0.0
     assert v1.max() <= max(float(v.max()), WORKED.m2) * (1.0 + 1e-12)
     assert acc.steps == 1
     if acc.rkl2_steps == 0:
         safe = ssp_step_length(u, v, ROUGH, WORKED)
-        u_ssp, v_ssp = step(np.stack((u, v)), 0.0, ROUGH, WORKED, taxis, safe)
+        u_ssp, v_ssp = step(np.stack((u, v)), 0.0, StepPlan(ROUGH, WORKED, taxis), safe)
         assert dt == safe
         assert u1.tobytes() == u_ssp.tobytes()
         assert v1.tobytes() == v_ssp.tobytes()
@@ -617,10 +621,10 @@ def test_advance_discards_an_inadmissible_rkl2_step(monkeypatch, field, value):
     u, v = np.full(16, 0.5), np.full(16, 1.0)
     monkeypatch.setattr(dynamics, "rkl2_step", corrupted)
     acc = StepAccounting()
-    (u1, v1), dt = advance(np.stack((u, v)), 0.0, 1.0, ROUGH, WORKED, TaxisScheme.UPWIND, acc)
+    (u1, v1), dt = advance(np.stack((u, v)), 0.0, 1.0, StepPlan(ROUGH, WORKED, TaxisScheme.UPWIND), acc)
     assert (acc.rkl2_steps, acc.rkl2_rejected, acc.steps) == (0, 1, 1)
     assert dt == step_bounds(u, v, ROUGH, WORKED)[1]
-    u_ssp, v_ssp = step(np.stack((u, v)), 0.0, ROUGH, WORKED, TaxisScheme.UPWIND, dt)
+    u_ssp, v_ssp = step(np.stack((u, v)), 0.0, StepPlan(ROUGH, WORKED, TaxisScheme.UPWIND), dt)
     assert u1.tobytes() == u_ssp.tobytes() and v1.tobytes() == v_ssp.tobytes()
 
 
@@ -643,7 +647,7 @@ def test_advance_runs_each_limiter_pass_once(monkeypatch):
     for u, v, p in cases:
         calls.clear()
         acc = StepAccounting()
-        advance(np.stack((u, v)), 0.0, 1.0, ROUGH, p, TaxisScheme.UPWIND, acc)
+        advance(np.stack((u, v)), 0.0, 1.0, StepPlan(ROUGH, p, TaxisScheme.UPWIND), acc)
         assert len(calls) == 1
         kinds.append((acc.rkl2_steps, acc.rkl2_rejected))
     assert kinds == [(1, 0), (0, 0), (0, 1)]
@@ -661,49 +665,32 @@ def test_advance_retries_a_step_the_error_estimate_rejects():
     right-hand side at the kept state."""
     u, v = cosine_pair()
     _, positivity, accuracy = step_bounds(u, v, ROUGH, WORKED)
-    control, acc = StepControl(longest=1.0, proposal=1.0), StepAccounting()
-    (u1, v1), dt = advance(np.stack((u, v)), 0.0, 10.0, ROUGH, WORKED, TaxisScheme.UPWIND, acc, control)
+    plan, acc = StepPlan(ROUGH, WORKED, TaxisScheme.UPWIND, longest=1.0), StepAccounting()
+    plan.proposal = 1.0
+    (u1, v1), dt = advance(np.stack((u, v)), 0.0, 10.0, plan, acc)
     assert dt == accuracy > positivity
     assert acc.rkl2_error_rejected >= 1
     assert (acc.rkl2_steps, acc.rkl2_rejected, acc.steps) == (1, 0, 1)
-    assert control.proposal < accuracy
-    for carried, fresh in zip(control.rates, rhs(np.stack((u1, v1)), ROUGH, WORKED, TaxisScheme.UPWIND)):
+    assert plan.proposal < accuracy
+    for carried, fresh in zip(plan.rates, rhs(np.stack((u1, v1)), StepPlan(ROUGH, WORKED, TaxisScheme.UPWIND))):
         assert carried.tobytes() == fresh.tobytes()
 
 
 def test_advance_forms_no_estimate_when_no_step_can_be_longer():
     """With a sample interval under C/J, or a step that lands on t_end,
-    advance takes the C/J step as without a controller and forms no L(Y1)."""
+    advance takes the C/J step it takes on a plan whose longest is 0 and
+    forms no L(Y1)."""
     u, v = cosine_pair()
     substep, _, accuracy = step_bounds(u, v, ROUGH, WORKED)
-    (plain_u, plain_v), plain_dt = advance(np.stack((u, v)), 0.0, 10.0, ROUGH, WORKED, TaxisScheme.UPWIND,
-                                           StepAccounting())
+    plain = StepPlan(ROUGH, WORKED, TaxisScheme.UPWIND)
+    (plain_u, plain_v), plain_dt = advance(np.stack((u, v)), 0.0, 10.0, plain, StepAccounting())
     for longest, t_end in ((0.5 * accuracy, 10.0), (1.0, accuracy)):
-        control, acc = StepControl(longest=longest), StepAccounting()
-        (u1, v1), dt = advance(np.stack((u, v)), 0.0, t_end, ROUGH, WORKED, TaxisScheme.UPWIND, acc, control)
+        plan, acc = StepPlan(ROUGH, WORKED, TaxisScheme.UPWIND, longest=longest), StepAccounting()
+        (u1, v1), dt = advance(np.stack((u, v)), 0.0, t_end, plan, acc)
         assert dt == plain_dt == accuracy
         assert u1.tobytes() == plain_u.tobytes() and v1.tobytes() == plain_v.tobytes()
         assert acc.rhs_evaluations == _rkl2_stages(accuracy / substep)
-        assert control.rates is None and control.proposal == 0.0
-
-
-@pytest.mark.parametrize(
-    "other",
-    [{"grid": Grid.uniform(1, 16, 2.0)}, {"p": replace(WORKED, chi=2.0)}, {"taxis": TaxisScheme.CENTRAL}],
-    ids=["grid", "params", "taxis"],
-)
-def test_advance_rebuilds_a_plan_built_for_another_run(other):
-    """A control carrying a plan for another grid, other parameters or
-    another flux gets a plan for this run, and the step is the one taken
-    without a control."""
-    u, v = cosine_pair()
-    run = {"grid": ROUGH, "p": WORKED, "taxis": TaxisScheme.UPWIND}
-    control = StepControl(plan=StepPlan(**{**run, **other}))
-    y = np.stack((u, v))
-    got, dt = advance(y, 0.0, 10.0, ROUGH, WORKED, TaxisScheme.UPWIND, StepAccounting(), control)
-    want, plain_dt = advance(y, 0.0, 10.0, ROUGH, WORKED, TaxisScheme.UPWIND, StepAccounting())
-    assert control.plan.fits(ROUGH, WORKED, TaxisScheme.UPWIND)
-    assert dt == plain_dt and got.tobytes() == want.tobytes()
+        assert plan.rates is None and plan.proposal == 0.0
 
 
 def run_bytes(s0, p, taxis, t_end, sample_every):
@@ -723,9 +710,9 @@ def run_bytes(s0, p, taxis, t_end, sample_every):
 )
 def test_run_to_time_with_its_plan_dropped_before_every_step_gives_the_same_bytes(
         monkeypatch, n, length, taxis, eps, sample_every):
-    """A run whose StepControl keeps its plan gives the records, accounting
-    and final state, byte for byte, of the same run with the plan dropped
-    before every step, so that each step builds a fresh one: no buffer
+    """A run that keeps its plan gives the records, accounting and final
+    state, byte for byte, of the same run with each step taken on a fresh
+    plan that carries over only longest, proposal and rates: no buffer
     carries anything from one step into the next, and neither the
     carried L(Y1) nor a state handed to the sink is a plan buffer.  Both
     runs' sample_every is over C/J, so the error estimate runs and L(Y1)
@@ -738,10 +725,13 @@ def test_run_to_time_with_its_plan_dropped_before_every_step_gives_the_same_byte
     kept = run_bytes(s0, p, taxis, 0.5, sample_every)
     carried = []
 
-    def dropping(y, t, t_end, grid, p, taxis, accounting, control):
-        carried.append(control.rates is not None)
-        control.plan = None
-        return advance(y, t, t_end, grid, p, taxis, accounting, control)
+    def dropping(y, t, t_end, plan, accounting):
+        carried.append(plan.rates is not None)
+        fresh = StepPlan(plan.grid, plan.p, plan.taxis, longest=plan.longest)
+        fresh.proposal, fresh.rates = plan.proposal, plan.rates
+        stepped = advance(y, t, t_end, fresh, accounting)
+        plan.proposal, plan.rates = fresh.proposal, fresh.rates
+        return stepped
 
     monkeypatch.setattr(dynamics, "advance", dropping)
     assert run_bytes(s0, p, taxis, 0.5, sample_every) == kept
@@ -762,7 +752,7 @@ def test_step_at_limiter_dt_clamps_nothing(data, g, taxis, eps):
     u = data.draw(positive_fields(g))
     v = data.draw(positive_fields(g))
     p = replace(WORKED, eps=eps)
-    step(np.stack((u, v)), 0.0, g, p, taxis, step_bounds(u, v, g, p)[0])
+    step(np.stack((u, v)), 0.0, StepPlan(g, p, taxis), step_bounds(u, v, g, p)[0])
 
 
 def test_state_validation():
@@ -775,17 +765,24 @@ def test_state_validation():
         State(g.field(1.0), Grid.uniform(1, 16, 1.0).field(1.0), 0.0)
 
 
-def test_step_rejects_bad_dt():
+@pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("stepper", ["ssp", "rkl2"])
+def test_step_rejects_bad_dt(stepper, dt):
+    """Both steppers reject a dt that is not 0 < dt < inf before stepping."""
     u, v, g = make_arrays(np.ones(8), np.ones(8))
-    with pytest.raises(ValueError):
-        step(np.stack((u, v)), 0.0, g, WORKED, TaxisScheme.UPWIND, 0.0)
+    plan = StepPlan(g, WORKED, TaxisScheme.UPWIND)
+    with pytest.raises(ValueError, match="dt must be finite and > 0"):
+        if stepper == "ssp":
+            step(np.stack((u, v)), 0.0, plan, dt)
+        else:
+            rkl2_step(np.stack((u, v)), plan, dt, 3)
 
 
 def test_blowup_detection():
     u, v, g = make_arrays(np.full(8, 1e13), np.zeros(8))
     with pytest.raises(BlowUp):
         # dt so small the huge density survives the step above the ceiling
-        step(np.stack((u, v)), 0.0, g, WORKED, TaxisScheme.UPWIND, 1e-16)
+        step(np.stack((u, v)), 0.0, StepPlan(g, WORKED, TaxisScheme.UPWIND), 1e-16)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
@@ -793,14 +790,14 @@ def test_step_raises_blowup_on_a_non_finite_cell(value):
     u, v, g = make_arrays(np.ones(8), np.ones(8))
     u[3] = value
     with pytest.raises(BlowUp, match="not finite or above"), np.errstate(invalid="ignore"):
-        step(np.stack((u, v)), 0.0, g, WORKED, TaxisScheme.UPWIND, 1e-16)
+        step(np.stack((u, v)), 0.0, StepPlan(g, WORKED, TaxisScheme.UPWIND), 1e-16)
 
 
 def test_step_raises_blowup_on_a_negative_cell():
     # a huge forced step drives the logistic decay negative; step repairs nothing
     u, v, g = make_arrays([10.0, 0.0, 0.0, 10.0], np.zeros(4))
     with pytest.raises(BlowUp, match="negative"):
-        step(np.stack((u, v)), 0.0, g, WORKED, TaxisScheme.UPWIND, 0.2)
+        step(np.stack((u, v)), 0.0, StepPlan(g, WORKED, TaxisScheme.UPWIND), 0.2)
 
 
 def test_mass_rate_equals_reaction_integral():
@@ -812,7 +809,7 @@ def test_mass_rate_equals_reaction_integral():
             g = Grid.uniform(dim, 16, 2.0)
             u = rng.uniform(0.1, 2.0, g.n)
             v = rng.uniform(0.1, 2.0, g.n)
-            du, _ = rhs(np.stack((u, v)), g, WORKED, scheme)
+            du, _ = rhs(np.stack((u, v)), StepPlan(g, WORKED, scheme))
             ru, _ = reaction_rates(u, v, WORKED)
             assert abs(integrate_values(g, du) - integrate_values(g, ru)) < 1e-11
 
@@ -830,7 +827,7 @@ def test_mass_rate_equals_reaction_integral_property(data, g, scheme, eps):
     u = data.draw(positive_fields(g, high=10.0))
     v = data.draw(positive_fields(g, high=10.0))
     p = replace(WORKED, eps=eps)
-    du, _ = rhs(np.stack((u, v)), g, p, scheme)
+    du, _ = rhs(np.stack((u, v)), StepPlan(g, p, scheme))
     ru, _ = reaction_rates(u, v, p)
     fluxes = flux_of(u, v, g, p, scheme)
     scale = sum(2.0 * g.cell_volume / g.h[ax] * float(np.abs(f).sum()) for ax, f in enumerate(fluxes))

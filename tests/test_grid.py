@@ -336,8 +336,12 @@ def test_read_snapshot_rejects_empty_file(tmp_path):
         ("2 4 4 1 1 0\n" + "1 2 3 4\n" * 3, "does not match header"),
         ("1 4 1 0\n1 x 3 4\n", None),
         ("1 4 1 0\n1 2 3 4 # 5\n", None),
+        ("1 4 1 nan\n1 2 3 4\n", "malformed snapshot header"),
+        ("1 4 1 inf\n1 2 3 4\n", "malformed snapshot header"),
+        ("1 4 1 -5\n1 2 3 4\n", "malformed snapshot header"),
     ],
-    ids=["header-token-count", "dim-3", "header-only", "ragged-row", "row-count", "non-numeric", "comment-mark"],
+    ids=["header-token-count", "dim-3", "header-only", "ragged-row", "row-count", "non-numeric", "comment-mark",
+         "time-nan", "time-inf", "time-negative"],
 )
 def test_read_snapshot_rejects_malformed_input(tmp_path, text, match):
     path = tmp_path / "bad.txt"

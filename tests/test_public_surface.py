@@ -1,7 +1,7 @@
 """Every exported name resolves, every name a demo or benchmark script
 imports exists, every attribute the benchmark's tracer wraps exists, the
 benchmark's stored reference inputs are the ones its workloads generate,
-and every subcommand README lists exists."""
+every subcommand README lists exists, and README's Python sketch runs."""
 
 import ast
 import importlib
@@ -21,7 +21,8 @@ from preytaxis.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
-README_SUBCOMMANDS = re.findall(r"^preytaxis (\S+)", (ROOT / "README.md").read_text(), re.MULTILINE)
+README = (ROOT / "README.md").read_text()
+README_SUBCOMMANDS = re.findall(r"^preytaxis (\S+)", README, re.MULTILINE)
 MODULES = sorted(info.name for info in pkgutil.iter_modules(preytaxis.__path__))
 
 
@@ -143,3 +144,11 @@ def test_readme_subcommand_exists(sub):
     with pytest.raises(SystemExit) as exc:
         main([sub, "--help"])
     assert exc.value.code == 0
+
+
+def test_readme_python_sketch_runs(capsys):
+    """README's one Python block runs as written: a call left on an old
+    signature fails here."""
+    (block,) = re.findall(r"^```python\n(.*?)^```", README, re.MULTILINE | re.DOTALL)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()
