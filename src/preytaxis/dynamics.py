@@ -31,18 +31,21 @@ take it in place of (grid, p, taxis).  rhs still returns a new array, so
 no result, carried right-hand side or state is ever a plan buffer.
 
 run_to_time takes each step with advance, the one place that keeps,
-discards and counts a step; step and rkl2_step only compute one.  The
-accuracy bound dt * J <= RKL2_ACCURACY, C/J, is the floor of every RKL2
-step, and no SSP-RK step is longer.  When the step is longer than the
-SSP-RK positivity bound, advance takes the s-stage Runge-Kutta-Legendre
-method RKL2 (Meyer, Balsara & Aslam 2014), whose stability interval
-grows as s^2, so diffusion no longer bounds the step.  Within a run an
-RKL2 step may be longer than C/J, up to one sample interval, when a
-local error estimate accepts it (step control after Hairer, Norsett &
-Wanner, Solving ODEs I, II.4): the trapezoidal defect
-Y1 - Y0 - (dt/2)(L(Y0) + L(Y1)), whose L(Y1) is the next step's first
-right-hand side, so the estimate costs none.  Every step is clipped to
-t_end.
+discards and counts a step; step and rkl2_step only compute one.
+advance sizes the steps of both methods by one rule.  Within a run a
+step may be longer than the accuracy bound dt * J <= RKL2_ACCURACY,
+C/J, up to one sample interval, when a local error estimate accepts it
+(step control after Hairer, Norsett & Wanner, Solving ODEs I, II.4):
+the trapezoidal defect Y1 - Y0 - (dt/2)(L(Y0) + L(Y1)), whose L(Y1) is
+the next step's first right-hand side, so the estimate costs none.
+C/J is the floor, and every kept step that does not land on t_end forms
+the estimate and proposes the next step, whichever method took it.
+Every step is clipped to t_end.  The length picks the method: a step no
+longer than min(positivity, C/J), the positivity bound of the SSP-RK
+step below, is that step; a longer one is the s-stage
+Runge-Kutta-Legendre method RKL2 (Meyer, Balsara & Aslam 2014), whose
+stability interval grows as s^2, so diffusion no longer bounds the
+step.
 
 One admissibility rule judges both methods, and the stepper never
 repairs a state: every cell of a kept step is finite, nonnegative and at
@@ -52,14 +55,14 @@ SSP-RK step that breaks it raises BlowUp.
 
 The proven step is the s-stage second-order SSP Runge-Kutta method
 SSP-RK(s, 2) with s = STAGES (Spiteri & Ruuth 2002; low-storage form
-after Ketcheson 2008).  advance takes it for a dt within the positivity
-bound, and at that bound in place of a discarded RKL2 step.  Each stage
-is a forward-Euler substep of length dt/(s - 1), and the step is a
-convex combination of the start value and the last stage, so a substep
-length at which one forward-Euler substep keeps both fields nonnegative
-and the prey map monotone keeps them so for the whole step, which is
-(s - 1) times longer.  For s = 2 this is Heun's method.  step_bounds
-derives the substep and both bounds.
+after Ketcheson 2008).  advance takes it for a dt no longer than
+min(positivity, C/J), and at that length in place of a discarded RKL2
+step.  Each stage is a forward-Euler substep of length dt/(s - 1), and
+the step is a convex combination of the start value and the last stage,
+so a substep length at which one forward-Euler substep keeps both
+fields nonnegative and the prey map monotone keeps them so for the whole
+step, which is (s - 1) times longer.  For s = 2 this is Heun's method.
+step_bounds derives the substep and both bounds.
 """
 
 from __future__ import annotations
@@ -107,10 +110,13 @@ STAGES = 4  # forward-Euler substeps per SSP-RK(s, 2) step, each of length dt/(S
 # 8.6e-6).  0.05 keeps a 3x margin; criterion 3's nonlinear order is
 # 2.043 with it.
 RKL2_ACCURACY = 0.05
-# Largest trapezoidal defect advance accepts in a step longer than C/J,
-# relative to 1 + |Y1| in each cell.  Criterion 4's worst error is 7.2e-5
-# at 1e-5 (cap 1e-4) and 3.0e-4 at 1e-4; at 1e-6 the C/J floor binds on
-# its runs and the error is the floor's 3.1e-5.
+# Largest trapezoidal defect, relative to 1 + |Y1| in each cell, that
+# advance accepts in a step longer than C/J.  Every kept step short of
+# t_end forms the defect and proposes the next step from it, SSP-RK or
+# RKL2; a step longer than C/J is always RKL2, so only RKL2 steps fail
+# it.  Criterion 4's worst error is 7.2e-5 at 1e-5 (cap 1e-4) and 3.0e-4
+# at 1e-4; at 1e-6 the C/J floor binds on its runs and the error is the
+# floor's 3.1e-5.
 RKL2_TOL = 1e-5
 STEP_BUDGET = 1e8  # most limiter steps run_to_time lets the rest of a run need
 SAMPLE_BUDGET = 1e6  # most sample intervals run_to_time (and a config) may ask for
@@ -206,11 +212,11 @@ def reaction_rates(u, v, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
 
 class StepPlan:
     """One run on grid with p and taxis.  What every right-hand side
-    reuses, since only the state changes: faces, per axis a stacked
-    (2, N + s) face array (see grid) whose walls are zeroed here once and
-    stay 0; axes, per axis (s, the interior views faces[0, s:-s]
-    and faces[1, s:-s], chi/h, chi/2h, d1/h, d2/h); and reactions,
-    _reaction_coefficients(p).  rhs writes the face gradients, then the
+    reuses, since only the state changes: shape, the stacked state's
+    (2, *grid.n); faces, per axis a stacked (2, N + s) face array (see
+    grid) whose walls are zeroed here once and stay 0; axes, per axis
+    (s, the interior views faces[0, s:-s] and faces[1, s:-s], chi/h,
+    chi/2h, d1/h, d2/h); and reactions, _reaction_coefficients(p).  rhs writes the face gradients, then the
     fluxes over h, into faces on every call.
 
     What advance carries from one step to the next: longest, the longest
@@ -219,10 +225,10 @@ class StepPlan:
     C/J floor, before the first estimate), and rates, the right-hand side
     at the state advance returned when it formed it."""
 
-    __slots__ = ("grid", "p", "taxis", "faces", "axes", "reactions", "longest", "proposal", "rates")
+    __slots__ = ("grid", "p", "taxis", "shape", "faces", "axes", "reactions", "longest", "proposal", "rates")
 
     def __init__(self, grid: Grid, p: ModelParams, taxis: TaxisScheme, longest: float = 0.0):
-        self.grid, self.p, self.taxis = grid, p, taxis
+        self.grid, self.p, self.taxis, self.shape = grid, p, taxis, (2, *grid.n)
         self.longest, self.proposal, self.rates = longest, 0.0, None
         cells = math.prod(grid.n)
         self.faces = tuple(np.zeros((2, cells + s)) for s in grid.stride)
@@ -254,7 +260,9 @@ def rhs(y: np.ndarray, plan: StepPlan) -> np.ndarray:
     start the result, and the divergence of the fluxes is accumulated
     onto it in place.  The flux part integrates to zero to rounding, so
     the discrete mass identity d/dt integral(u) = integral(reaction_u)
-    holds to rounding."""
+    holds to rounding.  A y not shaped plan.shape raises ValueError."""
+    if y.shape != plan.shape:
+        raise ValueError(f"state shape {y.shape} does not match the plan's {plan.shape}")
     eps = plan.p.eps
     fluxes = face_gradient_values(plan.grid, y, out=plan.faces)
     x = y.reshape(2, -1)
@@ -477,28 +485,29 @@ def advance(y: np.ndarray, t: float, t_end: float, plan: StepPlan,
     With (substep, positivity, accuracy) from step_bounds, the step is
     dt = min(max(accuracy, min(proposal, longest)), t_end - t), proposal
     and longest from plan, so with longest 0 dt = min(accuracy, t_end - t).
-    min(positivity, accuracy) is the longest step the method guarantees,
-    so one too small to change t, or one at which the rest of the run
-    would take more than STEP_BUDGET steps, raises Stalled.
+    limit = min(positivity, accuracy) is the longest step the method
+    guarantees, so one too small to change t, or one at which the rest of
+    the run would take more than STEP_BUDGET steps, raises Stalled.
 
-    When dt is longer than positivity, advance takes it with RKL2 in
-    _rkl2_stages(dt / substep) stages, from plan.rates when it holds
-    L(Y0).  An RKL2 step is admissible if every cell is finite,
-    nonnegative and at most BLOWUP_LIMIT and max v' <= max(max v,
-    max(0, m2)) (1 + 1e-12); an inadmissible one is discarded, and the
-    next step is proposed at the floor again.  When longest exceeds accuracy and
-    the step does not land on t_end, advance forms L(Y1) and
+    A dt no longer than limit is taken with SSP-RK; an SSP-RK step that is
+    not admissible raises BlowUp (from step).  A longer dt is an RKL2
+    trial in _rkl2_stages(dt / substep) stages.  It is admissible if
+    every cell is finite, nonnegative and at most BLOWUP_LIMIT and
+    max v' <= max(max v, max(0, m2)) (1 + 1e-12); an inadmissible one is
+    discarded for the SSP-RK step at min(limit, t_end - t), which forms
+    no estimate, and the next step is proposed at the floor again.
+    Either method starts from plan.rates when it holds L(Y0).
+
+    When longest exceeds accuracy and the step does not land on t_end,
+    advance forms L(Y1) and
     err = max|Y1 - Y0 - (dt/2)(L(Y0) + L(Y1))| / (RKL2_TOL (1 + |Y1|))
-    over both fields.  It keeps the step if err <= 1 or dt <= accuracy,
-    proposes dt min(5, max(0.2, 0.9 err^(-1/3))) next and carries L(Y1);
-    otherwise it retries from y at max(accuracy, dt max(0.2,
-    0.9 err^(-1/3))).  accuracy is the floor because shortening a step
-    below it only adds steps: the SSP-RK step is never longer.
-
-    A step that is not kept as RKL2, and a dt no longer than positivity,
-    is taken with SSP-RK at min(positivity, accuracy, t_end - t), the
-    bound it guarantees; an SSP-RK step that is not admissible raises
-    BlowUp (from step).
+    over both fields, whichever method took the step.  It keeps the step
+    if err <= 1 or dt <= accuracy, proposes dt min(5, max(0.2,
+    0.9 err^(-1/3))) next and carries L(Y1); otherwise it retries from y
+    at max(accuracy, dt max(0.2, 0.9 err^(-1/3))).  accuracy is the floor
+    because shortening a step below it only adds steps.  An SSP-RK step
+    is at most accuracy long, so it is always kept, and only RKL2 steps
+    are rejected by the estimate.
     """
     substep, positivity, accuracy = step_bounds(y[0], y[1], plan.grid, plan.p)
     limit = min(positivity, accuracy)
@@ -509,20 +518,22 @@ def advance(y: np.ndarray, t: float, t_end: float, plan: StepPlan,
     rates, plan.rates = plan.rates, None
     dt = min(max(accuracy, min(plan.proposal, plan.longest)), t_end - t)
     estimate = plan.longest > accuracy and dt < t_end - t
-    kept = False
-    while dt > positivity:
+    while True:
         if rates is None:
             rates = rhs(y, plan)
             accounting.rhs_evaluations += 1
-        stages = _rkl2_stages(dt / substep)
-        y_new = rkl2_step(y, plan, dt, stages, rates)
-        accounting.rhs_evaluations += stages - 1
-        if not _admissible(y_new, max(float(y[1].max()), plan.p.m2_plus) * (1.0 + 1e-12)):
-            accounting.rkl2_rejected += 1
-            plan.proposal = 0.0
-            break
+        if dt <= limit:
+            y_new = step(y, t, plan, dt, rates)
+            accounting.rhs_evaluations += STAGES - 1
+        else:
+            stages = _rkl2_stages(dt / substep)
+            y_new = rkl2_step(y, plan, dt, stages, rates)
+            accounting.rhs_evaluations += stages - 1
+            if not _admissible(y_new, max(float(y[1].max()), plan.p.m2_plus) * (1.0 + 1e-12)):
+                accounting.rkl2_rejected += 1
+                plan.proposal, estimate, dt = 0.0, False, min(limit, t_end - t)
+                continue
         if not estimate:
-            kept = True
             break
         rates_new = rhs(y_new, plan)
         accounting.rhs_evaluations += 1
@@ -530,17 +541,11 @@ def advance(y: np.ndarray, t: float, t_end: float, plan: StepPlan,
         # a NaN err takes the 0.2 of max(0.2, nan) and is rejected
         factor = max(0.2, 0.9 * err ** (-1.0 / 3.0)) if err != 0.0 else math.inf
         if err <= 1.0 or dt <= accuracy:
-            kept = True
             plan.proposal, plan.rates = dt * min(5.0, factor), rates_new
             break
         accounting.rkl2_error_rejected += 1
         dt = max(accuracy, dt * factor)
-    if kept:
-        accounting.rkl2_steps += 1
-    else:
-        dt = min(limit, t_end - t)
-        y_new = step(y, t, plan, dt, rates)
-        accounting.rhs_evaluations += STAGES - (rates is not None)
+    accounting.rkl2_steps += dt > limit
     accounting.steps += 1
     accounting.peak_v = max(accounting.peak_v, float(y_new[1].max()))
     accounting.dt_min = min(accounting.dt_min, dt)

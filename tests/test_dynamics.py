@@ -1,6 +1,7 @@
 """Stepper behavior: fluxes, limiter, positivity, sampling, crude bounds."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -17,12 +18,15 @@ from preytaxis import (
     StepAccounting,
     StepPlan,
     TaxisScheme,
+    build_config,
+    execute,
     integrate_values,
     laplacian_values,
     logistic_comparison,
     reaction_rates,
     rhs,
     run_to_time,
+    scenario_items,
     step,
     step_bounds,
     Stalled,
@@ -475,12 +479,73 @@ def test_run_to_time_takes_fast_reactions_with_ssp_rk_steps():
     p = replace(SLOW, m1=10.0, b=10.0)
     s = make_state([1.0] * 4, [1.0] * 4, length=3.0)
     acc = StepAccounting()
-    run_to_time(s, p, TaxisScheme.UPWIND, t_end=0.5, sample_every=0.5, accounting=acc)
+    run_to_time(s, p, TaxisScheme.UPWIND, t_end=0.5, sample_every=1e-4, accounting=acc)
     assert acc.steps > 0
-    # fast reactions keep the accuracy bound under the positivity bound: no
-    # RKL2 step is tried
+    # fast reactions keep the accuracy bound under the positivity bound, and
+    # a sample interval under C/J lets no step be longer: no RKL2 step is tried
     assert acc.rkl2_steps == acc.rkl2_rejected == 0
     assert acc.rhs_evaluations == STAGES * acc.steps
+
+
+def test_run_to_time_controls_fast_reaction_steps_after_the_first(monkeypatch):
+    """With a sample interval over C/J the first step is SSP-RK at C/J,
+    its error estimate proposes the next, and every later step is a
+    controlled RKL2 step; the accounting counts every right-hand side."""
+    p = replace(SLOW, m1=10.0, b=10.0)
+    s = make_state([1.0] * 4, [1.0] * 4, length=3.0)
+    _, positivity, accuracy = step_bounds(s.u.values, s.v.values, s.grid, p)
+    assert accuracy < positivity
+    calls, steps = [], []
+
+    def counted(y, plan):
+        calls.append(1)
+        return rhs(y, plan)
+
+    def recorded(y, t, t_end, plan, accounting):
+        before = accounting.rkl2_steps
+        y_new, dt = advance(y, t, t_end, plan, accounting)
+        steps.append((dt, accounting.rkl2_steps - before, plan.proposal))
+        return y_new, dt
+
+    monkeypatch.setattr(dynamics, "rhs", counted)
+    monkeypatch.setattr(dynamics, "advance", recorded)
+    acc = StepAccounting()
+    run_to_time(s, p, TaxisScheme.UPWIND, t_end=0.5, sample_every=0.5, accounting=acc)
+    assert steps[0][:2] == (accuracy, 0)
+    assert all(rkl2 == 1 for _, rkl2, _ in steps[1:])
+    assert all(proposal > 0.0 for _, _, proposal in steps[:-1])
+    assert (acc.steps, acc.rkl2_steps, acc.rkl2_rejected, acc.rkl2_error_rejected) == (97, 96, 0, 2)
+    assert acc.rhs_evaluations == len(calls) == 218
+
+
+def test_advance_proposes_a_step_after_an_ssp_rk_step_on_a_coarse_grid():
+    """Where C/J is under the positivity bound, the first step is SSP-RK
+    at C/J; with a longer sample interval it forms the error estimate,
+    proposes a step and carries the right-hand side at the kept state."""
+    g = Grid.uniform(1, 16, 8.0)
+    x = np.cos(np.pi * g.centers(0) / 8.0)
+    y = np.stack((1.0 + 0.5 * x, 1.0 - 0.5 * x))
+    _, positivity, accuracy = step_bounds(y[0], y[1], g, WORKED)
+    assert accuracy < positivity
+    plan, acc = StepPlan(g, WORKED, TaxisScheme.UPWIND, longest=1.0), StepAccounting()
+    y1, dt = advance(y, 0.0, 10.0, plan, acc)
+    assert dt == accuracy
+    assert (acc.rkl2_steps, acc.steps) == (0, 1)
+    assert plan.proposal > 0.0
+    assert plan.rates.tobytes() == rhs(y1, StepPlan(g, WORKED, TaxisScheme.UPWIND)).tobytes()
+
+
+def test_coarser_grids_take_fewer_right_hand_sides():
+    """coexistence_64's shape to t = 2: a coarser grid takes strictly
+    fewer right-hand sides, since its SSP-RK steps start the controller."""
+    counts = []
+    for n in (16, 32, 64):
+        items = scenario_items("coexistence_64")
+        items.update({"grid.n": f"{n}, {n}", "run.t_end": "2.0"})
+        result = execute(build_config(items))
+        assert result.ok
+        counts.append(result.accounting.rhs_evaluations)
+    assert counts[0] < counts[1] < counts[2]
 
 
 @pytest.mark.parametrize("stages", [2, 5, 10, 20])
@@ -763,6 +828,13 @@ def test_state_validation():
         State(g.field(1.0), g.field(1.0), -0.5)
     with pytest.raises(ValueError):
         State(g.field(1.0), Grid.uniform(1, 16, 1.0).field(1.0), 0.0)
+
+
+@pytest.mark.parametrize("shape", [(2, 16), (8,)], ids=["other-grid", "one-field"])
+def test_rhs_rejects_a_state_that_does_not_fit_its_plan(shape):
+    plan = StepPlan(Grid.uniform(1, 8, 1.0), WORKED, TaxisScheme.UPWIND)
+    with pytest.raises(ValueError, match=re.escape(f"state shape {shape} does not match the plan's (2, 8)")):
+        rhs(np.ones(shape), plan)
 
 
 @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"])
