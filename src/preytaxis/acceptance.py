@@ -16,7 +16,7 @@ import numpy as np
 from . import model
 from .config import build_config, scenario_items
 from .diagnostics import check_energy_decay, entropy_lower_bound_residual, format_csv
-from .dynamics import BlowUp, State, StepPlan, TaxisScheme, reaction_rates, run_to_time, step, step_bounds
+from .dynamics import STAGES, BlowUp, State, StepPlan, TaxisScheme, reaction_rates, run_to_time, step, step_bounds
 from .grid import Grid, integrate_values
 from .model import ModelParams, Regime, steady_states
 from .oracle import heat_eigenmode_error, homogeneous_ode, refinement_order
@@ -220,7 +220,7 @@ def _criterion_6() -> tuple[bool, str]:
     bump = np.cos(np.pi * g.centers(0) / g.length[0])
     u0 = ss.u_star + 1e-4 * bump
     v0 = ss.v_star + 2e-4 * bump
-    dt0 = step_bounds(u0, v0, g, p)[0] / 2.0
+    dt0 = step_bounds(u0, v0, g, p)[0] / (2 * (STAGES - 1))
     mass0 = integrate_values(g, u0)
     expected = integrate_values(g, reaction_rates(u0, v0, p)[0])
 

@@ -1,4 +1,4 @@
-"""Explicit finite-volume time stepping for the taxis system.
+"""Finite-volume time stepping for the taxis system.
 
 The predator flux through each interior face is formed from the values
 of the two cells it separates, (u_L, v_L) and (u_R, v_R), and combines
@@ -11,58 +11,45 @@ value (upwind, the default) or the face mean (central).
 
 The stepper carries the state as one C-contiguous array y of shape
 (2, *grid.n), y[0] the predator u and y[1] the prey v, so each operation
-the two species share runs as one array call on both.  rhs forms the
-face gradients of both fields in one call and writes both species'
-fluxes over h onto those face arrays (zero on the walls), 1/h folded
-into the flux coefficients: the predator's over u's row, and d2/h times
-the prey's gradient over v's row, so the prey's face gradients are
-formed once, for the drift and for its zero-flux diffusion.  The
-reactions of both rows start the result, and the divergence of the
-fluxes is accumulated onto it in place, two slice updates per axis.
-Right-hand sides, stage updates, error defects and admissibility checks
-all work on the stacked array.
+the two species share runs as one array call on both: right-hand sides
+(see rhs), stage updates, transforms, error defects and admissibility
+checks.
 
-A run's steps share one StepPlan: its grid, p and taxis; each axis's
-stacked face arrays, their walls zeroed once, with the interior views of
-their rows; the per-axis flux constants chi/h, chi/2h, d1/h and d2/h;
-the reaction coefficients; and what advance carries from one step to
-the next.  run_to_time builds it, and rhs, step, rkl2_step and advance
-take it in place of (grid, p, taxis).  rhs still returns a new array, so
-no result, carried right-hand side or state is ever a plan buffer.
+A run's steps share one StepPlan (its buffers, constants and DCT
+matrices, and what advance carries from step to step), which
+run_to_time builds and rhs, step, imex_step and advance take in place of
+(grid, p, taxis).  They return new arrays, so no result, carried
+right-hand side or state is ever a plan buffer.
 
 run_to_time takes each step with advance, the one place that keeps,
-discards and counts a step; step and rkl2_step only compute one.
-advance sizes the steps of both methods by one rule.  Within a run a
-step may be longer than the accuracy bound dt * J <= RKL2_ACCURACY,
-C/J, up to one sample interval, when a local error estimate accepts it
-(step control after Hairer, Norsett & Wanner, Solving ODEs I, II.4):
-the trapezoidal defect Y1 - Y0 - (dt/2)(L(Y0) + L(Y1)), whose L(Y1) is
-the next step's first right-hand side, so the estimate costs none.
-C/J is the floor, and every kept step that does not land on t_end forms
-the estimate and proposes the next step, whichever method took it.
-Every step is clipped to t_end.  The length picks the method: a step no
-longer than min(positivity, C/J), the positivity bound of the SSP-RK
-step below, is that step; a longer one is the s-stage
-Runge-Kutta-Legendre method RKL2 (Meyer, Balsara & Aslam 2014), whose
-stability interval grows as s^2, so diffusion no longer bounds the
-step.
+discards and counts a step; step and imex_step only compute one.  One
+rule sizes the steps of both methods.  A step may be longer than the
+accuracy bound dt * J <= STEP_ACCURACY, C/J, up to one sample interval,
+when a local error estimate accepts it (step control after Hairer,
+Norsett & Wanner, Solving ODEs I, II.4): the trapezoidal defect, whose
+L(Y1) is the next step's first right-hand side, so it costs none.  The
+length picks the method: a step no longer than min(positivity, C/J) is
+the SSP-RK step below; a longer one is the implicit-explicit ARS(2,2,2)
+step (Ascher, Ruuth & Spiteri, Appl. Numer. Math. 25, 1997), with the
+diffusion implicit, so diffusion no longer bounds the step.  The
+orthonormal DCT-II diagonalises the zero-flux Laplacian of a uniform
+axis exactly (Strang, SIAM Review 41, 1999), so each implicit solve is
+two dense transforms and a division, and a step costs two right-hand
+sides and four transforms, whatever its length.
 
 One admissibility rule judges both methods, and the stepper never
 repairs a state: every cell of a kept step is finite, nonnegative and at
-most BLOWUP_LIMIT.  RKL2 does not preserve positivity, so an RKL2 step
-that breaks it, or lifts the prey maximum past its cap, is discarded; an
-SSP-RK step that breaks it raises BlowUp.
+most BLOWUP_LIMIT.  An IMEX step that breaks it, or lifts the prey
+maximum past its cap, is discarded; an SSP-RK step that breaks it
+raises BlowUp.
 
 The proven step is the s-stage second-order SSP Runge-Kutta method
 SSP-RK(s, 2) with s = STAGES (Spiteri & Ruuth 2002; low-storage form
-after Ketcheson 2008).  advance takes it for a dt no longer than
-min(positivity, C/J), and at that length in place of a discarded RKL2
-step.  Each stage is a forward-Euler substep of length dt/(s - 1), and
-the step is a convex combination of the start value and the last stage,
-so a substep length at which one forward-Euler substep keeps both
-fields nonnegative and the prey map monotone keeps them so for the whole
-step, which is (s - 1) times longer.  For s = 2 this is Heun's method.
-step_bounds derives the substep and both bounds.
+after Ketcheson 2008), taken for a dt no longer than min(positivity,
+C/J) and in place of a discarded IMEX step.  It is a convex combination
+of the start value and the result of s forward-Euler substeps of
+dt/(s - 1), so a substep that keeps both fields nonnegative and the prey
+map monotone keeps the step so.  For s = 2 it is Heun's method.
 """
 
 from __future__ import annotations
@@ -87,15 +74,15 @@ __all__ = [
     "Stalled",
     "STEP_SAFETY",
     "STAGES",
-    "RKL2_ACCURACY",
-    "RKL2_TOL",
+    "STEP_ACCURACY",
+    "STEP_TOL",
     "STEP_BUDGET",
     "SAMPLE_BUDGET",
     "reaction_rates",
     "rhs",
     "step_bounds",
     "step",
-    "rkl2_step",
+    "imex_step",
     "advance",
     "run_to_time",
 ]
@@ -109,15 +96,18 @@ STAGES = 4  # forward-Euler substeps per SSP-RK(s, 2) step, each of length dt/(S
 # positivity bound is the shorter one there, and the error is its
 # 8.6e-6).  0.05 keeps a 3x margin; criterion 3's nonlinear order is
 # 2.043 with it.
-RKL2_ACCURACY = 0.05
+STEP_ACCURACY = 0.05
 # Largest trapezoidal defect, relative to 1 + |Y1| in each cell, that
 # advance accepts in a step longer than C/J.  Every kept step short of
 # t_end forms the defect and proposes the next step from it, SSP-RK or
-# RKL2; a step longer than C/J is always RKL2, so only RKL2 steps fail
-# it.  Criterion 4's worst error is 7.2e-5 at 1e-5 (cap 1e-4) and 3.0e-4
-# at 1e-4; at 1e-6 the C/J floor binds on its runs and the error is the
-# floor's 3.1e-5.
-RKL2_TOL = 1e-5
+# IMEX; a step longer than C/J is always IMEX, so only IMEX steps fail
+# it.  On criterion 4's homogeneous runs the IMEX step is a two-stage
+# Runge-Kutta step on the reactions; its worst error is 1.20e-4 at 1e-5
+# (cap 1e-4), where criterion 10's gaps also fall out of order, and
+# 7.55e-5 at 5e-6.
+STEP_TOL = 5e-6
+_GAMMA = 1.0 - 1.0 / math.sqrt(2.0)  # ARS(2,2,2)'s constants
+_DELTA = 1.0 - 1.0 / (2.0 * _GAMMA)
 STEP_BUDGET = 1e8  # most limiter steps run_to_time lets the rest of a run need
 SAMPLE_BUDGET = 1e6  # most sample intervals run_to_time (and a config) may ask for
 
@@ -160,9 +150,9 @@ class StepAccounting:
     """Mutable counters threaded through a run; advance writes them, and
     run_to_time puts the initial prey maximum into peak_v.  dt_min and
     dt_max span every step taken, the last one clipped to t_end
-    included.  Of the steps, rkl2_steps were RKL2 steps; rkl2_rejected
-    counts the inadmissible RKL2 steps advance discarded for an SSP-RK
-    step, rkl2_error_rejected the admissible RKL2 steps longer than C/J
+    included.  Of the steps, imex_steps were IMEX steps; imex_rejected
+    counts the inadmissible IMEX steps advance discarded for an SSP-RK
+    step, imex_error_rejected the admissible IMEX steps longer than C/J
     that the error estimate rejected for a shorter one, and
     rhs_evaluations the right-hand sides advance evaluated, those of
     discarded steps included."""
@@ -172,9 +162,9 @@ class StepAccounting:
     peak_v: float = field(default=-math.inf)
     dt_min: float = field(default=math.inf)
     dt_max: float = 0.0
-    rkl2_steps: int = 0
-    rkl2_rejected: int = 0
-    rkl2_error_rejected: int = 0
+    imex_steps: int = 0
+    imex_rejected: int = 0
+    imex_error_rejected: int = 0
     rhs_evaluations: int = 0
 
 
@@ -219,13 +209,21 @@ class StepPlan:
     chi/2h, d1/h, d2/h); and reactions, _reaction_coefficients(p).  rhs writes the face gradients, then the
     fluxes over h, into faces on every call.
 
+    What imex_step reuses: dct, per axis the orthonormal DCT-II matrix
+    C[k, j] = c_k cos(pi k (j + 1/2)/n), c_0 = sqrt(1/n), else sqrt(2/n);
+    eigenvalues, mu = sum_ax -(2 - 2 cos(pi k_ax/n_ax))/h_ax^2, shaped
+    grid.n, so the Laplacian is C^T diag(mu) C along every axis; and
+    spectral, three work arrays shaped like the state.  Grid caps each
+    axis at MAX_AXIS_CELLS, which bounds the matrices' size.
+
     What advance carries from one step to the next: longest, the longest
     step the error estimate may accept (one sample interval; 0 accepts
     none past C/J), proposal, the step length it proposes next (0, the
     C/J floor, before the first estimate), and rates, the right-hand side
     at the state advance returned when it formed it."""
 
-    __slots__ = ("grid", "p", "taxis", "shape", "faces", "axes", "reactions", "longest", "proposal", "rates")
+    __slots__ = ("grid", "p", "taxis", "shape", "faces", "axes", "reactions", "dct", "eigenvalues", "spectral",
+                 "longest", "proposal", "rates")
 
     def __init__(self, grid: Grid, p: ModelParams, taxis: TaxisScheme, longest: float = 0.0):
         self.grid, self.p, self.taxis, self.shape = grid, p, taxis, (2, *grid.n)
@@ -237,6 +235,19 @@ class StepPlan:
             for s, h, faces in zip(grid.stride, grid.h, self.faces)
         )
         self.reactions = _reaction_coefficients(p)
+        self.dct = tuple(_dct_matrix(n) for n in grid.n)
+        self.eigenvalues = functools.reduce(np.add.outer, (
+            -(2.0 * np.sin(0.5 * np.pi * np.arange(n) / n) / h) ** 2 for n, h in zip(grid.n, grid.h)))
+        self.spectral = tuple(np.empty(self.shape) for _ in range(3))
+
+
+def _dct_matrix(n: int) -> np.ndarray:
+    """The orthonormal DCT-II matrix of n points, built in place."""
+    c = np.multiply.outer(np.arange(n) * (np.pi / n), np.arange(n) + 0.5)
+    np.cos(c, out=c)
+    c *= math.sqrt(2.0 / n)
+    c[0] = math.sqrt(1.0 / n)
+    return c
 
 
 def rhs(y: np.ndarray, plan: StepPlan) -> np.ndarray:
@@ -290,12 +301,12 @@ def rhs(y: np.ndarray, plan: StepPlan) -> np.ndarray:
 
 # --- step-size limiter --------------------------------------------------------
 
-def step_bounds(u, v, grid: Grid, p: ModelParams) -> tuple[float, float, float]:
-    """(substep, positivity, accuracy): the three step lengths advance
-    chooses from at (u, v).
+def step_bounds(u, v, grid: Grid, p: ModelParams) -> tuple[float, float]:
+    """(positivity, accuracy): the two step lengths advance chooses from
+    at (u, v).
 
-    substep is STEP_SAFETY over the largest forward-Euler loss rate of
-    either species: the length of one stage substep.  A forward-Euler
+    A stage substep of an SSP-RK step is at most STEP_SAFETY over the
+    largest forward-Euler loss rate of either species.  A forward-Euler
     substep multiplies each cell value by one minus dt times its loss
     rate and adds nonnegative inflow.  The predator's loss rate is at most
 
@@ -315,11 +326,11 @@ def step_bounds(u, v, grid: Grid, p: ModelParams) -> tuple[float, float, float]:
     growth as well as decay because each later substep starts from the
     previous one's output, which growth may have raised.
 
-    positivity, (STAGES - 1) substeps, keeps every SSP-RK(STAGES, 2)
+    positivity, (STAGES - 1) such substeps, keeps every SSP-RK(STAGES, 2)
     stage so for the loss rates at the start of the step, with
     1/STEP_SAFETY - 1 (11%) to spare, while each later stage starts from
     one the reactions R have moved by about dt |R|.  accuracy is
-    RKL2_ACCURACY / J, J the largest row-sum norm of the reaction
+    STEP_ACCURACY / J, J the largest row-sum norm of the reaction
     Jacobian [[m1 - 2u + a v, a u], [-b v, m2 - b u - 2v]] or per-capita
     rate |m1 - u + a v|, |m2 - b u - v| over the cells, so R changes by
     about J dt |R| <= 5% of |R| over a step, inside that margin.  The
@@ -342,8 +353,8 @@ def step_bounds(u, v, grid: Grid, p: ModelParams) -> tuple[float, float, float]:
     rate = max(rate_u, rate_v)
     row_u = np.abs(p.m1 - 2.0 * u + p.a * v) + p.a * u
     row_v = p.b * v + np.abs(p.m2 - p.b * u - 2.0 * v)
-    accuracy = RKL2_ACCURACY / max(float(row_u.max()), float(row_v.max()), react)
-    return STEP_SAFETY / rate, STEP_SAFETY * ((STAGES - 1) / rate), accuracy
+    accuracy = STEP_ACCURACY / max(float(row_u.max()), float(row_v.max()), react)
+    return STEP_SAFETY * ((STAGES - 1) / rate), accuracy
 
 
 # --- time stepping -----------------------------------------------------------
@@ -368,7 +379,7 @@ def step(y: np.ndarray, t: float, plan: StepPlan, dt: float, rates: np.ndarray |
     the convex combination (y + (STAGES - 1) z)/STAGES, written so that a
     fixed point of rhs is kept bitwise.  A result with a cell that is
     negative, not finite or above BLOWUP_LIMIT raises BlowUp: the same
-    admissibility rule advance applies to an RKL2 step, without its prey
+    admissibility rule advance applies to an IMEX step, without its prey
     cap.
     """
     if not 0.0 < dt < math.inf:  # a NaN dt fails too
@@ -384,81 +395,64 @@ def step(y: np.ndarray, t: float, plan: StepPlan, dt: float, rates: np.ndarray |
     return z
 
 
-def _rkl2_stages(ratio: float) -> int:
-    """Fewest stages s >= 2 whose stability interval, (s^2 + s - 2)/4
-    forward-Euler steps, covers `ratio` of them."""
-    s = max(2, math.ceil((math.sqrt(9.0 + 16.0 * ratio) - 1.0) / 2.0))
-    while (s * s + s - 2) / 4 < ratio:  # sqrt rounded down
-        s += 1
-    return s
+def _transform(plan: StepPlan, x: np.ndarray, out: np.ndarray, inverse: bool = False) -> None:
+    """Write the orthonormal DCT-II of the stacked x along every axis into
+    out (inverse: the transpose, which undoes it), one matmul per axis,
+    the last axis's over all rows at once; in 2-D that one goes into
+    plan.spectral[2].  x is left alone."""
+    *first, last = plan.dct
+    n = last.shape[0]
+    mid = plan.spectral[2] if first else out
+    np.matmul(x.reshape(-1, n), last if inverse else last.T, out=mid.reshape(-1, n))
+    if first:
+        np.matmul(first[0].T if inverse else first[0], mid, out=out)
 
 
-@functools.lru_cache(maxsize=64)
-def _rkl2_coefficients(stages: int) -> tuple[float, float, tuple[tuple[float, float, float], ...]]:
-    """(w1, b_1, ((mu_j, nu_j, 1 - b_{j-1}) for j = 2..stages)): the
-    coefficients of rkl2_step's recurrence, which depend on the stage
-    count alone."""
-    b = [1.0 / 3.0] * 3 + [(j * j + j - 2) / (2.0 * j * (j + 1)) for j in range(3, stages + 1)]
-    w1 = 4.0 / (stages * stages + stages - 2)
-    return w1, b[1], tuple(
-        ((2 * j - 1) / j * b[j] / b[j - 1], -(j - 1) / j * b[j] / b[j - 2], 1.0 - b[j - 1])
-        for j in range(2, stages + 1)
-    )
+def imex_step(y: np.ndarray, plan: StepPlan, dt: float, rates: np.ndarray | None = None) -> np.ndarray:
+    """One ARS(2,2,2) step of size dt, 0 < dt < inf, from the stacked
+    state y, unrepaired, leaving the inputs alone; L(Y2) runs on plan, and
+    rates, when given, is L(y) = rhs(y, plan).  A = diag(K_u, d2) Delta_h
+    is taken implicitly, with K_u = d1 + chi cap and cap = max(max v,
+    max(0, m2)), the prey cap of advance's admissibility rule, and L - A
+    explicitly.  With gamma = 1 - 1/sqrt(2), delta = 1 - 1/(2 gamma) and
+    D = I - gamma dt A, the step in increment form is
 
+        dY2 = D^-1 gamma dt L(y),                       Y2 = y + dY2,
+        dY3 = D^-1 dt [delta L(y) + (1 - delta) L(Y2) + (delta - gamma) A dY2],
 
-def rkl2_step(y: np.ndarray, plan: StepPlan, dt: float, stages: int,
-              rates: np.ndarray | None = None) -> np.ndarray:
-    """One RKL2 step of size dt, 0 < dt < inf, with the given number of
-    stages (Meyer, Balsara & Aslam 2014) from the stacked state Y_0 = y;
-    returns the new stacked state with no positivity repair and leaves
-    the inputs alone.  Every stage's rhs runs on plan; rates, when given,
-    is L(Y_0) = rhs(y, plan), which the step then does not form.
-
-    With b_0 = b_1 = b_2 = 1/3, b_j = (j^2 + j - 2)/(2j(j + 1)) and
-    w1 = 4/(s^2 + s - 2), the stages are Y_1 = Y_0 + b_1 w1 dt L(Y_0) and,
-    for j = 2..s,
-
-        Y_j = Y_0 + mu_j (Y_{j-1} - Y_0) + nu_j (Y_{j-2} - Y_0)
-              + mu_j w1 dt L(Y_{j-1}) - (1 - b_{j-1}) mu_j w1 dt L(Y_0),
-
-    with mu_j = (2j - 1) b_j/(j b_{j-1}) and nu_j = -(j - 1) b_j/(j b_{j-2}).
-    Writing each stage as increments on Y_0 keeps a fixed point of rhs
-    bitwise.  Stage j's Y_{j-1} - Y_0 is kept as stage j + 1's
-    Y_{j-2} - Y_0; stage 2's is Y_0 - Y_0.  The step is stable while dt
-    is at most (s^2 + s - 2)/4 forward-Euler steps.
+    and y + dY3.  D is diagonal in DCT space, where D^-1 is a division by
+    1 - gamma dt K mu >= 1, and gamma dt A dY2 = (1 - D) dY2 =
+    dY2 - gamma dt L(y), so the bracket is gamma L(y) + (1 - delta) L(Y2)
+    + ((delta - gamma)/(gamma dt)) dY2.  Four transforms: L(y) and L(Y2)
+    forward, dY2 and dY3 back.  L = 0 makes every increment 0, so a
+    fixed point of rhs is kept bitwise.
     """
-    if stages < 2:
-        raise ValueError(f"RKL2 needs at least 2 stages (got {stages})")
     if not 0.0 < dt < math.inf:  # a NaN dt fails too
         raise ValueError(f"dt must be finite and > 0 (got {dt})")
-    w1, b1, table = _rkl2_coefficients(stages)
-    w1_dt = w1 * dt
-    d0 = rates if rates is not None else rhs(y, plan)
-    prev_inc = y - y  # Y_{j-2} - Y_0
-    cur = y + (b1 * w1_dt) * d0  # Y_{j-1}
-    for mu, nu, one_minus_b in table:
-        mu_dt = mu * w1_dt
-        gamma_dt = -one_minus_b * mu_dt
-        d = rhs(cur, plan)
-        cur, prev_inc = _rkl2_stage(y, cur, prev_inc, d, d0, mu, nu, mu_dt, gamma_dt)
-    return cur
-
-
-def _rkl2_stage(y0, cur, prev_inc, d, d0, mu, nu, mu_dt, gamma_dt) -> tuple[np.ndarray, np.ndarray]:
-    """(y0 + mu (cur - y0) + nu prev_inc + mu_dt d + gamma_dt d0, cur - y0):
-    the next stage, summed term by term in that order, so bitwise, into
-    one new array and one scratch, and the increment the stage after it
-    takes as prev_inc."""
-    inc = cur - y0
-    y = inc * mu
-    y += y0
-    tmp = prev_inc * nu
-    y += tmp
-    np.multiply(d, mu_dt, out=tmp)
-    y += tmp
-    np.multiply(d0, gamma_dt, out=tmp)
-    y += tmp
-    return y, inc
+    p = plan.p
+    cap = max(float(y[1].max()), p.m2_plus)
+    spectral, divisor, work = plan.spectral
+    l0 = rates if rates is not None else rhs(y, plan)
+    _transform(plan, l0, spectral)
+    np.multiply.outer((-_GAMMA * dt * (p.d1 + p.chi * cap), -_GAMMA * dt * p.d2), plan.eigenvalues, out=divisor)
+    divisor += 1.0
+    inc = spectral * (_GAMMA * dt)
+    inc /= divisor  # dY2
+    spectral *= _GAMMA
+    np.multiply(inc, (_DELTA - _GAMMA) / (_GAMMA * dt), out=work)
+    spectral += work  # dY3's bracket without L(Y2)
+    y2 = np.empty(plan.shape)
+    _transform(plan, inc, y2, inverse=True)
+    y2 += y
+    l2 = rhs(y2, plan)
+    _transform(plan, l2, inc)
+    inc *= 1.0 - _DELTA
+    inc += spectral
+    inc *= dt
+    inc /= divisor  # dY3
+    _transform(plan, inc, l2, inverse=True)
+    l2 += y
+    return l2
 
 
 def _defect(y0, y1, rates0, rates1, dt: float) -> float:
@@ -482,34 +476,33 @@ def advance(y: np.ndarray, t: float, t_end: float, plan: StepPlan,
     plan's proposal and rates for the next step.  Every right-hand side
     of the step runs on plan.
 
-    With (substep, positivity, accuracy) from step_bounds, the step is
+    With (positivity, accuracy) from step_bounds, the step is
     dt = min(max(accuracy, min(proposal, longest)), t_end - t), proposal
-    and longest from plan, so with longest 0 dt = min(accuracy, t_end - t).
-    limit = min(positivity, accuracy) is the longest step the method
-    guarantees, so one too small to change t, or one at which the rest of
-    the run would take more than STEP_BUDGET steps, raises Stalled.
+    and longest from plan.  limit = min(positivity, accuracy) is the
+    longest step the method guarantees, so one too small to change t, or
+    one at which the rest of the run would take more than STEP_BUDGET
+    steps, raises Stalled.
 
-    A dt no longer than limit is taken with SSP-RK; an SSP-RK step that is
-    not admissible raises BlowUp (from step).  A longer dt is an RKL2
-    trial in _rkl2_stages(dt / substep) stages.  It is admissible if
+    A dt no longer than limit is taken with SSP-RK, which raises BlowUp
+    when not admissible.  A longer dt is an IMEX trial, admissible if
     every cell is finite, nonnegative and at most BLOWUP_LIMIT and
-    max v' <= max(max v, max(0, m2)) (1 + 1e-12); an inadmissible one is
+    max v' <= max(max v, max(0, m2)) (1 + 1e-12); one that is not is
     discarded for the SSP-RK step at min(limit, t_end - t), which forms
-    no estimate, and the next step is proposed at the floor again.
-    Either method starts from plan.rates when it holds L(Y0).
+    no estimate, and the next proposal is 0.  Both methods start from
+    plan.rates when it holds L(Y0).
 
     When longest exceeds accuracy and the step does not land on t_end,
     advance forms L(Y1) and
-    err = max|Y1 - Y0 - (dt/2)(L(Y0) + L(Y1))| / (RKL2_TOL (1 + |Y1|))
+    err = max|Y1 - Y0 - (dt/2)(L(Y0) + L(Y1))| / (STEP_TOL (1 + |Y1|))
     over both fields, whichever method took the step.  It keeps the step
     if err <= 1 or dt <= accuracy, proposes dt min(5, max(0.2,
     0.9 err^(-1/3))) next and carries L(Y1); otherwise it retries from y
     at max(accuracy, dt max(0.2, 0.9 err^(-1/3))).  accuracy is the floor
     because shortening a step below it only adds steps.  An SSP-RK step
-    is at most accuracy long, so it is always kept, and only RKL2 steps
+    is at most accuracy long, so it is always kept, and only IMEX steps
     are rejected by the estimate.
     """
-    substep, positivity, accuracy = step_bounds(y[0], y[1], plan.grid, plan.p)
+    positivity, accuracy = step_bounds(y[0], y[1], plan.grid, plan.p)
     limit = min(positivity, accuracy)
     if t + min(limit, t_end - t) == t:
         raise Stalled(f"step {limit:.3e} does not advance t = {t:.6g}")
@@ -526,26 +519,25 @@ def advance(y: np.ndarray, t: float, t_end: float, plan: StepPlan,
             y_new = step(y, t, plan, dt, rates)
             accounting.rhs_evaluations += STAGES - 1
         else:
-            stages = _rkl2_stages(dt / substep)
-            y_new = rkl2_step(y, plan, dt, stages, rates)
-            accounting.rhs_evaluations += stages - 1
+            y_new = imex_step(y, plan, dt, rates)
+            accounting.rhs_evaluations += 1
             if not _admissible(y_new, max(float(y[1].max()), plan.p.m2_plus) * (1.0 + 1e-12)):
-                accounting.rkl2_rejected += 1
+                accounting.imex_rejected += 1
                 plan.proposal, estimate, dt = 0.0, False, min(limit, t_end - t)
                 continue
         if not estimate:
             break
         rates_new = rhs(y_new, plan)
         accounting.rhs_evaluations += 1
-        err = _defect(y, y_new, rates, rates_new, dt) / RKL2_TOL
+        err = _defect(y, y_new, rates, rates_new, dt) / STEP_TOL
         # a NaN err takes the 0.2 of max(0.2, nan) and is rejected
         factor = max(0.2, 0.9 * err ** (-1.0 / 3.0)) if err != 0.0 else math.inf
         if err <= 1.0 or dt <= accuracy:
             plan.proposal, plan.rates = dt * min(5.0, factor), rates_new
             break
-        accounting.rkl2_error_rejected += 1
+        accounting.imex_error_rejected += 1
         dt = max(accuracy, dt * factor)
-    accounting.rkl2_steps += dt > limit
+    accounting.imex_steps += dt > limit
     accounting.steps += 1
     accounting.peak_v = max(accounting.peak_v, float(y_new[1].max()))
     accounting.dt_min = min(accounting.dt_min, dt)
@@ -563,7 +555,7 @@ def run_to_time(
     accounting: StepAccounting | None = None,
 ) -> State:
     """March from s0 to t_end with the steps of advance; return the state
-    at t_end.  advance may lengthen an RKL2 step past C/J, where its
+    at t_end.  advance may lengthen an IMEX step past C/J, where its
     error estimate accepts it, up to sample_every and no further, so a
     lengthened step reaches at most one sample time and the records of a
     settling run hold a state each.

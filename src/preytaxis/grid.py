@@ -37,6 +37,7 @@ import numpy as np
 __all__ = [
     "Grid",
     "Field",
+    "MAX_AXIS_CELLS",
     "integrate_values",
     "face_gradient_values",
     "accumulate_divergence",
@@ -48,9 +49,13 @@ __all__ = [
 ]
 
 
+MAX_AXIS_CELLS = 4096  # the stepper's dense DCT-II matrix of an axis holds n^2 doubles: 128 MiB at 4096
+
+
 @dataclass(frozen=True)
 class Grid:
-    """Uniform cell-centered mesh on a box: n cells and physical length per axis."""
+    """Uniform cell-centered mesh on a box: n cells, 4 to MAX_AXIS_CELLS,
+    and physical length per axis."""
 
     n: tuple[int, ...]
     length: tuple[float, ...]
@@ -64,8 +69,8 @@ class Grid:
             n = tuple(operator.index(k) for k in self.n)
         except TypeError:
             raise ValueError(f"cell counts must be integers (got {self.n})") from None
-        if min(n) < 4:
-            raise ValueError(f"each axis needs at least 4 cells (got {n})")
+        if min(n) < 4 or max(n) > MAX_AXIS_CELLS:
+            raise ValueError(f"each axis needs at least 4 cells and at most MAX_AXIS_CELLS = {MAX_AXIS_CELLS} (got {n})")
         object.__setattr__(self, "n", n)  # plain ints, whatever integer type came in
         for ell in self.length:
             if not (math.isfinite(ell) and ell > 0):

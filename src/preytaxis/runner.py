@@ -22,7 +22,7 @@ import numpy as np
 from . import diagnostics, model
 from .config import ConfigError, RunConfig, SWEEPABLE_KEYS, build_config, initial_state
 from .diagnostics import DiagnosticsRecord
-from .dynamics import RKL2_ACCURACY, RKL2_TOL, STAGES, STEP_SAFETY, BlowUp, State, StepAccounting, run_to_time
+from .dynamics import STAGES, STEP_ACCURACY, STEP_SAFETY, STEP_TOL, BlowUp, State, StepAccounting, run_to_time
 from .grid import gradient_sq_values, integrate_values, write_snapshot
 
 __all__ = ["RunResult", "execute", "run_scenario", "sweep", "worker_count", "WORKERS_ENV"]
@@ -100,7 +100,7 @@ def execute(config: RunConfig) -> RunResult:
 def _fingerprints(config: RunConfig) -> tuple[str, str]:
     g = config.grid
     grid_fp = f"{g.dim}d n={'x'.join(map(str, g.n))} length={'x'.join(f'{L:g}' for L in g.length)}"
-    scheme_fp = (f"{config.taxis.value} rkl2 C={RKL2_ACCURACY:g} tol={RKL2_TOL:g} "
+    scheme_fp = (f"{config.taxis.value} imex ars222 dct C={STEP_ACCURACY:g} tol={STEP_TOL:g} "
                  f"ssp-rk stages={STAGES} safety={STEP_SAFETY:g}")
     return grid_fp, scheme_fp
 
@@ -126,9 +126,9 @@ def _write_manifest(result: RunResult, out: Path) -> None:
         "steps": acc.steps,
         "dt_min": acc.dt_min if acc.steps else None,
         "dt_max": acc.dt_max if acc.steps else None,
-        "rkl2_steps": acc.rkl2_steps,
-        "rkl2_rejected_steps": acc.rkl2_rejected,
-        "rkl2_error_rejected_steps": acc.rkl2_error_rejected,
+        "imex_steps": acc.imex_steps,
+        "imex_rejected_steps": acc.imex_rejected,
+        "imex_error_rejected_steps": acc.imex_error_rejected,
         "rhs_evaluations": acc.rhs_evaluations,
         "clamped_cells": acc.clamped_cells,  # always 0; kept because bench/ reads it
         "peak_v": acc.peak_v,

@@ -153,40 +153,3 @@ def per_field_step(u, v, g, p, taxis, dt):
         u_new = u_new + sub * du
         v_new = v_new + sub * dv
     return u_new + (u - u_new) / STAGES, v_new + (v - v_new) / STAGES
-
-
-def per_field_rkl2_stage(y0, cur, prev, d, d0, mu, nu, mu_dt, gamma_dt):
-    """y0 + mu (cur - y0) + nu (prev - y0) + mu_dt d + gamma_dt d0, term by
-    term in that order, for one field."""
-    y = cur - y0
-    y *= mu
-    y += y0
-    tmp = prev - y0
-    tmp *= nu
-    y += tmp
-    np.multiply(d, mu_dt, out=tmp)
-    y += tmp
-    np.multiply(d0, gamma_dt, out=tmp)
-    y += tmp
-    return y
-
-
-def per_field_rkl2_step(u, v, g, p, taxis, dt, stages):
-    """One RKL2 step with the given number of stages, each stage updating
-    each field on its own from Y_{j-1} and Y_{j-2}."""
-    b = [1.0 / 3.0] * 3 + [(j * j + j - 2) / (2.0 * j * (j + 1)) for j in range(3, stages + 1)]
-    w1_dt = 4.0 / (stages * stages + stages - 2) * dt
-    du0, dv0 = slicing_rhs(u, v, g, p, taxis)
-    u_prev, v_prev = u, v
-    u_cur = u + (b[1] * w1_dt) * du0
-    v_cur = v + (b[1] * w1_dt) * dv0
-    for j in range(2, stages + 1):
-        mu = (2 * j - 1) / j * b[j] / b[j - 1]
-        nu = -(j - 1) / j * b[j] / b[j - 2]
-        mu_dt = mu * w1_dt
-        gamma_dt = -(1.0 - b[j - 1]) * mu_dt
-        du, dv = slicing_rhs(u_cur, v_cur, g, p, taxis)
-        u_next = per_field_rkl2_stage(u, u_cur, u_prev, du, du0, mu, nu, mu_dt, gamma_dt)
-        v_next = per_field_rkl2_stage(v, v_cur, v_prev, dv, dv0, mu, nu, mu_dt, gamma_dt)
-        u_prev, v_prev, u_cur, v_cur = u_cur, v_cur, u_next, v_next
-    return u_cur, v_cur

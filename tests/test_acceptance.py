@@ -27,12 +27,13 @@ def test_criterion(number, capsys):
 
 def test_coexistence_run_rejects_no_rkl2_step_and_clamps_nothing():
     """On the bundled coexistence scenario (the run criteria 7, 8 and 11
-    share) RKL2 takes steps, every one passes its checks, and the run
-    completes: no step raised BlowUp for a negative cell."""
+    share) the IMEX step, which took over RKL2's long steps, takes steps,
+    every one passes its checks, and the run completes: no step raised
+    BlowUp for a negative cell."""
     result = _scenario_result("coexistence_64")
     assert result.status == "completed"
-    assert result.accounting.rkl2_steps > 0
-    assert result.accounting.rkl2_rejected == 0
+    assert result.accounting.imex_steps > 0
+    assert result.accounting.imex_rejected == 0
 
 
 def test_criterion_7_fails_without_a_pair_past_t_settle(monkeypatch):
@@ -46,12 +47,12 @@ def test_criterion_7_fails_without_a_pair_past_t_settle(monkeypatch):
 
 
 def test_criterion_4_error_follows_the_error_tolerance(monkeypatch):
-    """Criterion 4's worst error grows with RKL2_TOL: at ten times the
+    """Criterion 4's worst error grows with STEP_TOL: at ten times the
     tolerance it is at least sqrt(10) times larger, so the error estimate,
     not the C/J floor, sets the steps there.  (At a tenth of it the floor
     binds and the error does not move, so the test looks only upward.)"""
     at_tol = max(err for _, err in homogeneous_errors())
-    monkeypatch.setattr(dynamics, "RKL2_TOL", 10.0 * dynamics.RKL2_TOL)
+    monkeypatch.setattr(dynamics, "STEP_TOL", 10.0 * dynamics.STEP_TOL)
     at_ten_tol = max(err for _, err in homogeneous_errors())
     assert at_ten_tol >= math.sqrt(10.0) * at_tol
 

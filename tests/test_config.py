@@ -1,6 +1,7 @@
 """Config grammar, validation messages, recipes, bundled scenarios."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from preytaxis import (
     ConfigError,
+    Grid,
     ParseError,
     TaxisScheme,
     ValidationError,
@@ -157,6 +159,31 @@ def test_bundled_scenarios_build():
         assert cfg.t_end > 0
     assert build_config(scenario_items("coexistence_64")).grid.dim == 2
     assert build_config(scenario_items("order_1d")).taxis is TaxisScheme.CENTRAL
+
+
+def test_an_axis_too_long_for_its_dct_matrix_fails_fast(tmp_path):
+    """eps_family_1d on 200000 cells would need a 298 GiB DCT matrix.  The
+    config is refused, naming the limit, while less memory is traced than
+    one field of that grid takes (1.6 MB), so neither the matrix nor any
+    state was allocated, and the CLI exits 3 without a run directory."""
+    items = scenario_items("eps_family_1d")
+    items["grid.n"] = "200000"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="at most MAX_AXIS_CELLS = 4096"):
+            build_config(items)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 200_000
+    assert Grid((4096, 16), (1.0, 1.0)).n == (4096, 16)
+    with pytest.raises(ValueError, match="MAX_AXIS_CELLS"):
+        Grid((16, 4097), (1.0, 1.0))
+    items["output.dir"] = str(tmp_path / "out")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in items.items()))
+    assert main(["run", str(cfg)]) == 3
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_scenario_lists_available():

@@ -73,11 +73,11 @@ def test_run_scenario_writes_directory(tmp_path):
     assert manifest["certificate"]["holds"] is True
     assert manifest["certificate"]["m2_relaxed"] > 2.0
     assert manifest["peak_v"] >= 1.0
-    assert manifest["scheme"] == "upwind rkl2 C=0.05 tol=1e-05 ssp-rk stages=4 safety=0.9"
+    assert manifest["scheme"] == "upwind imex ars222 dct C=0.05 tol=5e-06 ssp-rk stages=4 safety=0.9"
     assert 0 < manifest["dt_min"] <= manifest["dt_max"] <= 0.2
-    assert 0 < manifest["rkl2_steps"] <= manifest["steps"]
-    assert manifest["rkl2_rejected_steps"] == 0
-    assert manifest["rkl2_error_rejected_steps"] == 0
+    assert 0 < manifest["imex_steps"] <= manifest["steps"]
+    assert manifest["imex_rejected_steps"] == 0
+    assert manifest["imex_error_rejected_steps"] == 0
     assert manifest["rhs_evaluations"] >= 2 * manifest["steps"]
 
     csv = (out / "diagnostics.csv").read_text().strip().splitlines()
@@ -107,14 +107,14 @@ def test_run_scenario_blowup(tmp_path):
 
 
 def test_an_inadmissible_ssp_rk_step_ends_the_run_as_a_blowup(tmp_path, monkeypatch):
-    """An SSP-RK step is kept only if admissible, as an RKL2 step is.  With
+    """An SSP-RK step is kept only if admissible, as an IMEX step is.  With
     a positivity bound 1000 times too long, advance takes SSP-RK steps at
     the accuracy bound, and on a cosine profile the second goes negative."""
     bounds = dynamics.step_bounds
 
     def overlong_positivity(*args):
-        substep, positivity, accuracy = bounds(*args)
-        return substep, 1e3 * positivity, accuracy
+        positivity, accuracy = bounds(*args)
+        return 1e3 * positivity, accuracy
 
     monkeypatch.setattr(dynamics, "step_bounds", overlong_positivity)
     cosine = "initial.kind = cosine\ninitial.u_amp = 0.5\ninitial.v_amp = 0.5\n"
@@ -123,7 +123,7 @@ def test_an_inadmissible_ssp_rk_step_ends_the_run_as_a_blowup(tmp_path, monkeypa
     with pytest.raises(BlowUp, match="negative"):
         run_to_time(initial_state(config), config.params, config.taxis, config.t_end,
                     config.sample_every, accounting=acc)
-    assert (acc.steps, acc.rkl2_steps) == (1, 0)
+    assert (acc.steps, acc.imex_steps) == (1, 0)
     assert execute(config).status.startswith("blowup: density negative")
     cfg = tmp_path / "run.cfg"
     cfg.write_text(BASE + cosine + f"output.dir = {tmp_path / 'out'}\n")
