@@ -1,9 +1,10 @@
 """Norms, entropy/energy functionals, decay checks, and the CSV format.
 
 The functionals are array kernels on a Grid; record() is the one
-boundary that takes a State.  The energy combines two relative-entropy
-terms with a quadratic prey term weighted by the certificate's relaxed
-prey bound,
+boundary that takes States, a batch of them on one grid, with one array
+pass per diagnostic over the whole batch and each row bitwise what its
+state gives alone.  The energy combines two relative-entropy terms with
+a quadratic prey term weighted by the certificate's relaxed prey bound,
 
     energy = int H(u | u*) + (a/b) int H(v | v*)
              + (2 / (b^2 m2_relaxed)) int (v - v*)^2,
@@ -25,8 +26,9 @@ time-integrated budget on sampled records.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from io import StringIO
+from operator import attrgetter
 
 import numpy as np
 
@@ -73,15 +75,13 @@ class DiagnosticsRecord:
     floored_cells: int
 
 
-def _entropy(grid: Grid, floored: np.ndarray, xi: float) -> float:
-    """Entropy integral of values already floored at U_FLOOR."""
+def _entropy_density(floored: np.ndarray, xi: float) -> np.ndarray:
+    """Relative-entropy density of values already floored at U_FLOOR."""
     if xi < 0:
         raise ValueError(f"xi must be >= 0 (got {xi})")
     if xi == 0.0:
-        density = floored
-    else:
-        density = np.maximum(floored - xi - xi * np.log(floored / xi), 0.0)
-    return integrate_values(grid, density)
+        return floored
+    return np.maximum(floored - xi - xi * np.log(floored / xi), 0.0)
 
 
 def entropy_integral(grid: Grid, values: np.ndarray, xi: float) -> float:
@@ -90,51 +90,79 @@ def entropy_integral(grid: Grid, values: np.ndarray, xi: float) -> float:
     The values are floored at U_FLOOR before logs are taken; the density
     is clipped at zero to keep rounding from leaking tiny negatives.
     """
-    return _entropy(grid, np.maximum(values, U_FLOOR), xi)
+    return integrate_values(grid, _entropy_density(np.maximum(values, U_FLOOR), xi))
 
 
-def record(s: State, p: ModelParams, ss: SteadyState,
-           cert: StabilizationCertificate | None) -> DiagnosticsRecord:
-    """Assemble the full diagnostics row for one sampled state.
+def _rows(arrays: list[np.ndarray], cells: int) -> np.ndarray:
+    """The arrays as the rows of one (K, cells) array; a lone array is
+    viewed, not copied."""
+    if len(arrays) == 1:
+        return arrays[0].reshape(1, cells)
+    return np.stack(arrays).reshape(len(arrays), cells)
 
-    Each integral is taken once: energy and dissipation are sums of the
-    same numbers that fill the entropy and distance columns.  Without a
-    certificate (or without a relaxed bound in it) the energy drops its
-    quadratic prey term, the observational fallback.
+
+def _distance_sums(x: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row sums of |x - level| and (x - level)^2."""
+    d = x - level
+    return np.abs(d).sum(axis=1), (d**2).sum(axis=1)
+
+
+def record(states: Sequence[State], p: ModelParams, ss: SteadyState,
+           cert: StabilizationCertificate | None) -> list[DiagnosticsRecord]:
+    """Assemble the diagnostics rows of sampled states on one grid, one
+    row per state, in order.
+
+    The states are stacked per species as the rows of one array, so each
+    diagnostic is one array pass over all of them, and each integral is
+    the cell volume times its row's contiguous pairwise sum: a row has
+    the same bits as the state's alone.  Each integral is taken once:
+    energy and dissipation are sums of the same numbers that fill the
+    entropy and distance columns.  Without a certificate (or without a
+    relaxed bound in it) the energy drops its quadratic prey term, the
+    observational fallback.  States on different grids raise ValueError.
     """
-    g = s.grid
-    u = s.u.values
-    v = s.v.values
+    if not states:
+        return []
+    g = states[0].grid
+    if any(s.grid != g for s in states):
+        raise ValueError("record takes states on one grid")
+    k, cells = len(states), math.prod(g.n)
+    u = _rows([s.u.values for s in states], cells)
+    v = _rows([s.v.values for s in states], cells)
     uf = np.maximum(u, U_FLOOR)
     vf = np.maximum(v, U_FLOOR)
-    gsq_u = gradient_sq_values(g, u)
-    gsq_v = gradient_sq_values(g, v)
-    sq_u = integrate_values(g, (u - ss.u_star) ** 2)
-    sq_v = integrate_values(g, (v - ss.v_star) ** 2)
-    entropy_u = _entropy(g, uf, ss.u_star)
-    entropy_v = _entropy(g, vf, ss.v_star)
-    quad = 0.0 if cert is None or cert.m2_relaxed is None else (
-        2.0 / (p.b * p.b * cert.m2_relaxed)
-    ) * sq_v
-    return DiagnosticsRecord(
-        t=s.t,
-        mass_u=integrate_values(g, u),
-        linf_v=float(v.max()),
-        dist_u_l1=integrate_values(g, np.abs(u - ss.u_star)),
-        dist_u_l2=sq_u**0.5,
-        dist_v_l1=integrate_values(g, np.abs(v - ss.v_star)),
-        dist_v_l2=sq_v**0.5,
-        entropy_u=entropy_u,
-        entropy_v=entropy_v,
-        energy=entropy_u + (p.a / p.b) * entropy_v + quad,
-        dissipation=(
-            integrate_values(g, gsq_u / uf**2)
-            + integrate_values(g, gsq_v / vf**2)
-            + sq_u
-            + sq_v
-        ),
-        floored_cells=int((u < U_FLOOR).sum() + (v < U_FLOOR).sum()),
-    )
+    # each density is summed as soon as it is formed, so a 64x64 state
+    # holds no more 32 KB temporaries at once than the one-state pass did
+    integrals = g.cell_volume * np.array([
+        u.sum(axis=1),
+        *_distance_sums(u, ss.u_star),
+        *_distance_sums(v, ss.v_star),
+        _entropy_density(uf, ss.u_star).sum(axis=1),
+        _entropy_density(vf, ss.v_star).sum(axis=1),
+        (gradient_sq_values(g, u.reshape((k,) + g.n)).reshape(k, cells) / uf**2).sum(axis=1),
+        (gradient_sq_values(g, v.reshape((k,) + g.n)).reshape(k, cells) / vf**2).sum(axis=1),
+    ])
+    linf_v = v.max(axis=1).tolist()
+    floored = ((u < U_FLOOR).sum(axis=1) + (v < U_FLOOR).sum(axis=1)).tolist()
+    weight = None if cert is None or cert.m2_relaxed is None else 2.0 / (p.b * p.b * cert.m2_relaxed)
+    return [
+        DiagnosticsRecord(
+            t=s.t,
+            mass_u=mass_u,
+            linf_v=sup_v,
+            dist_u_l1=l1_u,
+            dist_u_l2=sq_u**0.5,
+            dist_v_l1=l1_v,
+            dist_v_l2=sq_v**0.5,
+            entropy_u=entropy_u,
+            entropy_v=entropy_v,
+            energy=entropy_u + (p.a / p.b) * entropy_v + (0.0 if weight is None else weight * sq_v),
+            dissipation=grad_u + grad_v + sq_u + sq_v,
+            floored_cells=n_floored,
+        )
+        for s, sup_v, n_floored, (mass_u, l1_u, sq_u, l1_v, sq_v, entropy_u, entropy_v, grad_u, grad_v)
+        in zip(states, linf_v, floored, integrals.T.tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -222,7 +250,7 @@ def entropy_lower_bound_residual(grid: Grid, values: np.ndarray, xi: float) -> f
     """
     floored = np.maximum(values, U_FLOOR)
     lhs = integrate_values(grid, np.abs(floored - xi))
-    h = _entropy(grid, floored, xi)
+    h = integrate_values(grid, _entropy_density(floored, xi))
     rhs = _ENTROPY_L1_FACTOR * h + math.sqrt(8.0 * xi * grid.volume) * math.sqrt(h)
     return lhs - rhs
 
@@ -236,13 +264,20 @@ def csv_header() -> str:
 
 
 def format_csv(records: list[DiagnosticsRecord]) -> str:
+    """The CSV text of the records.  A record repeated in a row (the
+    runner repeats one per sample time its state fills) is formatted
+    once; %d keeps each int exact, where a float64 array would round
+    2**53 + 1."""
     columns = fields(DiagnosticsRecord)
-    # object rows keep each int exact; a float64 array would round 2**53 + 1
-    rows = np.array([[getattr(r, f.name) for f in columns] for r in records], dtype=object)
-    out = StringIO()
-    fmt = ["%d" if f.type == "int" else "%.17g" for f in columns]
-    np.savetxt(out, rows.reshape(-1, len(columns)), fmt=fmt, delimiter=",", header=csv_header(), comments="")
-    return out.getvalue()
+    fmt = ",".join("%d" if f.type == "int" else "%.17g" for f in columns)
+    values = attrgetter(*(f.name for f in columns))
+    lines = [csv_header()]
+    last = line = None
+    for r in records:
+        if r is not last:
+            last, line = r, fmt % values(r)
+        lines.append(line)
+    return "\n".join(lines) + "\n"
 
 
 def write_csv(records: list[DiagnosticsRecord], path) -> None:

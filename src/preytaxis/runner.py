@@ -50,8 +50,22 @@ class RunResult:
         return self.status == "completed"
 
 
+# The sink records queued states once they hold this many cells: a
+# 64-cell 1-D run records 64 states per call, a 64x64 run each state
+# alone.  Each per-field temporary of a batch then stays at 32 KB; four
+# 64x64 states per call ran 18% slower on the dense 2-D benchmark run.
+_RECORD_BATCH_CELLS = 4096
+
+
 def execute(config: RunConfig) -> RunResult:
-    """Run a scenario in memory (no files touched)."""
+    """Run a scenario in memory (no files touched).
+
+    The sink queues the states run_to_time hands it, which the stepper
+    never writes again, and records them in one diagnostics.record call
+    once they hold _RECORD_BATCH_CELLS cells, and once more after the
+    run ends or raises BlowUp.  Each row is repeated once per sample time
+    its state fills.
+    """
     started = time.perf_counter()
     s0 = initial_state(config)
     ss = model.steady_states(config.params)
@@ -64,10 +78,19 @@ def execute(config: RunConfig) -> RunResult:
         reason = f"condition fails: {exc}"
     accounting = StepAccounting()
     records: list[DiagnosticsRecord] = []
+    queue: list[tuple[State, int]] = []  # each state with the sample times it fills
+    batch = -(-_RECORD_BATCH_CELLS // math.prod(config.grid.n))  # states per record call
+
+    def flush() -> None:
+        rows = diagnostics.record([state for state, _ in queue], config.params, ss, certificate)
+        for row, (_, count) in zip(rows, queue):
+            records.extend([row] * count)
+        queue.clear()
 
     def sink(state: State, count: int) -> None:
-        row = diagnostics.record(state, config.params, ss, certificate)
-        records.extend([row] * count)
+        queue.append((state, count))
+        if len(queue) >= batch:
+            flush()
 
     status = "completed"
     final_state = None
@@ -83,6 +106,8 @@ def execute(config: RunConfig) -> RunResult:
         )
     except BlowUp as exc:
         status = f"blowup: {exc}"
+    if queue:
+        flush()
     return RunResult(
         config=config,
         initial=s0,

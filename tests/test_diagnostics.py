@@ -2,12 +2,13 @@
 
 import math
 import typing
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from preytaxis import (
     DiagnosticsRecord,
@@ -28,6 +29,7 @@ from preytaxis import (
     rhs,
     steady_states,
 )
+from preytaxis.diagnostics import U_FLOOR
 from strategies import grids, positive_fields
 
 WORKED = ModelParams(d1=1.0, d2=1.0, m1=1.0, m2=2.0, chi=1.0, a=1.0, b=1.0)
@@ -66,7 +68,7 @@ def test_entropy_integral_rejects_negative_level():
 
 
 def record_of(s, p=WORKED, cert=None):
-    return record(s, p, steady_states(p), cert)
+    return record([s], p, steady_states(p), cert)[0]
 
 
 def constant_record(grid, u, v, cert=None):
@@ -192,6 +194,51 @@ def test_record_vanishes_exactly_at_equilibrium(g, p, cert):
     r = record_of(State(g.field(ss.u_star), g.field(ss.v_star), 0.0), p, cert)
     assert r.energy == 0.0
     assert r.dissipation == 0.0
+
+
+@st.composite
+def extinction_params(draw):
+    """Parameters whose prey dies out: v* = 0."""
+    m1, a, b = (draw(st.floats(0.1, 3.0)) for _ in range(3))
+    m2 = b * m1 - draw(st.floats(0.01, 3.0))
+    return ModelParams(d1=1.0, d2=1.0, m1=m1, m2=m2, chi=1.0, a=a, b=b)
+
+
+# densities spanning six decades, with zeros and cells just below the floor
+densities = st.one_of(st.floats(1e-3, 1e3), st.sampled_from((0.0, 1e-300, 0.5 * U_FLOOR)))
+
+
+@st.composite
+def state_batches(draw):
+    """1 to 6 states on one 1-D or 2-D grid of 4-40 cells per axis, the
+    2-D axes drawn apart."""
+    dim = draw(st.sampled_from((1, 2)))
+    g = Grid(tuple(draw(st.integers(4, 40)) for _ in range(dim)),
+             tuple(draw(st.floats(0.5, 3.0)) for _ in range(dim)))
+    values = arrays(np.float64, g.n, elements=densities)
+    return [State(g.field(draw(values)), g.field(draw(values)), draw(st.floats(0.0, 100.0)))
+            for _ in range(draw(st.integers(1, 6)))]
+
+
+def bits(r):
+    return [x.hex() if isinstance(x, float) else x for x in astuple(r)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(states=state_batches(), p=st.one_of(coexistence_params(), extinction_params()), cert=certificates)
+def test_record_of_a_batch_matches_each_state_alone_bit_for_bit(states, p, cert):
+    ss = steady_states(p)
+    rows = record(states, p, ss, cert)
+    assert [bits(r) for r in rows] == [bits(record([s], p, ss, cert)[0]) for s in states]
+
+
+def test_record_rejects_a_batch_that_mixes_grids():
+    p = WORKED
+    batch = [State(g.field(1.0), g.field(1.0), 0.0)
+             for g in (Grid.uniform(1, 8, 1.0), Grid.uniform(1, 8, 2.0))]
+    assert record([], p, steady_states(p), None) == []
+    with pytest.raises(ValueError, match="one grid"):
+        record(batch, p, steady_states(p), None)
 
 
 def energy_rate(u, v, g, p, cert, taxis):

@@ -149,8 +149,8 @@ def test_execute_is_deterministic():
 
 def test_execute_records_each_sampled_state_once(monkeypatch):
     """A step that reaches several sample times is passed to the sink once
-    with their count; the record is computed once per call and repeated
-    per row."""
+    with their count; each state is recorded once, in order, and its row
+    repeated per sample time."""
     cfg = small_config("run.t_end = 0.01\nrun.sample_every = 0.0005")
     emitted = []
     run_to_time(initial_state(cfg), cfg.params, cfg.taxis, cfg.t_end, cfg.sample_every,
@@ -160,15 +160,53 @@ def test_execute_records_each_sampled_state_once(monkeypatch):
     recorded = []
     original = diagnostics.record
 
-    def counting(state, *args):
-        recorded.append(state.t)
-        return original(state, *args)
+    def counting(states, *args):
+        recorded.extend(s.t for s in states)
+        return original(states, *args)
 
     monkeypatch.setattr(diagnostics, "record", counting)
     result = execute(cfg)
     assert len(result.records) == 21  # one row per sample time
     assert recorded == [t for t, _ in emitted]
     assert [r.t for r in result.records] == [t for t, count in emitted for _ in range(count)]
+
+
+def test_a_blowup_keeps_the_rows_of_the_states_still_queued(monkeypatch):
+    """A 16-cell run records 256 states per call, so the states emitted
+    before a BlowUp are all still queued when it is raised; each keeps one
+    row per sample time it filled, the same row it gets on its own."""
+    cfg = small_config("initial.kind = cosine\ninitial.u_amp = 0.3\ninitial.v_amp = 0.2\n"
+                       "run.sample_every = 0.005")
+    original, steps = dynamics.advance, []
+
+    def failing(*args):
+        if len(steps) == 6:
+            raise BlowUp("field left [0, 1e12] (test)")
+        steps.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(dynamics, "advance", failing)
+    emitted = []
+    with pytest.raises(BlowUp):
+        run_to_time(initial_state(cfg), cfg.params, cfg.taxis, cfg.t_end, cfg.sample_every,
+                    sink=lambda state, count: emitted.append((state, count)))
+    assert len(emitted) == 7 and sum(count for _, count in emitted) > 7
+
+    steps.clear()
+    calls = []
+    record = diagnostics.record
+
+    def counting(states, *args):
+        calls.append(len(states))
+        return record(states, *args)
+
+    monkeypatch.setattr(diagnostics, "record", counting)
+    result = execute(cfg)
+    assert result.status == "blowup: field left [0, 1e12] (test)"
+    assert calls == [len(emitted)]
+    ss = result.steady_state
+    alone = [record([s], cfg.params, ss, result.certificate)[0] for s, _ in emitted]
+    assert result.records == [row for row, (_, count) in zip(alone, emitted) for _ in range(count)]
 
 
 def read_summary(path):

@@ -1,16 +1,19 @@
-"""Paired A/B comparison of two source trees on one benchmark workload.
+"""Paired A/B comparison of two source trees on benchmark workloads.
 
-    python3 tools/ab.py BASE_TREE NEW_TREE --workload epsfam_1d [--pairs 10] [--seconds 4] [--seed 0]
+    python3 tools/ab.py BASE_TREE NEW_TREE --workload epsfam_1d [--workload coexist_2d ...]
+                        [--pairs 10] [--seconds 4] [--seed 0]
 
-Each pair runs ``python3 bench/run.py`` once in each tree (every tree
-benchmarks its own ``src``), base first in even pairs and new first in
-odd ones, so a drift of the machine's speed within a pair favours
-neither side.  For every end-to-end metric of the last result line
-(all three are lower-is-better) it prints each side's median and
-quartiles, the pairs the new tree won, and the two-sided sign-test p of
-that count; tied pairs are dropped from the test.  The last stdout line
-is the same table as one JSON object.  A run whose result line reports a
-failed call, or that exits nonzero, ends the comparison with exit 1.
+Each pair runs ``python3 bench/run.py`` once in each tree for every
+workload named (every tree benchmarks its own ``src``), base first in
+even pairs and new first in odd ones, so a drift of the machine's speed
+within a pair favours neither side.  For every workload and every
+end-to-end metric of the last result line (all three are
+lower-is-better) it prints each side's median and quartiles, the pairs
+the new tree won, and the two-sided sign-test p of that count; tied
+pairs are dropped from the test.  The last stdout line is all the
+tables as one JSON object, keyed by workload under "workloads".  A run
+whose result line reports a failed call, or that exits nonzero, ends the
+comparison with exit 1.
 
 Standard library only.
 """
@@ -81,36 +84,45 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, 
     return {name: result["metrics"][name]["value"] for name in METRICS}
 
 
+def compare(base: Path, new: Path, workloads: list[str], pairs: int, seed: int,
+            seconds: float) -> dict[str, dict]:
+    """Run the pairs, every workload in each; per workload, the summary table."""
+    runs = {workload: ([], []) for workload in workloads}
+    for k in range(pairs):
+        for workload, (base_runs, new_runs) in runs.items():
+            order = ((base, base_runs), (new, new_runs)) if k % 2 == 0 else ((new, new_runs), (base, base_runs))
+            for tree, out in order:
+                out.append(run_once(tree, workload, seed, seconds))
+            print(f"pair {k + 1} {workload}: "
+                  + ", ".join(f"{m} {base_runs[-1][m]:.6g} -> {new_runs[-1][m]:.6g}" for m in METRICS),
+                  file=sys.stderr, flush=True)
+    return {workload: summarize(*sides) for workload, sides in runs.items()}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", type=Path)
     parser.add_argument("new", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True, help="repeat to compare several")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=4.0)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    base, new = [], []
+    workloads = list(dict.fromkeys(args.workload))
     try:
-        for k in range(args.pairs):
-            order = ((args.base, base), (args.new, new)) if k % 2 == 0 else ((args.new, new), (args.base, base))
-            for tree, runs in order:
-                runs.append(run_once(tree, args.workload, args.seed, args.seconds))
-            print(f"pair {k + 1}: " + ", ".join(f"{m} {base[-1][m]:.6g} -> {new[-1][m]:.6g}" for m in METRICS),
-                  file=sys.stderr, flush=True)
+        tables = compare(args.base, args.new, workloads, args.pairs, args.seed, args.seconds)
     except RuntimeError as exc:
         print(f"ab: {exc}", file=sys.stderr)
         return 1
-    table = summarize(base, new)
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs "
-          f"(quartiles: lower / median / upper)")
-    for name, row in table.items():
-        a, b = row["base"], row["new"]
-        print(f"  {name}: base {a[0]:.6g} / {a[1]:.6g} / {a[2]:.6g}; new {b[0]:.6g} / {b[1]:.6g} / {b[2]:.6g}; "
-              f"new won {row['new_won']}, lost {row['new_lost']}, tied {row['tied']}; "
-              f"sign-test p = {row['sign_test_p']:.3g}")
-    print(json.dumps({"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
-                      "seconds": args.seconds, "metrics": table}))
+    for workload, table in tables.items():
+        print(f"{workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs "
+              f"(quartiles: lower / median / upper)")
+        for name, row in table.items():
+            a, b = row["base"], row["new"]
+            print(f"  {name}: base {a[0]:.6g} / {a[1]:.6g} / {a[2]:.6g}; new {b[0]:.6g} / {b[1]:.6g} / {b[2]:.6g}; "
+                  f"new won {row['new_won']}, lost {row['new_lost']}, tied {row['tied']}; "
+                  f"sign-test p = {row['sign_test_p']:.3g}")
+    print(json.dumps({"seed": args.seed, "pairs": args.pairs, "seconds": args.seconds, "workloads": tables}))
     return 0
 
 
