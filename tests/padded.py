@@ -119,10 +119,14 @@ def unfused_rhs(u, v, g, p, taxis):
     u (m1 - u + a v), and d2 times the divergence of grad v plus
     v (m2 - b u - v), each face difference over h; and, per field, the
     scale of the terms summed, the largest reaction plus twice the largest
-    flux over h per axis."""
+    flux over h per axis.  Each scale adds the magnitudes of the terms
+    before they are summed, since rounding scales with them: the diffusion
+    and taxis parts of a flux, or u^2 and a u v in a reaction, can nearly
+    cancel, leaving a sum far smaller than the errors of its parts."""
     ru, rv = u * (p.m1 - u + p.a * v), v * (p.m2 - p.b * u - v)
     div_u, div_v = np.zeros(g.n), np.zeros(g.n)
-    scale_u, scale_v = float(np.abs(ru).max()), float(np.abs(rv).max())
+    scale_u = float((u * (abs(p.m1) + u + abs(p.a) * v)).max())
+    scale_v = float((v * (abs(p.m2) + abs(p.b) * u + v)).max())
     for ax in range(g.dim):
         lo, hi, h = left(g, ax), right(g, ax), g.h[ax]
         drift = p.chi * ((v[hi] - v[lo]) / h)
@@ -131,14 +135,16 @@ def unfused_rhs(u, v, g, p, taxis):
         else:
             u_face = 0.5 * (u[lo] + u[hi])
         v_face = 0.5 * (v[lo] + v[hi])
-        flux = (p.d1 + p.chi * v_face) * ((u[hi] - u[lo]) / h) - taxis_mobility(u_face, p.eps) * drift
+        diffusion = (p.d1 + p.chi * v_face) * ((u[hi] - u[lo]) / h)
+        taxis_part = taxis_mobility(u_face, p.eps) * drift
+        flux = diffusion - taxis_part
         grad_v = (v[hi] - v[lo]) / h
         for div, f in ((div_u, flux), (div_v, grad_v)):
             net = np.zeros(g.n)
             net[lo] = f
             net[hi] -= f
             div += net / h
-        scale_u += 2.0 * float(np.abs(flux).max()) / h
+        scale_u += 2.0 * float((np.abs(diffusion) + np.abs(taxis_part)).max()) / h
         scale_v += 2.0 * p.d2 * float(np.abs(grad_v).max()) / h
     return div_u + ru, p.d2 * div_v + rv, scale_u, scale_v
 
