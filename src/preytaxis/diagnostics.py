@@ -93,14 +93,6 @@ def entropy_integral(grid: Grid, values: np.ndarray, xi: float) -> float:
     return integrate_values(grid, _entropy_density(np.maximum(values, U_FLOOR), xi))
 
 
-def _rows(arrays: list[np.ndarray], cells: int) -> np.ndarray:
-    """The arrays as the rows of one (K, cells) array; a lone array is
-    viewed, not copied."""
-    if len(arrays) == 1:
-        return arrays[0].reshape(1, cells)
-    return np.stack(arrays).reshape(len(arrays), cells)
-
-
 def _distance_sums(x: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
     """Row sums of |x - level| and (x - level)^2."""
     d = x - level
@@ -127,12 +119,12 @@ def record(states: Sequence[State], p: ModelParams, ss: SteadyState,
     if any(s.grid != g for s in states):
         raise ValueError("record takes states on one grid")
     k, cells = len(states), math.prod(g.n)
-    u = _rows([s.u.values for s in states], cells)
-    v = _rows([s.v.values for s in states], cells)
+    u = np.stack([s.u.values for s in states]).reshape(k, cells)
+    v = np.stack([s.v.values for s in states]).reshape(k, cells)
     uf = np.maximum(u, U_FLOOR)
     vf = np.maximum(v, U_FLOOR)
     # each density is summed as soon as it is formed, so a 64x64 state
-    # holds no more 32 KB temporaries at once than the one-state pass did
+    # holds only a few 32 KB temporaries at once beside the stacked u, v
     integrals = g.cell_volume * np.array([
         u.sum(axis=1),
         *_distance_sums(u, ss.u_star),

@@ -62,9 +62,12 @@ def execute(config: RunConfig) -> RunResult:
 
     The sink queues the states run_to_time hands it, which the stepper
     never writes again, and records them in one diagnostics.record call
-    once they hold _RECORD_BATCH_CELLS cells, and once more after the
-    run ends or raises BlowUp.  Each row is repeated once per sample time
-    its state fills.
+    once they hold _RECORD_BATCH_CELLS cells or the queued state is the
+    one at t_end, so a completed run's last record call falls inside
+    run_to_time like every other.  States still queued when the run
+    raises BlowUp, or when the step to t_end fills no sample time, are
+    recorded after it.  Each row is repeated once per sample time its
+    state fills.
     """
     started = time.perf_counter()
     s0 = initial_state(config)
@@ -89,7 +92,7 @@ def execute(config: RunConfig) -> RunResult:
 
     def sink(state: State, count: int) -> None:
         queue.append((state, count))
-        if len(queue) >= batch:
+        if len(queue) >= batch or state.t == config.t_end:
             flush()
 
     status = "completed"

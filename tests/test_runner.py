@@ -9,6 +9,7 @@ import pytest
 from preytaxis import (
     BlowUp,
     ConfigError,
+    State,
     StepAccounting,
     build_config,
     diagnostics,
@@ -20,7 +21,7 @@ from preytaxis import (
     run_to_time,
     sweep,
 )
-from preytaxis import dynamics
+from preytaxis import dynamics, runner
 from preytaxis.cli import main
 from preytaxis.runner import worker_count
 
@@ -171,10 +172,37 @@ def test_execute_records_each_sampled_state_once(monkeypatch):
     assert [r.t for r in result.records] == [t for t, count in emitted for _ in range(count)]
 
 
+def test_a_completed_run_records_its_last_batch_inside_run_to_time(monkeypatch):
+    """The sink records the state at t_end itself, so every record call of
+    a completed run, the last batch too, falls inside run_to_time."""
+    stepping, record = runner.run_to_time, diagnostics.record
+    inside, calls = [False], []
+
+    def bracketed(*args, **kwargs):
+        inside[0] = True
+        try:
+            return stepping(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def counting(states, *args):
+        calls.append(inside[0])
+        return record(states, *args)
+
+    monkeypatch.setattr(runner, "run_to_time", bracketed)
+    monkeypatch.setattr(diagnostics, "record", counting)
+    result = execute(small_config())  # 16 cells, 3 sample times: one batch
+    assert result.ok and len(result.records) == 3
+    assert calls == [True]
+
+
 def test_a_blowup_keeps_the_rows_of_the_states_still_queued(monkeypatch):
     """A 16-cell run records 256 states per call, so the states emitted
     before a BlowUp are all still queued when it is raised; each keeps one
-    row per sample time it filled, the same row it gets on its own."""
+    row per sample time it filled, the same row it gets on its own.  The
+    expected rows come from copies taken as the sink receives each state,
+    so a stepper that wrote again to a state it had handed out would
+    change the queued rows but not these."""
     cfg = small_config("initial.kind = cosine\ninitial.u_amp = 0.3\ninitial.v_amp = 0.2\n"
                        "run.sample_every = 0.005")
     original, steps = dynamics.advance, []
@@ -189,7 +217,8 @@ def test_a_blowup_keeps_the_rows_of_the_states_still_queued(monkeypatch):
     emitted = []
     with pytest.raises(BlowUp):
         run_to_time(initial_state(cfg), cfg.params, cfg.taxis, cfg.t_end, cfg.sample_every,
-                    sink=lambda state, count: emitted.append((state, count)))
+                    sink=lambda s, count: emitted.append((State(s.u.grid.field(s.u.values.copy()),
+                                                                s.v.grid.field(s.v.values.copy()), s.t), count)))
     assert len(emitted) == 7 and sum(count for _, count in emitted) > 7
 
     steps.clear()
