@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, target
+from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -202,21 +202,39 @@ def test_rhs_on_a_reused_plan_matches_fresh_calls_property(data, g, taxis, eps, 
         assert d.tobytes() == first
 
 
+def _grid_and_fields(g):
+    return st.tuples(st.just(g), positive_fields(g), positive_fields(g))
+
+
+# Inputs on which the terms of a sum cancel, found by this property: the
+# diffusion and taxis parts of the first face's flux (each -2.0e6, their
+# difference 0.06), u^2 against m1 u + a u v, and v^2 + b u v against m2 v.
+# rhs and the reference differ there by about an ulp of the terms (9e-10,
+# 2e-16, 1e-19), far above 1e-13 of the cancelled sums.
+@example(case=(Grid((6,), (1.0,)), np.array([465.0, 1, 1, 1, 1, 1]), np.array([480.47, 1, 1, 1, 1, 1])),
+         taxis=TaxisScheme.CENTRAL, eps=0.0,
+         coefficients=(0.1, 1.0, 3.0, 0.965721, 0.5, 1.0, 1.0)).via("predator flux")
+@example(case=(Grid((4,), (1.0,)), np.full(4, 2.0), np.full(4, 0.001)),
+         taxis=TaxisScheme.UPWIND, eps=0.0,
+         coefficients=(1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 0.0)).via("predator reaction")
+@example(case=(Grid((4,), (1.0,)), np.full(4, 1.0), np.full(4, 0.001)),
+         taxis=TaxisScheme.UPWIND, eps=0.0,
+         coefficients=(1.0,) * 7).via("prey reaction")
 @settings(max_examples=200, deadline=None)
 @given(
-    data=st.data(),
-    g=grids(),
+    case=grids().flatmap(_grid_and_fields),
     taxis=st.sampled_from(TaxisScheme),
     eps=st.sampled_from((0.0, 0.1, 1.0)),
     coefficients=st.tuples(*(st.floats(0.1, 3.0) for _ in range(6)), st.floats(-2.0, 3.0)),
 )
-def test_rhs_matches_the_unfused_formula_property(data, g, taxis, eps, coefficients):
+def test_rhs_matches_the_unfused_formula_property(case, taxis, eps, coefficients):
     """rhs, with 1/h folded into the flux coefficients, the reactions
     formed on the stacked rows and the divergence accumulated onto them,
     is the right-hand side as first written to 1e-13 of the scale of the
-    flux and reaction terms summed, on non-square cells."""
-    u = data.draw(positive_fields(g))
-    v = data.draw(positive_fields(g))
+    flux and reaction terms summed, on non-square cells.  The scale is
+    taken on the terms before they are summed, since where they cancel
+    (the examples) the rounding of the terms remains."""
+    g, u, v = case
     d1, d2, chi, a, b, m1, m2 = coefficients
     p = ModelParams(d1=d1, d2=d2, m1=m1, m2=m2, chi=chi, a=a, b=b, eps=eps)
     got = rhs(np.stack((u, v)), StepPlan(g, p, taxis))
