@@ -170,8 +170,8 @@ def homogeneous_errors() -> list[tuple[str, float]]:
         s0 = State(g.field(np.full(g.n, 1.0)), g.field(np.full(g.n, 1.0)), 0.0)
         samples: list[tuple[float, float, float]] = []
 
-        def sink(state: State, count: int, out=samples) -> None:
-            out.extend([(state.t, float(state.u.values.mean()), float(state.v.values.mean()))] * count)
+        def sink(t: float, y: np.ndarray, count: int, out=samples) -> None:
+            out.extend([(t, float(y[0].mean()), float(y[1].mean()))] * count)
 
         run_to_time(s0, p, TaxisScheme.UPWIND, 10.0, 0.5, sink=sink)
         times = [t for t, _, _ in samples]

@@ -1,10 +1,10 @@
 """Norms, entropy/energy functionals, decay checks, and the CSV format.
 
-The functionals are array kernels on a Grid; record() is the one
-boundary that takes States, a batch of them on one grid, with one array
-pass per diagnostic over the whole batch and each row bitwise what its
-state gives alone.  The energy combines two relative-entropy terms with
-a quadratic prey term weighted by the certificate's relaxed prey bound,
+The functionals are array kernels on a Grid; record() takes a batch of
+sampled stacked states (u, v) on one grid, with one array pass per
+diagnostic over the whole batch and each row bitwise what its state
+gives alone.  The energy combines two relative-entropy terms with a
+quadratic prey term weighted by the certificate's relaxed prey bound,
 
     energy = int H(u | u*) + (a/b) int H(v | v*)
              + (2 / (b^2 m2_relaxed)) int (v - v*)^2,
@@ -32,7 +32,6 @@ from operator import attrgetter
 
 import numpy as np
 
-from .dynamics import State
 from .grid import Grid, gradient_sq_values, integrate_values
 from .model import ModelParams, StabilizationCertificate, SteadyState
 
@@ -99,47 +98,47 @@ def _distance_sums(x: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]
     return np.abs(d).sum(axis=1), (d**2).sum(axis=1)
 
 
-def record(states: Sequence[State], p: ModelParams, ss: SteadyState,
-           cert: StabilizationCertificate | None) -> list[DiagnosticsRecord]:
-    """Assemble the diagnostics rows of sampled states on one grid, one
-    row per state, in order.
+def record(grid: Grid, times: Sequence[float], states: Sequence[np.ndarray], p: ModelParams,
+           ss: SteadyState, cert: StabilizationCertificate | None) -> list[DiagnosticsRecord]:
+    """Assemble the diagnostics rows of states[i], a stacked (2, *grid.n)
+    array (u, v) sampled at times[i], one row per state, in order.
 
-    The states are stacked per species as the rows of one array, so each
-    diagnostic is one array pass over all of them, and each integral is
-    the cell volume times its row's contiguous pairwise sum: a row has
-    the same bits as the state's alone.  Each integral is taken once:
-    energy and dissipation are sums of the same numbers that fill the
-    entropy and distance columns.  Without a certificate (or without a
-    relaxed bound in it) the energy drops its quadratic prey term, the
-    observational fallback.  States on different grids raise ValueError.
+    The batch is stacked once as (2, k, *grid.n), so each species' states
+    are the contiguous rows of one array, each diagnostic is one array
+    pass over all of them, and each integral is the cell volume times its
+    row's contiguous pairwise sum: a row has the same bits as the state's
+    alone.  Each integral is taken once: energy and dissipation are sums
+    of the same numbers that fill the entropy and distance columns.
+    Without a certificate (or without a relaxed bound in it) the energy
+    drops its quadratic prey term, the observational fallback.  States
+    of another shape raise ValueError.
     """
     if not states:
         return []
-    g = states[0].grid
-    if any(s.grid != g for s in states):
-        raise ValueError("record takes states on one grid")
-    k, cells = len(states), math.prod(g.n)
-    u = np.stack([s.u.values for s in states]).reshape(k, cells)
-    v = np.stack([s.v.values for s in states]).reshape(k, cells)
+    k, cells = len(states), math.prod(grid.n)
+    y = np.stack(states, axis=1)
+    if y.shape != (2, k, *grid.n):
+        raise ValueError(f"record takes states on one grid, each shaped {(2, *grid.n)}")
+    u, v = y.reshape(2, k, cells)
     uf = np.maximum(u, U_FLOOR)
     vf = np.maximum(v, U_FLOOR)
     # each density is summed as soon as it is formed, so a 64x64 state
     # holds only a few 32 KB temporaries at once beside the stacked u, v
-    integrals = g.cell_volume * np.array([
+    integrals = grid.cell_volume * np.array([
         u.sum(axis=1),
         *_distance_sums(u, ss.u_star),
         *_distance_sums(v, ss.v_star),
         _entropy_density(uf, ss.u_star).sum(axis=1),
         _entropy_density(vf, ss.v_star).sum(axis=1),
-        (gradient_sq_values(g, u.reshape((k,) + g.n)).reshape(k, cells) / uf**2).sum(axis=1),
-        (gradient_sq_values(g, v.reshape((k,) + g.n)).reshape(k, cells) / vf**2).sum(axis=1),
+        (gradient_sq_values(grid, y[0]).reshape(k, cells) / uf**2).sum(axis=1),
+        (gradient_sq_values(grid, y[1]).reshape(k, cells) / vf**2).sum(axis=1),
     ])
     linf_v = v.max(axis=1).tolist()
     floored = ((u < U_FLOOR).sum(axis=1) + (v < U_FLOOR).sum(axis=1)).tolist()
     weight = None if cert is None or cert.m2_relaxed is None else 2.0 / (p.b * p.b * cert.m2_relaxed)
     return [
         DiagnosticsRecord(
-            t=s.t,
+            t=t,
             mass_u=mass_u,
             linf_v=sup_v,
             dist_u_l1=l1_u,
@@ -152,8 +151,8 @@ def record(states: Sequence[State], p: ModelParams, ss: SteadyState,
             dissipation=grad_u + grad_v + sq_u + sq_v,
             floored_cells=n_floored,
         )
-        for s, sup_v, n_floored, (mass_u, l1_u, sq_u, l1_v, sq_v, entropy_u, entropy_v, grad_u, grad_v)
-        in zip(states, linf_v, floored, integrals.T.tolist())
+        for t, sup_v, n_floored, (mass_u, l1_u, sq_u, l1_v, sq_v, entropy_u, entropy_v, grad_u, grad_v)
+        in zip(times, linf_v, floored, integrals.T.tolist())
     ]
 
 

@@ -551,7 +551,7 @@ def run_to_time(
     taxis: TaxisScheme,
     t_end: float,
     sample_every: float,
-    sink: Callable[[State, int], None] | None = None,
+    sink: Callable[[float, np.ndarray, int], None] | None = None,
     accounting: StepAccounting | None = None,
 ) -> State:
     """March from s0 to t_end with the steps of advance; return the state
@@ -562,19 +562,20 @@ def run_to_time(
 
     run_to_time alone decides which sample times t0 + k*sample_every,
     k = 1..floor((t_end - t0)/sample_every + 1e-9), a state fills; there
-    is no interpolation.  The sink gets s0 with count 1, then each step
-    end with the count, at least 1, of sample times it is the first step
-    end at or after (to 1e-9 of sample_every); the step that lands on
-    t_end counts every sample time still left.  So the counts of a full
-    run add up to floor((t_end - t0)/sample_every + 1e-9) + 1, and a step
-    reaching several sample times is passed once.  The final step is
-    clipped to land on t_end.  A step too small to change t, or one at
-    which the rest of the run would take more than STEP_BUDGET steps,
-    raises Stalled (from advance) instead of looping without end.
-    The states passed to the sink hold views of the stepper's stacked
-    array, which is never written again once handed out.
-    A NaN t_end or sample_every, or more than SAMPLE_BUDGET sample
-    intervals, raises ValueError before the sink is first called.
+    is no interpolation.  The sink gets (t0, y, 1), y the stacked s0,
+    then (t, y, count) for each step end, with the count, at least 1, of
+    sample times it is the first step end at or after (to 1e-9 of
+    sample_every); the step that lands on t_end counts every sample time
+    still left.  So the counts of a full run add up to
+    floor((t_end - t0)/sample_every + 1e-9) + 1, and a step reaching
+    several sample times is passed once.  Each y is the stepper's own
+    (2, *grid.n) array, admissible and never written again once handed
+    out; only the state returned is a State.  The final step is clipped
+    to land on t_end.  A step too small to change t, or one at which the
+    rest of the run would take more than STEP_BUDGET steps, raises
+    Stalled (from advance) instead of looping without end.  A NaN t_end
+    or sample_every, or more than SAMPLE_BUDGET sample intervals, raises
+    ValueError before the sink is first called.
     """
     if not t_end >= s0.t:
         raise ValueError(f"t_end must be >= the state time {s0.t} (got {t_end})")
@@ -584,19 +585,17 @@ def run_to_time(
     if intervals > SAMPLE_BUDGET:
         raise ValueError(f"{intervals:.3g} sample intervals exceed SAMPLE_BUDGET = {SAMPLE_BUDGET:.0e}")
     acc = accounting if accounting is not None else StepAccounting()
-    acc.peak_v = max(acc.peak_v, float(s0.v.values.max()))
-    if sink is not None:
-        sink(s0, 1)
-    if t_end == s0.t:
-        return s0
-
-    grid = s0.grid
     y, t0 = np.stack((s0.u.values, s0.v.values)), s0.t
+    acc.peak_v = max(acc.peak_v, float(y[1].max()))
+    if sink is not None:
+        sink(t0, y, 1)
+    if t_end == t0:
+        return s0
     t = t0
     n_samples = int(math.floor(intervals + 1e-9))
     next_sample = 1
     time_eps = 1e-12 * max(1.0, abs(t_end))
-    plan = StepPlan(grid, p, taxis, longest=sample_every)
+    plan = StepPlan(s0.grid, p, taxis, longest=sample_every)
     while t < t_end:
         y, dt = advance(y, t, t_end, plan, acc)
         t = t_end if t_end - (t + dt) <= time_eps else t + dt
@@ -604,6 +603,6 @@ def run_to_time(
         while reached <= n_samples and t >= t0 + reached * sample_every - 1e-9 * sample_every:
             reached += 1
         if reached > next_sample and sink is not None:
-            sink(State(Field(grid, y[0]), Field(grid, y[1]), t), reached - next_sample)
+            sink(t, y, reached - next_sample)
         next_sample = reached
-    return State(Field(grid, y[0]), Field(grid, y[1]), t_end)
+    return State(Field(plan.grid, y[0]), Field(plan.grid, y[1]), t_end)

@@ -60,14 +60,14 @@ _RECORD_BATCH_CELLS = 4096
 def execute(config: RunConfig) -> RunResult:
     """Run a scenario in memory (no files touched).
 
-    The sink queues the states run_to_time hands it, which the stepper
-    never writes again, and records them in one diagnostics.record call
-    once they hold _RECORD_BATCH_CELLS cells or the queued state is the
-    one at t_end, so a completed run's last record call falls inside
-    run_to_time like every other.  States still queued when the run
-    raises BlowUp, or when the step to t_end fills no sample time, are
-    recorded after it.  Each row is repeated once per sample time its
-    state fills.
+    The sink queues each (t, y, count) run_to_time hands it, y a stacked
+    state the stepper never writes again, and records the queue in one
+    diagnostics.record call once it holds _RECORD_BATCH_CELLS cells or
+    its last state is the one at t_end, so a completed run's last record
+    call falls inside run_to_time like every other.  States still queued
+    when the run raises BlowUp, or when the step to t_end fills no sample
+    time, are recorded after it.  Each row is repeated once per sample
+    time its state fills.
     """
     started = time.perf_counter()
     s0 = initial_state(config)
@@ -81,18 +81,19 @@ def execute(config: RunConfig) -> RunResult:
         reason = f"condition fails: {exc}"
     accounting = StepAccounting()
     records: list[DiagnosticsRecord] = []
-    queue: list[tuple[State, int]] = []  # each state with the sample times it fills
+    queue: list[tuple[float, np.ndarray, int]] = []  # each state with the sample times it fills
     batch = -(-_RECORD_BATCH_CELLS // math.prod(config.grid.n))  # states per record call
 
     def flush() -> None:
-        rows = diagnostics.record([state for state, _ in queue], config.params, ss, certificate)
-        for row, (_, count) in zip(rows, queue):
+        times, states, counts = zip(*queue)
+        rows = diagnostics.record(config.grid, times, states, config.params, ss, certificate)
+        for row, count in zip(rows, counts):
             records.extend([row] * count)
         queue.clear()
 
-    def sink(state: State, count: int) -> None:
-        queue.append((state, count))
-        if len(queue) >= batch or state.t == config.t_end:
+    def sink(t: float, y: np.ndarray, count: int) -> None:
+        queue.append((t, y, count))
+        if len(queue) >= batch or t == config.t_end:
             flush()
 
     status = "completed"

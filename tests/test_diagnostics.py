@@ -68,7 +68,7 @@ def test_entropy_integral_rejects_negative_level():
 
 
 def record_of(s, p=WORKED, cert=None):
-    return record([s], p, steady_states(p), cert)[0]
+    return record(s.grid, [s.t], [np.stack((s.u.values, s.v.values))], p, steady_states(p), cert)[0]
 
 
 def constant_record(grid, u, v, cert=None):
@@ -210,14 +210,14 @@ densities = st.one_of(st.floats(1e-3, 1e3), st.sampled_from((0.0, 1e-300, 0.5 * 
 
 @st.composite
 def state_batches(draw):
-    """1 to 6 states on one 1-D or 2-D grid of 4-40 cells per axis, the
-    2-D axes drawn apart."""
+    """A 1-D or 2-D grid of 4-40 cells per axis, the 2-D axes drawn apart,
+    with 1 to 6 times and stacked states on it."""
     dim = draw(st.sampled_from((1, 2)))
     g = Grid(tuple(draw(st.integers(4, 40)) for _ in range(dim)),
              tuple(draw(st.floats(0.5, 3.0)) for _ in range(dim)))
-    values = arrays(np.float64, g.n, elements=densities)
-    return [State(g.field(draw(values)), g.field(draw(values)), draw(st.floats(0.0, 100.0)))
-            for _ in range(draw(st.integers(1, 6)))]
+    k = draw(st.integers(1, 6))
+    times = [draw(st.floats(0.0, 100.0)) for _ in range(k)]
+    return g, times, [draw(arrays(np.float64, (2, *g.n), elements=densities)) for _ in range(k)]
 
 
 def bits(r):
@@ -225,20 +225,22 @@ def bits(r):
 
 
 @settings(max_examples=60, deadline=None)
-@given(states=state_batches(), p=st.one_of(coexistence_params(), extinction_params()), cert=certificates)
-def test_record_of_a_batch_matches_each_state_alone_bit_for_bit(states, p, cert):
+@given(batch=state_batches(), p=st.one_of(coexistence_params(), extinction_params()), cert=certificates)
+def test_record_of_a_batch_matches_each_state_alone_bit_for_bit(batch, p, cert):
+    g, times, states = batch
     ss = steady_states(p)
-    rows = record(states, p, ss, cert)
-    assert [bits(r) for r in rows] == [bits(record([s], p, ss, cert)[0]) for s in states]
+    rows = record(g, times, states, p, ss, cert)
+    assert [bits(r) for r in rows] == [bits(record(g, [t], [y], p, ss, cert)[0]) for t, y in zip(times, states)]
 
 
 def test_record_rejects_a_batch_that_mixes_grids():
-    p = WORKED
-    batch = [State(g.field(1.0), g.field(1.0), 0.0)
-             for g in (Grid.uniform(1, 8, 1.0), Grid.uniform(1, 8, 2.0))]
-    assert record([], p, steady_states(p), None) == []
+    p, g = WORKED, Grid.uniform(1, 8, 1.0)
+    batch = [np.ones((2, 8)), np.ones((2, 16))]
+    assert record(g, [], [], p, steady_states(p), None) == []
     with pytest.raises(ValueError, match="one grid"):
-        record(batch, p, steady_states(p), None)
+        record(g, [0.0, 0.0], batch[1:] * 2, p, steady_states(p), None)
+    with pytest.raises(ValueError):
+        record(g, [0.0, 0.0], batch, p, steady_states(p), None)
 
 
 def energy_rate(u, v, g, p, cert, taxis):

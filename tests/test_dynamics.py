@@ -874,9 +874,9 @@ def run_bytes(s0, p, taxis, t_end, sample_every):
     """The sink's states with their counts, the accounting and the final
     state of a run_to_time call, each as bytes taken after the run ends."""
     seen, acc = [], StepAccounting()
-    final = run_to_time(s0, p, taxis, t_end, sample_every, sink=lambda st, count: seen.append((st, count)),
+    final = run_to_time(s0, p, taxis, t_end, sample_every, sink=lambda t, y, count: seen.append((t, y, count)),
                         accounting=acc)
-    records = [(st.t, count, st.u.values.tobytes(), st.v.values.tobytes()) for st, count in seen]
+    records = [(t, count, y[0].tobytes(), y[1].tobytes()) for t, y, count in seen]
     return records, acc, final.u.values.tobytes() + final.v.values.tobytes()
 
 
@@ -1024,7 +1024,7 @@ def test_run_to_time_sampling_layout():
     seen = []
     final = run_to_time(
         s, WORKED, TaxisScheme.UPWIND, t_end=1.0, sample_every=0.3,
-        sink=lambda st, count: seen.append((st.t, count)),
+        sink=lambda t, y, count: seen.append((t, count)),
     )
     assert seen[0] == (0.0, 1)
     assert all(count >= 1 for _, count in seen)
@@ -1039,9 +1039,9 @@ def test_run_to_time_identity_when_already_there():
     s = make_state(np.ones(8), np.ones(8), t=2.0)
     seen = []
     out = run_to_time(s, WORKED, TaxisScheme.UPWIND, t_end=2.0, sample_every=0.5,
-                      sink=lambda st, count: seen.append((st, count)))
+                      sink=lambda t, y, count: seen.append((t, y.tobytes(), count)))
     assert out is s
-    assert seen == [(s, 1)]
+    assert seen == [(s.t, np.stack((s.u.values, s.v.values)).tobytes(), 1)]
 
 
 def test_run_to_time_validation():
@@ -1060,8 +1060,8 @@ def test_run_to_time_rejects_more_samples_than_the_budget():
 
     calls = []
 
-    def sink(state, count):
-        calls.append(state.t)
+    def sink(t, y, count):
+        calls.append(t)
         if len(calls) > 1:
             raise SinkCalled
 
@@ -1093,7 +1093,7 @@ def test_run_to_time_last_step_fills_every_sample_time_left():
     s = make_state(np.full(4, ss.u_star), np.full(4, ss.v_star), t=t0)
     seen = []
     final = run_to_time(s, WORKED, TaxisScheme.UPWIND, t_end=t_end, sample_every=sample_every,
-                        sink=lambda st, count: seen.append((st.t, count)))
+                        sink=lambda t, y, count: seen.append((t, count)))
     assert sum(count for _, count in seen) == n + 1
     assert seen[-1][0] == t_end == final.t
 
@@ -1105,7 +1105,7 @@ def test_run_to_time_steps_to_an_end_time_within_rounding_of_the_start():
     seen = []
     acc = StepAccounting()
     final = run_to_time(s, WORKED, TaxisScheme.UPWIND, t_end=1e-13, sample_every=1e-13,
-                        sink=lambda st, count: seen.append((st.t, count)), accounting=acc)
+                        sink=lambda t, y, count: seen.append((t, count)), accounting=acc)
     assert seen == [(0.0, 1), (1e-13, 1)]
     assert acc.steps == 1 and final.t == 1e-13
 
@@ -1165,7 +1165,7 @@ def test_random_runs_respect_bounds():
         records = []
         run_to_time(
             s0, p, TaxisScheme.UPWIND, t_end=1.0, sample_every=0.25,
-            sink=lambda st, count: records.append(st), accounting=acc,
+            sink=lambda t, y, count: records.append(State(g.field(y[0]), g.field(y[1]), t)), accounting=acc,
         )
         for st in records:
             sup_v = float(st.v.values.max())

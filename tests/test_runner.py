@@ -9,7 +9,6 @@ import pytest
 from preytaxis import (
     BlowUp,
     ConfigError,
-    State,
     StepAccounting,
     build_config,
     diagnostics,
@@ -155,15 +154,15 @@ def test_execute_records_each_sampled_state_once(monkeypatch):
     cfg = small_config("run.t_end = 0.01\nrun.sample_every = 0.0005")
     emitted = []
     run_to_time(initial_state(cfg), cfg.params, cfg.taxis, cfg.t_end, cfg.sample_every,
-                sink=lambda state, count: emitted.append((state.t, count)))
+                sink=lambda t, y, count: emitted.append((t, count)))
     assert sum(count for _, count in emitted) == 21 and len(emitted) < 21
 
     recorded = []
     original = diagnostics.record
 
-    def counting(states, *args):
-        recorded.extend(s.t for s in states)
-        return original(states, *args)
+    def counting(grid, times, *args):
+        recorded.extend(times)
+        return original(grid, times, *args)
 
     monkeypatch.setattr(diagnostics, "record", counting)
     result = execute(cfg)
@@ -185,9 +184,9 @@ def test_a_completed_run_records_its_last_batch_inside_run_to_time(monkeypatch):
         finally:
             inside[0] = False
 
-    def counting(states, *args):
+    def counting(*args):
         calls.append(inside[0])
-        return record(states, *args)
+        return record(*args)
 
     monkeypatch.setattr(runner, "run_to_time", bracketed)
     monkeypatch.setattr(diagnostics, "record", counting)
@@ -217,25 +216,24 @@ def test_a_blowup_keeps_the_rows_of_the_states_still_queued(monkeypatch):
     emitted = []
     with pytest.raises(BlowUp):
         run_to_time(initial_state(cfg), cfg.params, cfg.taxis, cfg.t_end, cfg.sample_every,
-                    sink=lambda s, count: emitted.append((State(s.u.grid.field(s.u.values.copy()),
-                                                                s.v.grid.field(s.v.values.copy()), s.t), count)))
-    assert len(emitted) == 7 and sum(count for _, count in emitted) > 7
+                    sink=lambda t, y, count: emitted.append((t, y.copy(), count)))
+    assert len(emitted) == 7 and sum(count for _, _, count in emitted) > 7
 
     steps.clear()
     calls = []
     record = diagnostics.record
 
-    def counting(states, *args):
+    def counting(grid, times, states, *args):
         calls.append(len(states))
-        return record(states, *args)
+        return record(grid, times, states, *args)
 
     monkeypatch.setattr(diagnostics, "record", counting)
     result = execute(cfg)
     assert result.status == "blowup: field left [0, 1e12] (test)"
     assert calls == [len(emitted)]
     ss = result.steady_state
-    alone = [record([s], cfg.params, ss, result.certificate)[0] for s, _ in emitted]
-    assert result.records == [row for row, (_, count) in zip(alone, emitted) for _ in range(count)]
+    alone = [record(cfg.grid, [t], [y], cfg.params, ss, result.certificate)[0] for t, y, _ in emitted]
+    assert result.records == [row for row, (_, _, count) in zip(alone, emitted) for _ in range(count)]
 
 
 def read_summary(path):
