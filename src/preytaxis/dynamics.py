@@ -468,6 +468,15 @@ def _defect(y0, y1, rates0, rates1, dt: float) -> float:
     return float(e.max())
 
 
+def _check_progress(dt: float, t: float, t_end: float) -> None:
+    """Raise Stalled when steps of dt cannot move t or would take more
+    than STEP_BUDGET steps to reach t_end."""
+    if t + min(dt, t_end - t) == t:
+        raise Stalled(f"step {dt:.3e} does not advance t = {t:.6g}")
+    if t_end - t > STEP_BUDGET * dt:
+        raise Stalled(f"step {dt:.3e} at t = {t:.6g} leaves over {STEP_BUDGET:.0e} steps to t_end")
+
+
 def advance(y: np.ndarray, t: float, t_end: float, plan: StepPlan,
             accounting: StepAccounting) -> tuple[np.ndarray, float]:
     """One step of run_to_time from the stacked state y = (u, v) at time t
@@ -478,17 +487,19 @@ def advance(y: np.ndarray, t: float, t_end: float, plan: StepPlan,
 
     With (positivity, accuracy) from step_bounds, the step is
     dt = min(max(accuracy, min(proposal, longest)), t_end - t), proposal
-    and longest from plan.  limit = min(positivity, accuracy) is the
-    longest step the method guarantees, so one too small to change t, or
+    and longest from plan, so no step but the fallback below is shorter
+    than min(accuracy, t_end - t).  An accuracy too small to change t, or
     one at which the rest of the run would take more than STEP_BUDGET
     steps, raises Stalled.
 
-    A dt no longer than limit is taken with SSP-RK, which raises BlowUp
-    when not admissible.  A longer dt is an IMEX trial, admissible if
-    every cell is finite, nonnegative and at most BLOWUP_LIMIT and
-    max v' <= max(max v, max(0, m2)) (1 + 1e-12); one that is not is
-    discarded for the SSP-RK step at min(limit, t_end - t), which forms
-    no estimate, and the next proposal is 0.  Both methods start from
+    A dt no longer than limit = min(positivity, accuracy) is taken with
+    SSP-RK, which raises BlowUp when not admissible.  A longer dt is an
+    IMEX trial, admissible if every cell is finite, nonnegative and at
+    most BLOWUP_LIMIT and max v' <= max(max v, max(0, m2)) (1 + 1e-12);
+    one that is not is discarded for the SSP-RK step at
+    min(limit, t_end - t), which forms no estimate, and the next proposal
+    is 0.  Only that fallback is bounded by positivity, so it checks
+    limit as the start checks accuracy.  Both methods start from
     plan.rates when it holds L(Y0).
 
     When longest exceeds accuracy and the step does not land on t_end,
@@ -504,10 +515,7 @@ def advance(y: np.ndarray, t: float, t_end: float, plan: StepPlan,
     """
     positivity, accuracy = step_bounds(y[0], y[1], plan.grid, plan.p)
     limit = min(positivity, accuracy)
-    if t + min(limit, t_end - t) == t:
-        raise Stalled(f"step {limit:.3e} does not advance t = {t:.6g}")
-    if t_end - t > STEP_BUDGET * limit:
-        raise Stalled(f"step {limit:.3e} at t = {t:.6g} leaves over {STEP_BUDGET:.0e} steps to t_end")
+    _check_progress(accuracy, t, t_end)
     rates, plan.rates = plan.rates, None
     dt = min(max(accuracy, min(plan.proposal, plan.longest)), t_end - t)
     estimate = plan.longest > accuracy and dt < t_end - t
@@ -523,6 +531,7 @@ def advance(y: np.ndarray, t: float, t_end: float, plan: StepPlan,
             accounting.rhs_evaluations += 1
             if not _admissible(y_new, max(float(y[1].max()), plan.p.m2_plus) * (1.0 + 1e-12)):
                 accounting.imex_rejected += 1
+                _check_progress(limit, t, t_end)
                 plan.proposal, estimate, dt = 0.0, False, min(limit, t_end - t)
                 continue
         if not estimate:
@@ -571,9 +580,10 @@ def run_to_time(
     several sample times is passed once.  Each y is the stepper's own
     (2, *grid.n) array, admissible and never written again once handed
     out; only the state returned is a State.  The final step is clipped
-    to land on t_end.  A step too small to change t, or one at which the
-    rest of the run would take more than STEP_BUDGET steps, raises
-    Stalled (from advance) instead of looping without end.  A NaN t_end
+    to land on t_end.  An s0 above BLOWUP_LIMIT raises BlowUp after the
+    first sample; a step too small to change t, or one at which the rest
+    of the run would take more than STEP_BUDGET steps, raises Stalled
+    (from advance) instead of looping without end.  A NaN t_end
     or sample_every, or more than SAMPLE_BUDGET sample intervals, raises
     ValueError before the sink is first called.
     """
@@ -591,6 +601,8 @@ def run_to_time(
         sink(t0, y, 1)
     if t_end == t0:
         return s0
+    if not _admissible(y, math.inf):
+        raise BlowUp(f"density above {BLOWUP_LIMIT:.0e} at t = {t0:.6g}")
     t = t0
     n_samples = int(math.floor(intervals + 1e-9))
     next_sample = 1

@@ -22,7 +22,8 @@ import numpy as np
 from . import diagnostics, model
 from .config import ConfigError, RunConfig, SWEEPABLE_KEYS, build_config, initial_state
 from .diagnostics import DiagnosticsRecord
-from .dynamics import STAGES, STEP_ACCURACY, STEP_SAFETY, STEP_TOL, BlowUp, State, StepAccounting, run_to_time
+from .dynamics import (STAGES, STEP_ACCURACY, STEP_SAFETY, STEP_TOL, BlowUp, Stalled, State, StepAccounting,
+                       run_to_time)
 from .grid import gradient_sq_values, integrate_values, write_snapshot
 
 __all__ = ["RunResult", "execute", "run_scenario", "sweep", "worker_count", "WORKERS_ENV"]
@@ -42,7 +43,7 @@ class RunResult:
     certificate: model.StabilizationCertificate | None
     certificate_reason: str | None
     accounting: StepAccounting
-    status: str  # "completed" or "blowup: ..."
+    status: str  # "completed", "stalled: ..." or "blowup: ..."
     wall_clock: float
 
     @property
@@ -65,7 +66,8 @@ def execute(config: RunConfig) -> RunResult:
     diagnostics.record call once it holds _RECORD_BATCH_CELLS cells or
     its last state is the one at t_end, so a completed run's last record
     call falls inside run_to_time like every other.  States still queued
-    when the run raises BlowUp, or when the step to t_end fills no sample
+    when the run raises BlowUp (a Stalled run's status is "stalled: ...",
+    any other's "blowup: ..."), or when the step to t_end fills no sample
     time, are recorded after it.  Each row is repeated once per sample
     time its state fills.
     """
@@ -108,6 +110,8 @@ def execute(config: RunConfig) -> RunResult:
             sink=sink,
             accounting=accounting,
         )
+    except Stalled as exc:
+        status = f"stalled: {exc}"
     except BlowUp as exc:
         status = f"blowup: {exc}"
     if queue:
@@ -308,7 +312,7 @@ def _sweep_worker(args: tuple[dict, str, float, str]) -> dict:
         return row
     result = execute(config)
     _write_run_dir(result, Path(out_dir))
-    row["status"] = "completed" if result.ok else "blowup"
+    row["status"] = result.status.partition(":")[0]  # completed, stalled or blowup
     if result.records:
         last = result.records[-1]
         row.update(

@@ -66,10 +66,10 @@ def test_run_blowup_exit_code(tmp_path):
 
 
 def test_run_beyond_step_budget_exit_code(tmp_path):
-    cfg, out = write_cfg(tmp_path, extra="params.chi = 1e9\n")
+    cfg, out = write_cfg(tmp_path, extra="params.m1 = 1e9\n")
     assert main(["run", str(cfg)]) == 2
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["termination"].startswith("blowup:")
+    assert manifest["termination"].startswith("stalled:")
     assert "steps to t_end" in manifest["termination"]
     assert manifest["steps"] == 0
     assert manifest["dt_min"] is None and manifest["dt_max"] is None

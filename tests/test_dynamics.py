@@ -1111,17 +1111,43 @@ def test_run_to_time_steps_to_an_end_time_within_rounding_of_the_start():
 
 
 def test_run_to_time_raises_stalled_when_t_cannot_move():
-    # at t = 1e8 the spacing of doubles is ~1.5e-8, while chi = 1e7 on 8 cells
-    # limits the full step to ~2.1e-9, under half that spacing, so
-    # t + dt == t; the run must stop, not spin
-    p = ModelParams(d1=1.0, d2=1.0, m1=1.0, m2=2.0, chi=1e7, a=1.0, b=1.0)
+    # at t = 1e15 the spacing of doubles is 0.125, while the reactions at
+    # u = v = 1 bound the accuracy step to C/J = 0.05/2 = 0.025, under half
+    # that spacing, so t + dt == t; the run must stop, not spin
     g = Grid.uniform(1, 8, 1.0)
-    s = State(g.field(1.0), g.field(1.0), 1e8)
+    s = State(g.field(1.0), g.field(1.0), 1e15)
     acc = StepAccounting()
     with pytest.raises(Stalled, match="does not advance"):
-        run_to_time(s, p, TaxisScheme.UPWIND, t_end=1e8 + 1.0, sample_every=0.5, accounting=acc)
+        run_to_time(s, WORKED, TaxisScheme.UPWIND, t_end=1e15 + 1.0, sample_every=0.5, accounting=acc)
     assert acc.steps == 0
-    assert issubclass(Stalled, BlowUp)  # execute and the CLI report it as a blow-up
+    assert issubclass(Stalled, BlowUp)  # a caller that stops on BlowUp stops on a stall too
+
+
+def test_a_fine_grid_whose_positivity_bound_is_tiny_completes():
+    # 512 cells of h = 2.4e-4: the SSP-RK positivity bound is ~3.2e-8,
+    # 1.6e8 steps to t_end, but IMEX steps are not bounded by it
+    result = execute(build_config({
+        "grid.n": "512", "grid.length": "0.125", "initial.kind": "cosine", "initial.u_amp": "0.5",
+        "initial.v_amp": "0.5", "run.t_end": "5", "run.sample_every": "0.5"}))
+    assert result.status == "completed"
+    assert result.accounting.steps == result.accounting.imex_steps > 0
+
+
+def test_an_ssp_rk_fallback_under_a_tiny_positivity_bound_stalls(monkeypatch):
+    """Only the SSP-RK step forced after an inadmissible IMEX step is
+    bounded by positivity, so that is where advance checks it."""
+    bounds = dynamics.step_bounds
+
+    def tiny_positivity(*args):
+        positivity, accuracy = bounds(*args)
+        return 1e-12 * accuracy, accuracy
+
+    monkeypatch.setattr(dynamics, "step_bounds", tiny_positivity)
+    monkeypatch.setattr(dynamics, "imex_step", lambda y, plan, dt, rates=None: -y)
+    s, acc = make_state(np.ones(8), np.ones(8)), StepAccounting()
+    with pytest.raises(Stalled, match="steps to t_end"):
+        run_to_time(s, WORKED, TaxisScheme.UPWIND, t_end=1.0, sample_every=0.5, accounting=acc)
+    assert (acc.steps, acc.imex_rejected) == (0, 1)
 
 
 def test_peak_v_includes_initial_state():

@@ -131,9 +131,10 @@ def test_an_inadmissible_ssp_rk_step_ends_the_run_as_a_blowup(tmp_path, monkeypa
 
 
 def test_execute_reports_a_run_beyond_the_step_budget():
-    # chi = 1e9 passes validation, but its first step is ~5e-14 against t_end = 30
-    result = execute(build_config({"params.chi": "1e9", "run.t_end": "30"}))
-    assert result.status.startswith("blowup: ")
+    # m1 = 1e9 passes validation, but the reactions bound every step to
+    # C/J = 5e-11 against t_end = 30
+    result = execute(build_config({"params.m1": "1e9", "run.t_end": "30"}))
+    assert result.status.startswith("stalled: ")
     assert "steps to t_end" in result.status
     assert result.accounting.steps == 0
     assert result.final_state is None
@@ -254,6 +255,14 @@ def test_sweep_sequential(tmp_path, monkeypatch):
     for tag in ("params_chi_0.5", "params_chi_1"):
         assert (tmp_path / tag / "manifest.json").exists()
         assert not (tmp_path / tag / "energy.svg").exists()  # members write no charts
+
+
+def test_sweep_summary_names_a_stalled_member(tmp_path, monkeypatch):
+    monkeypatch.setenv("PREYTAXIS_WORKERS", "1")
+    summary = sweep(parse_items(BASE), "params.m1", [1.0, 1e9], out_dir=str(tmp_path))
+    assert [r["status"] for r in read_summary(summary)] == ["completed", "stalled"]
+    manifest = json.loads((tmp_path / "params_m1_1e+09" / "manifest.json").read_text())
+    assert manifest["termination"].startswith("stalled: ")
 
 
 def test_sweep_parallel(tmp_path, monkeypatch):
