@@ -90,12 +90,12 @@ __all__ = [
 BLOWUP_LIMIT = 1e12
 STEP_SAFETY = 0.9  # fraction of the forward-Euler positivity bound that a substep takes
 STAGES = 4  # forward-Euler substeps per SSP-RK(s, 2) step, each of length dt/(STAGES - 1)
-# Largest dt * J of every step, J the row-sum norm of the reaction
-# Jacobian or the per-capita reaction rate.  Criterion 4's worst error grows about as its square: 3.1e-5
-# at 0.05 and 1.13e-4 at 0.1, over the 1e-4 cap (at 0.02 the SSP-RK
-# positivity bound is the shorter one there, and the error is its
-# 8.6e-6).  0.05 keeps a 3x margin; criterion 3's nonlinear order is
-# 2.043 with it.
+# dt * J of the shortest step the error estimate may ask for, J the
+# row-sum norm of the reaction Jacobian or the per-capita reaction rate.
+# Under it the estimate sets criterion 4's worst error: 7.50e-5 at 0.02
+# and 7.55e-5 at 0.05; at 0.1 the floor keeps steps the estimate would
+# shorten, and the error is 2.56e-4, over the 1e-4 cap.  Criterion 3's
+# nonlinear order is 2.043 at 0.05.
 STEP_ACCURACY = 0.05
 # Largest trapezoidal defect, relative to 1 + |Y1| in each cell, that
 # advance accepts in a step longer than C/J.  Every kept step short of
@@ -338,7 +338,12 @@ def step_bounds(u, v, grid: Grid, p: ModelParams) -> tuple[float, float]:
     the row sums nearly vanish at a species' inflection point
     u = (m1 + a v)/2 when a and b are small, the per-capita rate at its
     logistic level u = m1 + a v, where the slope, about -u, does not.
-    When a, b >= 1 the row sums are the larger term.
+    When a, b >= 1 the row sums are the larger term.  Under IMEX steps
+    accuracy is only the floor of the error estimate, but the row sums
+    are still needed: at an equilibrium, such as criterion 4's (1.5, 0.5),
+    both per-capita rates are 0, and without them J = 0 would make
+    STEP_ACCURACY / J raise, and a J near 0 would put accuracy past one
+    sample interval, where advance forms no estimate.
     """
     v_max = float(v.max())
     rate_u = float(np.abs(p.m1 - u + p.a * v).max())

@@ -503,6 +503,14 @@ def test_step_limit_is_the_shorter_of_positivity_and_accuracy():
     assert accuracy == pytest.approx(STEP_ACCURACY / 3.3278915721, rel=1e-10)
 
 
+def test_step_bounds_at_an_equilibrium_takes_j_from_the_row_sums():
+    # at criterion 4's equilibrium (1.5, 0.5) both per-capita rates are 0;
+    # without the row sums |1 - 3 + 0.5| + 1.5 = 3 and 0.5 + 0.5 = 1, J
+    # would be 0 and C/J would raise ZeroDivisionError
+    u, v, g = make_arrays(np.full(8, 1.5), np.full(8, 0.5))
+    assert step_bounds(u, v, g, WORKED)[1] == STEP_ACCURACY / 3.0
+
+
 def test_run_to_time_takes_fast_reactions_with_ssp_rk_steps():
     p = replace(SLOW, m1=10.0, b=10.0)
     s = make_state([1.0] * 4, [1.0] * 4, length=3.0)
