@@ -36,6 +36,16 @@ def test_summary_counts_lower_values_as_wins_and_drops_ties():
     assert (table["peak_rss_mib"]["new_won"], table["peak_rss_mib"]["new_lost"]) == (1, 1)
 
 
+def test_summary_reports_the_median_of_the_paired_ratios():
+    base = [{"wall_s": w, "setup_s": 0.2, "peak_rss_mib": 40.0} for w in (1.0, 2.0, 3.0, 4.0, 5.0)]
+    new = [{"wall_s": w, "setup_s": 0.1, "peak_rss_mib": 40.0} for w in (0.5, 2.2, 2.4, 4.4, 5.5)]
+    table = ab.summarize(base, new)
+    # ratios 0.5, 1.1, 0.8, 1.1, 1.1; the medians' ratio would be 2.4/3 = 0.8
+    assert table["wall_s"]["paired_ratio"] == pytest.approx(1.1, rel=1e-15)
+    assert table["setup_s"]["paired_ratio"] == 0.5
+    assert table["peak_rss_mib"]["paired_ratio"] == 1.0
+
+
 def test_repeated_workloads_alternate_per_pair_and_print_one_table_each(monkeypatch, capsys):
     calls = []
 

@@ -8,9 +8,10 @@ workload named (every tree benchmarks its own ``src``), base first in
 even pairs and new first in odd ones, so a drift of the machine's speed
 within a pair favours neither side.  For every workload and every
 end-to-end metric of the last result line (all three are
-lower-is-better) it prints each side's median and quartiles, the pairs
-the new tree won, and the two-sided sign-test p of that count; tied
-pairs are dropped from the test.  The last stdout line is all the
+lower-is-better) it prints each side's median and quartiles, the
+median over pairs of new/base, the pairs the new tree won, and the
+two-sided sign-test p of that count; tied pairs are dropped from the
+test.  The last stdout line is all the
 tables as one JSON object, keyed by workload under "workloads".  A run
 whose result line reports a failed call, or that exits nonzero, ends the
 comparison with exit 1.
@@ -50,8 +51,9 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(base: list[dict], new: list[dict]) -> dict:
-    """Per metric: both sides' quartiles, the pairs new won (a lower value),
-    lost and tied, and the sign-test p."""
+    """Per metric: both sides' quartiles, the median over pairs of
+    new/base, the pairs new won (a lower value), lost and tied, and the
+    sign-test p."""
     table = {}
     for name in METRICS:
         a = [run[name] for run in base]
@@ -61,6 +63,7 @@ def summarize(base: list[dict], new: list[dict]) -> dict:
         table[name] = {
             "base": quartiles(a),
             "new": quartiles(b),
+            "paired_ratio": statistics.median(y / x for x, y in zip(a, b)),
             "new_won": wins,
             "new_lost": losses,
             "tied": len(a) - wins - losses,
@@ -120,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
         for name, row in table.items():
             a, b = row["base"], row["new"]
             print(f"  {name}: base {a[0]:.6g} / {a[1]:.6g} / {a[2]:.6g}; new {b[0]:.6g} / {b[1]:.6g} / {b[2]:.6g}; "
-                  f"new won {row['new_won']}, lost {row['new_lost']}, tied {row['tied']}; "
+                  f"paired new/base {row['paired_ratio']:.4g}; new won {row['new_won']}, lost {row['new_lost']}, tied {row['tied']}; "
                   f"sign-test p = {row['sign_test_p']:.3g}")
     print(json.dumps({"seed": args.seed, "pairs": args.pairs, "seconds": args.seconds, "workloads": tables}))
     return 0
