@@ -267,8 +267,8 @@ def _write_run_dir(result: RunResult, out: Path) -> None:
 def run_scenario(config: RunConfig, svg: bool = False) -> int:
     """Execute a scenario and write its run directory, plus SVG charts if svg.
 
-    Returns 0 on completion and 2 on blow-up (the manifest then records
-    the failure time).  The directory is created before the run starts.
+    Returns 0 on completion and 2 on blow-up or stall (the manifest then
+    records the failure time).  The directory is created before the run starts.
     """
     out = Path(config.out_dir)
     _make_run_dir(out)
