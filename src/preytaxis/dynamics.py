@@ -205,9 +205,12 @@ class StepPlan:
     reuses, since only the state changes: shape, the stacked state's
     (2, *grid.n); faces, per axis a stacked (2, N + s) face array (see
     grid) whose walls are zeroed here once and stay 0; axes, per axis
-    (s, the interior views faces[0, s:-s] and faces[1, s:-s], chi/h,
-    chi/2h, d1/h, d2/h); and reactions, _reaction_coefficients(p).  rhs writes the face gradients, then the
-    fluxes over h, into faces on every call.
+    (s, the interior views faces[0, s:-s] and faces[1, s:-s], chi/h^2,
+    chi/2h^2, d1/h^2, d2/h^2); and reactions, _reaction_coefficients(p).
+    rhs writes the face differences, then the fluxes over h, into faces
+    on every call: the constants hold both the 1/h of the gradient and
+    the 1/h of the divergence, so no pass divides by h.  Grid keeps
+    1/h^2 finite.
 
     What imex_step reuses: dct, per axis the orthonormal DCT-II matrix
     C[k, j] = c_k cos(pi k (j + 1/2)/n), c_0 = sqrt(1/n), else sqrt(2/n);
@@ -231,8 +234,8 @@ class StepPlan:
         cells = math.prod(grid.n)
         self.faces = tuple(np.zeros((2, cells + s)) for s in grid.stride)
         self.axes = tuple(
-            (s, faces[0, s:-s], faces[1, s:-s], p.chi / h, 0.5 * p.chi / h, p.d1 / h, p.d2 / h)
-            for s, h, faces in zip(grid.stride, grid.h, self.faces)
+            (s, faces[0, s:-s], faces[1, s:-s], p.chi / h2, 0.5 * p.chi / h2, p.d1 / h2, p.d2 / h2)
+            for s, h2, faces in zip(grid.stride, (h * h for h in grid.h), self.faces)
         )
         self.reactions = _reaction_coefficients(p)
         self.dct = tuple(_dct_matrix(n) for n in grid.n)
@@ -254,20 +257,23 @@ def rhs(y: np.ndarray, plan: StepPlan) -> np.ndarray:
     """Time derivatives of the stacked state y on plan's grid with its p
     and taxis, as a new array shaped like y.
 
-    One face gradient call writes g = (g_u, g_v) of y into the plan's
-    face arrays, and each axis's fluxes over h are written over them: row
-    0 gets the predator flux over h,
+    One face gradient call writes the undivided face differences
+    g = (g_u, g_v) = (u_R - u_L, v_R - v_L) of y into the plan's face
+    arrays, and each axis's fluxes over h are written over them: row 0
+    gets the predator flux over h,
 
-        (d1/h + (chi/2h)(v_L + v_R)) g_u - (chi/h) F_donor g_v,
+        (d1/h^2 + (chi/2h^2)(v_L + v_R)) g_u - (chi/h^2) F_donor g_v,
 
-    and row 1 the prey's, (d2/h) g_v, so the prey's gradient serves the
-    drift and its diffusion.  Each face's flux is formed from the values
-    of the two cells it separates; on the walls and seams both gradients
-    are 0, and so is each flux of finite cell values.  Upwind, F =
-    taxis_mobility(u) is formed once on the cells, and F_donor is the
-    left cell's where g_v > 0 (chi > 0, so that is where the drift
-    carries density rightward), else the right cell's; central, F_donor
-    is the mobility of the face mean of u.  The reactions of both rows
+    and row 1 the prey's, (d2/h^2) g_v, so the prey's difference serves
+    the drift and its diffusion.  Where h is a power of two these are
+    the bits of dividing g by h first; elsewhere they differ by rounding.
+    Each face's flux is formed from the values of the two cells it
+    separates; on the walls and seams both differences are 0, and so is
+    each flux of finite cell values.  Upwind, F = taxis_mobility(u) is
+    formed once on the cells, and F_donor is the left cell's where
+    g_v > 0 (chi > 0, so that is where the drift carries density
+    rightward), else the right cell's; central, F_donor is the mobility
+    of the face mean of u.  The reactions of both rows
     start the result, and the divergence of the fluxes is accumulated
     onto it in place.  The flux part integrates to zero to rounding, so
     the discrete mass identity d/dt integral(u) = integral(reaction_u)
@@ -275,25 +281,25 @@ def rhs(y: np.ndarray, plan: StepPlan) -> np.ndarray:
     if y.shape != plan.shape:
         raise ValueError(f"state shape {y.shape} does not match the plan's {plan.shape}")
     eps = plan.p.eps
-    fluxes = face_gradient_values(plan.grid, y, out=plan.faces)
+    fluxes = face_gradient_values(plan.grid, y, out=plan.faces, over_h=False)
     x = y.reshape(2, -1)
     x_u, x_v = x
     upwind = plan.taxis is TaxisScheme.UPWIND
     if upwind:
         mobility = taxis_mobility(x_u, eps)
-    for s, grad_u, grad_v, chi_h, half_chi_h, d1_h, d2_h in plan.axes:
+    for s, grad_u, grad_v, chi_h2, half_chi_h2, d1_h2, d2_h2 in plan.axes:
         if upwind:
             drift = np.where(grad_v > 0, mobility[:-s], mobility[s:])
         else:
             drift = taxis_mobility(0.5 * (x_u[:-s] + x_u[s:]), eps)
         drift *= grad_v
-        drift *= chi_h
+        drift *= chi_h2
         flux = x_v[:-s] + x_v[s:]
-        flux *= half_chi_h
-        flux += d1_h
+        flux *= half_chi_h2
+        flux += d1_h2
         flux *= grad_u
         np.subtract(flux, drift, out=grad_u)
-        grad_v *= d2_h
+        grad_v *= d2_h2
     out = _reactions(x, plan.reactions)
     accumulate_divergence(plan.grid, out, fluxes)
     return out.reshape(y.shape)
@@ -344,32 +350,73 @@ def step_bounds(u, v, grid: Grid, p: ModelParams) -> tuple[float, float]:
     both per-capita rates are 0, and without them J = 0 would make
     STEP_ACCURACY / J raise, and a J near 0 would put accuracy past one
     sample interval, where advance forms no estimate.
+
+    advance forms the two bounds apart, from the same private functions,
+    so that it forms positivity only where it decides the step.
     """
-    v_max = float(v.max())
-    rate_u = float(np.abs(p.m1 - u + p.a * v).max())
-    react_v = float(np.abs(p.m2 - p.b * u - v).max())
-    react = max(rate_u, react_v)
+    accuracy, react_u, react_v = _accuracy_bound(u, v, p)
+    return _positivity_bound(v, float(v.max()), react_u, react_v, grid, p), accuracy
+
+
+def _accuracy_bound(u, v, p: ModelParams) -> tuple[float, float, float]:
+    """(accuracy, max|m1 - u + a v|, max|m2 - b u - v|): step_bounds'
+    accuracy bound and the two per-capita reaction rates J takes its
+    maximum over, which _positivity_bound also reads.  Two work arrays
+    take every term in step_bounds' order of operations, a v and m2 - b u
+    formed once for both places they appear."""
+    av = p.a * v
+    m2_bu = p.m2 - p.b * u
+    t = p.m1 - u
+    t += av
+    np.abs(t, out=t)
+    react_u = float(t.max())
+    w = m2_bu - v
+    np.abs(w, out=w)
+    react_v = float(w.max())
+    np.multiply(u, 2.0, out=t)  # row_u = |m1 - 2u + a v| + a u
+    np.subtract(p.m1, t, out=t)
+    t += av
+    np.abs(t, out=t)
+    np.multiply(u, p.a, out=w)
+    t += w
+    np.multiply(v, 2.0, out=w)  # row_v = b v + |m2 - b u - 2v|
+    np.subtract(m2_bu, w, out=w)
+    np.abs(w, out=w)
+    np.multiply(v, p.b, out=av)
+    w += av
+    np.maximum(t, w, out=t)
+    return STEP_ACCURACY / max(float(t.max()), react_u, react_v), react_u, react_v
+
+
+def _positivity_bound(v, v_max: float, react_u: float, react_v: float, grid: Grid, p: ModelParams) -> float:
+    """step_bounds' positivity bound at prey v, v_max = max v, from the
+    per-capita reaction rates _accuracy_bound returns."""
+    rate_u = react_u
     rate_v = max(react_v, 2.0 * v_max - p.m2)
     for ax, h in enumerate(grid.h):
         two_over_h2 = 2.0 / (h * h)
         jump = float(np.abs(np.diff(v, axis=ax)).max())
         rate_u += two_over_h2 * (p.d1 + p.chi * (v_max + jump))
         rate_v += two_over_h2 * p.d2
-    rate = max(rate_u, rate_v)
-    row_u = np.abs(p.m1 - 2.0 * u + p.a * v) + p.a * u
-    row_v = p.b * v + np.abs(p.m2 - p.b * u - 2.0 * v)
-    accuracy = STEP_ACCURACY / max(float(row_u.max()), float(row_v.max()), react)
-    return STEP_SAFETY * ((STAGES - 1) / rate), accuracy
+    return STEP_SAFETY * ((STAGES - 1) / max(rate_u, rate_v))
 
 
 # --- time stepping -----------------------------------------------------------
 
-def _admissible(y: np.ndarray, prey_cap: float) -> bool:
-    """Whether every cell of the stacked state y is finite, nonnegative
-    and at most BLOWUP_LIMIT, and max v <= prey_cap.  The array minima
-    and maxima are NaN when any cell is, and NaN fails every comparison,
-    so a NaN anywhere makes the state inadmissible."""
-    return bool(y.min() >= 0.0 and y.max() <= BLOWUP_LIMIT and y[1].max() <= prey_cap)
+def _row_maxima(y: np.ndarray) -> tuple[float, float]:
+    """(max u, max v) of the stacked state y, one reduction of both rows."""
+    u_max, v_max = y.reshape(2, -1).max(axis=1).tolist()
+    return u_max, v_max
+
+
+def _admissible(y: np.ndarray, maxima: tuple[float, float], prey_cap: float) -> bool:
+    """Whether every cell of the stacked state y, whose row maxima are
+    maxima, is finite, nonnegative and at most BLOWUP_LIMIT, and
+    max v <= prey_cap.  The array minima and maxima are NaN when any cell
+    is, and NaN fails every comparison, so a NaN anywhere makes the state
+    inadmissible."""
+    u_max, v_max = maxima
+    return bool(y.min() >= 0.0 and u_max <= BLOWUP_LIMIT and v_max <= min(prey_cap, BLOWUP_LIMIT))
 
 
 def step(y: np.ndarray, t: float, plan: StepPlan, dt: float, rates: np.ndarray | None = None) -> np.ndarray:
@@ -387,6 +434,12 @@ def step(y: np.ndarray, t: float, plan: StepPlan, dt: float, rates: np.ndarray |
     admissibility rule advance applies to an IMEX step, without its prey
     cap.
     """
+    return _ssp_step(y, t, plan, dt, rates)[0]
+
+
+def _ssp_step(y: np.ndarray, t: float, plan: StepPlan, dt: float,
+              rates: np.ndarray | None) -> tuple[np.ndarray, tuple[float, float]]:
+    """step's result and its row maxima, which advance counts."""
     if not 0.0 < dt < math.inf:  # a NaN dt fails too
         raise ValueError(f"dt must be finite and > 0 (got {dt})")
     sub = dt / (STAGES - 1)
@@ -395,9 +448,10 @@ def step(y: np.ndarray, t: float, plan: StepPlan, dt: float, rates: np.ndarray |
         d = rates if k == 0 and rates is not None else rhs(z, plan)
         z = z + sub * d
     z = z + (y - z) / STAGES
-    if not _admissible(z, math.inf):
+    maxima = _row_maxima(z)
+    if not _admissible(z, maxima, math.inf):
         raise BlowUp(f"density negative, not finite or above {BLOWUP_LIMIT:.0e} at t = {t + dt:.6g}")
-    return z
+    return z, maxima
 
 
 def _transform(plan: StepPlan, x: np.ndarray, out: np.ndarray, inverse: bool = False) -> None:
@@ -413,14 +467,16 @@ def _transform(plan: StepPlan, x: np.ndarray, out: np.ndarray, inverse: bool = F
         np.matmul(first[0].T if inverse else first[0], mid, out=out)
 
 
-def imex_step(y: np.ndarray, plan: StepPlan, dt: float, rates: np.ndarray | None = None) -> np.ndarray:
+def imex_step(y: np.ndarray, plan: StepPlan, dt: float, rates: np.ndarray | None = None,
+              cap: float | None = None) -> np.ndarray:
     """One ARS(2,2,2) step of size dt, 0 < dt < inf, from the stacked
     state y, unrepaired, leaving the inputs alone; L(Y2) runs on plan, and
     rates, when given, is L(y) = rhs(y, plan).  A = diag(K_u, d2) Delta_h
     is taken implicitly, with K_u = d1 + chi cap and cap = max(max v,
-    max(0, m2)), the prey cap of advance's admissibility rule, and L - A
-    explicitly.  With gamma = 1 - 1/sqrt(2), delta = 1 - 1/(2 gamma) and
-    D = I - gamma dt A, the step in increment form is
+    max(0, m2)), the prey cap of advance's admissibility rule (formed
+    here unless given), and L - A explicitly.  With gamma = 1 - 1/sqrt(2),
+    delta = 1 - 1/(2 gamma) and D = I - gamma dt A, the step in increment
+    form is
 
         dY2 = D^-1 gamma dt L(y),                       Y2 = y + dY2,
         dY3 = D^-1 dt [delta L(y) + (1 - delta) L(Y2) + (delta - gamma) A dY2],
@@ -435,7 +491,8 @@ def imex_step(y: np.ndarray, plan: StepPlan, dt: float, rates: np.ndarray | None
     if not 0.0 < dt < math.inf:  # a NaN dt fails too
         raise ValueError(f"dt must be finite and > 0 (got {dt})")
     p = plan.p
-    cap = max(float(y[1].max()), p.m2_plus)
+    if cap is None:
+        cap = max(float(y[1].max()), p.m2_plus)
     spectral, divisor, work = plan.spectral
     l0 = rates if rates is not None else rhs(y, plan)
     _transform(plan, l0, spectral)
@@ -490,7 +547,7 @@ def advance(y: np.ndarray, t: float, t_end: float, plan: StepPlan,
     plan's proposal and rates for the next step.  Every right-hand side
     of the step runs on plan.
 
-    With (positivity, accuracy) from step_bounds, the step is
+    With (positivity, accuracy) the bounds of step_bounds, the step is
     dt = min(max(accuracy, min(proposal, longest)), t_end - t), proposal
     and longest from plan, so no step but the fallback below is shorter
     than min(accuracy, t_end - t).  An accuracy too small to change t, or
@@ -507,6 +564,13 @@ def advance(y: np.ndarray, t: float, t_end: float, plan: StepPlan,
     limit as the start checks accuracy.  Both methods start from
     plan.rates when it holds L(Y0).
 
+    accuracy is formed on every step, positivity only where it can decide
+    the method: for a dt no longer than accuracy, and for the fallback.
+    A kept IMEX step longer than accuracy forms neither positivity nor
+    its donor-drift jumps.  max v is reduced once, for both bounds, the
+    IMEX step's cap and the admissibility cap, and the row maxima of the
+    new state once, for its admissibility and peak_v.
+
     When longest exceeds accuracy and the step does not land on t_end,
     advance forms L(Y1) and
     err = max|Y1 - Y0 - (dt/2)(L(Y0) + L(Y1))| / (STEP_TOL (1 + |Y1|))
@@ -518,9 +582,13 @@ def advance(y: np.ndarray, t: float, t_end: float, plan: StepPlan,
     is at most accuracy long, so it is always kept, and only IMEX steps
     are rejected by the estimate.
     """
-    positivity, accuracy = step_bounds(y[0], y[1], plan.grid, plan.p)
-    limit = min(positivity, accuracy)
+    u, v = y
+    p = plan.p
+    v_max = float(v.max())
+    accuracy, react_u, react_v = _accuracy_bound(u, v, p)
     _check_progress(accuracy, t, t_end)
+    cap = max(v_max, p.m2_plus)
+    limit = None  # min(positivity, accuracy) once formed
     rates, plan.rates = plan.rates, None
     dt = min(max(accuracy, min(plan.proposal, plan.longest)), t_end - t)
     estimate = plan.longest > accuracy and dt < t_end - t
@@ -528,14 +596,19 @@ def advance(y: np.ndarray, t: float, t_end: float, plan: StepPlan,
         if rates is None:
             rates = rhs(y, plan)
             accounting.rhs_evaluations += 1
-        if dt <= limit:
-            y_new = step(y, t, plan, dt, rates)
+        if limit is None and dt <= accuracy:
+            limit = min(_positivity_bound(v, v_max, react_u, react_v, plan.grid, p), accuracy)
+        if limit is not None and dt <= limit:
+            y_new, maxima = _ssp_step(y, t, plan, dt, rates)
             accounting.rhs_evaluations += STAGES - 1
         else:
-            y_new = imex_step(y, plan, dt, rates)
+            y_new = imex_step(y, plan, dt, rates, cap)
             accounting.rhs_evaluations += 1
-            if not _admissible(y_new, max(float(y[1].max()), plan.p.m2_plus) * (1.0 + 1e-12)):
+            maxima = _row_maxima(y_new)
+            if not _admissible(y_new, maxima, cap * (1.0 + 1e-12)):
                 accounting.imex_rejected += 1
+                if limit is None:
+                    limit = min(_positivity_bound(v, v_max, react_u, react_v, plan.grid, p), accuracy)
                 _check_progress(limit, t, t_end)
                 plan.proposal, estimate, dt = 0.0, False, min(limit, t_end - t)
                 continue
@@ -551,9 +624,9 @@ def advance(y: np.ndarray, t: float, t_end: float, plan: StepPlan,
             break
         accounting.imex_error_rejected += 1
         dt = max(accuracy, dt * factor)
-    accounting.imex_steps += dt > limit
+    accounting.imex_steps += limit is None or dt > limit
     accounting.steps += 1
-    accounting.peak_v = max(accounting.peak_v, float(y_new[1].max()))
+    accounting.peak_v = max(accounting.peak_v, maxima[1])
     accounting.dt_min = min(accounting.dt_min, dt)
     accounting.dt_max = max(accounting.dt_max, dt)
     return y_new, dt
@@ -601,12 +674,13 @@ def run_to_time(
         raise ValueError(f"{intervals:.3g} sample intervals exceed SAMPLE_BUDGET = {SAMPLE_BUDGET:.0e}")
     acc = accounting if accounting is not None else StepAccounting()
     y, t0 = np.stack((s0.u.values, s0.v.values)), s0.t
-    acc.peak_v = max(acc.peak_v, float(y[1].max()))
+    maxima = _row_maxima(y)
+    acc.peak_v = max(acc.peak_v, maxima[1])
     if sink is not None:
         sink(t0, y, 1)
     if t_end == t0:
         return s0
-    if not _admissible(y, math.inf):
+    if not _admissible(y, maxima, math.inf):
         raise BlowUp(f"density above {BLOWUP_LIMIT:.0e} at t = {t0:.6g}")
     t = t0
     n_samples = int(math.floor(intervals + 1e-9))

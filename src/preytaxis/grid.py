@@ -75,6 +75,9 @@ class Grid:
         for ell in self.length:
             if not (math.isfinite(ell) and ell > 0):
                 raise ValueError(f"axis lengths must be finite and > 0 (got {self.length})")
+        for h in self.h:  # the stepper's flux and diffusion constants hold 1/h^2
+            if h * h == 0.0 or math.isinf(1.0 / (h * h)):
+                raise ValueError(f"each cell size h = length/n needs a finite 1/h^2, so h >= 7.46e-155 (got h = {h:.6g})")
 
     @staticmethod
     def uniform(dim: int, n: int, length: float) -> "Grid":
@@ -144,14 +147,16 @@ def integrate_values(grid: Grid, values: np.ndarray) -> float:
     return grid.cell_volume * float(values.sum())
 
 
-def face_gradient_values(grid: Grid, values: np.ndarray,
-                         out: tuple[np.ndarray, ...] | None = None) -> tuple[np.ndarray, ...]:
+def face_gradient_values(grid: Grid, values: np.ndarray, out: tuple[np.ndarray, ...] | None = None,
+                         over_h: bool = True) -> tuple[np.ndarray, ...]:
     """Normal gradient on every face, per axis, as face arrays: zero on
     the walls and seams.  out, when given, holds a face array per axis
     shaped lead + (N + s,) whose first and last s slots are 0; the
     gradients are written into it, whatever its other slots held, and
     out is returned.  Along axis 0 the seams are those last s slots,
-    which the difference does not write."""
+    which the difference does not write.  With over_h false the face
+    differences are left undivided, for a caller whose constants hold
+    the 1/h."""
     lead = values.shape[:-len(grid.n)]
     x = values.reshape(lead + (-1,))  # lead + (N,)
     grads = out if out is not None else tuple(np.zeros(lead + (x.shape[-1] + s,)) for s in grid.stride)
@@ -159,7 +164,8 @@ def face_gradient_values(grid: Grid, values: np.ndarray,
         np.subtract(x[..., s:], x[..., :-s], out=f[..., s:-s])
         if ax:
             f[..., s:].reshape(lead + (-1, grid.n[ax], s))[..., -1, :] = 0.0
-        f /= h
+        if over_h:
+            f /= h
     return grads
 
 

@@ -7,12 +7,14 @@ tests compare the package's kernels and steps with these byte for byte.
 The package's TaxisScheme, taxis_mobility, reaction_rates and STAGES are
 used as they are.  unfused_rhs is the right-hand side as first written,
 the divergence of the flux with its reactions typed out, for checks of
-the algebra within rounding."""
+the algebra within rounding; written_step_bounds is the step-size
+limiter as first written, one expression per term, which the package's
+must match byte for byte."""
 
 import numpy as np
 
 from preytaxis import TaxisScheme, reaction_rates, taxis_mobility
-from preytaxis.dynamics import STAGES
+from preytaxis.dynamics import STAGES, STEP_ACCURACY, STEP_SAFETY
 
 
 def left(g, ax):
@@ -71,23 +73,24 @@ def padded_divergence(g, fluxes):
 
 def slicing_fluxes(u, v, g, p, taxis):
     """Both species' fluxes over h on every interior face, from per-axis
-    slices, in rhs's operation order: per axis, the predator's
-    (d1/h + (chi/2h)(v_L + v_R)) g_u - (chi/h) F_donor g_v and the prey's
-    (d2/h) g_v."""
+    slices, in rhs's operation order on the undivided differences
+    g = (u_R - u_L, v_R - v_L): per axis, the predator's
+    (d1/h^2 + (chi/2h^2)(v_L + v_R)) g_u - (chi/h^2) F_donor g_v and the
+    prey's (d2/h^2) g_v."""
     fluxes_u, fluxes_v = [], []
     mobility = taxis_mobility(u, p.eps)
     for ax in range(g.dim):
-        lo, hi, h = left(g, ax), right(g, ax), g.h[ax]
-        grad_u = (u[hi] - u[lo]) / h
-        grad_v = (v[hi] - v[lo]) / h
+        lo, hi, h2 = left(g, ax), right(g, ax), g.h[ax] * g.h[ax]
+        grad_u = u[hi] - u[lo]
+        grad_v = v[hi] - v[lo]
         if taxis is TaxisScheme.UPWIND:
             drift = np.where(grad_v > 0, mobility[lo], mobility[hi])
         else:
             drift = taxis_mobility(0.5 * (u[lo] + u[hi]), p.eps)
-        drift = drift * grad_v * (p.chi / h)
-        diffusion = ((v[lo] + v[hi]) * (0.5 * p.chi / h) + p.d1 / h) * grad_u
+        drift = drift * grad_v * (p.chi / h2)
+        diffusion = ((v[lo] + v[hi]) * (0.5 * p.chi / h2) + p.d1 / h2) * grad_u
         fluxes_u.append(diffusion - drift)
-        fluxes_v.append(grad_v * (p.d2 / h))
+        fluxes_v.append(grad_v * (p.d2 / h2))
     return fluxes_u, fluxes_v
 
 
@@ -159,3 +162,22 @@ def per_field_step(u, v, g, p, taxis, dt):
         u_new = u_new + sub * du
         v_new = v_new + sub * dv
     return u_new + (u - u_new) / STAGES, v_new + (v - v_new) / STAGES
+
+
+def written_step_bounds(u, v, g, p):
+    """(positivity, accuracy) as dynamics.step_bounds was first written."""
+    v_max = float(v.max())
+    rate_u = float(np.abs(p.m1 - u + p.a * v).max())
+    react_v = float(np.abs(p.m2 - p.b * u - v).max())
+    react = max(rate_u, react_v)
+    rate_v = max(react_v, 2.0 * v_max - p.m2)
+    for ax, h in enumerate(g.h):
+        two_over_h2 = 2.0 / (h * h)
+        jump = float(np.abs(np.diff(v, axis=ax)).max())
+        rate_u += two_over_h2 * (p.d1 + p.chi * (v_max + jump))
+        rate_v += two_over_h2 * p.d2
+    rate = max(rate_u, rate_v)
+    row_u = np.abs(p.m1 - 2.0 * u + p.a * v) + p.a * u
+    row_v = p.b * v + np.abs(p.m2 - p.b * u - 2.0 * v)
+    accuracy = STEP_ACCURACY / max(float(row_u.max()), float(row_v.max()), react)
+    return STEP_SAFETY * ((STAGES - 1) / rate), accuracy

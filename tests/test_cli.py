@@ -58,6 +58,13 @@ def test_run_invalid_value_is_usage_error(tmp_path):
     assert main(["run", str(cfg)]) == 3
 
 
+def test_run_with_a_cell_size_whose_inverse_square_overflows_is_usage_error(tmp_path, capsys):
+    cfg, out = write_cfg(tmp_path, extra="grid.length = 1e-300\n")
+    assert main(["run", str(cfg)]) == 3
+    assert "finite 1/h^2, so h >= 7.46e-155" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_blowup_exit_code(tmp_path):
     cfg, out = write_cfg(tmp_path, extra="initial.u_base = 1e13\n")
     assert main(["run", str(cfg)]) == 2

@@ -40,7 +40,7 @@ import preytaxis
 from preytaxis import dynamics
 from preytaxis.dynamics import STAGES, STEP_ACCURACY, STEP_SAFETY, advance, imex_step
 from preytaxis.oracle import homogeneous_ode, refinement_order
-from padded import per_field_step, slicing_fluxes, slicing_rhs, to_face_array, unfused_rhs
+from padded import per_field_step, slicing_fluxes, slicing_rhs, to_face_array, unfused_rhs, written_step_bounds
 from strategies import grids, positive_fields
 
 WORKED = ModelParams(d1=1.0, d2=1.0, m1=1.0, m2=2.0, chi=1.0, a=1.0, b=1.0)
@@ -503,6 +503,22 @@ def test_step_limit_is_the_shorter_of_positivity_and_accuracy():
     assert accuracy == pytest.approx(STEP_ACCURACY / 3.3278915721, rel=1e-10)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    g=grids(),
+    coefficients=st.tuples(*(st.floats(0.01, 10.0) for _ in range(6)), st.floats(-3.0, 5.0)),
+)
+def test_step_bounds_match_the_limiter_as_first_written_bitwise_property(data, g, coefficients):
+    """step_bounds, whose accuracy part reuses a v and m2 - b u and works
+    in place, gives the bits of one expression per term."""
+    d1, d2, chi, a, b, m1, m2 = coefficients
+    p = ModelParams(d1=d1, d2=d2, m1=m1, m2=m2, chi=chi, a=a, b=b)
+    u = data.draw(nonnegative_fields(g))
+    v = data.draw(nonnegative_fields(g))
+    assert step_bounds(u, v, g, p) == written_step_bounds(u, v, g, p)
+
+
 def test_step_bounds_at_an_equilibrium_takes_j_from_the_row_sums():
     # at criterion 4's equilibrium (1.5, 0.5) both per-capita rates are 0;
     # without the row sums |1 - 3 + 0.5| + 1.5 = 3 and 0.5 + 0.5 = 1, J
@@ -821,21 +837,96 @@ def test_advance_runs_each_limiter_pass_once(monkeypatch):
         (np.ones(16), np.ones(16), replace(SLOW, m1=10.0, b=10.0)),
         (rough.uniform(0.0, 3.0, 16), rough.uniform(0.0, 3.0, 16), WORKED),
     ]
-    calls = []
+    passes = {"_accuracy_bound": [], "_positivity_bound": []}
 
-    def counted(*args):
-        calls.append(args)
-        return step_bounds(*args)
+    def counting(name):
+        bound = getattr(dynamics, name)
 
-    monkeypatch.setattr(dynamics, "step_bounds", counted)
+        def counted(*args):
+            passes[name].append(args)
+            return bound(*args)
+        return counted
+
+    for name in passes:
+        monkeypatch.setattr(dynamics, name, counting(name))
     kinds = []
     for u, v, p in cases:
-        calls.clear()
+        for calls in passes.values():
+            calls.clear()
         acc = StepAccounting()
         advance(np.stack((u, v)), 0.0, 1.0, StepPlan(ROUGH, p, TaxisScheme.UPWIND), acc)
-        assert len(calls) == 1
+        for calls in passes.values():
+            assert len(calls) == 1
         kinds.append((acc.imex_steps, acc.imex_rejected))
     assert kinds == [(1, 0), (0, 0), (0, 1)]
+
+
+def recording_bounds(mp, formed):
+    """Patch advance's two bound functions to append (name, value) to
+    formed for every bound they return."""
+    for name, value in (("_accuracy_bound", lambda r: r[0]), ("_positivity_bound", lambda r: r)):
+        def recorded(*args, bound=getattr(dynamics, name), name=name, value=value):
+            result = bound(*args)
+            formed.append((name, value(result)))
+            return result
+        mp.setattr(dynamics, name, recorded)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    g=grids(),
+    taxis=st.sampled_from(TaxisScheme),
+    m2=st.sampled_from((2.0, 0.5)),
+    proposal=st.floats(0.0, 4.0),
+    longest=st.sampled_from((0.0, 1.0)),
+)
+def test_advance_forms_the_bounds_of_step_bounds_bitwise_property(data, g, taxis, m2, proposal, longest):
+    """The accuracy bound advance forms, and the positivity bound wherever
+    it forms one, are step_bounds' bit for bit, under coexistence (m2 = 2)
+    and extinction (m2 = 1/2) parameters, from proposals below and above
+    C/J."""
+    u = data.draw(positive_fields(g, high=3.0))
+    v = data.draw(positive_fields(g, high=3.0))
+    p = replace(WORKED, m2=m2)
+    positivity, accuracy = step_bounds(u, v, g, p)
+    plan = StepPlan(g, p, taxis, longest=longest)
+    plan.proposal = proposal * accuracy
+    formed = []
+    with pytest.MonkeyPatch.context() as mp:
+        recording_bounds(mp, formed)
+        advance(np.stack((u, v)), 0.0, 10.0, plan, StepAccounting())
+    assert formed[0] == ("_accuracy_bound", accuracy)
+    assert formed[1:] in ([], [("_positivity_bound", positivity)])
+
+
+def test_a_run_of_steps_past_c_over_j_forms_the_positivity_bound_on_its_first_step_only(monkeypatch):
+    """From near the coexistence state the first step is C/J long, and the
+    error estimate accepts every later one past C/J, where no bound but
+    accuracy can decide the method: positivity is formed once."""
+    g = Grid((16, 16), (1.0, 1.0))
+    w = np.cos(np.pi * g.meshcenters()[0])
+    s0 = State(g.field(1.5 + 0.01 * w), g.field(0.5 - 0.01 * w), 0.0)
+    formed, steps = [], []
+    recording_bounds(monkeypatch, formed)
+    stepper = dynamics.advance
+
+    def recorded(y, t, t_end, plan, accounting):
+        first = len(formed)
+        y_new, dt = stepper(y, t, t_end, plan, accounting)
+        steps.append((dt, formed[first:]))
+        return y_new, dt
+
+    monkeypatch.setattr(dynamics, "advance", recorded)
+    acc = StepAccounting()
+    run_to_time(s0, WORKED, TaxisScheme.UPWIND, 2.0, 0.5, accounting=acc)
+    assert acc.steps == len(steps) > 10
+    (dt, first), *later = steps
+    assert [name for name, _ in first] == ["_accuracy_bound", "_positivity_bound"]
+    assert dt == first[0][1]
+    for dt, bounds in later:
+        assert [name for name, _ in bounds] == ["_accuracy_bound"]
+        assert dt > bounds[0][1]
 
 
 def cosine_pair():
@@ -1144,15 +1235,10 @@ def test_a_fine_grid_whose_positivity_bound_is_tiny_completes():
 def test_an_ssp_rk_fallback_under_a_tiny_positivity_bound_stalls(monkeypatch):
     """Only the SSP-RK step forced after an inadmissible IMEX step is
     bounded by positivity, so that is where advance checks it."""
-    bounds = dynamics.step_bounds
-
-    def tiny_positivity(*args):
-        positivity, accuracy = bounds(*args)
-        return 1e-12 * accuracy, accuracy
-
-    monkeypatch.setattr(dynamics, "step_bounds", tiny_positivity)
-    monkeypatch.setattr(dynamics, "imex_step", lambda y, plan, dt, rates=None: -y)
     s, acc = make_state(np.ones(8), np.ones(8)), StepAccounting()
+    accuracy = step_bounds(s.u.values, s.v.values, s.grid, WORKED)[1]  # the first step's, where the run stalls
+    monkeypatch.setattr(dynamics, "_positivity_bound", lambda *args: 1e-12 * accuracy)
+    monkeypatch.setattr(dynamics, "imex_step", lambda y, plan, dt, rates=None, cap=None: -y)
     with pytest.raises(Stalled, match="steps to t_end"):
         run_to_time(s, WORKED, TaxisScheme.UPWIND, t_end=1.0, sample_every=0.5, accounting=acc)
     assert (acc.steps, acc.imex_rejected) == (0, 1)

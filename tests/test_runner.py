@@ -110,13 +110,12 @@ def test_an_inadmissible_ssp_rk_step_ends_the_run_as_a_blowup(tmp_path, monkeypa
     """An SSP-RK step is kept only if admissible, as an IMEX step is.  With
     a positivity bound 1000 times too long, advance takes SSP-RK steps at
     the accuracy bound, and on a cosine profile the second goes negative."""
-    bounds = dynamics.step_bounds
+    bound = dynamics._positivity_bound
 
     def overlong_positivity(*args):
-        positivity, accuracy = bounds(*args)
-        return 1e3 * positivity, accuracy
+        return 1e3 * bound(*args)
 
-    monkeypatch.setattr(dynamics, "step_bounds", overlong_positivity)
+    monkeypatch.setattr(dynamics, "_positivity_bound", overlong_positivity)
     cosine = "initial.kind = cosine\ninitial.u_amp = 0.5\ninitial.v_amp = 0.5\n"
     config = small_config(cosine)
     acc = StepAccounting()
