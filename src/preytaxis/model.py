@@ -13,6 +13,7 @@ used to certify when the dissipation inequality kicks in.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -187,6 +188,14 @@ def certify(p: ModelParams, v0_sup: float) -> StabilizationCertificate:
 
     t_settle is the waiting time for the prey comparison bound to fall
     below (1 - delta) * m2_relaxed starting from v0_sup.
+
+    Small chi.  c+ grows as 1/chi^2, so for chi below about 1e-77 q^2 or
+    (chi m2r)^2 overflows, and below about 1e-155 c+ itself does (at
+    chi^2 u* = 0 there is no upper root at all).  There s+ is taken from
+    the same root divided through by m2r, s+ = (chi^2 m2r/2)/(q/m2r +
+    sqrt((q/m2r)^2 + chi^2)), with chi^2 m2r formed from 2 chi^2 u* c+,
+    which stays finite; s+ tends to d1/2 as chi -> 0.  A midpoint past
+    the largest float is reported as the largest float.
     """
     if not (math.isfinite(v0_sup) and v0_sup > 0):
         raise ValueError(f"v0_sup must be finite and > 0 (got {v0_sup})")
@@ -204,12 +213,22 @@ def certify(p: ModelParams, v0_sup: float) -> StabilizationCertificate:
     quad = chi_sq * ss.u_star
     lin = 16.0 * p.d1 * p.d2 / (p.b * p.b)
     const = 4.0 * p.d1 * p.d2 * p.a * ss.v_star / p.b
-    c_plus = (lin + math.sqrt(lin * lin + 4.0 * quad * const)) / (2.0 * quad)
+    root = lin + math.sqrt(lin * lin + 4.0 * quad * const)  # 2 quad c+
+    c_plus = root / (2.0 * quad) if quad > 0.0 else math.inf
     m2_relaxed = 0.5 * (m2p + c_plus)
 
     q = (4.0 * p.d2 * m2_relaxed / (p.b * p.b) + p.d2 * ss.v_star * p.a / p.b) / ss.u_star - p.d1
     disc = math.sqrt(q * q + chi_sq * m2_relaxed * m2_relaxed)
-    s_plus = 0.5 * chi_sq * m2_relaxed * m2_relaxed / (q + disc) if q > 0 else 0.5 * (disc - q)
+    if math.isfinite(disc):
+        s_plus = 0.5 * chi_sq * m2_relaxed * m2_relaxed / (q + disc) if q > 0 else 0.5 * (disc - q)
+    elif q > 0:  # small chi (see above)
+        scaled_q = (4.0 * p.d2 / (p.b * p.b) + p.d2 * ss.v_star * p.a / (p.b * m2_relaxed)) / ss.u_star \
+            - p.d1 / m2_relaxed
+        chi_sq_m2r = 0.5 * (chi_sq * m2p + root / (2.0 * ss.u_star))
+        s_plus = 0.5 * chi_sq_m2r / (scaled_q + math.hypot(scaled_q, p.chi))
+    else:  # chi m2r overflows its square, q does not
+        s_plus = 0.5 * (math.hypot(q, p.chi * m2_relaxed) - q)
+    m2_relaxed = min(m2_relaxed, sys.float_info.max)
     delta = 0.99 * min(p.a / p.b, 1.0 - m2p / m2_relaxed, ss.u_star * (p.d1 - s_plus))
     settle_cap = (1.0 - delta) * m2_relaxed
     if delta <= 0 or settle_cap <= m2p:  # only rounding at the threshold edge gets here

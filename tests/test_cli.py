@@ -65,6 +65,24 @@ def test_run_with_a_cell_size_whose_inverse_square_overflows_is_usage_error(tmp_
     assert not out.exists()
 
 
+def test_run_and_sweep_at_a_vanishing_chi_certify_the_chi_to_0_limit(tmp_path, monkeypatch):
+    """At chi = 1e-300 and 1e-320 the certificate's delta is the limit
+    0.99 min(a/b, 1, u* d1/2) = 0.7425, and its manifest is strict JSON."""
+    monkeypatch.setenv("PREYTAXIS_WORKERS", "1")
+
+    def reject(constant):
+        raise ValueError(f"non-finite number {constant} in manifest.json")
+
+    cfg, out = write_cfg(tmp_path, extra="params.chi = 1e-300\n")
+    assert main(["run", str(cfg)]) == 0
+    assert main(["sweep", str(cfg), "--axis", "params.chi", "--values", "1e-320"]) == 0
+    manifests = [out / "manifest.json", *out.glob("params_chi_*/manifest.json")]
+    assert len(manifests) == 2
+    for manifest in manifests:
+        certificate = json.loads(manifest.read_text(), parse_constant=reject)["certificate"]
+        assert certificate["delta"] == pytest.approx(0.7425, rel=1e-12)
+
+
 def test_run_blowup_exit_code(tmp_path):
     cfg, out = write_cfg(tmp_path, extra="initial.u_base = 1e13\n")
     assert main(["run", str(cfg)]) == 2

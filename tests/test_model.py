@@ -1,5 +1,6 @@
 """Equilibria, thresholds, certificates, and the comparison bound."""
 
+import decimal
 import math
 
 import numpy as np
@@ -154,6 +155,38 @@ def test_certify_waiting_time():
     # the comparison bound reaches the target exactly at t_settle
     assert math.isclose(logistic_comparison(3.0, p.m2, cert.t_settle), target, rel_tol=1e-12)
     assert logistic_comparison(3.0, p.m2, cert.t_settle / 2) > target
+
+
+def decimal_delta(p, v0_sup):
+    """certify's delta from its closed form evaluated in 50-digit decimal
+    arithmetic, which neither overflows nor underflows at any float chi,
+    from the float steady state."""
+    ss = steady_states(p)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        d1, d2, a, b, chi, m2p, u_star, v_star = (
+            decimal.Decimal(x) for x in (p.d1, p.d2, p.a, p.b, p.chi, p.m2_plus, ss.u_star, ss.v_star))
+        quad = chi * chi * u_star
+        lin = 16 * d1 * d2 / (b * b)
+        const = 4 * d1 * d2 * a * v_star / b
+        m2r = (m2p + (lin + (lin * lin + 4 * quad * const).sqrt()) / (2 * quad)) / 2
+        q = (4 * d2 * m2r / (b * b) + d2 * v_star * a / b) / u_star - d1
+        disc = (q * q + chi * chi * m2r * m2r).sqrt()
+        s_plus = chi * chi * m2r * m2r / 2 / (q + disc) if q > 0 else (disc - q) / 2
+        return decimal.Decimal("0.99") * min(a / b, 1 - m2p / m2r, u_star * (d1 - s_plus))
+
+
+def test_certify_delta_follows_its_closed_form_down_to_the_smallest_chi():
+    """chi = 1e-1 to 1e-320 at order_1d's parameters.  From about 1e-77
+    q^2 overflowed, and s+ came out 0 or NaN, which min() dropped, so
+    delta read 0.99 instead of about 0.7425; from 1e-162 chi^2 u*
+    underflowed to 0 and c+ divided by it."""
+    for k in range(1, 321):
+        p = params(chi=float(f"1e-{k}"))
+        cert = certify(p, 1.3)
+        want = decimal_delta(p, 1.3)
+        assert abs(decimal.Decimal(cert.delta) - want) <= decimal.Decimal("1e-9") * want, f"chi = {p.chi}"
+        assert math.isfinite(cert.m2_relaxed), f"chi = {p.chi}"
 
 
 def test_certify_rejects_large_chi():
