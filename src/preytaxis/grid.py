@@ -216,6 +216,9 @@ def gradient_sq_values(grid: Grid, values: np.ndarray) -> np.ndarray:
 # row-major, 17 significant digits.
 
 def write_snapshot(f: Field, t: float, path) -> None:
+    """Write f at time t to path in the format above: the bytes
+    np.savetxt(path, rows, fmt="%.17g", header=header, comments="")
+    writes, formed by one %-format of every cell value."""
     g = f.grid
     header = " ".join(
         [str(g.dim)]
@@ -223,7 +226,10 @@ def write_snapshot(f: Field, t: float, path) -> None:
         + [f"{ell:.17g}" for ell in g.length]
         + [f"{t:.17g}"]
     )
-    np.savetxt(path, f.values.reshape(-1, g.n[-1]), fmt="%.17g", header=header, comments="")
+    row = " ".join(["%.17g"] * g.n[-1]) + "\n"
+    body = row * (f.values.size // g.n[-1]) % tuple(f.values.ravel().tolist())
+    with open(path, "w") as fh:
+        fh.write(header + "\n" + body)
 
 
 def read_snapshot(path) -> tuple[Field, float]:

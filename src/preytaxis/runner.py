@@ -214,9 +214,17 @@ def _svg_line_chart(path: Path, title: str, series: list[tuple[str, list, list]]
             f'<text x="{ml - 6}" y="{sy(yv) + 4:.1f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{yv:.4g}</text>'
         )
+    # the points take sx's and sy's operations in their order, inlined,
+    # and one %-format, which prints a float as f"{v:.2f}" does
+    x_span, x_scale = x_hi - x_lo, width - ml - mr
+    y_span, y_scale, y_base = y_hi - y_lo, height - mt - mb, height - mb
     for i, (label, xs, ys) in enumerate(series):
         color = palette[i % len(palette)]
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+        n = min(len(xs), len(ys))
+        coords = [0.0] * (2 * n)
+        coords[0::2] = [ml + (x - x_lo) / x_span * x_scale for x in xs[:n]]
+        coords[1::2] = [y_base - (y - y_lo) / y_span * y_scale for y in ys[:n]]
+        pts = " ".join(["%.2f,%.2f"] * n) % tuple(coords)
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
         parts.append(
             f'<text x="{width - mr - 6}" y="{mt + 16 + 16 * i}" text-anchor="end" '

@@ -310,6 +310,27 @@ def test_snapshot_roundtrip_property(tmp_path_factory, data, g, t):
     assert back.values.tobytes() == values.tobytes()
 
 
+def savetxt_snapshot(f, t, path):
+    """The snapshot writer as it was first written, on np.savetxt."""
+    g = f.grid
+    header = " ".join([str(g.dim)] + [str(k) for k in g.n] + [f"{ell:.17g}" for ell in g.length] + [f"{t:.17g}"])
+    np.savetxt(path, f.values.reshape(-1, g.n[-1]), fmt="%.17g", header=header, comments="")
+
+
+# 0.1, 1/3 and 2/3 print 17 significant digits under %.17g
+SNAPSHOT_VALUES = st.sampled_from((0.0, -0.0, 1e-300, 1e300, 0.1, 1.0 / 3.0, 2.0 / 3.0)) | st.floats(1e-300, 1e300)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), g=grids(), t=st.floats(0.0, 1e6))
+def test_snapshot_bytes_are_those_of_savetxt_property(tmp_path_factory, data, g, t):
+    f = g.field(data.draw(arrays(np.float64, g.n, elements=SNAPSHOT_VALUES)))
+    folder = tmp_path_factory.mktemp("snap")
+    write_snapshot(f, t, folder / "new.txt")
+    savetxt_snapshot(f, t, folder / "reference.txt")
+    assert (folder / "new.txt").read_bytes() == (folder / "reference.txt").read_bytes()
+
+
 def test_snapshot_header_format(tmp_path):
     g = Grid.uniform(1, 4, 1.0)
     path = tmp_path / "s.txt"
