@@ -221,14 +221,12 @@ def certify(p: ModelParams, v0_sup: float) -> StabilizationCertificate:
     disc = math.sqrt(q * q + chi_sq * m2_relaxed * m2_relaxed)
     if math.isfinite(disc):
         s_plus = 0.5 * chi_sq * m2_relaxed * m2_relaxed / (q + disc) if q > 0 else 0.5 * (disc - q)
-    elif q > 0:  # small chi (see above)
+    else:  # small chi (see above)
         scaled_q = (4.0 * p.d2 / (p.b * p.b) + p.d2 * ss.v_star * p.a / (p.b * m2_relaxed)) / ss.u_star \
             - p.d1 / m2_relaxed
         chi_sq_m2r = 0.5 * (chi_sq * m2p + root / (2.0 * ss.u_star))
         s_plus = 0.5 * chi_sq_m2r / (scaled_q + math.hypot(scaled_q, p.chi))
-    else:  # chi m2r overflows its square, q does not
-        s_plus = 0.5 * (math.hypot(q, p.chi * m2_relaxed) - q)
-    m2_relaxed = min(m2_relaxed, sys.float_info.max)
+        m2_relaxed = min(m2_relaxed, sys.float_info.max)
     delta = 0.99 * min(p.a / p.b, 1.0 - m2p / m2_relaxed, ss.u_star * (p.d1 - s_plus))
     settle_cap = (1.0 - delta) * m2_relaxed
     if delta <= 0 or settle_cap <= m2p:  # only rounding at the threshold edge gets here

@@ -829,38 +829,6 @@ def test_advance_discards_an_inadmissible_rkl2_step(monkeypatch, field, value):
     assert u1.tobytes() == u_ssp.tobytes() and v1.tobytes() == v_ssp.tobytes()
 
 
-def test_advance_runs_each_limiter_pass_once(monkeypatch):
-    rough = np.random.default_rng(92)
-    cases = [
-        # an IMEX step kept, an SSP-RK step, and an IMEX step discarded for one
-        (np.full(16, 0.5), np.full(16, 1.0), WORKED),
-        (np.ones(16), np.ones(16), replace(SLOW, m1=10.0, b=10.0)),
-        (rough.uniform(0.0, 3.0, 16), rough.uniform(0.0, 3.0, 16), WORKED),
-    ]
-    passes = {"_accuracy_bound": [], "_positivity_bound": []}
-
-    def counting(name):
-        bound = getattr(dynamics, name)
-
-        def counted(*args):
-            passes[name].append(args)
-            return bound(*args)
-        return counted
-
-    for name in passes:
-        monkeypatch.setattr(dynamics, name, counting(name))
-    kinds = []
-    for u, v, p in cases:
-        for calls in passes.values():
-            calls.clear()
-        acc = StepAccounting()
-        advance(np.stack((u, v)), 0.0, 1.0, StepPlan(ROUGH, p, TaxisScheme.UPWIND), acc)
-        for calls in passes.values():
-            assert len(calls) == 1
-        kinds.append((acc.imex_steps, acc.imex_rejected))
-    assert kinds == [(1, 0), (0, 0), (0, 1)]
-
-
 def recording_bounds(mp, formed):
     """Patch advance's two bound functions to append (name, value) to
     formed for every bound they return."""
@@ -870,6 +838,28 @@ def recording_bounds(mp, formed):
             formed.append((name, value(result)))
             return result
         mp.setattr(dynamics, name, recorded)
+
+
+def test_advance_runs_each_limiter_pass_once(monkeypatch):
+    rough = np.random.default_rng(92)
+    cases = [
+        # an IMEX step kept, an SSP-RK step, and an IMEX step discarded for one
+        (np.full(16, 0.5), np.full(16, 1.0), WORKED),
+        (np.ones(16), np.ones(16), replace(SLOW, m1=10.0, b=10.0)),
+        (rough.uniform(0.0, 3.0, 16), rough.uniform(0.0, 3.0, 16), WORKED),
+    ]
+    formed = []
+    recording_bounds(monkeypatch, formed)
+    kinds = []
+    for u, v, p in cases:
+        formed.clear()
+        acc = StepAccounting()
+        advance(np.stack((u, v)), 0.0, 1.0, StepPlan(ROUGH, p, TaxisScheme.UPWIND), acc)
+        for bound in ("_accuracy_bound", "_positivity_bound"):
+            calls = [name for name, _ in formed if name == bound]
+            assert len(calls) == 1
+        kinds.append((acc.imex_steps, acc.imex_rejected))
+    assert kinds == [(1, 0), (0, 0), (0, 1)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -1252,6 +1242,29 @@ def test_peak_v_includes_initial_state():
     acc = StepAccounting()
     run_to_time(s, p, TaxisScheme.UPWIND, t_end=0.5, sample_every=0.5, accounting=acc)
     assert acc.peak_v == 3.0
+
+
+@pytest.mark.parametrize("u0", [0.5, 3.0], ids=["prey-rising", "predator-above"])
+def test_peak_v_is_the_largest_prey_value_of_any_step_end(monkeypatch, u0):
+    """peak_v is the running maximum of v over the initial state and every
+    step end, not of u: with u0 = 0.5 the prey grows past its start, and
+    with u0 = 3 it decays while u stays above it."""
+    seen, stepper = [], dynamics.advance
+
+    def recorded(y, t, t_end, plan, accounting):
+        y_new, dt = stepper(y, t, t_end, plan, accounting)
+        seen.append(float(y_new[1].max()))
+        return y_new, dt
+
+    monkeypatch.setattr(dynamics, "advance", recorded)
+    x = np.cos(np.pi * ROUGH.centers(0))
+    s = make_state(np.full(16, u0) + 0.1 * x, 0.5 - 0.25 * x)
+    acc = StepAccounting()
+    run_to_time(s, WORKED, TaxisScheme.UPWIND, t_end=2.0, sample_every=0.5, accounting=acc)
+    v0_max = float(s.v.values.max())
+    assert len(seen) == acc.steps > 1
+    assert acc.peak_v == max(v0_max, *seen)
+    assert (acc.peak_v > v0_max) == (u0 == 0.5)
 
 
 def test_random_runs_respect_bounds():
