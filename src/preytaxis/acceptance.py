@@ -161,8 +161,8 @@ def _criterion_3() -> tuple[bool, str]:
 
 def homogeneous_errors() -> list[tuple[str, float]]:
     """(label, max relative error) of criterion 4's two spatially constant
-    runs (8 cells, t = 10, sampled every 0.5) against the adaptive RK45
-    reference at the recorded sample times."""
+    runs (8 cells, t = 10, sampled every 0.5) against the RK4 reference,
+    oracle.homogeneous_ode, at the recorded sample times."""
     errors = []
     for label, m2 in (("coexistence", 2.0), ("extinction", 0.5)):
         p = ModelParams(d1=1.0, d2=1.0, m1=1.0, m2=m2, chi=1.0, a=1.0, b=1.0)
@@ -188,7 +188,7 @@ def _criterion_4() -> tuple[bool, str]:
     errors = homogeneous_errors()
     worst = max(err for _, err in errors)
     notes = ", ".join(f"{label} {err:.2e}" for label, err in errors)
-    return worst <= 1e-4, f"max rel err vs adaptive RK45: {notes} (cap 1e-4)"
+    return worst <= 1e-4, f"max rel err vs RK4 reference: {notes} (cap 1e-4)"
 
 
 # --- 5: prey maximum principle ------------------------------------------------

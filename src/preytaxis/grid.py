@@ -75,10 +75,10 @@ class Grid:
         for ell in self.length:
             if not (math.isfinite(ell) and ell > 0):
                 raise ValueError(f"axis lengths must be finite and > 0 (got {self.length})")
-        for h in self.h:  # the stepper's flux and diffusion constants hold 1/h^2
-            if h * h == 0.0 or math.isinf(1.0 / (h * h)):
+        for h in self.h:  # the stepper's largest DCT eigenvalue magnitude is 4/h^2
+            if h * h == 0.0 or math.isinf(4.0 / (h * h)):
                 raise ValueError(
-                    f"each cell size h = length/n needs a finite 1/h^2, so h >= 7.46e-155 (got h = {h:.6g})")
+                    f"each cell size h = length/n needs a finite 4/h^2, so h >= 1.5e-154 (got h = {h:.6g})")
 
     @staticmethod
     def uniform(dim: int, n: int, length: float) -> "Grid":

@@ -1,14 +1,9 @@
 """Independent reference computations used to cross-check the solver.
 
 Nothing here shares stepping code with the dynamics module: the
-space-free reaction system is integrated by scipy's adaptive embedded
-Runge-Kutta 4(5), and the pure-diffusion reference is the closed-form
-zero-flux heat eigenmode.
-
-scipy is imported on the first homogeneous_ode call, not with this
-module: importing scipy.integrate costs about 0.5 s, more than the rest
-of the start-up to a run's first step, and only the ODE cross-check
-(acceptance criterion 4) needs it.
+space-free reaction system is integrated by classical fourth-order
+Runge-Kutta in plain Python floats, and the pure-diffusion reference is
+the closed-form zero-flux heat eigenmode.
 """
 
 from __future__ import annotations
@@ -30,8 +25,10 @@ __all__ = [
 ]
 
 
-# Local relative tolerance of the reference ODE integration.
-_ODE_REL_TOL = 1e-10
+# Fixed RK4 substep of the reference ODE, and the relative gap allowed
+# between its passes at _SUBSTEP and _SUBSTEP / 2.
+_SUBSTEP = 5e-4
+_SELF_CHECK_REL = 1e-12
 
 
 class DegenerateInput(ValueError):
@@ -56,37 +53,61 @@ def homogeneous_ode(
 
     du/dt = u (m1 - u + a v),  dv/dt = v (m2 - b u - v),
 
-    integrated with an adaptive embedded RK 4(5) pair at local relative
-    tolerance _ODE_REL_TOL, absolute tolerance 1e-3 of it.  t_eval
-    optionally pins the output times.
-
-    solve_ivp is imported here rather than at module top so that
-    importing the package does not load scipy (see the module docstring).
+    at the output times t_eval (nondecreasing, within [0, t_end]; by
+    default (0, t_end)).  Classical RK4 (Hairer, Norsett & Wanner,
+    Solving ODEs I, II.1) steps from each output time to the next in
+    equal steps of at most _SUBSTEP, then again at half that.  The
+    half-step pass is returned; RuntimeError unless every output of the
+    two passes is finite and agrees within _SELF_CHECK_REL relative, so
+    rates the substep cannot resolve raise instead of returning a value.
     """
-    from scipy.integrate import solve_ivp
+    if not (math.isfinite(u0) and math.isfinite(v0) and u0 >= 0 and v0 >= 0):
+        raise ValueError(f"initial values must be finite and >= 0 (got {u0}, {v0})")
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be finite and > 0 (got {t_end})")
+    times = np.array((0.0, t_end) if t_eval is None else t_eval, dtype=float)
+    if times.ndim != 1 or not (np.all(times >= 0) and np.all(times <= t_end) and np.all(np.diff(times) >= 0)):
+        raise ValueError(f"t_eval must be nondecreasing within [0, {t_end}] (got {t_eval})")
+    y0, t_out = (float(u0), float(v0)), times.tolist()
+    coarse = _rk4(*y0, p, t_out, _SUBSTEP)
+    fine = _rk4(*y0, p, t_out, 0.5 * _SUBSTEP)
+    for t, c, f in zip(t_out, coarse, fine):
+        if not all(math.isfinite(y) and abs(y - x) <= _SELF_CHECK_REL * abs(y) for x, y in zip(c, f)):
+            raise RuntimeError(
+                f"reference RK4 unresolved at substep {_SUBSTEP}: (u, v) at t = {t} is {c}, "
+                f"and {f} at half the substep")
+    u, v = np.array(fine, dtype=float).reshape(-1, 2).T
+    return OdeTrajectory(times=times, u=u, v=v)
 
-    if u0 < 0 or v0 < 0:
-        raise ValueError(f"initial values must be >= 0 (got {u0}, {v0})")
-    if t_end <= 0:
-        raise ValueError(f"t_end must be > 0 (got {t_end})")
 
-    def rates(_t, y):
-        u, v = y
-        return [u * (p.m1 - u + p.a * v), v * (p.m2 - p.b * u - v)]
-
-    sol = solve_ivp(
-        rates,
-        (0.0, t_end),
-        [u0, v0],
-        method="RK45",
-        rtol=_ODE_REL_TOL,
-        atol=_ODE_REL_TOL * 1e-3,
-        t_eval=t_eval,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise RuntimeError(f"reference integrator failed: {sol.message}")
-    return OdeTrajectory(times=sol.t, u=sol.y[0], v=sol.y[1])
+def _rk4(u: float, v: float, p: ModelParams, times: list[float], substep: float) -> list[tuple[float, float]]:
+    """(u, v) at each of times by classical RK4 from 0, each gap between
+    consecutive times cut into ceil(gap / substep) equal steps."""
+    m1, a, m2, b = float(p.m1), float(p.a), float(p.m2), float(p.b)
+    out = []
+    t = cu = cv = 0.0
+    for t_next in times:
+        n = math.ceil((t_next - t) / substep)
+        dt = (t_next - t) / n if n else 0.0
+        half, sixth = 0.5 * dt, dt / 6.0
+        for _ in range(n):
+            ku1, kv1 = u * (m1 - u + a * v), v * (m2 - b * u - v)
+            u2, v2 = u + half * ku1, v + half * kv1
+            ku2, kv2 = u2 * (m1 - u2 + a * v2), v2 * (m2 - b * u2 - v2)
+            u3, v3 = u + half * ku2, v + half * kv2
+            ku3, kv3 = u3 * (m1 - u3 + a * v3), v3 * (m2 - b * u3 - v3)
+            u4, v4 = u + dt * ku3, v + dt * kv3
+            ku4, kv4 = u4 * (m1 - u4 + a * v4), v4 * (m2 - b * u4 - v4)
+            # compensated sums: near a stable state the increment falls
+            # below half an ulp of u, and a plain sum would stall there
+            du = sixth * (ku1 + 2.0 * (ku2 + ku3) + ku4) - cu
+            dv = sixth * (kv1 + 2.0 * (kv2 + kv3) + kv4) - cv
+            u_new, v_new = u + du, v + dv
+            cu, cv = (u_new - u) - du, (v_new - v) - dv
+            u, v = u_new, v_new
+        out.append((u, v))
+        t = t_next
+    return out
 
 
 def heat_eigenmode_error(n_cells: int, k: int, d: float, t: float) -> float:

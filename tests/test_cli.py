@@ -61,7 +61,21 @@ def test_run_invalid_value_is_usage_error(tmp_path):
 def test_run_with_a_cell_size_whose_inverse_square_overflows_is_usage_error(tmp_path, capsys):
     cfg, out = write_cfg(tmp_path, extra="grid.length = 1e-300\n")
     assert main(["run", str(cfg)]) == 3
-    assert "finite 1/h^2, so h >= 7.46e-155" in capsys.readouterr().err
+    assert "finite 4/h^2, so h >= 1.5e-154" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_run_whose_largest_dct_eigenvalue_overflows_is_usage_error(tmp_path, capsys):
+    """h = 8e-155 has a finite 1/h^2 but not 4/h^2, the largest magnitude
+    among the DCT eigenvalues the IMEX solve divides by: a configuration
+    error before any numpy overflow, not a blow-up."""
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid.n = 4\ngrid.length = 3.2e-154\nrun.t_end = 0.2\nrun.sample_every = 0.1\n"
+                   f"output.dir = {out}\n")
+    assert main(["run", str(cfg)]) == 3
+    assert "got h = 8e-155" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import preytaxis.oracle as oracle
 from preytaxis import (
@@ -11,6 +13,7 @@ from preytaxis import (
     ModelParams,
     heat_eigenmode_error,
     homogeneous_ode,
+    logistic_comparison,
     refinement_order,
     steady_states,
 )
@@ -47,11 +50,66 @@ def test_ode_honors_t_eval():
     assert traj.u.shape == times.shape
 
 
+def test_ode_default_output_times_are_0_and_t_end():
+    traj = homogeneous_ode(1.0, 0.5, WORKED, t_end=3.0)
+    assert traj.times.tolist() == [0.0, 3.0]
+    assert (traj.u[0], traj.v[0]) == (1.0, 0.5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    m1=st.floats(0.01, 2.0),
+    # |m2| >= 0.01: nearer 0 the closed form cancels (1/m2 against itself)
+    m2=st.just(0.0) | st.floats(-2.0, -0.01) | st.floats(0.01, 2.0),
+    ab=st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)),
+    y0=st.floats(1e-6, 2.0),
+    t_end=st.floats(0.01, 10.0),
+)
+def test_ode_matches_the_logistic_closed_form_on_either_axis(m1, m2, ab, y0, t_end):
+    """With one species absent the other is logistic with its own rate:
+    v' = v (m2 - v) when u = 0, and u' = u (m1 - u) when v = 0."""
+    p = ModelParams(d1=1.0, d2=1.0, m1=m1, m2=m2, chi=1.0, a=ab[0], b=ab[1])
+    times = np.linspace(0.0, t_end, 6)
+    traj = homogeneous_ode(0.0, y0, p, t_end, t_eval=times)
+    assert np.all(traj.u == 0.0)
+    exact = logistic_comparison(y0, m2, times)
+    assert np.max(np.abs(traj.v - exact) / exact) <= 1e-12
+    traj = homogeneous_ode(y0, 0.0, p, t_end, t_eval=times)
+    assert np.all(traj.v == 0.0)
+    exact = logistic_comparison(y0, m1, times)
+    assert np.max(np.abs(traj.u - exact) / exact) <= 1e-12
+
+
+@pytest.mark.parametrize("m1", [100.0, 1e4, 1e5])
+def test_ode_raises_where_the_fixed_substep_cannot_resolve_the_rates(m1):
+    """At the predator's equilibrium u = m1 the rate is -m1.  At m1 = 100
+    both passes stay finite but differ by about 5e-6 relative; at 1e4 the
+    substep times the rate lies past RK4's stability limit (about 2.79),
+    so the substep pass blows up; at 1e5 both passes do."""
+    p = ModelParams(d1=1.0, d2=1.0, m1=m1, m2=1.0, chi=1.0, a=1.0, b=1.0)
+    with pytest.raises(RuntimeError, match="unresolved"):
+        homogeneous_ode(1.0, 1.0, p, t_end=1.0)
+
+
+def test_ode_refuses_an_infinite_half_substep_pass(monkeypatch):
+    """Any x is within 1e-12 * inf of inf, so the check must refuse an
+    infinite value by its finiteness, not by the gap."""
+    def rk4(u, v, p, times, substep):
+        return [(1.0 if substep == oracle._SUBSTEP else math.inf, v)] * len(times)
+
+    monkeypatch.setattr(oracle, "_rk4", rk4)
+    with pytest.raises(RuntimeError, match="unresolved"):
+        homogeneous_ode(1.0, 1.0, WORKED, t_end=1.0)
+
+
 def test_ode_input_validation():
     with pytest.raises(ValueError):
         homogeneous_ode(-0.1, 1.0, WORKED, t_end=1.0)
     with pytest.raises(ValueError):
         homogeneous_ode(1.0, 1.0, WORKED, t_end=0.0)
+    for t_eval in ([0.0, 2.0], [1.0, 0.5], [-0.5, 1.0]):
+        with pytest.raises(ValueError):
+            homogeneous_ode(1.0, 1.0, WORKED, t_end=1.0, t_eval=t_eval)
 
 
 def test_heat_error_matches_analytic_form():
