@@ -35,7 +35,10 @@ diffusion implicit, so diffusion no longer bounds the step.  The
 orthonormal DCT-II diagonalises the zero-flux Laplacian of a uniform
 axis exactly (Strang, SIAM Review 41, 1999), so each implicit solve is
 two dense transforms and a division, and a step costs two right-hand
-sides and four transforms, whatever its length.
+sides and four transforms, whatever its length.  The positivity bound
+takes a pass over the prey per axis, so advance forms it only for a dt
+at or under its ceiling, the same rate sums without the prey's jumps
+between cells: a longer dt is above the bound, and IMEX.
 
 One admissibility rule judges both methods, and the stepper never
 repairs a state: every cell of a kept step is finite, nonnegative and at
@@ -213,7 +216,11 @@ class StepPlan:
     1/h^2 finite.
 
     What imex_step reuses: dct, per axis the orthonormal DCT-II matrix
-    C[k, j] = c_k cos(pi k (j + 1/2)/n), c_0 = sqrt(1/n), else sqrt(2/n);
+    C[k, j] = c_k cos(pi k (j + 1/2)/n), c_0 = sqrt(1/n), else sqrt(2/n),
+    and dct_t, per axis the C-contiguous copy of C^T.  The transforms
+    multiply by C^T as often as by C, and OpenBLAS takes the product of
+    the (2 n_0, n_1) rows of a 64^2 state with a contiguous copy in 17.5
+    us against 25 us with the strided view C.T, with the same bits;
     eigenvalues, mu = sum_ax -(2 - 2 cos(pi k_ax/n_ax))/h_ax^2, shaped
     grid.n, so the Laplacian is C^T diag(mu) C along every axis; and
     spectral, three work arrays shaped like the state.  Grid caps each
@@ -225,7 +232,7 @@ class StepPlan:
     C/J floor, before the first estimate), and rates, the right-hand side
     at the state advance returned when it formed it."""
 
-    __slots__ = ("grid", "p", "taxis", "shape", "faces", "axes", "reactions", "dct", "eigenvalues", "spectral",
+    __slots__ = ("grid", "p", "taxis", "shape", "faces", "axes", "reactions", "dct", "dct_t", "eigenvalues", "spectral",
                  "longest", "proposal", "rates")
 
     def __init__(self, grid: Grid, p: ModelParams, taxis: TaxisScheme, longest: float = 0.0):
@@ -239,6 +246,7 @@ class StepPlan:
         )
         self.reactions = _reaction_coefficients(p)
         self.dct = tuple(_dct_matrix(n) for n in grid.n)
+        self.dct_t = tuple(np.ascontiguousarray(c.T) for c in self.dct)
         self.eigenvalues = functools.reduce(np.add.outer, (
             -(2.0 * np.sin(0.5 * np.pi * np.arange(n) / n) / h) ** 2 for n, h in zip(grid.n, grid.h)))
         self.spectral = tuple(np.empty(self.shape) for _ in range(3))
@@ -352,7 +360,9 @@ def step_bounds(u, v, grid: Grid, p: ModelParams) -> tuple[float, float]:
     sample interval, where advance forms no estimate.
 
     advance forms the two bounds apart, from the same private functions,
-    so that it forms positivity only where it decides the step.
+    so that it forms positivity only where it can decide the step: for a
+    dt at or under the positivity ceiling, these rate sums without the
+    donor-drift jump terms, which needs no pass over the cells.
     """
     accuracy, react_u, react_v = _accuracy_bound(u, v, p)
     return _positivity_bound(v, float(v.max()), react_u, react_v, grid, p), accuracy
@@ -391,11 +401,26 @@ def _accuracy_bound(u, v, p: ModelParams) -> tuple[float, float, float]:
 def _positivity_bound(v, v_max: float, react_u: float, react_v: float, grid: Grid, p: ModelParams) -> float:
     """step_bounds' positivity bound at prey v, v_max = max v, from the
     per-capita reaction rates _accuracy_bound returns."""
+    jumps = [float(np.abs(np.diff(v, axis=ax)).max()) for ax in range(grid.dim)]
+    return _rate_bound(v_max, react_u, react_v, grid, p, jumps)
+
+
+def _positivity_ceiling(v_max: float, react_u: float, react_v: float, grid: Grid, p: ModelParams) -> float:
+    """_positivity_bound's rate sums with every donor-drift jump 0, from
+    scalars advance already holds.  Each sum then takes the same
+    operations on operands no larger, and rounding is monotone, so the
+    ceiling is >= the positivity bound bit for bit, and equal to it where
+    v has no jumps: a dt above it is longer than the bound."""
+    return _rate_bound(v_max, react_u, react_v, grid, p, [0.0] * grid.dim)
+
+
+def _rate_bound(v_max: float, react_u: float, react_v: float, grid: Grid, p: ModelParams, jumps) -> float:
+    """STEP_SAFETY (STAGES - 1) / max(rate_u, rate_v), with step_bounds'
+    rate sums and jumps[ax] the largest |v_R - v_L| along axis ax."""
     rate_u = react_u
     rate_v = max(react_v, 2.0 * v_max - p.m2)
-    for ax, h in enumerate(grid.h):
+    for h, jump in zip(grid.h, jumps):
         two_over_h2 = 2.0 / (h * h)
-        jump = float(np.abs(np.diff(v, axis=ax)).max())
         rate_u += two_over_h2 * (p.d1 + p.chi * (v_max + jump))
         rate_v += two_over_h2 * p.d2
     return STEP_SAFETY * ((STAGES - 1) / max(rate_u, rate_v))
@@ -458,13 +483,14 @@ def _transform(plan: StepPlan, x: np.ndarray, out: np.ndarray, inverse: bool = F
     """Write the orthonormal DCT-II of the stacked x along every axis into
     out (inverse: the transpose, which undoes it), one matmul per axis,
     the last axis's over all rows at once; in 2-D that one goes into
-    plan.spectral[2].  x is left alone."""
-    *first, last = plan.dct
-    n = last.shape[0]
-    mid = plan.spectral[2] if first else out
-    np.matmul(x.reshape(-1, n), last if inverse else last.T, out=mid.reshape(-1, n))
-    if first:
-        np.matmul(first[0].T if inverse else first[0], mid, out=out)
+    plan.spectral[2].  Each matmul takes plan.dct or plan.dct_t, never a
+    transposed view.  x is left alone."""
+    right, left = (plan.dct, plan.dct_t) if inverse else (plan.dct_t, plan.dct)
+    n = right[-1].shape[0]
+    mid = plan.spectral[2] if len(right) > 1 else out
+    np.matmul(x.reshape(-1, n), right[-1], out=mid.reshape(-1, n))
+    if len(left) > 1:
+        np.matmul(left[0], mid, out=out)
 
 
 def imex_step(y: np.ndarray, plan: StepPlan, dt: float, rates: np.ndarray | None = None,
@@ -520,13 +546,14 @@ def imex_step(y: np.ndarray, plan: StepPlan, dt: float, rates: np.ndarray | None
 def _defect(y0, y1, rates0, rates1, dt: float) -> float:
     """max over cells of |y1 - y0 - (dt/2)(rates0 + rates1)| / (1 + |y1|):
     the trapezoidal defect, relative to its size, over both fields of the
-    stacked states."""
+    stacked states.  y1 has passed the admissibility rule, so it is >= 0
+    and 1 + y1 is 1 + |y1| (1 + -0.0 is 1)."""
     e = rates0 + rates1
     e *= -0.5 * dt
     e += y1
     e -= y0
     np.abs(e, out=e)
-    e /= 1.0 + np.abs(y1)
+    e /= 1.0 + y1
     return float(e.max())
 
 
@@ -565,9 +592,14 @@ def advance(y: np.ndarray, t: float, t_end: float, plan: StepPlan,
     plan.rates when it holds L(Y0).
 
     accuracy is formed on every step, positivity only where it can decide
-    the method: for a dt no longer than accuracy, and for the fallback.
-    A kept IMEX step longer than accuracy forms neither positivity nor
-    its donor-drift jumps.  max v is reduced once, for both bounds, the
+    the method: for a dt no longer than accuracy and no longer than the
+    positivity ceiling, and for the fallback.  The ceiling is positivity's
+    rate sums without the donor-drift jump terms, formed from max v and
+    the per-capita reaction rates the accuracy bound returns; rounding is
+    monotone, so it is >= positivity bit for bit, and a dt above it is
+    IMEX, as it would be with positivity formed.  A kept IMEX step above
+    the ceiling or longer than accuracy forms neither positivity nor its
+    donor-drift jumps.  max v is reduced once, for both bounds, the
     IMEX step's cap and the admissibility cap, and the row maxima of the
     new state once, for its admissibility and peak_v.
 
@@ -596,7 +628,7 @@ def advance(y: np.ndarray, t: float, t_end: float, plan: StepPlan,
         if rates is None:
             rates = rhs(y, plan)
             accounting.rhs_evaluations += 1
-        if limit is None and dt <= accuracy:
+        if limit is None and dt <= accuracy and dt <= _positivity_ceiling(v_max, react_u, react_v, plan.grid, p):
             limit = min(_positivity_bound(v, v_max, react_u, react_v, plan.grid, p), accuracy)
         if limit is not None and dt <= limit:
             y_new, maxima = _ssp_step(y, t, plan, dt, rates)

@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 
-MAX_AXIS_CELLS = 4096  # the stepper's dense DCT-II matrix of an axis holds n^2 doubles: 128 MiB at 4096
+MAX_AXIS_CELLS = 4096  # the stepper keeps an axis's dense DCT-II matrix and its transpose, 2 n^2 doubles: 256 MiB at 4096
 
 
 @dataclass(frozen=True)

@@ -164,8 +164,10 @@ def per_field_step(u, v, g, p, taxis, dt):
     return u_new + (u - u_new) / STAGES, v_new + (v - v_new) / STAGES
 
 
-def written_step_bounds(u, v, g, p):
-    """(positivity, accuracy) as dynamics.step_bounds was first written."""
+def written_step_bounds(u, v, g, p, jumps=True):
+    """(positivity, accuracy) as dynamics.step_bounds was first written;
+    jumps=False takes every donor-drift jump as 0, which makes positivity
+    the ceiling advance gates it with."""
     v_max = float(v.max())
     rate_u = float(np.abs(p.m1 - u + p.a * v).max())
     react_v = float(np.abs(p.m2 - p.b * u - v).max())
@@ -173,7 +175,7 @@ def written_step_bounds(u, v, g, p):
     rate_v = max(react_v, 2.0 * v_max - p.m2)
     for ax, h in enumerate(g.h):
         two_over_h2 = 2.0 / (h * h)
-        jump = float(np.abs(np.diff(v, axis=ax)).max())
+        jump = float(np.abs(np.diff(v, axis=ax)).max()) if jumps else 0.0
         rate_u += two_over_h2 * (p.d1 + p.chi * (v_max + jump))
         rate_v += two_over_h2 * p.d2
     rate = max(rate_u, rate_v)

@@ -673,14 +673,18 @@ def dense_operator(f, shape):
 @settings(max_examples=100, deadline=None)
 @given(n=st.lists(st.integers(4, 40), min_size=1, max_size=2), length=st.floats(0.1, 10.0),
        seed=st.integers(0, 2**32 - 1))
+@example(n=[12, 8], length=1.5, seed=0)
 def test_plan_dct_diagonalises_the_zero_flux_laplacian_property(n, length, seed):
     """The plan's per-axis DCT-II matrices are orthonormal, and
     C^T diag(mu) C, applied along every axis, is laplacian_values to
-    rounding, on 1-D and non-square 2-D grids."""
+    rounding, on 1-D and non-square 2-D grids.  Each stored transpose is
+    C-contiguous and holds its matrix's transpose exactly."""
     g = Grid(tuple(n), (length,) * len(n))
     plan = StepPlan(g, WORKED, TaxisScheme.UPWIND)
-    for c, cells in zip(plan.dct, g.n):
+    assert len(plan.dct) == len(plan.dct_t) == g.dim
+    for c, c_t, cells in zip(plan.dct, plan.dct_t, g.n):
         assert c.shape == (cells, cells)
+        assert c_t.flags.c_contiguous and np.array_equal(c_t, c.T)
         assert np.abs(c @ c.T - np.eye(cells)).max() <= 1e-13
     assert plan.eigenvalues.shape == g.n
     x = np.random.default_rng(seed).uniform(-1.0, 1.0, (3, *g.n))
@@ -841,6 +845,10 @@ def recording_bounds(mp, formed):
 
 
 def test_advance_runs_each_limiter_pass_once(monkeypatch):
+    """accuracy is formed once per step, and positivity at most once: not
+    for the kept IMEX step, whose C/J is above the positivity ceiling,
+    and once for the SSP-RK step and for the fallback after a discarded
+    IMEX step."""
     rough = np.random.default_rng(92)
     cases = [
         # an IMEX step kept, an SSP-RK step, and an IMEX step discarded for one
@@ -855,11 +863,12 @@ def test_advance_runs_each_limiter_pass_once(monkeypatch):
         formed.clear()
         acc = StepAccounting()
         advance(np.stack((u, v)), 0.0, 1.0, StepPlan(ROUGH, p, TaxisScheme.UPWIND), acc)
-        for bound in ("_accuracy_bound", "_positivity_bound"):
-            calls = [name for name, _ in formed if name == bound]
-            assert len(calls) == 1
-        kinds.append((acc.imex_steps, acc.imex_rejected))
-    assert kinds == [(1, 0), (0, 0), (0, 1)]
+        kinds.append((acc.imex_steps, acc.imex_rejected, [name for name, _ in formed]))
+    assert kinds == [
+        (1, 0, ["_accuracy_bound"]),
+        (0, 0, ["_accuracy_bound", "_positivity_bound"]),
+        (0, 1, ["_accuracy_bound", "_positivity_bound"]),
+    ]
 
 
 @settings(max_examples=100, deadline=None)
@@ -890,15 +899,70 @@ def test_advance_forms_the_bounds_of_step_bounds_bitwise_property(data, g, taxis
     assert formed[1:] in ([], [("_positivity_bound", positivity)])
 
 
-def test_a_run_of_steps_past_c_over_j_forms_the_positivity_bound_on_its_first_step_only(monkeypatch):
-    """From near the coexistence state the first step is C/J long, and the
-    error estimate accepts every later one past C/J, where no bound but
-    accuracy can decide the method: positivity is formed once."""
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), g=grids(), m2=st.sampled_from((2.0, 0.5)), chi=st.sampled_from((1.0, 1e-3)))
+def test_the_positivity_ceiling_is_the_bound_without_its_jumps_property(data, g, m2, chi):
+    """The ceiling advance forms from v_max and the per-capita reaction
+    rates is >= step_bounds' positivity bound bit for bit, and it is the
+    written bound with every donor-drift jump 0, under coexistence
+    (m2 = 2) and extinction (m2 = 1/2) parameters.  At chi = 1e-3 the
+    prey's rate sum, with its 2 v_max - m2 slope, can be the larger."""
+    u = data.draw(positive_fields(g, high=3.0))
+    v = data.draw(positive_fields(g, high=3.0))
+    p = replace(WORKED, m2=m2, chi=chi)
+    _, react_u, react_v = dynamics._accuracy_bound(u, v, p)
+    ceiling = dynamics._positivity_ceiling(float(v.max()), react_u, react_v, g, p)
+    assert ceiling >= step_bounds(u, v, g, p)[0]
+    assert ceiling == written_step_bounds(u, v, g, p, jumps=False)[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), g=grids(), taxis=st.sampled_from(TaxisScheme), m2=st.sampled_from((2.0, 0.5)))
+def test_a_run_gated_by_the_positivity_ceiling_is_the_run_that_always_forms_the_bound_property(data, g, taxis, m2):
+    """A run whose advance forms the positivity bound only at or under its
+    ceiling has the bits of one that forms it wherever dt is at most C/J
+    (the ceiling patched to inf): every sample, step length and counter."""
+    u = data.draw(positive_fields(g, high=3.0))
+    v = data.draw(positive_fields(g, high=3.0))
+    p = replace(WORKED, m2=m2)
+    s0 = State(g.field(u), g.field(v), 0.0)
+    stepper = dynamics.advance
+    runs = []
+    for ceiling in (dynamics._positivity_ceiling, lambda *args: math.inf):
+        samples, steps, acc = [], [], StepAccounting()
+
+        def recorded(y, t, t_end, plan, accounting):
+            y_new, dt = stepper(y, t, t_end, plan, accounting)
+            steps.append(dt)
+            return y_new, dt
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_positivity_ceiling", ceiling)
+            mp.setattr(dynamics, "advance", recorded)
+            final = run_to_time(s0, p, taxis, 0.5, 0.1, accounting=acc,
+                                sink=lambda t, y, count: samples.append((t, y.tobytes(), count)))
+        runs.append((samples, steps, acc, final.u.values.tobytes(), final.v.values.tobytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][2].steps > 0
+
+
+def test_a_run_of_steps_past_c_over_j_forms_the_positivity_bound_on_no_step(monkeypatch):
+    """From near the coexistence state the first step is C/J long, above
+    the positivity ceiling, so the ceiling decides it is IMEX; the error
+    estimate accepts every later one past C/J, where no bound but
+    accuracy can decide the method: positivity is never formed."""
     g = Grid((16, 16), (1.0, 1.0))
     w = np.cos(np.pi * g.meshcenters()[0])
     s0 = State(g.field(1.5 + 0.01 * w), g.field(0.5 - 0.01 * w), 0.0)
     formed, steps = [], []
     recording_bounds(monkeypatch, formed)
+    ceiling = dynamics._positivity_ceiling
+
+    def recorded_ceiling(*args):
+        formed.append(("_positivity_ceiling", ceiling(*args)))
+        return formed[-1][1]
+
+    monkeypatch.setattr(dynamics, "_positivity_ceiling", recorded_ceiling)
     stepper = dynamics.advance
 
     def recorded(y, t, t_end, plan, accounting):
@@ -912,8 +976,8 @@ def test_a_run_of_steps_past_c_over_j_forms_the_positivity_bound_on_its_first_st
     run_to_time(s0, WORKED, TaxisScheme.UPWIND, 2.0, 0.5, accounting=acc)
     assert acc.steps == len(steps) > 10
     (dt, first), *later = steps
-    assert [name for name, _ in first] == ["_accuracy_bound", "_positivity_bound"]
-    assert dt == first[0][1]
+    assert [name for name, _ in first] == ["_accuracy_bound", "_positivity_ceiling"]
+    assert dt == first[0][1] > first[1][1]
     for dt, bounds in later:
         assert [name for name, _ in bounds] == ["_accuracy_bound"]
         assert dt > bounds[0][1]

@@ -108,14 +108,14 @@ def test_run_scenario_blowup(tmp_path):
 
 def test_an_inadmissible_ssp_rk_step_ends_the_run_as_a_blowup(tmp_path, monkeypatch):
     """An SSP-RK step is kept only if admissible, as an IMEX step is.  With
-    a positivity bound 1000 times too long, advance takes SSP-RK steps at
-    the accuracy bound, and on a cosine profile the second goes negative."""
-    bound = dynamics._positivity_bound
+    a positivity bound and its ceiling 1000 times too long, advance takes
+    SSP-RK steps at the accuracy bound, and on a cosine profile the
+    second goes negative."""
+    for name in ("_positivity_bound", "_positivity_ceiling"):
+        def overlong(*args, bound=getattr(dynamics, name)):
+            return 1e3 * bound(*args)
 
-    def overlong_positivity(*args):
-        return 1e3 * bound(*args)
-
-    monkeypatch.setattr(dynamics, "_positivity_bound", overlong_positivity)
+        monkeypatch.setattr(dynamics, name, overlong)
     cosine = "initial.kind = cosine\ninitial.u_amp = 0.5\ninitial.v_amp = 0.5\n"
     config = small_config(cosine)
     acc = StepAccounting()
