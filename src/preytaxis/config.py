@@ -217,6 +217,16 @@ def build_config(items: dict[str, str]) -> RunConfig:
                 f"initial.{species}_base must exceed initial.{species}_amp for a positive cosine profile"
             )
 
+    # rhs's face coefficients are d2/h^2 and at most (d1 + chi V)/h^2, V
+    # the prey cap the run never exceeds; Grid only keeps 4/h^2 finite
+    h = min(grid.h)
+    prey_cap = max(initial.v_base + initial.v_amp, params.m2_plus)
+    if not (math.isfinite(params.d2 / (h * h)) and math.isfinite((params.d1 + params.chi * prey_cap) / (h * h))):
+        raise ValidationError(
+            f"grid: each cell size h = length/n needs finite flux coefficients d2/h^2 and (d1 + chi V)/h^2, "
+            f"with V = max(v_base + v_amp, max(0, m2)) = {prey_cap:.6g} (got h = {h:.6g})"
+        )
+
     t_end = _float(merged, "run.t_end")
     if t_end <= 0:
         raise ValidationError(f"run.t_end must be > 0 (got {t_end})")

@@ -79,6 +79,20 @@ def test_run_whose_largest_dct_eigenvalue_overflows_is_usage_error(tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_run_whose_flux_coefficient_overflows_is_usage_error(tmp_path, capsys):
+    """h = 1.6e-154 has a finite 4/h^2, but with d1 = 10 the predator's
+    face coefficient (d1 + chi V)/h^2 is not: a configuration error
+    before rhs multiplies inf by a zero difference, not a blow-up."""
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid.n = 4\ngrid.length = 6.4e-154\nparams.d1 = 10\nrun.t_end = 0.2\nrun.sample_every = 0.1\n"
+                   f"output.dir = {out}\n")
+    assert main(["run", str(cfg)]) == 3
+    assert "(d1 + chi V)/h^2, with V = max(v_base + v_amp, max(0, m2)) = 2 (got h = 1.6e-154)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_and_sweep_at_a_vanishing_chi_certify_the_chi_to_0_limit(tmp_path, monkeypatch):
     """At chi = 1e-300 and 1e-320 the certificate's delta is the limit
     0.99 min(a/b, 1, u* d1/2) = 0.7425, and its manifest is strict JSON."""

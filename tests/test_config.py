@@ -89,6 +89,24 @@ def test_validation_errors(text, fragment):
         parse_config(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "params.d2 = 10",
+        "initial.v_base = 4",
+        "initial.kind = cosine\ninitial.v_base = 2\ninitial.v_amp = 1.9",
+        "params.m2 = 4",
+    ],
+)
+def test_a_cell_size_whose_flux_coefficients_overflow_is_refused(text):
+    """At h = 1.6e-154, 4/h^2 is finite, but d2 = 10 makes d2/h^2
+    overflow, and a prey cap V = max(v_base + v_amp, max(0, m2)) of 3.9
+    or 4 makes (d1 + chi V)/h^2 overflow; h = 3e-154 takes all four."""
+    with pytest.raises(ValidationError, match="needs finite flux coefficients"):
+        parse_config("grid.n = 4\ngrid.length = 6.4e-154\n" + text)
+    parse_config("grid.n = 4\ngrid.length = 1.2e-153\n" + text)
+
+
 def test_scalar_broadcast_to_both_axes():
     cfg = parse_config("grid.dim = 2\ngrid.n = 32\ngrid.length = 4.0")
     assert cfg.grid.n == (32, 32)
