@@ -262,6 +262,11 @@ def logistic_comparison(v0_sup: float, m2: float, t):
         y(t) = 1 / (1/m2 + (1/v0_sup - 1/m2) * exp(-m2 t))   for m2 != 0
         y(t) = 1 / (1/v0_sup + t)                             for m2 == 0
 
+    The denominator is formed as exp(-m2 t)/v0_sup - expm1(-m2 t)/m2,
+    which has no two terms near 1/m2 to cancel when m2 is small.  A
+    nonzero |m2| so small that 1/m2 overflows (under 5.6e-309) takes the
+    m2 == 0 form, which differs from it by a relative O(|m2| t): there
+    -m2 t would lose its digits to underflow.
     Accepts scalar or array t >= 0.  Raises Degenerate if the expression
     in the denominator is not strictly positive (only possible for
     invalid sign combinations; a guard against returning garbage).
@@ -271,11 +276,11 @@ def logistic_comparison(v0_sup: float, m2: float, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
-    if m2 == 0.0:
+    if abs(m2) * sys.float_info.max < 1.0:  # m2 is 0, or 1/m2 overflows
         denom = 1.0 / v0_sup + t
     else:
         with np.errstate(over="ignore"):
-            denom = 1.0 / m2 + (1.0 / v0_sup - 1.0 / m2) * np.exp(-m2 * t)
+            denom = np.exp(-m2 * t) / v0_sup - np.expm1(-m2 * t) / m2
     if np.any(denom <= 0):
         raise Degenerate(f"comparison expression lost positivity (v0_sup={v0_sup}, m2={m2})")
     out = 1.0 / denom
@@ -285,7 +290,10 @@ def logistic_comparison(v0_sup: float, m2: float, t):
 def waiting_time(m: float, p: ModelParams, v0_sup: float) -> float:
     """Smallest T >= 0 with logistic_comparison(v0_sup, m2, t) <= m for all t >= T.
 
-    Solved by inverting the closed form.  The target must satisfy
+    Solved by inverting the closed form,
+    T = (log1p(-m2/v0_sup) - log1p(-m2/m))/m2, whose logarithms keep
+    their digits when m2 is small; where 1/m2 overflows, as in
+    logistic_comparison, T is the m2 == 0 one.  The target must satisfy
     m > max(0, m2): at or below the carrying level the bound never
     commits, and InvalidTarget is raised.
     """
@@ -297,7 +305,6 @@ def waiting_time(m: float, p: ModelParams, v0_sup: float) -> float:
         )
     if v0_sup <= m:
         return 0.0  # the bound starts (and stays) at or below the target
-    if p.m2 == 0.0:
+    if abs(p.m2) * sys.float_info.max < 1.0:  # m2 is 0, or 1/m2 overflows
         return 1.0 / m - 1.0 / v0_sup
-    ratio = (1.0 / m - 1.0 / p.m2) / (1.0 / v0_sup - 1.0 / p.m2)
-    return -math.log(ratio) / p.m2
+    return (math.log1p(-p.m2 / v0_sup) - math.log1p(-p.m2 / m)) / p.m2

@@ -276,6 +276,33 @@ def test_logistic_comparison_values():
     assert ys[-1] > 2.0
 
 
+def closed_form_logistic(v0_sup, m2, t):
+    """1/(1/m2 + (1/v0_sup - 1/m2) exp(-m2 t)) in 500-digit decimals."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 500
+        v0_sup, m2, t = decimal.Decimal(v0_sup), decimal.Decimal(m2), decimal.Decimal(t)
+        return float(1 / (1 / m2 + (1 / v0_sup - 1 / m2) * (-m2 * t).exp()))
+
+
+def closed_form_waiting_time(m, m2, v0_sup):
+    """-log((1/m - 1/m2)/(1/v0_sup - 1/m2))/m2 in 500-digit decimals."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 500
+        m, m2, v0_sup = decimal.Decimal(m), decimal.Decimal(m2), decimal.Decimal(v0_sup)
+        return float(-((1 / m - 1 / m2) / (1 / v0_sup - 1 / m2)).ln() / m2)
+
+
+@pytest.mark.parametrize("m2", [-1e-12, 1e-12, 1e-8, -3.09e-180, 6e-309, 5e-324, -5e-324])
+def test_logistic_comparison_and_waiting_time_keep_their_digits_at_a_small_m2(m2):
+    """Where 1/m2 is large the two terms near it cancelled: at m2 = -1e-12
+    the bound was 6.1e-5 off, waiting_time 8.9e-5 off at m2 = +-1e-12, and
+    m2 = -3.09e-180 raised Degenerate.  Where 1/m2 overflows both were
+    NaN, and -m2 t underflows there."""
+    for t in (0.75, 1.0):
+        assert logistic_comparison(1.0, m2, t) == pytest.approx(closed_form_logistic(1.0, m2, t), rel=1e-14)
+    assert waiting_time(2.0, params(m2=m2), 4.0) == pytest.approx(closed_form_waiting_time(2.0, m2, 4.0), rel=1e-14)
+
+
 def test_logistic_comparison_input_checks():
     with pytest.raises(ValueError):
         logistic_comparison(0.0, 2.0, 1.0)
