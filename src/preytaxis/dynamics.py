@@ -218,9 +218,10 @@ class StepPlan:
     What imex_step reuses: dct, per axis the orthonormal DCT-II matrix
     C[k, j] = c_k cos(pi k (j + 1/2)/n), c_0 = sqrt(1/n), else sqrt(2/n),
     and dct_t, per axis the C-contiguous copy of C^T.  The transforms
-    multiply by C^T as often as by C, and OpenBLAS takes the product of
-    the (2 n_0, n_1) rows of a 64^2 state with a contiguous copy in 17.5
-    us against 25 us with the strided view C.T, with the same bits;
+    multiply by C^T as often as by C, and OpenBLAS multiplies the
+    (2 n_0, n_1) rows of a 64^2 state by a contiguous copy in 17.5 us,
+    against 24.4 us by the strided view C.T, with the same bits (timeit
+    minima, one BLAS thread, 2 CPUs);
     eigenvalues, mu = sum_ax -(2 - 2 cos(pi k_ax/n_ax))/h_ax^2, shaped
     grid.n, so the Laplacian is C^T diag(mu) C along every axis; and
     spectral, three work arrays shaped like the state.  Grid caps each
