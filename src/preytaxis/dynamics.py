@@ -31,14 +31,16 @@ L(Y1) is the next step's first right-hand side, so it costs none.  The
 length picks the method: a step no longer than min(positivity, C/J) is
 the SSP-RK step below; a longer one is the implicit-explicit ARS(2,2,2)
 step (Ascher, Ruuth & Spiteri, Appl. Numer. Math. 25, 1997), with the
-diffusion implicit, so diffusion no longer bounds the step.  The
-orthonormal DCT-II diagonalises the zero-flux Laplacian of a uniform
-axis exactly (Strang, SIAM Review 41, 1999), so each implicit solve is
-two dense transforms and a division, and a step costs two right-hand
-sides and four transforms, whatever its length.  The positivity bound
-takes a pass over the prey per axis, so advance forms it only for a dt
-at or under its ceiling, the same rate sums without the prey's jumps
-between cells: a longer dt is above the bound, and IMEX.
+diffusion implicit, so diffusion no longer bounds the step.  C/J comes
+from the per-capita reaction rates of the right-hand side that starts
+the step, reduced in the pass that forms its reactions, and is carried
+with it.  The orthonormal DCT-II diagonalises the zero-flux Laplacian of
+a uniform axis exactly (Strang, SIAM Review 41, 1999), so each implicit
+solve is two dense transforms and a division, and a step costs two
+right-hand sides and four transforms, whatever its length.  The
+positivity bound takes a pass over the prey per axis, so advance forms
+it only for a dt at or under its ceiling, the same rate sums without the
+prey's jumps between cells: a longer dt is above the bound, and IMEX.
 
 One admissibility rule judges both methods, and the stepper never
 repairs a state: every cell of a kept step is finite, nonnegative and at
@@ -173,31 +175,51 @@ class StepAccounting:
 
 # --- pointwise reactions ----------------------------------------------------
 
-def _reaction_coefficients(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """The columns (a, -b) and (m1, m2) of the reactions' coefficients,
-    each shaped (2, 1), as _reactions takes them."""
-    c = np.array(((p.a, p.m1), (-p.b, p.m2)))
-    return c[:, :1], c[:, 1:]
+def _reaction_coefficients(p: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns (a, -b), (m1, m2) and (a, b) of the reactions'
+    coefficients, each shaped (2, 1), as _per_capita_rates and
+    _reaction_bound take them."""
+    c = np.array(((p.a, p.m1, p.a), (-p.b, p.m2, p.b)))
+    return c[:, :1], c[:, 1:2], c[:, 2:]
 
 
-def _reactions(x: np.ndarray, coefficients: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Logistic reactions x (m + [[-1, a], [-b, -1]] x) of the stacked
-    rows x = (u, v), shaped (2, N), as a new array: one elementwise pass
-    per operation on both rows.  coefficients is
+def _per_capita_rates(x: np.ndarray, coefficients) -> np.ndarray:
+    """Per-capita reaction rates pc = m + [[-1, a], [-b, -1]] x of the
+    stacked rows x = (u, v), shaped (2, N), as a new array: one
+    elementwise pass per operation on both rows, ((a v - u) + m1,
+    (-b u - v) + m2).  The reactions are pc * x, which rhs and
+    reaction_rates form in place.  coefficients is
     _reaction_coefficients(p)."""
-    cross, growth = coefficients
-    r = x[::-1] * cross
-    r -= x
-    r += growth
-    r *= x
-    return r
+    cross, growth, _ = coefficients
+    pc = x[::-1] * cross
+    pc -= x
+    pc += growth
+    return pc
+
+
+def _reaction_bound(pc: np.ndarray, x: np.ndarray, coefficients) -> tuple[float, float, float]:
+    """(accuracy, max|pc_u|, max|pc_v|): step_bounds' accuracy bound at
+    the stacked rows x = (u, v) from their per-capita rates pc, and the
+    two rate maxima J takes its maximum over, which _positivity_bound also
+    reads.  The Jacobian's row sums are |pc_u - u| + a u and
+    |pc_v - v| + b v.  pc and x are left alone."""
+    _, _, slopes = coefficients
+    w = np.abs(pc)
+    react_u, react_v = w.max(axis=1).tolist()
+    np.subtract(pc, x, out=w)
+    np.abs(w, out=w)
+    w += x * slopes
+    return STEP_ACCURACY / max(float(w.max()), react_u, react_v), react_u, react_v
 
 
 def reaction_rates(u, v, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Logistic reaction terms of both species, u (m1 - u + a v) and
     v (m2 - b u - v), with the bits rhs adds."""
     y = np.stack(np.broadcast_arrays(u, v))
-    r = _reactions(y.reshape(2, -1), _reaction_coefficients(p)).reshape(y.shape)
+    x = y.reshape(2, -1)
+    r = _per_capita_rates(x, _reaction_coefficients(p))
+    r *= x
+    r = r.reshape(y.shape)
     return r[0], r[1]
 
 
@@ -230,15 +252,18 @@ class StepPlan:
     What advance carries from one step to the next: longest, the longest
     step the error estimate may accept (one sample interval; 0 accepts
     none past C/J), proposal, the step length it proposes next (0, the
-    C/J floor, before the first estimate), and rates, the right-hand side
-    at the state advance returned when it formed it."""
+    C/J floor, before the first estimate), rates, the right-hand side at
+    the state advance returned when it formed it, and bound, the
+    (accuracy, max|m1 - u + a v|, max|m2 - b u - v|) of step_bounds at
+    that state, reduced from the per-capita rates of the same right-hand
+    side.  rates and bound are set together and cleared together."""
 
     __slots__ = ("grid", "p", "taxis", "shape", "faces", "axes", "reactions", "dct", "dct_t", "eigenvalues", "spectral",
-                 "longest", "proposal", "rates")
+                 "longest", "proposal", "rates", "bound")
 
     def __init__(self, grid: Grid, p: ModelParams, taxis: TaxisScheme, longest: float = 0.0):
         self.grid, self.p, self.taxis, self.shape = grid, p, taxis, (2, *grid.n)
-        self.longest, self.proposal, self.rates = longest, 0.0, None
+        self.longest, self.proposal, self.rates, self.bound = longest, 0.0, None, None
         cells = math.prod(grid.n)
         self.faces = tuple(np.zeros((2, cells + s)) for s in grid.stride)
         self.axes = tuple(
@@ -282,11 +307,21 @@ def rhs(y: np.ndarray, plan: StepPlan) -> np.ndarray:
     formed once on the cells, and F_donor is the left cell's where
     g_v > 0 (chi > 0, so that is where the drift carries density
     rightward), else the right cell's; central, F_donor is the mobility
-    of the face mean of u.  The reactions of both rows
-    start the result, and the divergence of the fluxes is accumulated
-    onto it in place.  The flux part integrates to zero to rounding, so
-    the discrete mass identity d/dt integral(u) = integral(reaction_u)
-    holds to rounding.  A y not shaped plan.shape raises ValueError."""
+    of the face mean of u.  The reactions of both rows, their per-capita
+    rates times y, start the result, and the divergence of the fluxes is
+    accumulated onto it in place.  The flux part integrates to zero to
+    rounding, so the discrete mass identity
+    d/dt integral(u) = integral(reaction_u) holds to rounding.  A y not
+    shaped plan.shape raises ValueError."""
+    return _rhs(y, plan, False)[0]
+
+
+def _rhs(y: np.ndarray, plan: StepPlan, bound: bool) -> tuple[np.ndarray, tuple[float, float, float] | None]:
+    """(rhs(y, plan), and when bound is true _reaction_bound's (accuracy,
+    react_u, react_v) at y, else None).  The bound is reduced from the
+    per-capita rates the reactions were formed from, so it costs no second
+    pass over them; advance asks for it on the right-hand side that starts
+    a step, the stages skip it."""
     if y.shape != plan.shape:
         raise ValueError(f"state shape {y.shape} does not match the plan's {plan.shape}")
     eps = plan.p.eps
@@ -309,9 +344,11 @@ def rhs(y: np.ndarray, plan: StepPlan) -> np.ndarray:
         flux *= grad_u
         np.subtract(flux, drift, out=grad_u)
         grad_v *= d2_h2
-    out = _reactions(x, plan.reactions)
+    out = _per_capita_rates(x, plan.reactions)
+    formed = _reaction_bound(out, x, plan.reactions) if bound else None
+    out *= x
     accumulate_divergence(plan.grid, out, fluxes)
-    return out.reshape(y.shape)
+    return out.reshape(y.shape), formed
 
 
 # --- step-size limiter --------------------------------------------------------
@@ -360,48 +397,25 @@ def step_bounds(u, v, grid: Grid, p: ModelParams) -> tuple[float, float]:
     STEP_ACCURACY / J raise, and a J near 0 would put accuracy past one
     sample interval, where advance forms no estimate.
 
-    advance forms the two bounds apart, from the same private functions,
-    so that it forms positivity only where it can decide the step: for a
-    dt at or under the positivity ceiling, these rate sums without the
-    donor-drift jump terms, which needs no pass over the cells.
+    Every term is formed in the reactions' association: the per-capita
+    rates are (a v - u) + m1 and (-b u - v) + m2, as rhs forms them, and
+    the row sums |(a v - u + m1) - u| + a u and |(-b u - v + m2) - v| + b v.
+    advance takes accuracy from the right-hand side that starts the step,
+    whose reactions already hold those rates (see _rhs), and forms
+    positivity apart, only where it can decide the step: for a dt at or
+    under the positivity ceiling, these rate sums without the donor-drift
+    jump terms, which needs no pass over the cells.  step_bounds forms
+    the same bits through the same functions.
     """
-    accuracy, react_u, react_v = _accuracy_bound(u, v, p)
+    x = np.stack((u, v)).reshape(2, -1)
+    coefficients = _reaction_coefficients(p)
+    accuracy, react_u, react_v = _reaction_bound(_per_capita_rates(x, coefficients), x, coefficients)
     return _positivity_bound(v, float(v.max()), react_u, react_v, grid, p), accuracy
-
-
-def _accuracy_bound(u, v, p: ModelParams) -> tuple[float, float, float]:
-    """(accuracy, max|m1 - u + a v|, max|m2 - b u - v|): step_bounds'
-    accuracy bound and the two per-capita reaction rates J takes its
-    maximum over, which _positivity_bound also reads.  Two work arrays
-    take every term in step_bounds' order of operations, a v and m2 - b u
-    formed once for both places they appear."""
-    av = p.a * v
-    m2_bu = p.m2 - p.b * u
-    t = p.m1 - u
-    t += av
-    np.abs(t, out=t)
-    react_u = float(t.max())
-    w = m2_bu - v
-    np.abs(w, out=w)
-    react_v = float(w.max())
-    np.multiply(u, 2.0, out=t)  # row_u = |m1 - 2u + a v| + a u
-    np.subtract(p.m1, t, out=t)
-    t += av
-    np.abs(t, out=t)
-    np.multiply(u, p.a, out=w)
-    t += w
-    np.multiply(v, 2.0, out=w)  # row_v = b v + |m2 - b u - 2v|
-    np.subtract(m2_bu, w, out=w)
-    np.abs(w, out=w)
-    np.multiply(v, p.b, out=av)
-    w += av
-    np.maximum(t, w, out=t)
-    return STEP_ACCURACY / max(float(t.max()), react_u, react_v), react_u, react_v
 
 
 def _positivity_bound(v, v_max: float, react_u: float, react_v: float, grid: Grid, p: ModelParams) -> float:
     """step_bounds' positivity bound at prey v, v_max = max v, from the
-    per-capita reaction rates _accuracy_bound returns."""
+    per-capita reaction rates _reaction_bound returns."""
     jumps = [float(np.abs(np.diff(v, axis=ax)).max()) for ax in range(grid.dim)]
     return _rate_bound(v_max, react_u, react_v, grid, p, jumps)
 
@@ -592,11 +606,15 @@ def advance(y: np.ndarray, t: float, t_end: float, plan: StepPlan,
     limit as the start checks accuracy.  Both methods start from
     plan.rates when it holds L(Y0).
 
-    accuracy is formed on every step, positivity only where it can decide
-    the method: for a dt no longer than accuracy and no longer than the
-    positivity ceiling, and for the fallback.  The ceiling is positivity's
-    rate sums without the donor-drift jump terms, formed from max v and
-    the per-capita reaction rates the accuracy bound returns; rounding is
+    accuracy is formed on every step, from the per-capita reaction rates
+    of L(Y0): plan's bound carries it with plan.rates, and where nothing
+    is carried advance forms L(Y0) and accuracy in one pass, before the
+    stall check, which counts that right-hand side.  The stages' right-
+    hand sides form no bound.  positivity is formed only where it can
+    decide the method: for a dt no longer than accuracy and no longer
+    than the positivity ceiling, and for the fallback.  The ceiling is
+    positivity's rate sums without the donor-drift jump terms, formed from
+    max v and the per-capita reaction rates of the bound; rounding is
     monotone, so it is >= positivity bit for bit, and a dt above it is
     IMEX, as it would be with positivity formed.  A kept IMEX step above
     the ceiling or longer than accuracy forms neither positivity nor its
@@ -605,30 +623,31 @@ def advance(y: np.ndarray, t: float, t_end: float, plan: StepPlan,
     new state once, for its admissibility and peak_v.
 
     When longest exceeds accuracy and the step does not land on t_end,
-    advance forms L(Y1) and
+    advance forms L(Y1), with the bound at Y1, and
     err = max|Y1 - Y0 - (dt/2)(L(Y0) + L(Y1))| / (STEP_TOL (1 + |Y1|))
     over both fields, whichever method took the step.  It keeps the step
     if err <= 1 or dt <= accuracy, proposes dt min(5, max(0.2,
-    0.9 err^(-1/3))) next and carries L(Y1); otherwise it retries from y
-    at max(accuracy, dt max(0.2, 0.9 err^(-1/3))).  accuracy is the floor
-    because shortening a step below it only adds steps.  An SSP-RK step
-    is at most accuracy long, so it is always kept, and only IMEX steps
-    are rejected by the estimate.
+    0.9 err^(-1/3))) next and carries L(Y1) and its bound; otherwise it
+    retries from y at max(accuracy, dt max(0.2, 0.9 err^(-1/3))).
+    accuracy is the floor because shortening a step below it only adds
+    steps.  An SSP-RK step is at most accuracy long, so it is always
+    kept, and only IMEX steps are rejected by the estimate.
     """
-    u, v = y
+    v = y[1]
     p = plan.p
     v_max = float(v.max())
-    accuracy, react_u, react_v = _accuracy_bound(u, v, p)
+    rates, bound = plan.rates, plan.bound
+    plan.rates = plan.bound = None
+    if rates is None:
+        rates, bound = _rhs(y, plan, True)
+        accounting.rhs_evaluations += 1
+    accuracy, react_u, react_v = bound
     _check_progress(accuracy, t, t_end)
     cap = max(v_max, p.m2_plus)
     limit = None  # min(positivity, accuracy) once formed
-    rates, plan.rates = plan.rates, None
     dt = min(max(accuracy, min(plan.proposal, plan.longest)), t_end - t)
     estimate = plan.longest > accuracy and dt < t_end - t
     while True:
-        if rates is None:
-            rates = rhs(y, plan)
-            accounting.rhs_evaluations += 1
         if limit is None and dt <= accuracy and dt <= _positivity_ceiling(v_max, react_u, react_v, plan.grid, p):
             limit = min(_positivity_bound(v, v_max, react_u, react_v, plan.grid, p), accuracy)
         if limit is not None and dt <= limit:
@@ -647,13 +666,13 @@ def advance(y: np.ndarray, t: float, t_end: float, plan: StepPlan,
                 continue
         if not estimate:
             break
-        rates_new = rhs(y_new, plan)
+        rates_new, bound_new = _rhs(y_new, plan, True)
         accounting.rhs_evaluations += 1
         err = _defect(y, y_new, rates, rates_new, dt) / STEP_TOL
         # a NaN err takes the 0.2 of max(0.2, nan) and is rejected
         factor = max(0.2, 0.9 * err ** (-1.0 / 3.0)) if err != 0.0 else math.inf
         if err <= 1.0 or dt <= accuracy:
-            plan.proposal, plan.rates = dt * min(5.0, factor), rates_new
+            plan.proposal, plan.rates, plan.bound = dt * min(5.0, factor), rates_new, bound_new
             break
         accounting.imex_error_rejected += 1
         dt = max(accuracy, dt * factor)

@@ -165,12 +165,15 @@ def per_field_step(u, v, g, p, taxis, dt):
 
 
 def written_step_bounds(u, v, g, p, jumps=True):
-    """(positivity, accuracy) as dynamics.step_bounds was first written;
-    jumps=False takes every donor-drift jump as 0, which makes positivity
-    the ceiling advance gates it with."""
+    """(positivity, accuracy) as dynamics.step_bounds was first written,
+    each term in the association rhs gives the reactions: the per-capita
+    rates (a v - u) + m1 and (-b u - v) + m2, and each row sum of the
+    reaction Jacobian that rate's difference from its species plus the
+    off-diagonal term; jumps=False takes every donor-drift jump as 0,
+    which makes positivity the ceiling advance gates it with."""
     v_max = float(v.max())
-    rate_u = float(np.abs(p.m1 - u + p.a * v).max())
-    react_v = float(np.abs(p.m2 - p.b * u - v).max())
+    rate_u = float(np.abs(p.a * v - u + p.m1).max())
+    react_v = float(np.abs(-p.b * u - v + p.m2).max())
     react = max(rate_u, react_v)
     rate_v = max(react_v, 2.0 * v_max - p.m2)
     for ax, h in enumerate(g.h):
@@ -179,7 +182,7 @@ def written_step_bounds(u, v, g, p, jumps=True):
         rate_u += two_over_h2 * (p.d1 + p.chi * (v_max + jump))
         rate_v += two_over_h2 * p.d2
     rate = max(rate_u, rate_v)
-    row_u = np.abs(p.m1 - 2.0 * u + p.a * v) + p.a * u
-    row_v = p.b * v + np.abs(p.m2 - p.b * u - 2.0 * v)
+    row_u = np.abs(p.a * v - u + p.m1 - u) + p.a * u
+    row_v = np.abs(-p.b * u - v + p.m2 - v) + p.b * v
     accuracy = STEP_ACCURACY / max(float(row_u.max()), float(row_v.max()), react)
     return STEP_SAFETY * ((STAGES - 1) / rate), accuracy

@@ -1,8 +1,10 @@
-"""tools/ab.py: the sign test, the per-metric summary of paired runs, and
-their order over several workloads."""
+"""tools/ab.py: the sign test, the per-metric summary of paired runs,
+their order over several workloads, and the check that both trees took
+the same steps."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -78,3 +80,54 @@ def test_a_failed_run_ends_the_comparison(monkeypatch, capsys):
     assert ab.main(["base", "new", "--workload", "epsfam_1d"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "1 of 4 calls failed" in captured.err
+
+
+def faked_bench(steps_of):
+    """A stand-in for subprocess.run of bench/run.py that prints what it
+    prints: the context line, with steps_of(tree, k) as the steps_per_call
+    of the k-th run in tree, then the result line."""
+    runs = {}
+
+    def run(args, cwd, capture_output, text):
+        k = runs[str(cwd)] = runs.get(str(cwd), 0) + 1
+        steps = steps_of(str(cwd), k)
+        context = {"context": {"calls": len(steps), "steps_per_call": steps}}
+        result = {"correct": True, "attempted": len(steps) + 1, "failed": 0,
+                  "metrics": {name: {"value": 1.0, "unit": "s"} for name in ab.METRICS}}
+        return subprocess.CompletedProcess(args, 0, stdout=f"{json.dumps(context)}\n{json.dumps(result)}\n", stderr="")
+
+    return run
+
+
+def test_run_once_reads_the_step_counts_of_the_context_line(monkeypatch):
+    monkeypatch.setattr(ab.subprocess, "run", faked_bench(lambda tree, k: [17, 17, 18]))
+    run = ab.run_once(Path("base"), "epsfam_1d", 0, 4.0)
+    assert run == {"wall_s": 1.0, "setup_s": 1.0, "peak_rss_mib": 1.0, "steps_per_call": [17, 17, 18]}
+
+
+def test_the_step_check_compares_only_the_calls_both_runs_made():
+    base = [{"steps_per_call": [56, 57, 56]}, {"steps_per_call": [56, 57]}]
+    new = [{"steps_per_call": [56, 57]}, {"steps_per_call": [56, 57, 58]}]
+    assert ab.same_steps(base, new) == {"same": True, "calls": 4, "pairs_differing": 0}
+    new[1]["steps_per_call"] = [56, 58, 58]
+    assert ab.same_steps(base, new) == {"same": False, "calls": 4, "pairs_differing": 1}
+    assert ab.same_steps(base, [{}, {}])["same"] is None
+
+
+@pytest.mark.parametrize("new_steps, verdict, line", [
+    ([56, 57], True, "steps per call: the same on all 6 calls both trees made"),
+    ([56, 58], False, "steps per call: differ in 2 of 3 pairs (6 calls compared)"),
+])
+def test_each_workload_reports_whether_both_trees_took_the_same_steps(monkeypatch, capsys, new_steps, verdict, line):
+    """The base tree's runs make three calls, the new tree's two, and the
+    new tree's first run takes the base's steps: only the calls both runs
+    of a pair made are compared."""
+    def steps_of(tree, k):
+        return [56, 57, 56] if tree == "base" else [56, 57] if k == 1 else new_steps
+
+    monkeypatch.setattr(ab.subprocess, "run", faked_bench(steps_of))
+    assert ab.main(["base", "new", "--workload", "dense_rundir_2d", "--pairs", "3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert f"  {line}" in out
+    steps = json.loads(out[-1])["workloads"]["dense_rundir_2d"]["steps"]
+    assert steps == {"same": verdict, "calls": 6, "pairs_differing": 0 if verdict else 2}

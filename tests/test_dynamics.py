@@ -542,16 +542,19 @@ def test_run_to_time_takes_fast_reactions_with_ssp_rk_steps():
 def test_run_to_time_controls_fast_reaction_steps_after_the_first(monkeypatch):
     """With a sample interval over C/J the first step is SSP-RK at C/J,
     its error estimate proposes the next, and every later step is a
-    controlled IMEX step; the accounting counts every right-hand side."""
+    controlled IMEX step; the accounting counts every right-hand side,
+    those that form the step's accuracy bound with it included."""
     p = replace(SLOW, m1=10.0, b=10.0)
     s = make_state([1.0] * 4, [1.0] * 4, length=3.0)
     positivity, accuracy = step_bounds(s.u.values, s.v.values, s.grid, p)
     assert accuracy < positivity
     calls, steps = [], []
 
-    def counted(y, plan):
+    formed = dynamics._rhs
+
+    def counted(y, plan, bound):
         calls.append(1)
-        return rhs(y, plan)
+        return formed(y, plan, bound)
 
     def recorded(y, t, t_end, plan, accounting):
         before = accounting.imex_steps
@@ -559,7 +562,7 @@ def test_run_to_time_controls_fast_reaction_steps_after_the_first(monkeypatch):
         steps.append((dt, accounting.imex_steps - before, plan.proposal))
         return y_new, dt
 
-    monkeypatch.setattr(dynamics, "rhs", counted)
+    monkeypatch.setattr(dynamics, "_rhs", counted)
     monkeypatch.setattr(dynamics, "advance", recorded)
     acc = StepAccounting()
     run_to_time(s, p, TaxisScheme.UPWIND, t_end=0.5, sample_every=0.5, accounting=acc)
@@ -834,9 +837,11 @@ def test_advance_discards_an_inadmissible_rkl2_step(monkeypatch, field, value):
 
 
 def recording_bounds(mp, formed):
-    """Patch advance's two bound functions to append (name, value) to
-    formed for every bound they return."""
-    for name, value in (("_accuracy_bound", lambda r: r[0]), ("_positivity_bound", lambda r: r)):
+    """Patch the two bound functions to append (name, value) to formed for
+    every bound they return: _reaction_bound, which reduces the accuracy
+    bound from a right-hand side's per-capita rates, and
+    _positivity_bound."""
+    for name, value in (("_reaction_bound", lambda r: r[0]), ("_positivity_bound", lambda r: r)):
         def recorded(*args, bound=getattr(dynamics, name), name=name, value=value):
             result = bound(*args)
             formed.append((name, value(result)))
@@ -845,10 +850,10 @@ def recording_bounds(mp, formed):
 
 
 def test_advance_runs_each_limiter_pass_once(monkeypatch):
-    """accuracy is formed once per step, and positivity at most once: not
-    for the kept IMEX step, whose C/J is above the positivity ceiling,
-    and once for the SSP-RK step and for the fallback after a discarded
-    IMEX step."""
+    """accuracy is formed once per step, with L(Y0), and positivity at
+    most once: not for the kept IMEX step, whose C/J is above the
+    positivity ceiling, and once for the SSP-RK step and for the fallback
+    after a discarded IMEX step."""
     rough = np.random.default_rng(92)
     cases = [
         # an IMEX step kept, an SSP-RK step, and an IMEX step discarded for one
@@ -865,9 +870,9 @@ def test_advance_runs_each_limiter_pass_once(monkeypatch):
         advance(np.stack((u, v)), 0.0, 1.0, StepPlan(ROUGH, p, TaxisScheme.UPWIND), acc)
         kinds.append((acc.imex_steps, acc.imex_rejected, [name for name, _ in formed]))
     assert kinds == [
-        (1, 0, ["_accuracy_bound"]),
-        (0, 0, ["_accuracy_bound", "_positivity_bound"]),
-        (0, 1, ["_accuracy_bound", "_positivity_bound"]),
+        (1, 0, ["_reaction_bound"]),
+        (0, 0, ["_reaction_bound", "_positivity_bound"]),
+        (0, 1, ["_reaction_bound", "_positivity_bound"]),
     ]
 
 
@@ -881,10 +886,11 @@ def test_advance_runs_each_limiter_pass_once(monkeypatch):
     longest=st.sampled_from((0.0, 1.0)),
 )
 def test_advance_forms_the_bounds_of_step_bounds_bitwise_property(data, g, taxis, m2, proposal, longest):
-    """The accuracy bound advance forms, and the positivity bound wherever
-    it forms one, are step_bounds' bit for bit, under coexistence (m2 = 2)
-    and extinction (m2 = 1/2) parameters, from proposals below and above
-    C/J."""
+    """The accuracy bound advance forms with L(Y0), and the positivity
+    bound wherever it forms one, are step_bounds' bit for bit, under
+    coexistence (m2 = 2) and extinction (m2 = 1/2) parameters, from
+    proposals below and above C/J.  Any later accuracy bound is formed
+    with an estimate's L(Y1), for the next step."""
     u = data.draw(positive_fields(g, high=3.0))
     v = data.draw(positive_fields(g, high=3.0))
     p = replace(WORKED, m2=m2)
@@ -895,8 +901,61 @@ def test_advance_forms_the_bounds_of_step_bounds_bitwise_property(data, g, taxis
     with pytest.MonkeyPatch.context() as mp:
         recording_bounds(mp, formed)
         advance(np.stack((u, v)), 0.0, 10.0, plan, StepAccounting())
-    assert formed[0] == ("_accuracy_bound", accuracy)
-    assert formed[1:] in ([], [("_positivity_bound", positivity)])
+    assert formed[0] == ("_reaction_bound", accuracy)
+    assert [bound for bound in formed[1:] if bound[0] == "_positivity_bound"] in ([], [("_positivity_bound", positivity)])
+
+
+def first_written_accuracy(u, v, p):
+    """step_bounds' accuracy with every term in the association it was
+    first written in: m1 - u + a v, m2 - b u - v and the row sums
+    |m1 - 2u + a v| + a u and b v + |m2 - b u - 2v|."""
+    react = max(float(np.abs(p.m1 - u + p.a * v).max()), float(np.abs(p.m2 - p.b * u - v).max()))
+    row_u = np.abs(p.m1 - 2.0 * u + p.a * v) + p.a * u
+    row_v = p.b * v + np.abs(p.m2 - p.b * u - 2.0 * v)
+    return STEP_ACCURACY / max(float(row_u.max()), float(row_v.max()), react)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    g=grids(),
+    taxis=st.sampled_from(TaxisScheme),
+    m2=st.sampled_from((2.0, 0.5)),
+    a=st.floats(0.01, 0.99),
+    b=st.floats(0.01, 0.99),
+)
+def test_the_carried_bound_is_the_bound_step_bounds_forms_property(data, g, taxis, m2, a, b):
+    """After every kept step of a run that carries L(Y1), the bound carried
+    with it is step_bounds' at the state advance returned, bit for bit:
+    its accuracy, and the positivity bound formed from its per-capita
+    rates.  So a bound formed once with the right-hand side that starts a
+    step is the bound a fresh pass forms there.  step_bounds' accuracy,
+    in the reactions' association, is within 4 ulp of the first-written
+    one.  The parameters are INFLECTION's with a, b < 1, where the
+    per-capita rates or the row sums can each set J."""
+    u = data.draw(positive_fields(g, high=10.0))
+    v = data.draw(positive_fields(g, high=3.0))
+    p = replace(INFLECTION, m2=m2, a=a, b=b)
+    stepper = dynamics.advance
+    states = []
+
+    def checked(y, t, t_end, plan, accounting):
+        y_new, dt = stepper(y, t, t_end, plan, accounting)
+        if plan.bound is not None:
+            positivity, accuracy = step_bounds(y_new[0], y_new[1], g, p)
+            carried, react_u, react_v = plan.bound
+            assert carried == accuracy
+            assert dynamics._positivity_bound(y_new[1], float(y_new[1].max()), react_u, react_v, g, p) == positivity
+            states.append(y_new)
+        return y_new, dt
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "advance", checked)
+        run_to_time(State(g.field(u), g.field(v), 0.0), p, taxis, 1.0, 0.25)
+    assert states
+    for x, y in [(u, v), *states]:
+        accuracy, first = step_bounds(x, y, g, p)[1], first_written_accuracy(x, y, p)
+        assert abs(accuracy - first) <= 4.0 * math.ulp(first)
 
 
 @settings(max_examples=200, deadline=None)
@@ -910,7 +969,7 @@ def test_the_positivity_ceiling_is_the_bound_without_its_jumps_property(data, g,
     u = data.draw(positive_fields(g, high=3.0))
     v = data.draw(positive_fields(g, high=3.0))
     p = replace(WORKED, m2=m2, chi=chi)
-    _, react_u, react_v = dynamics._accuracy_bound(u, v, p)
+    _, (_, react_u, react_v) = dynamics._rhs(np.stack((u, v)), StepPlan(g, p, TaxisScheme.UPWIND), True)
     ceiling = dynamics._positivity_ceiling(float(v.max()), react_u, react_v, g, p)
     assert ceiling >= step_bounds(u, v, g, p)[0]
     assert ceiling == written_step_bounds(u, v, g, p, jumps=False)[0]
@@ -949,8 +1008,9 @@ def test_a_run_gated_by_the_positivity_ceiling_is_the_run_that_always_forms_the_
 def test_a_run_of_steps_past_c_over_j_forms_the_positivity_bound_on_no_step(monkeypatch):
     """From near the coexistence state the first step is C/J long, above
     the positivity ceiling, so the ceiling decides it is IMEX; the error
-    estimate accepts every later one past C/J, where no bound but
-    accuracy can decide the method: positivity is never formed."""
+    estimate accepts every later one past C/J, the C/J its predecessor's
+    L(Y1) carried, where no bound but accuracy can decide the method:
+    positivity is never formed."""
     g = Grid((16, 16), (1.0, 1.0))
     w = np.cos(np.pi * g.meshcenters()[0])
     s0 = State(g.field(1.5 + 0.01 * w), g.field(0.5 - 0.01 * w), 0.0)
@@ -976,11 +1036,13 @@ def test_a_run_of_steps_past_c_over_j_forms_the_positivity_bound_on_no_step(monk
     run_to_time(s0, WORKED, TaxisScheme.UPWIND, 2.0, 0.5, accounting=acc)
     assert acc.steps == len(steps) > 10
     (dt, first), *later = steps
-    assert [name for name, _ in first] == ["_accuracy_bound", "_positivity_ceiling"]
+    assert [name for name, _ in first[:2]] == ["_reaction_bound", "_positivity_ceiling"]
     assert dt == first[0][1] > first[1][1]
-    for dt, bounds in later:
-        assert [name for name, _ in bounds] == ["_accuracy_bound"]
-        assert dt > bounds[0][1]
+    names = [name for _, bounds in steps for name, _ in bounds]
+    assert names.count("_positivity_ceiling") == 1 and "_positivity_bound" not in names
+    # each step's accuracy is the last bound its predecessor formed, with the L(Y1) it kept
+    for (_, before), (dt, _) in zip(steps, later):
+        assert dt > before[-1][1]
 
 
 def cosine_pair():
@@ -1042,7 +1104,7 @@ def test_run_to_time_with_its_plan_dropped_before_every_step_gives_the_same_byte
         monkeypatch, n, length, taxis, eps, sample_every):
     """A run that keeps its plan gives the records, accounting and final
     state, byte for byte, of the same run with each step taken on a fresh
-    plan that carries over only longest, proposal and rates: no buffer
+    plan that carries over only longest, proposal, rates and bound: no buffer
     carries anything from one step into the next, and neither the
     carried L(Y1) nor a state handed to the sink is a plan buffer.  Both
     runs' sample_every is over C/J, so the error estimate runs and L(Y1)
@@ -1058,9 +1120,9 @@ def test_run_to_time_with_its_plan_dropped_before_every_step_gives_the_same_byte
     def dropping(y, t, t_end, plan, accounting):
         carried.append(plan.rates is not None)
         fresh = StepPlan(plan.grid, plan.p, plan.taxis, longest=plan.longest)
-        fresh.proposal, fresh.rates = plan.proposal, plan.rates
+        fresh.proposal, fresh.rates, fresh.bound = plan.proposal, plan.rates, plan.bound
         stepped = advance(y, t, t_end, fresh, accounting)
-        plan.proposal, plan.rates = fresh.proposal, fresh.rates
+        plan.proposal, plan.rates, plan.bound = fresh.proposal, fresh.rates, fresh.bound
         return stepped
 
     monkeypatch.setattr(dynamics, "advance", dropping)

@@ -11,8 +11,12 @@ end-to-end metric of the last result line (all three are
 lower-is-better) it prints each side's median and quartiles, the
 median over pairs of new/base, the pairs the new tree won, and the
 two-sided sign-test p of that count; tied pairs are dropped from the
-test.  The last stdout line is all the
-tables as one JSON object, keyed by workload under "workloads".  A run
+test.  It also says whether both trees took the same steps: within each
+pair, the step counts of the calls both runs made (the same inputs, in
+the same order, from the context line's steps_per_call) are compared, so
+a cheaper step can be told from a change in step count.  The last stdout
+line is all the tables as one JSON object, keyed by workload under
+"workloads", each with a "steps" entry beside its metrics.  A run
 whose result line reports a failed call, or that exits nonzero, ends the
 comparison with exit 1.
 
@@ -72,8 +76,26 @@ def summarize(base: list[dict], new: list[dict]) -> dict:
     return table
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
-    """One bench/run.py call in tree; its end-to-end metric values."""
+def same_steps(base: list[dict], new: list[dict]) -> dict:
+    """Whether both trees took the same steps per call: "same", "calls"
+    (the calls compared, over all pairs) and "pairs_differing".  Each pair
+    compares the steps_per_call of the calls both of its runs made; "same"
+    is None when a run reports no step counts."""
+    calls = differing = 0
+    for x, y in zip(base, new):
+        a, b = x.get("steps_per_call"), y.get("steps_per_call")
+        if a is None or b is None:
+            return {"same": None, "calls": calls, "pairs_differing": differing}
+        k = min(len(a), len(b))
+        calls += k
+        differing += a[:k] != b[:k]
+    return {"same": differing == 0, "calls": calls, "pairs_differing": differing}
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One bench/run.py call in tree; its end-to-end metric values, and
+    under "steps_per_call" the step count of each timed call from the
+    context line (None when there is none)."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
         cwd=tree, capture_output=True, text=True,
@@ -84,12 +106,16 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, 
     result = json.loads(lines[-1])
     if result["failed"]:
         raise RuntimeError(f"{tree}: {result['failed']} of {result['attempted']} calls failed")
-    return {name: result["metrics"][name]["value"] for name in METRICS}
+    contexts = [json.loads(line)["context"] for line in lines[:-1] if line.startswith('{"context"')]
+    run = {name: result["metrics"][name]["value"] for name in METRICS}
+    run["steps_per_call"] = contexts[-1].get("steps_per_call") if contexts else None
+    return run
 
 
 def compare(base: Path, new: Path, workloads: list[str], pairs: int, seed: int,
             seconds: float) -> dict[str, dict]:
-    """Run the pairs, every workload in each; per workload, the summary table."""
+    """Run the pairs, every workload in each; per workload, the summary
+    table and the step check."""
     runs = {workload: ([], []) for workload in workloads}
     for k in range(pairs):
         for workload, (base_runs, new_runs) in runs.items():
@@ -99,7 +125,7 @@ def compare(base: Path, new: Path, workloads: list[str], pairs: int, seed: int,
             print(f"pair {k + 1} {workload}: "
                   + ", ".join(f"{m} {base_runs[-1][m]:.6g} -> {new_runs[-1][m]:.6g}" for m in METRICS),
                   file=sys.stderr, flush=True)
-    return {workload: summarize(*sides) for workload, sides in runs.items()}
+    return {workload: {**summarize(*sides), "steps": same_steps(*sides)} for workload, sides in runs.items()}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -120,11 +146,20 @@ def main(argv: list[str] | None = None) -> int:
     for workload, table in tables.items():
         print(f"{workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs "
               f"(quartiles: lower / median / upper)")
-        for name, row in table.items():
+        for name in METRICS:
+            row = table[name]
             a, b = row["base"], row["new"]
             print(f"  {name}: base {a[0]:.6g} / {a[1]:.6g} / {a[2]:.6g}; new {b[0]:.6g} / {b[1]:.6g} / {b[2]:.6g}; "
                   f"paired new/base {row['paired_ratio']:.4g}; new won {row['new_won']}, lost {row['new_lost']}, tied {row['tied']}; "
                   f"sign-test p = {row['sign_test_p']:.3g}")
+        steps = table["steps"]
+        if steps["same"] is None:
+            print("  steps per call: not reported")
+        elif steps["same"]:
+            print(f"  steps per call: the same on all {steps['calls']} calls both trees made")
+        else:
+            print(f"  steps per call: differ in {steps['pairs_differing']} of {args.pairs} pairs "
+                  f"({steps['calls']} calls compared)")
     print(json.dumps({"seed": args.seed, "pairs": args.pairs, "seconds": args.seconds, "workloads": tables}))
     return 0
 
