@@ -22,39 +22,35 @@ run_to_time builds and rhs, step, imex_step and advance take in place of
 right-hand side or state is ever a plan buffer.
 
 run_to_time takes each step with advance, the one place that keeps,
-discards and counts a step; step and imex_step only compute one.  One
-rule sizes the steps of both methods.  A step may be longer than the
-accuracy bound dt * J <= STEP_ACCURACY, C/J, up to one sample interval,
-when a local error estimate accepts it (step control after Hairer,
-Norsett & Wanner, Solving ODEs I, II.4): the trapezoidal defect, whose
-L(Y1) is the next step's first right-hand side, so it costs none.  The
-length picks the method: a step no longer than min(positivity, C/J) is
-the SSP-RK step below; a longer one is the implicit-explicit ARS(2,2,2)
-step (Ascher, Ruuth & Spiteri, Appl. Numer. Math. 25, 1997), with the
-diffusion implicit, so diffusion no longer bounds the step.  C/J comes
-from the per-capita reaction rates of the right-hand side that starts
-the step, reduced in the pass that forms its reactions, and is carried
-with it.  The orthonormal DCT-II diagonalises the zero-flux Laplacian of
-a uniform axis exactly (Strang, SIAM Review 41, 1999), so each implicit
-solve is two dense transforms and a division, and a step costs two
-right-hand sides and four transforms, whatever its length.  The
-positivity bound takes a pass over the prey per axis, so advance forms
-it only for a dt at or under its ceiling, the same rate sums without the
-prey's jumps between cells: a longer dt is above the bound, and IMEX.
+discards and counts a step; step and imex_step only compute one.  Every
+step is first an implicit-explicit ARS(2,2,2) trial (Ascher, Ruuth &
+Spiteri, Appl. Numer. Math. 25, 1997), with the diffusion implicit, so
+diffusion does not bound the step.  It is at least the accuracy bound
+dt * J <= STEP_ACCURACY, C/J, and may be longer, up to one sample
+interval, when a local error estimate accepts it (step control after
+Hairer, Norsett & Wanner, Solving ODEs I, II.4): the trapezoidal defect,
+whose L(Y1) is the next step's first right-hand side, so it costs none.
+C/J comes from the per-capita reaction rates of the right-hand side that
+starts the step, reduced in the pass that forms its reactions, and is
+carried with it.  The orthonormal DCT-II diagonalises the zero-flux
+Laplacian of a uniform axis exactly (Strang, SIAM Review 41, 1999), so
+each implicit solve is two dense transforms and a division, and a step
+costs two right-hand sides and four transforms, whatever its length.
 
 One admissibility rule judges both methods, and the stepper never
 repairs a state: every cell of a kept step is finite, nonnegative and at
-most BLOWUP_LIMIT.  An IMEX step that breaks it, or lifts the prey
-maximum past its cap, is discarded; an SSP-RK step that breaks it
-raises BlowUp.
+most BLOWUP_LIMIT.  An IMEX trial that breaks it, or lifts the prey
+maximum past its cap, is discarded for the proven step; a proven step
+that breaks it raises BlowUp.
 
 The proven step is the s-stage second-order SSP Runge-Kutta method
 SSP-RK(s, 2) with s = STAGES (Spiteri & Ruuth 2002; low-storage form
-after Ketcheson 2008), taken for a dt no longer than min(positivity,
-C/J) and in place of a discarded IMEX step.  It is a convex combination
-of the start value and the result of s forward-Euler substeps of
-dt/(s - 1), so a substep that keeps both fields nonnegative and the prey
-map monotone keeps the step so.  For s = 2 it is Heun's method.
+after Ketcheson 2008), taken in place of a discarded IMEX trial, at the
+shorter of step_bounds' positivity bound and C/J.  It is a convex
+combination of the start value and the result of s forward-Euler
+substeps of dt/(s - 1), so a substep that keeps both fields nonnegative
+and the prey map monotone keeps the step so.  For s = 2 it is Heun's
+method.
 """
 
 from __future__ import annotations
@@ -103,13 +99,12 @@ STAGES = 4  # forward-Euler substeps per SSP-RK(s, 2) step, each of length dt/(S
 # nonlinear order is 2.043 at 0.05.
 STEP_ACCURACY = 0.05
 # Largest trapezoidal defect, relative to 1 + |Y1| in each cell, that
-# advance accepts in a step longer than C/J.  Every kept step short of
-# t_end forms the defect and proposes the next step from it, SSP-RK or
-# IMEX; a step longer than C/J is always IMEX, so only IMEX steps fail
-# it.  On criterion 4's homogeneous runs the IMEX step is a two-stage
-# Runge-Kutta step on the reactions; its worst error is 1.20e-4 at 1e-5
-# (cap 1e-4), where criterion 10's gaps also fall out of order, and
-# 7.55e-5 at 5e-6.
+# advance accepts in a step longer than C/J.  Every kept IMEX step short
+# of t_end forms the defect and proposes the next step from it; a step
+# at C/J is kept whatever its defect.  On criterion 4's homogeneous runs
+# the IMEX step is a two-stage Runge-Kutta step on the reactions; its
+# worst error is 1.20e-4 at 1e-5 (cap 1e-4), where criterion 10's gaps
+# also fall out of order, and 7.55e-5 at 5e-6.
 STEP_TOL = 5e-6
 _GAMMA = 1.0 - 1.0 / math.sqrt(2.0)  # ARS(2,2,2)'s constants
 _DELTA = 1.0 - 1.0 / (2.0 * _GAMMA)
@@ -155,12 +150,12 @@ class StepAccounting:
     """Mutable counters threaded through a run; advance writes them, and
     run_to_time puts the initial prey maximum into peak_v.  dt_min and
     dt_max span every step taken, the last one clipped to t_end
-    included.  Of the steps, imex_steps were IMEX steps; imex_rejected
-    counts the inadmissible IMEX steps advance discarded for an SSP-RK
-    step, imex_error_rejected the admissible IMEX steps longer than C/J
-    that the error estimate rejected for a shorter one, and
-    rhs_evaluations the right-hand sides advance evaluated, those of
-    discarded steps included."""
+    included.  Of the steps, imex_steps were IMEX steps and the rest
+    SSP-RK steps, each in place of one of the imex_rejected inadmissible
+    IMEX trials advance discarded; imex_error_rejected counts the
+    admissible IMEX steps longer than C/J that the error estimate
+    rejected for a shorter one, and rhs_evaluations the right-hand sides
+    advance evaluated, those of discarded steps included."""
 
     steps: int = 0
     clamped_cells: int = 0  # always 0, since no step clamps; kept because bench/ reads it
@@ -197,19 +192,18 @@ def _per_capita_rates(x: np.ndarray, coefficients) -> np.ndarray:
     return pc
 
 
-def _reaction_bound(pc: np.ndarray, x: np.ndarray, coefficients) -> tuple[float, float, float]:
-    """(accuracy, max|pc_u|, max|pc_v|): step_bounds' accuracy bound at
-    the stacked rows x = (u, v) from their per-capita rates pc, and the
-    two rate maxima J takes its maximum over, which _positivity_bound also
-    reads.  The Jacobian's row sums are |pc_u - u| + a u and
-    |pc_v - v| + b v.  pc and x are left alone."""
+def _reaction_bound(pc: np.ndarray, x: np.ndarray, coefficients) -> float:
+    """step_bounds' accuracy bound C/J at the stacked rows x = (u, v) from
+    their per-capita rates pc: J is the larger of max|pc| and the largest
+    of the Jacobian's row sums, |pc_u - u| + a u and |pc_v - v| + b v.
+    pc and x are left alone."""
     _, _, slopes = coefficients
     w = np.abs(pc)
-    react_u, react_v = w.max(axis=1).tolist()
+    react = float(w.max())
     np.subtract(pc, x, out=w)
     np.abs(w, out=w)
     w += x * slopes
-    return STEP_ACCURACY / max(float(w.max()), react_u, react_v), react_u, react_v
+    return STEP_ACCURACY / max(float(w.max()), react)
 
 
 def reaction_rates(u, v, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -253,10 +247,10 @@ class StepPlan:
     step the error estimate may accept (one sample interval; 0 accepts
     none past C/J), proposal, the step length it proposes next (0, the
     C/J floor, before the first estimate), rates, the right-hand side at
-    the state advance returned when it formed it, and bound, the
-    (accuracy, max|m1 - u + a v|, max|m2 - b u - v|) of step_bounds at
-    that state, reduced from the per-capita rates of the same right-hand
-    side.  rates and bound are set together and cleared together."""
+    the state advance returned when it formed it, and bound, step_bounds'
+    accuracy C/J at that state, reduced from the per-capita rates of the
+    same right-hand side.  rates and bound are set together and cleared
+    together."""
 
     __slots__ = ("grid", "p", "taxis", "shape", "faces", "axes", "reactions", "dct", "dct_t", "eigenvalues", "spectral",
                  "longest", "proposal", "rates", "bound")
@@ -316,12 +310,12 @@ def rhs(y: np.ndarray, plan: StepPlan) -> np.ndarray:
     return _rhs(y, plan, False)[0]
 
 
-def _rhs(y: np.ndarray, plan: StepPlan, bound: bool) -> tuple[np.ndarray, tuple[float, float, float] | None]:
-    """(rhs(y, plan), and when bound is true _reaction_bound's (accuracy,
-    react_u, react_v) at y, else None).  The bound is reduced from the
-    per-capita rates the reactions were formed from, so it costs no second
-    pass over them; advance asks for it on the right-hand side that starts
-    a step, the stages skip it."""
+def _rhs(y: np.ndarray, plan: StepPlan, bound: bool) -> tuple[np.ndarray, float | None]:
+    """(rhs(y, plan), and when bound is true _reaction_bound's C/J at y,
+    else None).  The bound is reduced from the per-capita rates the
+    reactions were formed from, so it costs no second pass over them;
+    advance asks for it on the right-hand side that starts a step, the
+    stages skip it."""
     if y.shape != plan.shape:
         raise ValueError(f"state shape {y.shape} does not match the plan's {plan.shape}")
     eps = plan.p.eps
@@ -354,8 +348,8 @@ def _rhs(y: np.ndarray, plan: StepPlan, bound: bool) -> tuple[np.ndarray, tuple[
 # --- step-size limiter --------------------------------------------------------
 
 def step_bounds(u, v, grid: Grid, p: ModelParams) -> tuple[float, float]:
-    """(positivity, accuracy): the two step lengths advance chooses from
-    at (u, v).
+    """(positivity, accuracy): the two step lengths that bound the SSP-RK
+    step advance takes in place of a discarded IMEX trial at (u, v).
 
     A stage substep of an SSP-RK step is at most STEP_SAFETY over the
     largest forward-Euler loss rate of either species.  A forward-Euler
@@ -390,55 +384,32 @@ def step_bounds(u, v, grid: Grid, p: ModelParams) -> tuple[float, float]:
     the row sums nearly vanish at a species' inflection point
     u = (m1 + a v)/2 when a and b are small, the per-capita rate at its
     logistic level u = m1 + a v, where the slope, about -u, does not.
-    When a, b >= 1 the row sums are the larger term.  Under IMEX steps
-    accuracy is only the floor of the error estimate, but the row sums
-    are still needed: at an equilibrium, such as criterion 4's (1.5, 0.5),
-    both per-capita rates are 0, and without them J = 0 would make
-    STEP_ACCURACY / J raise, and a J near 0 would put accuracy past one
-    sample interval, where advance forms no estimate.
+    When a, b >= 1 the row sums are the larger term.  accuracy is also
+    the floor of the IMEX steps' error estimate, and there the row sums
+    are still needed: at an equilibrium, such as criterion 4's
+    (1.5, 0.5), both per-capita rates are 0, and without them J = 0 would
+    make STEP_ACCURACY / J raise, and a J near 0 would put accuracy past
+    one sample interval, where advance forms no estimate.
 
     Every term is formed in the reactions' association: the per-capita
     rates are (a v - u) + m1 and (-b u - v) + m2, as rhs forms them, and
     the row sums |(a v - u + m1) - u| + a u and |(-b u - v + m2) - v| + b v.
     advance takes accuracy from the right-hand side that starts the step,
-    whose reactions already hold those rates (see _rhs), and forms
-    positivity apart, only where it can decide the step: for a dt at or
-    under the positivity ceiling, these rate sums without the donor-drift
-    jump terms, which needs no pass over the cells.  step_bounds forms
-    the same bits through the same functions.
+    whose reactions already hold those rates (see _rhs), with the bits
+    step_bounds forms, and calls step_bounds only for a fallback.
     """
     x = np.stack((u, v)).reshape(2, -1)
     coefficients = _reaction_coefficients(p)
-    accuracy, react_u, react_v = _reaction_bound(_per_capita_rates(x, coefficients), x, coefficients)
-    return _positivity_bound(v, float(v.max()), react_u, react_v, grid, p), accuracy
-
-
-def _positivity_bound(v, v_max: float, react_u: float, react_v: float, grid: Grid, p: ModelParams) -> float:
-    """step_bounds' positivity bound at prey v, v_max = max v, from the
-    per-capita reaction rates _reaction_bound returns."""
-    jumps = [float(np.abs(np.diff(v, axis=ax)).max()) for ax in range(grid.dim)]
-    return _rate_bound(v_max, react_u, react_v, grid, p, jumps)
-
-
-def _positivity_ceiling(v_max: float, react_u: float, react_v: float, grid: Grid, p: ModelParams) -> float:
-    """_positivity_bound's rate sums with every donor-drift jump 0, from
-    scalars advance already holds.  Each sum then takes the same
-    operations on operands no larger, and rounding is monotone, so the
-    ceiling is >= the positivity bound bit for bit, and equal to it where
-    v has no jumps: a dt above it is longer than the bound."""
-    return _rate_bound(v_max, react_u, react_v, grid, p, [0.0] * grid.dim)
-
-
-def _rate_bound(v_max: float, react_u: float, react_v: float, grid: Grid, p: ModelParams, jumps) -> float:
-    """STEP_SAFETY (STAGES - 1) / max(rate_u, rate_v), with step_bounds'
-    rate sums and jumps[ax] the largest |v_R - v_L| along axis ax."""
-    rate_u = react_u
+    pc = _per_capita_rates(x, coefficients)
+    rate_u, react_v = np.abs(pc).max(axis=1).tolist()
+    v_max = float(v.max())
     rate_v = max(react_v, 2.0 * v_max - p.m2)
-    for h, jump in zip(grid.h, jumps):
+    for ax, h in enumerate(grid.h):
         two_over_h2 = 2.0 / (h * h)
+        jump = float(np.abs(np.diff(v, axis=ax)).max())
         rate_u += two_over_h2 * (p.d1 + p.chi * (v_max + jump))
         rate_v += two_over_h2 * p.d2
-    return STEP_SAFETY * ((STAGES - 1) / max(rate_u, rate_v))
+    return STEP_SAFETY * ((STAGES - 1) / max(rate_u, rate_v)), _reaction_bound(pc, x, coefficients)
 
 
 # --- time stepping -----------------------------------------------------------
@@ -461,10 +432,11 @@ def _admissible(y: np.ndarray, maxima: tuple[float, float], prey_cap: float) -> 
 
 def step(y: np.ndarray, t: float, plan: StepPlan, dt: float, rates: np.ndarray | None = None) -> np.ndarray:
     """One SSP-RK(STAGES, 2) step of size dt, 0 < dt < inf, from the
-    stacked state y at time t; returns the new stacked state with no
-    positivity repair and leaves the inputs alone.  Every substep's rhs
-    runs on plan; rates, when given, is rhs(y, plan), which the first
-    substep then does not form.
+    stacked state y at time t, the step advance takes in place of a
+    discarded IMEX step; returns the new stacked state with no positivity
+    repair and leaves the inputs alone.  Every substep's rhs runs on
+    plan; rates, when given, is rhs(y, plan), which the first substep
+    then does not form.
 
     STAGES - 1 forward-Euler substeps z <- z + (dt/(STAGES - 1)) rhs(z)
     and one more give z; the step returns z + (y - z)/STAGES.  That is
@@ -589,68 +561,50 @@ def advance(y: np.ndarray, t: float, t_end: float, plan: StepPlan,
     plan's proposal and rates for the next step.  Every right-hand side
     of the step runs on plan.
 
-    With (positivity, accuracy) the bounds of step_bounds, the step is
+    With accuracy = C/J of step_bounds, the step is
     dt = min(max(accuracy, min(proposal, longest)), t_end - t), proposal
     and longest from plan, so no step but the fallback below is shorter
     than min(accuracy, t_end - t).  An accuracy too small to change t, or
     one at which the rest of the run would take more than STEP_BUDGET
-    steps, raises Stalled.
+    steps, raises Stalled.  accuracy comes from the per-capita reaction
+    rates of L(Y0): plan's bound carries it with plan.rates, and where
+    nothing is carried advance forms L(Y0) and accuracy in one pass,
+    before the stall check, which counts that right-hand side.  The
+    stages' right-hand sides form no bound.
 
-    A dt no longer than limit = min(positivity, accuracy) is taken with
-    SSP-RK, which raises BlowUp when not admissible.  A longer dt is an
-    IMEX trial, admissible if every cell is finite, nonnegative and at
-    most BLOWUP_LIMIT and max v' <= max(max v, max(0, m2)) (1 + 1e-12);
-    one that is not is discarded for the SSP-RK step at
-    min(limit, t_end - t), which forms no estimate, and the next proposal
-    is 0.  Only that fallback is bounded by positivity, so it checks
-    limit as the start checks accuracy.  Both methods start from
-    plan.rates when it holds L(Y0).
-
-    accuracy is formed on every step, from the per-capita reaction rates
-    of L(Y0): plan's bound carries it with plan.rates, and where nothing
-    is carried advance forms L(Y0) and accuracy in one pass, before the
-    stall check, which counts that right-hand side.  The stages' right-
-    hand sides form no bound.  positivity is formed only where it can
-    decide the method: for a dt no longer than accuracy and no longer
-    than the positivity ceiling, and for the fallback.  The ceiling is
-    positivity's rate sums without the donor-drift jump terms, formed from
-    max v and the per-capita reaction rates of the bound; rounding is
-    monotone, so it is >= positivity bit for bit, and a dt above it is
-    IMEX, as it would be with positivity formed.  A kept IMEX step above
-    the ceiling or longer than accuracy forms neither positivity nor its
-    donor-drift jumps.  max v is reduced once, for both bounds, the
-    IMEX step's cap and the admissibility cap, and the row maxima of the
-    new state once, for its admissibility and peak_v.
+    Every dt is first an IMEX trial from plan.rates or that L(Y0),
+    admissible if every cell is finite, nonnegative and at most
+    BLOWUP_LIMIT and max v' <= max(max v, max(0, m2)) (1 + 1e-12).  One
+    that is not is discarded for the SSP-RK step from the same L(Y0) at
+    min(limit, t_end - t), limit = min(step_bounds), which raises BlowUp
+    when not admissible and forms no estimate; the next proposal is 0.
+    Only that fallback forms the positivity bound, and it checks limit
+    as the start checks accuracy.  max v is reduced once, for the IMEX
+    step's cap and the admissibility cap, and the row maxima of the new
+    state once, for its admissibility and peak_v.
 
     When longest exceeds accuracy and the step does not land on t_end,
     advance forms L(Y1), with the bound at Y1, and
     err = max|Y1 - Y0 - (dt/2)(L(Y0) + L(Y1))| / (STEP_TOL (1 + |Y1|))
-    over both fields, whichever method took the step.  It keeps the step
-    if err <= 1 or dt <= accuracy, proposes dt min(5, max(0.2,
-    0.9 err^(-1/3))) next and carries L(Y1) and its bound; otherwise it
-    retries from y at max(accuracy, dt max(0.2, 0.9 err^(-1/3))).
-    accuracy is the floor because shortening a step below it only adds
-    steps.  An SSP-RK step is at most accuracy long, so it is always
-    kept, and only IMEX steps are rejected by the estimate.
+    over both fields.  It keeps the step if err <= 1 or dt <= accuracy,
+    proposes dt min(5, max(0.2, 0.9 err^(-1/3))) next and carries L(Y1)
+    and its bound; otherwise it retries from y at
+    max(accuracy, dt max(0.2, 0.9 err^(-1/3))).  accuracy is the floor
+    because shortening a step below it only adds steps.
     """
-    v = y[1]
     p = plan.p
-    v_max = float(v.max())
-    rates, bound = plan.rates, plan.bound
+    rates, accuracy = plan.rates, plan.bound
     plan.rates = plan.bound = None
     if rates is None:
-        rates, bound = _rhs(y, plan, True)
+        rates, accuracy = _rhs(y, plan, True)
         accounting.rhs_evaluations += 1
-    accuracy, react_u, react_v = bound
     _check_progress(accuracy, t, t_end)
-    cap = max(v_max, p.m2_plus)
-    limit = None  # min(positivity, accuracy) once formed
+    cap = max(float(y[1].max()), p.m2_plus)
+    fallback = False
     dt = min(max(accuracy, min(plan.proposal, plan.longest)), t_end - t)
     estimate = plan.longest > accuracy and dt < t_end - t
     while True:
-        if limit is None and dt <= accuracy and dt <= _positivity_ceiling(v_max, react_u, react_v, plan.grid, p):
-            limit = min(_positivity_bound(v, v_max, react_u, react_v, plan.grid, p), accuracy)
-        if limit is not None and dt <= limit:
+        if fallback:
             y_new, maxima = _ssp_step(y, t, plan, dt, rates)
             accounting.rhs_evaluations += STAGES - 1
         else:
@@ -659,10 +613,9 @@ def advance(y: np.ndarray, t: float, t_end: float, plan: StepPlan,
             maxima = _row_maxima(y_new)
             if not _admissible(y_new, maxima, cap * (1.0 + 1e-12)):
                 accounting.imex_rejected += 1
-                if limit is None:
-                    limit = min(_positivity_bound(v, v_max, react_u, react_v, plan.grid, p), accuracy)
+                limit = min(step_bounds(y[0], y[1], plan.grid, p))
                 _check_progress(limit, t, t_end)
-                plan.proposal, estimate, dt = 0.0, False, min(limit, t_end - t)
+                plan.proposal, estimate, fallback, dt = 0.0, False, True, min(limit, t_end - t)
                 continue
         if not estimate:
             break
@@ -676,7 +629,7 @@ def advance(y: np.ndarray, t: float, t_end: float, plan: StepPlan,
             break
         accounting.imex_error_rejected += 1
         dt = max(accuracy, dt * factor)
-    accounting.imex_steps += limit is None or dt > limit
+    accounting.imex_steps += not fallback
     accounting.steps += 1
     accounting.peak_v = max(accounting.peak_v, maxima[1])
     accounting.dt_min = min(accounting.dt_min, dt)
@@ -694,8 +647,8 @@ def run_to_time(
     accounting: StepAccounting | None = None,
 ) -> State:
     """March from s0 to t_end with the steps of advance; return the state
-    at t_end.  advance may lengthen an IMEX step past C/J, where its
-    error estimate accepts it, up to sample_every and no further, so a
+    at t_end.  advance may lengthen a step past C/J, where its error
+    estimate accepts it, up to sample_every and no further, so a
     lengthened step reaches at most one sample time and the records of a
     settling run hold a state each.
 

@@ -164,13 +164,12 @@ def per_field_step(u, v, g, p, taxis, dt):
     return u_new + (u - u_new) / STAGES, v_new + (v - v_new) / STAGES
 
 
-def written_step_bounds(u, v, g, p, jumps=True):
+def written_step_bounds(u, v, g, p):
     """(positivity, accuracy) as dynamics.step_bounds was first written,
     each term in the association rhs gives the reactions: the per-capita
     rates (a v - u) + m1 and (-b u - v) + m2, and each row sum of the
     reaction Jacobian that rate's difference from its species plus the
-    off-diagonal term; jumps=False takes every donor-drift jump as 0,
-    which makes positivity the ceiling advance gates it with."""
+    off-diagonal term."""
     v_max = float(v.max())
     rate_u = float(np.abs(p.a * v - u + p.m1).max())
     react_v = float(np.abs(-p.b * u - v + p.m2).max())
@@ -178,7 +177,7 @@ def written_step_bounds(u, v, g, p, jumps=True):
     rate_v = max(react_v, 2.0 * v_max - p.m2)
     for ax, h in enumerate(g.h):
         two_over_h2 = 2.0 / (h * h)
-        jump = float(np.abs(np.diff(v, axis=ax)).max()) if jumps else 0.0
+        jump = float(np.abs(np.diff(v, axis=ax)).max())
         rate_u += two_over_h2 * (p.d1 + p.chi * (v_max + jump))
         rate_v += two_over_h2 * p.d2
     rate = max(rate_u, rate_v)

@@ -1,6 +1,6 @@
 """tools/ab.py: the sign test, the per-metric summary of paired runs,
-their order over several workloads, and the check that both trees took
-the same steps."""
+their order over several workloads, the check that both trees took the
+same steps, and the refusal of fewer than one pair."""
 
 import importlib.util
 import json
@@ -80,6 +80,20 @@ def test_a_failed_run_ends_the_comparison(monkeypatch, capsys):
     assert ab.main(["base", "new", "--workload", "epsfam_1d"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "1 of 4 calls failed" in captured.err
+
+
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_fewer_than_one_pair_is_a_usage_error(monkeypatch, capsys, pairs):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("no benchmark run is started")
+
+    monkeypatch.setattr(ab, "run_once", unexpected)
+    monkeypatch.setattr(ab.subprocess, "run", unexpected)
+    with pytest.raises(SystemExit) as exit_info:
+        ab.main(["base", "new", "--workload", "epsfam_1d", "--pairs", pairs])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"--pairs must be at least 1 (got {pairs})" in captured.err
 
 
 def faked_bench(steps_of):

@@ -309,8 +309,8 @@ def assert_forward_euler_substep_safe(u, v, g, p, taxis):
 
 
 def ssp_step_length(u, v, g, p):
-    """The SSP-RK step advance takes from (u, v), or falls back to, before
-    it is clipped to t_end: the shorter of the positivity and accuracy
+    """The SSP-RK step advance falls back to from (u, v), before it is
+    clipped to t_end: the shorter of the positivity and accuracy
     bounds."""
     return min(step_bounds(u, v, g, p))
 
@@ -430,7 +430,7 @@ def test_forward_euler_substep_at_limiter_dt_is_positive_and_monotone(
 )
 def test_full_step_clamps_nothing_for_random_coefficients(
         data, g, taxis, eps, d1, d2, chi, m1, a, b, m2):
-    """The full SSP-RK step of advance is admissible, with no negative
+    """The full SSP-RK step of advance's fallback is admissible, with no negative
     cell, over the coefficient ranges of the forward-Euler property.
     The search is steered toward predation that is fast against transport,
     where predators multiplying over the substeps raise the prey's loss
@@ -527,21 +527,22 @@ def test_step_bounds_at_an_equilibrium_takes_j_from_the_row_sums():
     assert step_bounds(u, v, g, WORKED)[1] == STEP_ACCURACY / 3.0
 
 
-def test_run_to_time_takes_fast_reactions_with_ssp_rk_steps():
+def test_run_to_time_takes_fast_reactions_with_two_right_hand_sides_per_step():
     p = replace(SLOW, m1=10.0, b=10.0)
     s = make_state([1.0] * 4, [1.0] * 4, length=3.0)
     acc = StepAccounting()
     run_to_time(s, p, TaxisScheme.UPWIND, t_end=0.5, sample_every=1e-4, accounting=acc)
-    assert acc.steps > 0
     # fast reactions keep the accuracy bound under the positivity bound, and
-    # a sample interval under C/J lets no step be longer: no IMEX step is tried
-    assert acc.imex_steps == acc.imex_rejected == 0
-    assert acc.rhs_evaluations == STAGES * acc.steps
+    # a sample interval under C/J lets no step be longer: every step is an
+    # IMEX step at C/J, L(Y0) and L(Y2), which forms no estimate
+    assert acc.steps == acc.imex_steps == 594
+    assert acc.imex_rejected == acc.imex_error_rejected == 0
+    assert acc.rhs_evaluations == 2 * acc.steps
 
 
 def test_run_to_time_controls_fast_reaction_steps_after_the_first(monkeypatch):
-    """With a sample interval over C/J the first step is SSP-RK at C/J,
-    its error estimate proposes the next, and every later step is a
+    """With a sample interval over C/J the first step is an IMEX step at
+    C/J, its error estimate proposes the next, and every later step is a
     controlled IMEX step; the accounting counts every right-hand side,
     those that form the step's accuracy bound with it included."""
     p = replace(SLOW, m1=10.0, b=10.0)
@@ -566,19 +567,20 @@ def test_run_to_time_controls_fast_reaction_steps_after_the_first(monkeypatch):
     monkeypatch.setattr(dynamics, "advance", recorded)
     acc = StepAccounting()
     run_to_time(s, p, TaxisScheme.UPWIND, t_end=0.5, sample_every=0.5, accounting=acc)
-    assert steps[0][:2] == (accuracy, 0)
+    assert steps[0][:2] == (accuracy, 1)
     assert all(imex == 1 for _, imex, _ in steps[1:])
     assert all(proposal > 0.0 for _, _, proposal in steps[:-1])
-    assert (acc.steps, acc.imex_steps, acc.imex_rejected, acc.imex_error_rejected) == (123, 122, 0, 2)
-    # L(Y0), the SSP-RK step's STAGES - 1 more and its estimate's; then two
-    # per IMEX step, the last forming no estimate, and two per rejected trial
-    assert acc.rhs_evaluations == len(calls) == 1 + STAGES + 2 * 122 - 1 + 2 * 2
+    assert (acc.steps, acc.imex_steps, acc.imex_rejected, acc.imex_error_rejected) == (123, 123, 0, 2)
+    # L(Y0), then two per IMEX step, the last forming no estimate, and two
+    # per rejected trial
+    assert acc.rhs_evaluations == len(calls) == 1 + 2 * 123 - 1 + 2 * 2 == 250
 
 
-def test_advance_proposes_a_step_after_an_ssp_rk_step_on_a_coarse_grid():
-    """Where C/J is under the positivity bound, the first step is SSP-RK
-    at C/J; with a longer sample interval it forms the error estimate,
-    proposes a step and carries the right-hand side at the kept state."""
+def test_advance_proposes_a_step_after_a_c_over_j_step_on_a_coarse_grid():
+    """Where C/J is under the positivity bound, the first step is still an
+    IMEX step at C/J; with a longer sample interval it forms the error
+    estimate, proposes a step and carries the right-hand side at the kept
+    state."""
     g = Grid.uniform(1, 16, 8.0)
     x = np.cos(np.pi * g.centers(0) / 8.0)
     y = np.stack((1.0 + 0.5 * x, 1.0 - 0.5 * x))
@@ -587,7 +589,7 @@ def test_advance_proposes_a_step_after_an_ssp_rk_step_on_a_coarse_grid():
     plan, acc = StepPlan(g, WORKED, TaxisScheme.UPWIND, longest=1.0), StepAccounting()
     y1, dt = advance(y, 0.0, 10.0, plan, acc)
     assert dt == accuracy
-    assert (acc.imex_steps, acc.steps) == (0, 1)
+    assert (acc.imex_steps, acc.steps) == (1, 1)
     assert plan.proposal > 0.0
     assert plan.rates.tobytes() == rhs(y1, StepPlan(g, WORKED, TaxisScheme.UPWIND)).tobytes()
 
@@ -596,9 +598,8 @@ def test_every_grid_takes_two_right_hand_sides_per_step():
     """coexistence_64's shape to t = 2: on every grid a kept IMEX step
     costs two right-hand sides, L(Y2) and its estimate's L(Y1), which is
     the next step's L(Y0), and so does each trial the error estimate
-    rejects, so the count does not grow with the grid.  The SSP-RK steps
-    at C/J the coarse grids start with cost STAGES - 2 more each; the
-    first L(Y0) makes up for the last step, which forms no estimate."""
+    rejects, so the count does not grow with the grid.  The first L(Y0)
+    makes up for the last step, which forms no estimate."""
     counts = []
     for n in (16, 32, 64):
         items = scenario_items("coexistence_64")
@@ -606,10 +607,8 @@ def test_every_grid_takes_two_right_hand_sides_per_step():
         result = execute(build_config(items))
         assert result.ok
         acc = result.accounting
-        assert acc.imex_rejected == 0
-        ssp_steps = acc.steps - acc.imex_steps
-        assert ssp_steps <= 2
-        assert acc.rhs_evaluations == 2 * (acc.steps + acc.imex_error_rejected) + (STAGES - 2) * ssp_steps
+        assert acc.imex_steps == acc.steps and acc.imex_rejected == 0
+        assert acc.rhs_evaluations == 2 * (acc.steps + acc.imex_error_rejected)
         counts.append(acc.rhs_evaluations)
     assert max(counts) <= 1.1 * min(counts)
 
@@ -839,24 +838,34 @@ def test_advance_discards_an_inadmissible_rkl2_step(monkeypatch, field, value):
 def recording_bounds(mp, formed):
     """Patch the two bound functions to append (name, value) to formed for
     every bound they return: _reaction_bound, which reduces the accuracy
-    bound from a right-hand side's per-capita rates, and
-    _positivity_bound."""
-    for name, value in (("_reaction_bound", lambda r: r[0]), ("_positivity_bound", lambda r: r)):
-        def recorded(*args, bound=getattr(dynamics, name), name=name, value=value):
-            result = bound(*args)
-            formed.append((name, value(result)))
-            return result
-        mp.setattr(dynamics, name, recorded)
+    bound from a right-hand side's per-capita rates, and step_bounds,
+    whose own _reaction_bound call is not recorded apart."""
+    reaction_bound, bounds = dynamics._reaction_bound, dynamics.step_bounds
+
+    def recorded_reaction_bound(*args):
+        formed.append(("_reaction_bound", reaction_bound(*args)))
+        return formed[-1][1]
+
+    def recorded_step_bounds(*args):
+        first = len(formed)
+        result = bounds(*args)
+        del formed[first:]
+        formed.append(("step_bounds", result))
+        return result
+
+    mp.setattr(dynamics, "_reaction_bound", recorded_reaction_bound)
+    mp.setattr(dynamics, "step_bounds", recorded_step_bounds)
 
 
 def test_advance_runs_each_limiter_pass_once(monkeypatch):
-    """accuracy is formed once per step, with L(Y0), and positivity at
-    most once: not for the kept IMEX step, whose C/J is above the
-    positivity ceiling, and once for the SSP-RK step and for the fallback
-    after a discarded IMEX step."""
+    """accuracy is formed once per step, with L(Y0), and positivity only
+    for the fallback after a discarded IMEX step, with step_bounds: not
+    for a kept IMEX step, whether C/J is above the positivity bound or
+    under it."""
     rough = np.random.default_rng(92)
     cases = [
-        # an IMEX step kept, an SSP-RK step, and an IMEX step discarded for one
+        # an IMEX step kept past the positivity bound, one kept under it,
+        # and one discarded for an SSP-RK step
         (np.full(16, 0.5), np.full(16, 1.0), WORKED),
         (np.ones(16), np.ones(16), replace(SLOW, m1=10.0, b=10.0)),
         (rough.uniform(0.0, 3.0, 16), rough.uniform(0.0, 3.0, 16), WORKED),
@@ -871,8 +880,8 @@ def test_advance_runs_each_limiter_pass_once(monkeypatch):
         kinds.append((acc.imex_steps, acc.imex_rejected, [name for name, _ in formed]))
     assert kinds == [
         (1, 0, ["_reaction_bound"]),
-        (0, 0, ["_reaction_bound", "_positivity_bound"]),
-        (0, 1, ["_reaction_bound", "_positivity_bound"]),
+        (1, 0, ["_reaction_bound"]),
+        (0, 1, ["_reaction_bound", "step_bounds"]),
     ]
 
 
@@ -886,23 +895,25 @@ def test_advance_runs_each_limiter_pass_once(monkeypatch):
     longest=st.sampled_from((0.0, 1.0)),
 )
 def test_advance_forms_the_bounds_of_step_bounds_bitwise_property(data, g, taxis, m2, proposal, longest):
-    """The accuracy bound advance forms with L(Y0), and the positivity
-    bound wherever it forms one, are step_bounds' bit for bit, under
-    coexistence (m2 = 2) and extinction (m2 = 1/2) parameters, from
-    proposals below and above C/J.  Any later accuracy bound is formed
-    with an estimate's L(Y1), for the next step."""
+    """The accuracy bound advance forms with L(Y0) is step_bounds' bit for
+    bit, under coexistence (m2 = 2) and extinction (m2 = 1/2) parameters,
+    from proposals below and above C/J, and advance calls step_bounds
+    only for the fallback after a discarded IMEX trial.  Any later
+    accuracy bound is formed with an estimate's L(Y1), for the next
+    step."""
     u = data.draw(positive_fields(g, high=3.0))
     v = data.draw(positive_fields(g, high=3.0))
     p = replace(WORKED, m2=m2)
     positivity, accuracy = step_bounds(u, v, g, p)
     plan = StepPlan(g, p, taxis, longest=longest)
     plan.proposal = proposal * accuracy
-    formed = []
+    formed, acc = [], StepAccounting()
     with pytest.MonkeyPatch.context() as mp:
         recording_bounds(mp, formed)
-        advance(np.stack((u, v)), 0.0, 10.0, plan, StepAccounting())
+        advance(np.stack((u, v)), 0.0, 10.0, plan, acc)
     assert formed[0] == ("_reaction_bound", accuracy)
-    assert [bound for bound in formed[1:] if bound[0] == "_positivity_bound"] in ([], [("_positivity_bound", positivity)])
+    fallbacks = [("step_bounds", (positivity, accuracy))] * acc.imex_rejected
+    assert [bound for bound in formed[1:] if bound[0] == "step_bounds"] == fallbacks
 
 
 def first_written_accuracy(u, v, p):
@@ -926,10 +937,9 @@ def first_written_accuracy(u, v, p):
 )
 def test_the_carried_bound_is_the_bound_step_bounds_forms_property(data, g, taxis, m2, a, b):
     """After every kept step of a run that carries L(Y1), the bound carried
-    with it is step_bounds' at the state advance returned, bit for bit:
-    its accuracy, and the positivity bound formed from its per-capita
-    rates.  So a bound formed once with the right-hand side that starts a
-    step is the bound a fresh pass forms there.  step_bounds' accuracy,
+    with it is step_bounds' accuracy at the state advance returned, bit
+    for bit.  So a bound formed once with the right-hand side that starts
+    a step is the bound a fresh pass forms there.  step_bounds' accuracy,
     in the reactions' association, is within 4 ulp of the first-written
     one.  The parameters are INFLECTION's with a, b < 1, where the
     per-capita rates or the row sums can each set J."""
@@ -942,10 +952,7 @@ def test_the_carried_bound_is_the_bound_step_bounds_forms_property(data, g, taxi
     def checked(y, t, t_end, plan, accounting):
         y_new, dt = stepper(y, t, t_end, plan, accounting)
         if plan.bound is not None:
-            positivity, accuracy = step_bounds(y_new[0], y_new[1], g, p)
-            carried, react_u, react_v = plan.bound
-            assert carried == accuracy
-            assert dynamics._positivity_bound(y_new[1], float(y_new[1].max()), react_u, react_v, g, p) == positivity
+            assert plan.bound == step_bounds(y_new[0], y_new[1], g, p)[1]
             states.append(y_new)
         return y_new, dt
 
@@ -958,71 +965,16 @@ def test_the_carried_bound_is_the_bound_step_bounds_forms_property(data, g, taxi
         assert abs(accuracy - first) <= 4.0 * math.ulp(first)
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), g=grids(), m2=st.sampled_from((2.0, 0.5)), chi=st.sampled_from((1.0, 1e-3)))
-def test_the_positivity_ceiling_is_the_bound_without_its_jumps_property(data, g, m2, chi):
-    """The ceiling advance forms from v_max and the per-capita reaction
-    rates is >= step_bounds' positivity bound bit for bit, and it is the
-    written bound with every donor-drift jump 0, under coexistence
-    (m2 = 2) and extinction (m2 = 1/2) parameters.  At chi = 1e-3 the
-    prey's rate sum, with its 2 v_max - m2 slope, can be the larger."""
-    u = data.draw(positive_fields(g, high=3.0))
-    v = data.draw(positive_fields(g, high=3.0))
-    p = replace(WORKED, m2=m2, chi=chi)
-    _, (_, react_u, react_v) = dynamics._rhs(np.stack((u, v)), StepPlan(g, p, TaxisScheme.UPWIND), True)
-    ceiling = dynamics._positivity_ceiling(float(v.max()), react_u, react_v, g, p)
-    assert ceiling >= step_bounds(u, v, g, p)[0]
-    assert ceiling == written_step_bounds(u, v, g, p, jumps=False)[0]
-
-
-@settings(max_examples=30, deadline=None)
-@given(data=st.data(), g=grids(), taxis=st.sampled_from(TaxisScheme), m2=st.sampled_from((2.0, 0.5)))
-def test_a_run_gated_by_the_positivity_ceiling_is_the_run_that_always_forms_the_bound_property(data, g, taxis, m2):
-    """A run whose advance forms the positivity bound only at or under its
-    ceiling has the bits of one that forms it wherever dt is at most C/J
-    (the ceiling patched to inf): every sample, step length and counter."""
-    u = data.draw(positive_fields(g, high=3.0))
-    v = data.draw(positive_fields(g, high=3.0))
-    p = replace(WORKED, m2=m2)
-    s0 = State(g.field(u), g.field(v), 0.0)
-    stepper = dynamics.advance
-    runs = []
-    for ceiling in (dynamics._positivity_ceiling, lambda *args: math.inf):
-        samples, steps, acc = [], [], StepAccounting()
-
-        def recorded(y, t, t_end, plan, accounting):
-            y_new, dt = stepper(y, t, t_end, plan, accounting)
-            steps.append(dt)
-            return y_new, dt
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dynamics, "_positivity_ceiling", ceiling)
-            mp.setattr(dynamics, "advance", recorded)
-            final = run_to_time(s0, p, taxis, 0.5, 0.1, accounting=acc,
-                                sink=lambda t, y, count: samples.append((t, y.tobytes(), count)))
-        runs.append((samples, steps, acc, final.u.values.tobytes(), final.v.values.tobytes()))
-    assert runs[0] == runs[1]
-    assert runs[0][2].steps > 0
-
-
 def test_a_run_of_steps_past_c_over_j_forms_the_positivity_bound_on_no_step(monkeypatch):
-    """From near the coexistence state the first step is C/J long, above
-    the positivity ceiling, so the ceiling decides it is IMEX; the error
-    estimate accepts every later one past C/J, the C/J its predecessor's
-    L(Y1) carried, where no bound but accuracy can decide the method:
+    """From near the coexistence state the first step is an IMEX step C/J
+    long, and the error estimate accepts every later one past C/J, the
+    C/J its predecessor's L(Y1) carried; no trial is discarded, so
     positivity is never formed."""
     g = Grid((16, 16), (1.0, 1.0))
     w = np.cos(np.pi * g.meshcenters()[0])
     s0 = State(g.field(1.5 + 0.01 * w), g.field(0.5 - 0.01 * w), 0.0)
     formed, steps = [], []
     recording_bounds(monkeypatch, formed)
-    ceiling = dynamics._positivity_ceiling
-
-    def recorded_ceiling(*args):
-        formed.append(("_positivity_ceiling", ceiling(*args)))
-        return formed[-1][1]
-
-    monkeypatch.setattr(dynamics, "_positivity_ceiling", recorded_ceiling)
     stepper = dynamics.advance
 
     def recorded(y, t, t_end, plan, accounting):
@@ -1034,12 +986,10 @@ def test_a_run_of_steps_past_c_over_j_forms_the_positivity_bound_on_no_step(monk
     monkeypatch.setattr(dynamics, "advance", recorded)
     acc = StepAccounting()
     run_to_time(s0, WORKED, TaxisScheme.UPWIND, 2.0, 0.5, accounting=acc)
-    assert acc.steps == len(steps) > 10
+    assert acc.steps == acc.imex_steps == len(steps) > 10
     (dt, first), *later = steps
-    assert [name for name, _ in first[:2]] == ["_reaction_bound", "_positivity_ceiling"]
-    assert dt == first[0][1] > first[1][1]
-    names = [name for _, bounds in steps for name, _ in bounds]
-    assert names.count("_positivity_ceiling") == 1 and "_positivity_bound" not in names
+    assert first[0][0] == "_reaction_bound" and dt == first[0][1]
+    assert {name for _, bounds in steps for name, _ in bounds} == {"_reaction_bound"}
     # each step's accuracy is the last bound its predecessor formed, with the L(Y1) it kept
     for (_, before), (dt, _) in zip(steps, later):
         assert dt > before[-1][1]
@@ -1129,6 +1079,35 @@ def test_run_to_time_with_its_plan_dropped_before_every_step_gives_the_same_byte
     assert run_bytes(s0, p, taxis, 0.5, sample_every) == kept
     assert kept[1].imex_steps > 0
     assert any(carried)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    data=st.data(),
+    g=grids(),
+    taxis=st.sampled_from(TaxisScheme),
+    m2=st.sampled_from((2.0, 0.5)),
+    scale=st.sampled_from((2.0, 0.5)),
+)
+def test_a_box_scaled_by_lambda_with_transport_scaled_by_lambda_squared_is_the_same_run_property(
+        data, g, taxis, m2, scale):
+    """Scaling the box length by lambda, a power of two, and d1, d2 and
+    chi by lambda^2 leaves every transport coefficient over h^2 and every
+    eigenvalue times a diffusivity the same bits, so the run is the same
+    run: every sample, every counter and the final state, bit for bit, in
+    1-D and 2-D, with either flux, under coexistence (m2 = 2) and
+    extinction (m2 = 1/2) parameters.  A constant of rhs, the
+    positivity bound or the DCT solve that scaled with h any other way
+    would break it."""
+    u = data.draw(positive_fields(g, high=3.0))
+    v = data.draw(positive_fields(g, high=3.0))
+    p = replace(WORKED, m2=m2)
+    scaled = replace(p, d1=p.d1 * scale**2, d2=p.d2 * scale**2, chi=p.chi * scale**2)
+    runs = []
+    for grid, params in ((g, p), (Grid(g.n, tuple(scale * length for length in g.length)), scaled)):
+        runs.append(run_bytes(State(grid.field(u), grid.field(v), 0.0), params, taxis, 0.5, 0.1))
+    assert runs[0] == runs[1]
+    assert runs[0][1].steps > 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -1353,7 +1332,7 @@ def test_an_ssp_rk_fallback_under_a_tiny_positivity_bound_stalls(monkeypatch):
     bounded by positivity, so that is where advance checks it."""
     s, acc = make_state(np.ones(8), np.ones(8)), StepAccounting()
     accuracy = step_bounds(s.u.values, s.v.values, s.grid, WORKED)[1]  # the first step's, where the run stalls
-    monkeypatch.setattr(dynamics, "_positivity_bound", lambda *args: 1e-12 * accuracy)
+    monkeypatch.setattr(dynamics, "step_bounds", lambda *args: (1e-12 * accuracy, accuracy))
     monkeypatch.setattr(dynamics, "imex_step", lambda y, plan, dt, rates=None, cap=None: -y)
     with pytest.raises(Stalled, match="steps to t_end"):
         run_to_time(s, WORKED, TaxisScheme.UPWIND, t_end=1.0, sample_every=0.5, accounting=acc)
@@ -1431,3 +1410,5 @@ def test_random_runs_respect_bounds():
             assert sup_v <= logistic_comparison(v0_sup, p.m2, st.t) + 1e-8 * max(1.0, v0_sup)
             assert integrate_values(g, st.u.values) <= mass_cap * (1.0 + 1e-6)
             assert st.u.values.min() >= 0.0
+        # every kept step is IMEX but the SSP-RK step each discarded trial forces
+        assert acc.imex_steps == acc.steps - acc.imex_rejected

@@ -108,21 +108,24 @@ def test_run_scenario_blowup(tmp_path):
 
 def test_an_inadmissible_ssp_rk_step_ends_the_run_as_a_blowup(tmp_path, monkeypatch):
     """An SSP-RK step is kept only if admissible, as an IMEX step is.  With
-    a positivity bound and its ceiling 1000 times too long, advance takes
-    SSP-RK steps at the accuracy bound, and on a cosine profile the
-    second goes negative."""
-    for name in ("_positivity_bound", "_positivity_ceiling"):
-        def overlong(*args, bound=getattr(dynamics, name)):
-            return 1e3 * bound(*args)
+    every IMEX trial negative and a positivity bound 1000 times too long,
+    advance takes SSP-RK steps at the accuracy bound, and on a cosine
+    profile the second goes negative."""
+    bounds = dynamics.step_bounds
 
-        monkeypatch.setattr(dynamics, name, overlong)
+    def overlong(*args):
+        positivity, accuracy = bounds(*args)
+        return 1e3 * positivity, accuracy
+
+    monkeypatch.setattr(dynamics, "step_bounds", overlong)
+    monkeypatch.setattr(dynamics, "imex_step", lambda y, plan, dt, rates=None, cap=None: -y)
     cosine = "initial.kind = cosine\ninitial.u_amp = 0.5\ninitial.v_amp = 0.5\n"
     config = small_config(cosine)
     acc = StepAccounting()
     with pytest.raises(BlowUp, match="negative"):
         run_to_time(initial_state(config), config.params, config.taxis, config.t_end,
                     config.sample_every, accounting=acc)
-    assert (acc.steps, acc.imex_steps) == (1, 0)
+    assert (acc.steps, acc.imex_steps, acc.imex_rejected) == (1, 0, 2)
     assert execute(config).status.startswith("blowup: density negative")
     cfg = tmp_path / "run.cfg"
     cfg.write_text(BASE + cosine + f"output.dir = {tmp_path / 'out'}\n")

@@ -18,7 +18,7 @@ a cheaper step can be told from a change in step count.  The last stdout
 line is all the tables as one JSON object, keyed by workload under
 "workloads", each with a "steps" entry beside its metrics.  A run
 whose result line reports a failed call, or that exits nonzero, ends the
-comparison with exit 1.
+comparison with exit 1; a --pairs under 1 is a usage error (exit 2).
 
 Standard library only.
 """
@@ -137,6 +137,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=4.0)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1 (got {args.pairs})")
     workloads = list(dict.fromkeys(args.workload))
     try:
         tables = compare(args.base, args.new, workloads, args.pairs, args.seed, args.seconds)
