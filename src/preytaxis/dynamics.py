@@ -170,34 +170,35 @@ class StepAccounting:
 
 # --- pointwise reactions ----------------------------------------------------
 
-def _reaction_coefficients(p: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The columns (a, -b), (m1, m2) and (a, b) of the reactions'
-    coefficients, each shaped (2, 1), as _per_capita_rates and
-    _reaction_bound take them."""
-    c = np.array(((p.a, p.m1, p.a), (-p.b, p.m2, p.b)))
-    return c[:, :1], c[:, 1:2], c[:, 2:]
+def _reaction_coefficients(p: ModelParams, cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reactions' coefficients for the flat stack x = (u, v) of
+    2 cells values, as _per_capita_rates and _reaction_bound take them:
+    the column (a, -b), shaped (2, 1), and the rows
+    growth = (m1, ..., m2, ...) and slopes = (a, ..., b, ...), each of
+    2 cells slots, m1 and a over u's cells and m2 and b over v's."""
+    return np.array(((p.a,), (-p.b,))), np.repeat((p.m1, p.m2), cells), np.repeat((p.a, p.b), cells)
 
 
 def _per_capita_rates(x: np.ndarray, coefficients) -> np.ndarray:
-    """Per-capita reaction rates pc = m + [[-1, a], [-b, -1]] x of the
-    stacked rows x = (u, v), shaped (2, N), as a new array: one
-    elementwise pass per operation on both rows, ((a v - u) + m1,
-    (-b u - v) + m2).  The reactions are pc * x, which rhs and
-    reaction_rates form in place.  coefficients is
-    _reaction_coefficients(p)."""
+    """Per-capita reaction rates pc = m + [[-1, a], [-b, -1]] (u, v) of the
+    flat stack x = (u, v), as a new flat array ((a v - u) + m1,
+    (-b u - v) + m2): the product of the swapped rows (v, u) with the
+    column (a, -b), then one contiguous pass per operation over both
+    rows.  The reactions are pc * x, which rhs and reaction_rates form in
+    place.  coefficients is _reaction_coefficients(p, cells)."""
     cross, growth, _ = coefficients
-    pc = x[::-1] * cross
+    pc = (x.reshape(2, -1)[::-1] * cross).reshape(-1)
     pc -= x
     pc += growth
     return pc
 
 
-def _reaction_bound(pc: np.ndarray, x: np.ndarray, coefficients) -> float:
-    """step_bounds' accuracy bound C/J at the stacked rows x = (u, v) from
-    their per-capita rates pc: J is the larger of max|pc| and the largest
-    of the Jacobian's row sums, |pc_u - u| + a u and |pc_v - v| + b v.
-    pc and x are left alone."""
-    _, _, slopes = coefficients
+def _reaction_bound(pc: np.ndarray, x: np.ndarray, slopes: np.ndarray) -> float:
+    """step_bounds' accuracy bound C/J at the flat stack x = (u, v) from
+    its per-capita rates pc: J is the larger of max|pc| and the largest
+    of the Jacobian's row sums, |pc_u - u| + a u and |pc_v - v| + b v;
+    slopes is the row (a, ..., b, ...) of _reaction_coefficients.  pc
+    and x are left alone."""
     w = np.abs(pc)
     react = float(w.max())
     np.subtract(pc, x, out=w)
@@ -210,8 +211,8 @@ def reaction_rates(u, v, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Logistic reaction terms of both species, u (m1 - u + a v) and
     v (m2 - b u - v), with the bits rhs adds."""
     y = np.stack(np.broadcast_arrays(u, v))
-    x = y.reshape(2, -1)
-    r = _per_capita_rates(x, _reaction_coefficients(p))
+    x = y.reshape(-1)
+    r = _per_capita_rates(x, _reaction_coefficients(p, x.size // 2))
     r *= x
     r = r.reshape(y.shape)
     return r[0], r[1]
@@ -222,14 +223,15 @@ def reaction_rates(u, v, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
 class StepPlan:
     """One run on grid with p and taxis.  What every right-hand side
     reuses, since only the state changes: shape, the stacked state's
-    (2, *grid.n); faces, per axis a stacked (2, N + s) face array (see
-    grid) whose walls are zeroed here once and stay 0; axes, per axis
-    (s, the interior views faces[0, s:-s] and faces[1, s:-s], chi/h^2,
-    chi/2h^2, d1/h^2, d2/h^2); and reactions, _reaction_coefficients(p).
-    rhs writes the face differences, then the fluxes over h, into faces
-    on every call: the constants hold both the 1/h of the gradient and
-    the 1/h of the divergence, so no pass divides by h.  Grid keeps
-    1/h^2 finite.
+    (2, *grid.n); faces, per axis the flat face array of the stack (u, v)
+    (see grid), 2N + s slots, whose rows share their wall slots: u's
+    faces are f[:N + s] and v's f[N:2N + s]; axes, per axis (s, the
+    interior views f[s:N] and f[N + s:2N], chi/h^2, chi/2h^2, d1/h^2,
+    d2/h^2); and reactions, _reaction_coefficients(p, N), with its two
+    (2N) rows.  rhs writes the face differences, walls and seams zeroed,
+    then the fluxes over h, into faces on every call: the constants hold
+    both the 1/h of the gradient and the 1/h of the divergence, so no
+    pass divides by h.  Grid keeps 1/h^2 finite.
 
     What imex_step reuses: dct, per axis the orthonormal DCT-II matrix
     C[k, j] = c_k cos(pi k (j + 1/2)/n), c_0 = sqrt(1/n), else sqrt(2/n),
@@ -259,12 +261,12 @@ class StepPlan:
         self.grid, self.p, self.taxis, self.shape = grid, p, taxis, (2, *grid.n)
         self.longest, self.proposal, self.rates, self.bound = longest, 0.0, None, None
         cells = math.prod(grid.n)
-        self.faces = tuple(np.zeros((2, cells + s)) for s in grid.stride)
+        self.faces = tuple(np.zeros(2 * cells + s) for s in grid.stride)
         self.axes = tuple(
-            (s, faces[0, s:-s], faces[1, s:-s], p.chi / h2, 0.5 * p.chi / h2, p.d1 / h2, p.d2 / h2)
-            for s, h2, faces in zip(grid.stride, (h * h for h in grid.h), self.faces)
+            (s, f[s:cells], f[cells + s:2 * cells], p.chi / h2, 0.5 * p.chi / h2, p.d1 / h2, p.d2 / h2)
+            for s, h2, f in zip(grid.stride, (h * h for h in grid.h), self.faces)
         )
-        self.reactions = _reaction_coefficients(p)
+        self.reactions = _reaction_coefficients(p, cells)
         self.dct = tuple(_dct_matrix(n) for n in grid.n)
         self.dct_t = tuple(np.ascontiguousarray(c.T) for c in self.dct)
         self.eigenvalues = functools.reduce(np.add.outer, (
@@ -320,8 +322,9 @@ def _rhs(y: np.ndarray, plan: StepPlan, bound: bool) -> tuple[np.ndarray, float 
         raise ValueError(f"state shape {y.shape} does not match the plan's {plan.shape}")
     eps = plan.p.eps
     fluxes = face_gradient_values(plan.grid, y, out=plan.faces, over_h=False)
-    x = y.reshape(2, -1)
-    x_u, x_v = x
+    x = y.reshape(-1)
+    cells = x.size // 2
+    x_u, x_v = x[:cells], x[cells:]
     upwind = plan.taxis is TaxisScheme.UPWIND
     if upwind:
         mobility = taxis_mobility(x_u, eps)
@@ -339,7 +342,7 @@ def _rhs(y: np.ndarray, plan: StepPlan, bound: bool) -> tuple[np.ndarray, float 
         np.subtract(flux, drift, out=grad_u)
         grad_v *= d2_h2
     out = _per_capita_rates(x, plan.reactions)
-    formed = _reaction_bound(out, x, plan.reactions) if bound else None
+    formed = _reaction_bound(out, x, plan.reactions[2]) if bound else None
     out *= x
     accumulate_divergence(plan.grid, out, fluxes)
     return out.reshape(y.shape), formed
@@ -398,10 +401,10 @@ def step_bounds(u, v, grid: Grid, p: ModelParams) -> tuple[float, float]:
     whose reactions already hold those rates (see _rhs), with the bits
     step_bounds forms, and calls step_bounds only for a fallback.
     """
-    x = np.stack((u, v)).reshape(2, -1)
-    coefficients = _reaction_coefficients(p)
+    x = np.stack((u, v)).reshape(-1)
+    coefficients = _reaction_coefficients(p, x.size // 2)
     pc = _per_capita_rates(x, coefficients)
-    rate_u, react_v = np.abs(pc).max(axis=1).tolist()
+    rate_u, react_v = np.abs(pc).reshape(2, -1).max(axis=1).tolist()
     v_max = float(v.max())
     rate_v = max(react_v, 2.0 * v_max - p.m2)
     for ax, h in enumerate(grid.h):
@@ -409,7 +412,7 @@ def step_bounds(u, v, grid: Grid, p: ModelParams) -> tuple[float, float]:
         jump = float(np.abs(np.diff(v, axis=ax)).max())
         rate_u += two_over_h2 * (p.d1 + p.chi * (v_max + jump))
         rate_v += two_over_h2 * p.d2
-    return STEP_SAFETY * ((STAGES - 1) / max(rate_u, rate_v)), _reaction_bound(pc, x, coefficients)
+    return STEP_SAFETY * ((STAGES - 1) / max(rate_u, rate_v)), _reaction_bound(pc, x, coefficients[2])
 
 
 # --- time stepping -----------------------------------------------------------
@@ -469,15 +472,18 @@ def _ssp_step(y: np.ndarray, t: float, plan: StepPlan, dt: float,
 def _transform(plan: StepPlan, x: np.ndarray, out: np.ndarray, inverse: bool = False) -> None:
     """Write the orthonormal DCT-II of the stacked x along every axis into
     out (inverse: the transpose, which undoes it), one matmul per axis,
-    the last axis's over all rows at once; in 2-D that one goes into
-    plan.spectral[2].  Each matmul takes plan.dct or plan.dct_t, never a
-    transposed view.  x is left alone."""
+    the last axis's over all rows at once: in 1-D the one matmul of the
+    (2, n) state, in 2-D one into plan.spectral[2] first.  Each matmul
+    takes plan.dct or plan.dct_t, never a transposed view.  x is left
+    alone."""
     right, left = (plan.dct, plan.dct_t) if inverse else (plan.dct_t, plan.dct)
+    if len(right) == 1:
+        np.matmul(x, right[0], out=out)
+        return
     n = right[-1].shape[0]
-    mid = plan.spectral[2] if len(right) > 1 else out
+    mid = plan.spectral[2]
     np.matmul(x.reshape(-1, n), right[-1], out=mid.reshape(-1, n))
-    if len(left) > 1:
-        np.matmul(left[0], mid, out=out)
+    np.matmul(left[0], mid, out=out)
 
 
 def imex_step(y: np.ndarray, plan: StepPlan, dt: float, rates: np.ndarray | None = None,

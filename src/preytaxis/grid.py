@@ -12,17 +12,26 @@ condition.  In 1-D and along axis 0 this is the zero-padded face array,
 flattened.  So discrete integrals of divergences telescope to zero to
 rounding: the discrete divergence theorem holds by construction.
 
+The kernels also take a stack of L fields, values shaped lead + Grid.n
+with L = prod(lead) (dynamics passes both species as one (2, *n)
+array), as the L N cell values of the stack, flattened.  The face array
+of a stack along ax is then one flat array of L N + s slots whose rows
+share their wall slots: row r's faces are the contiguous slice
+f[r N : (r + 1) N + s], bitwise that field's own face array, and the
+seam rule above, over the stack's cells, is the one rule for every axis
+(along axis 0 and in 1-D its seams are the walls the rows share and the
+trailing wall).  So every pass of a kernel is one 1-D pass over
+contiguous slices of the whole stack, each field gets the bits of its
+own call, and the kernels write every wall and seam themselves.
+
 A divergence is accumulated in place, one axis after the other: face
 fluxes already divided by h are added to the cells before the faces
 (x[:-s] += f[s:-s]) and taken from the cells after them
 (x[s:] -= f[s:-s]); the seams among those slots hold 0 and move no
 mass.  accumulate_divergence is that one accumulation: divergence_values
-runs it from zero, and dynamics.rhs from the reaction terms.
-
-The kernels also take a stack of fields, values shaped lead + Grid.n
-(dynamics passes both species as one (2, *n) array): face arrays then
-come back shaped lead + (N + s,) and divergences lead + Grid.n, and each
-field of the stack gets the same bits as on its own.
+runs it from zero, and dynamics.rhs from the reaction terms.  A seam's
+0 is added to the cell before it, so a cell last along an axis, but for
+the last s cells of the stack, that would hold -0.0 gets +0.0.
 """
 
 from __future__ import annotations
@@ -150,56 +159,61 @@ def integrate_values(grid: Grid, values: np.ndarray) -> float:
 
 def face_gradient_values(grid: Grid, values: np.ndarray, out: tuple[np.ndarray, ...] | None = None,
                          over_h: bool = True) -> tuple[np.ndarray, ...]:
-    """Normal gradient on every face, per axis, as face arrays: zero on
-    the walls and seams.  out, when given, holds a face array per axis
-    shaped lead + (N + s,) whose first and last s slots are 0; the
-    gradients are written into it, whatever its other slots held, and
-    out is returned.  Along axis 0 the seams are those last s slots,
-    which the difference does not write.  With over_h false the face
+    """Normal gradient on every face, per axis, as flat face arrays of the
+    stack values (see the module docstring), L N + s slots: zero on the
+    walls and seams.  out, when given, holds a face array per axis of that
+    size; the gradients are written into it, every wall and seam zeroed
+    whatever it held, and out is returned.  With over_h false the face
     differences are left undivided, for a caller whose constants hold
     the 1/h."""
-    lead = values.shape[:-len(grid.n)]
-    x = values.reshape(lead + (-1,))  # lead + (N,)
-    grads = out if out is not None else tuple(np.zeros(lead + (x.shape[-1] + s,)) for s in grid.stride)
-    for ax, (s, h, f) in enumerate(zip(grid.stride, grid.h, grads)):
-        np.subtract(x[..., s:], x[..., :-s], out=f[..., s:-s])
-        if ax:
-            f[..., s:].reshape(lead + (-1, grid.n[ax], s))[..., -1, :] = 0.0
+    x = values.reshape(-1)
+    grads = out if out is not None else tuple(np.empty(x.size + s) for s in grid.stride)
+    for s, n, h, f in zip(grid.stride, grid.n, grid.h, grads):
+        np.subtract(x[s:], x[:-s], out=f[s:-s])
+        # the walls and seams are the slots m with m mod (n s) < s; when
+        # s is 1 they are one strided slice, 0.3 us against 1.1 us for the
+        # 2-D view on a (2, 64) stack
+        if s == 1:
+            f[::n] = 0.0
+        else:
+            f[:-s].reshape(-1, n * s)[:, :s] = 0.0
+            f[-s:] = 0.0
         if over_h:
             f /= h
     return grads
 
 
 def accumulate_divergence(grid: Grid, out: np.ndarray, fluxes: tuple[np.ndarray, ...]) -> None:
-    """Add outflow minus inflow to out, flat cell values shaped lead + (N,),
-    in place, from face-array fluxes already divided by their axis's h:
-    per axis, each cell's outflow, then its inflow, two slice updates of
-    the whole stack.  The walls carry zero flux, so the total telescopes
-    to zero mass."""
+    """Add outflow minus inflow to out, the flat L N cell values of a
+    stack, in place, from its face-array fluxes already divided by their
+    axis's h: per axis, each cell's outflow, then its inflow, two 1-D
+    slice updates of the whole stack.  The walls and seams carry zero
+    flux, so the total of each field telescopes to zero mass."""
     for f, s in zip(fluxes, grid.stride):
-        inner, before, after = f[..., s:-s], out[..., :-s], out[..., s:]
-        before += inner
-        after -= inner
+        inner = f[s:-s]
+        out[:-s] += inner
+        out[s:] -= inner
 
 
 def divergence_values(grid: Grid, fluxes: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Outflow-minus-inflow per cell volume from face-array fluxes: each
-    flux over its axis's h accumulated from 0.0 (accumulate_divergence),
-    so a cell whose only terms are -0.0 gets +0.0."""
-    lead = fluxes[0].shape[:-1]
-    out = np.zeros(lead + (math.prod(grid.n),))
+    """Outflow-minus-inflow per cell volume from the face-array fluxes of
+    a stack of L fields: each flux over its axis's h accumulated from 0.0
+    (accumulate_divergence), so a cell whose only terms are -0.0 gets
+    +0.0.  Shaped Grid.n for one field, (L, *Grid.n) for more."""
+    out = np.zeros(fluxes[0].size - grid.stride[0])
     accumulate_divergence(grid, out, tuple(f / h for f, h in zip(fluxes, grid.h)))
-    return out.reshape(lead + grid.n)
+    return out.reshape(grid.n if out.size == math.prod(grid.n) else (-1, *grid.n))
 
 
 def laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Zero-flux Laplacian: divergence of the face gradients."""
-    return divergence_values(grid, face_gradient_values(grid, values))
+    """Zero-flux Laplacian: divergence of the face gradients, shaped like
+    values."""
+    return divergence_values(grid, face_gradient_values(grid, values)).reshape(values.shape)
 
 
 def gradient_sq_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Cell-centered |grad f|^2: per-axis mean of the two squared face
-    gradients, a wall face counting as zero.
+    """Cell-centered |grad f|^2, shaped like values: per-axis mean of the
+    two squared face gradients, a wall or seam face counting as zero.
 
     Nonnegative by construction and exact for linear profiles away from
     the boundary.
@@ -207,8 +221,8 @@ def gradient_sq_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     out = 0.0
     for g, s in zip(face_gradient_values(grid, values), grid.stride):
         sq = g ** 2
-        out = out + 0.5 * (sq[..., s:] + sq[..., :-s])
-    return out.reshape(out.shape[:-1] + grid.n)
+        out = out + 0.5 * (sq[s:] + sq[:-s])
+    return out.reshape(values.shape)
 
 
 # --- snapshot format -------------------------------------------------------

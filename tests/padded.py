@@ -40,11 +40,13 @@ def with_walls(g, ax, faces):
 
 
 def to_face_array(g, ax, faces):
-    """Interior faces along axis ax in the package's flat face layout:
-    stride zeros, then one slot per cell, the face after it along ax, 0
-    where the cell is last along ax."""
-    width = [(0, 0)] * g.dim
-    width[ax] = (0, 1)
+    """Interior faces along axis ax of one field, or of a stack of fields
+    shaped lead + their shape, in the package's flat face layout: stride
+    zeros, then one slot per cell of the stack, the face after it along
+    ax, 0 where the cell is last along ax.  So the rows of a stack share
+    their wall slots."""
+    width = [(0, 0)] * faces.ndim
+    width[faces.ndim - g.dim + ax] = (0, 1)
     return np.concatenate([np.zeros(g.stride[ax]), np.pad(faces, width).ravel()])
 
 
@@ -108,10 +110,14 @@ def slicing_divergence(g, out, fluxes):
 
 def slicing_rhs(u, v, g, p, taxis):
     """Time derivatives of (u, v) from per-axis slices: the reactions, then
-    each field's flux divergence added onto them."""
+    each field's flux divergence added onto them.  rhs's stack (u, v)
+    shares the wall slots between its rows, so the predator's cells last
+    along axis 0 also get that wall's 0.0, which turns a -0.0 there into
+    +0.0; so they do here."""
     du, dv = reaction_rates(u, v, p)
     fluxes_u, fluxes_v = slicing_fluxes(u, v, g, p, taxis)
     slicing_divergence(g, du, fluxes_u)
+    du[-1] += 0.0
     slicing_divergence(g, dv, fluxes_v)
     return du, dv
 

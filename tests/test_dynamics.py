@@ -41,7 +41,7 @@ from preytaxis import dynamics
 from preytaxis.dynamics import STAGES, STEP_ACCURACY, STEP_SAFETY, advance, imex_step
 from preytaxis.oracle import homogeneous_ode, refinement_order
 from padded import per_field_step, slicing_fluxes, slicing_rhs, to_face_array, unfused_rhs, written_step_bounds
-from strategies import grids, positive_fields
+from strategies import grids, positive_fields, square_grids
 
 WORKED = ModelParams(d1=1.0, d2=1.0, m1=1.0, m2=2.0, chi=1.0, a=1.0, b=1.0)
 
@@ -91,8 +91,10 @@ def fluxes_over_h(u, v, g, p, taxis):
 
 
 def flux_of(u, v, g, p, taxis):
-    """The predator flux per axis: row 0 of rhs's face arrays times h."""
-    return tuple(faces[0] * h for faces, h in zip(fluxes_over_h(u, v, g, p, taxis), g.h))
+    """The predator flux per axis: row 0 of rhs's face arrays, their first
+    N + s slots, times h."""
+    cells = math.prod(g.n)
+    return tuple(faces[:cells + s] * h for faces, s, h in zip(fluxes_over_h(u, v, g, p, taxis), g.stride, g.h))
 
 
 def test_flux_is_plain_diffusion_when_v_constant():
@@ -148,8 +150,7 @@ def test_flux_from_cell_values_matches_padded_face_gradients_bitwise(data, g, ta
     want = slicing_fluxes(u, v, g, p, taxis)
     assert len(got) == g.dim
     for ax, faces in enumerate(got):
-        for row, ref in zip(faces, want):
-            assert row.tobytes() == to_face_array(g, ax, ref[ax]).tobytes()
+        assert faces.tobytes() == to_face_array(g, ax, np.stack((want[0][ax], want[1][ax]))).tobytes()
 
 
 def nonnegative_fields(g):
@@ -200,6 +201,48 @@ def test_rhs_on_a_reused_plan_matches_fresh_calls_property(data, g, taxis, eps, 
         results.append((d, d.tobytes()))
     for d, first in results:
         assert d.tobytes() == first
+
+
+def symmetry_case(data, g, taxis, m2):
+    """rhs at drawn fields on g under coexistence (m2 = 2) or extinction
+    (m2 = 1/2) parameters, and per species the scale of the terms it sums
+    (unfused_rhs's), shaped to broadcast against the stacked state; and a
+    function that evaluates rhs on another stacked state on g."""
+    u = data.draw(positive_fields(g, high=10.0))
+    v = data.draw(positive_fields(g, high=10.0))
+    p = replace(WORKED, m2=m2, eps=data.draw(st.sampled_from((0.0, 0.1))))
+    *_, scale_u, scale_v = unfused_rhs(u, v, g, p, taxis)
+    scales = np.array((scale_u, scale_v)).reshape((2,) + (1,) * g.dim)
+    y = np.stack((u, v))
+    return y, rhs(y, StepPlan(g, p, taxis)), scales, lambda z: rhs(np.ascontiguousarray(z), StepPlan(g, p, taxis))
+
+
+# The two symmetries below move no term of rhs but the order in which a
+# cell's divergence sums them, so they hold to the rounding of that sum:
+# 1e-14 of the scale of its terms is about 45 ulp.  A face array slot
+# left nonzero on a seam or a shared wall moves cells by the size of a
+# flux.
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), g=square_grids(), taxis=st.sampled_from(TaxisScheme), m2=st.sampled_from((2.0, 0.5)))
+def test_rhs_commutes_with_the_transpose_on_square_boxes_property(data, g, taxis, m2):
+    """On a square box of square cells, rhs of the transposed state is
+    the transposed rhs, with either flux, under coexistence and
+    extinction parameters."""
+    y, d, scales, rhs_at = symmetry_case(data, g, taxis, m2)
+    transposed = rhs_at(y.transpose(0, 2, 1)).transpose(0, 2, 1)
+    assert (np.abs(transposed - d) <= 1e-14 * scales).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), g=grids(), taxis=st.sampled_from(TaxisScheme), m2=st.sampled_from((2.0, 0.5)))
+def test_rhs_commutes_with_the_reflection_of_each_axis_property(data, g, taxis, m2):
+    """rhs of the state reflected along any axis, x -> L - x, is the
+    reflected rhs, with either flux, under coexistence and extinction
+    parameters."""
+    y, d, scales, rhs_at = symmetry_case(data, g, taxis, m2)
+    for ax in range(1, g.dim + 1):
+        reflected = np.flip(rhs_at(np.flip(y, ax)), ax)
+        assert (np.abs(reflected - d) <= 1e-14 * scales).all()
 
 
 def _grid_and_fields(g):
@@ -1108,6 +1151,48 @@ def test_a_box_scaled_by_lambda_with_transport_scaled_by_lambda_squared_is_the_s
         runs.append(run_bytes(State(grid.field(u), grid.field(v), 0.0), params, taxis, 0.5, 0.1))
     assert runs[0] == runs[1]
     assert runs[0][1].steps > 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(4, 12),
+    lengths=st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0)),
+    taxis=st.sampled_from(TaxisScheme),
+    m2=st.sampled_from((2.0, 0.5)),
+)
+def test_a_run_constant_along_y_on_n_by_4_cells_is_the_1d_run_property(data, n, lengths, taxis, m2):
+    """A run on n x 4 cells whose fields are constant along y is the run
+    on the n cells of its first axis, with either flux, under coexistence
+    and extinction parameters: the same step counts and sample counts,
+    and every sample time and state, each column of the 2-D run, within
+    1e-12 of the largest value.  Only rounding differs: the y-axis
+    transform of a constant row leaves rounding-sized modes.
+
+    The samples are closer than C/J (at least 3.6e-3 for these fields),
+    so every step is C/J long and the error estimate never runs: its
+    test err <= 1 would turn a rounding-sized difference into another
+    step where err is near 1, and such inputs exist (22 steps against
+    21)."""
+    line_grid = Grid((n,), lengths[:1])
+    u = data.draw(positive_fields(line_grid, high=3.0))
+    v = data.draw(positive_fields(line_grid, high=3.0))
+    p = replace(WORKED, m2=m2)
+    runs = []
+    for g in (line_grid, Grid((n, 4), lengths)):
+        seen, acc = [], StepAccounting()
+        s0 = State(g.field(np.broadcast_to(u.reshape((n,) + (1,) * (g.dim - 1)), g.n)),
+                   g.field(np.broadcast_to(v.reshape((n,) + (1,) * (g.dim - 1)), g.n)), 0.0)
+        run_to_time(s0, p, taxis, 0.1, 1e-3, sink=lambda t, y, count: seen.append((t, count, y)), accounting=acc)
+        runs.append((seen, acc))
+    (line, line_acc), (plane, plane_acc) = runs
+    counters = ("steps", "imex_steps", "imex_rejected", "imex_error_rejected", "rhs_evaluations")
+    assert [getattr(plane_acc, name) for name in counters] == [getattr(line_acc, name) for name in counters]
+    assert [count for _, count, _ in plane] == [count for _, count, _ in line]
+    for (t2, _, y2), (t1, _, y1) in zip(plane, line):
+        assert abs(t2 - t1) <= 1e-12 * t1
+        assert np.abs(y2 - y1[..., None]).max() <= 1e-12 * np.abs(y1).max()
+    assert line_acc.steps > 1 and line_acc.imex_error_rejected == 0
 
 
 @settings(max_examples=200, deadline=None)

@@ -141,20 +141,16 @@ def test_face_gradient_matches_slicing_bitwise_property(data, g):
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), g=grids(), lead=st.sampled_from(((), (2,))))
+@given(data=st.data(), g=grids(), lead=st.sampled_from(((), (1,), (2,), (3,))))
 def test_face_gradient_into_face_arrays_holding_garbage_property(data, g, lead):
-    """Written into face arrays whose walls hold 0 and whose other slots
-    hold anything, NaN included, as a reused face array's do, the face
-    gradients are the allocating call's byte for byte: the seams are
-    zeroed again on every call."""
+    """Written into face arrays of a stack of 1 to 3 fields whose every
+    slot, walls and seams included, holds anything, NaN included, the
+    face gradients are the allocating call's byte for byte: the kernel
+    writes every wall and seam itself."""
     values = data.draw(arrays(np.float64, lead + g.n, elements=st.floats(-1e3, 1e3)))
     garbage = st.floats(allow_nan=True, allow_infinity=True)
-    out = []
-    for s in g.stride:
-        faces = np.zeros(lead + (math.prod(g.n) + s,))
-        faces[..., s:-s] = data.draw(arrays(np.float64, faces[..., s:-s].shape, elements=garbage))
-        out.append(faces)
-    out = tuple(out)
+    size = math.prod(lead + g.n)
+    out = tuple(data.draw(arrays(np.float64, size + s, elements=garbage)) for s in g.stride)
     got = face_gradient_values(g, values, out=out)
     assert got is out
     for faces, want in zip(got, face_gradient_values(g, values)):
@@ -162,26 +158,30 @@ def test_face_gradient_into_face_arrays_holding_garbage_property(data, g, lead):
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), g=grids())
-def test_stacked_kernels_are_the_single_field_kernels_row_by_row_property(data, g):
-    """A (2, *n) stack of fields through each kernel gives, row by row, the
-    bytes of the single-field calls: every row's walls and seams are 0."""
+@given(data=st.data(), g=grids(), rows=st.integers(1, 3))
+def test_stacked_kernels_are_the_single_field_kernels_row_by_row_property(data, g, rows):
+    """A stack of 1 to 3 fields through each kernel gives, row by row, the
+    bytes of the single-field calls: row r's faces are the slice
+    [r N : (r + 1) N + s] of the stack's flat face array, so the rows
+    share their wall slots, and every wall and seam is 0."""
+    cells = math.prod(g.n)
     field = arrays(np.float64, g.n, elements=st.floats(-1e3, 1e3))
-    rows = [data.draw(field), data.draw(field)]
-    stacked = np.stack(rows)
+    fields = [data.draw(field) for _ in range(rows)]
+    stacked = np.stack(fields)
     for ax, faces in enumerate(face_gradient_values(g, stacked)):
-        assert faces.shape == (2, math.prod(g.n) + g.stride[ax])
-        for row, x in zip(faces, rows):
-            assert row.tobytes() == face_gradient_values(g, x)[ax].tobytes()
+        s = g.stride[ax]
+        assert faces.shape == (rows * cells + s,)
+        for r, x in enumerate(fields):
+            assert faces[r * cells:(r + 1) * cells + s].tobytes() == face_gradient_values(g, x)[ax].tobytes()
     for kernel in (laplacian_values, gradient_sq_values):
         got = kernel(g, stacked)
-        assert got.shape == (2,) + g.n
-        for row, x in zip(got, rows):
+        assert got.shape == (rows,) + g.n
+        for row, x in zip(got, fields):
             assert row.tobytes() == kernel(g, x).tobytes()
-    fluxes = [data.draw(interior_fluxes(g)), data.draw(interior_fluxes(g))]
-    got = divergence_values(g, tuple(map(np.stack, zip(*(face_arrays(g, f) for f in fluxes)))))
-    assert got.shape == (2,) + g.n
-    for row, f in zip(got, fluxes):
+    fluxes = [data.draw(interior_fluxes(g)) for _ in range(rows)]
+    got = divergence_values(g, tuple(to_face_array(g, ax, np.stack(f)) for ax, f in enumerate(zip(*fluxes))))
+    assert got.shape == ((rows,) if rows > 1 else ()) + g.n
+    for row, f in zip(got.reshape((rows,) + g.n), fluxes):
         assert row.tobytes() == divergence_values(g, face_arrays(g, f)).tobytes()
 
 
