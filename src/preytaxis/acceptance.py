@@ -20,7 +20,7 @@ from .dynamics import STAGES, BlowUp, State, StepPlan, TaxisScheme, reaction_rat
 from .grid import Grid, integrate_values
 from .model import ModelParams, Regime, steady_states
 from .oracle import heat_eigenmode_error, homogeneous_ode, refinement_order
-from .runner import RunResult, execute
+from .runner import RunResult, execute, run_status
 
 __all__ = ["CriterionResult", "criterion_numbers", "run_criterion", "heat_study",
            "refinement_study", "homogeneous_errors"]
@@ -162,7 +162,8 @@ def _criterion_3() -> tuple[bool, str]:
 def homogeneous_errors() -> list[tuple[str, float]]:
     """(label, max relative error) of criterion 4's two spatially constant
     runs (8 cells, t = 10, sampled every 0.5) against the RK4 reference,
-    oracle.homogeneous_ode, at the recorded sample times."""
+    oracle.homogeneous_ode, at the recorded sample times.  A run that
+    stalls or blows up raises run_to_time's Stalled or BlowUp."""
     errors = []
     for label, m2 in (("coexistence", 2.0), ("extinction", 0.5)):
         p = ModelParams(d1=1.0, d2=1.0, m1=1.0, m2=m2, chi=1.0, a=1.0, b=1.0)
@@ -185,7 +186,10 @@ def homogeneous_errors() -> list[tuple[str, float]]:
 
 
 def _criterion_4() -> tuple[bool, str]:
-    errors = homogeneous_errors()
+    try:
+        errors = homogeneous_errors()
+    except BlowUp as exc:
+        return False, f"run ended with {run_status(exc)}"
     worst = max(err for _, err in errors)
     notes = ", ".join(f"{label} {err:.2e}" for label, err in errors)
     return worst <= 1e-4, f"max rel err vs RK4 reference: {notes} (cap 1e-4)"
@@ -225,7 +229,7 @@ def _criterion_6() -> tuple[bool, str]:
     expected = integrate_values(g, reaction_rates(u0, v0, p)[0])
 
     def residual(dt: float) -> float:
-        u1 = step(np.stack((u0, v0)), 0.0, StepPlan(g, p, TaxisScheme.UPWIND), dt)[0]
+        u1 = step(np.stack((u0, v0)), StepPlan(g, p, TaxisScheme.UPWIND), dt)[0]
         return abs((integrate_values(g, u1) - mass0) / dt - expected)
 
     r_full = residual(dt0)

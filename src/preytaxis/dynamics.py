@@ -21,27 +21,28 @@ run_to_time builds and rhs, step, imex_step and advance take in place of
 (grid, p, taxis).  They return new arrays, so no result, carried
 right-hand side or state is ever a plan buffer.
 
-run_to_time takes each step with advance, the one place that keeps,
-discards and counts a step; step and imex_step only compute one.  Every
-step is first an implicit-explicit ARS(2,2,2) trial (Ascher, Ruuth &
-Spiteri, Appl. Numer. Math. 25, 1997), with the diffusion implicit, so
-diffusion does not bound the step.  It is at least the accuracy bound
-dt * J <= STEP_ACCURACY, C/J, and may be longer, up to one sample
-interval, when a local error estimate accepts it (step control after
-Hairer, Norsett & Wanner, Solving ODEs I, II.4): the trapezoidal defect,
-whose L(Y1) is the next step's first right-hand side, so it costs none.
-C/J comes from the per-capita reaction rates of the right-hand side that
-starts the step, reduced in the pass that forms its reactions, and is
-carried with it.  The orthonormal DCT-II diagonalises the zero-flux
-Laplacian of a uniform axis exactly (Strang, SIAM Review 41, 1999), so
-each implicit solve is two dense transforms and a division, and a step
-costs two right-hand sides and four transforms, whatever its length.
+run_to_time takes each step with advance, the one place that judges,
+keeps, discards and counts a step; step and imex_step only compute one.
+Every step is first an implicit-explicit ARS(2,2,2) trial (Ascher,
+Ruuth & Spiteri, Appl. Numer. Math. 25, 1997), with the diffusion
+implicit, so diffusion does not bound the step.  It is at least the
+accuracy bound dt * J <= STEP_ACCURACY, C/J, and may be longer, up to
+one sample interval, when a local error estimate accepts it (step
+control after Hairer, Norsett & Wanner, Solving ODEs I, II.4): the
+trapezoidal defect, whose L(Y1) is the next step's first right-hand
+side, so it costs none.  C/J comes from the per-capita reaction rates
+of the right-hand side that starts the step, reduced in the pass that
+forms its reactions, and is carried with it.  The orthonormal DCT-II
+diagonalises the zero-flux Laplacian of a uniform axis exactly (Strang,
+SIAM Review 41, 1999), so each implicit solve is two dense transforms
+and a division, and a step costs two right-hand sides and four
+transforms, whatever its length.
 
 One admissibility rule judges both methods, and the stepper never
 repairs a state: every cell of a kept step is finite, nonnegative and at
 most BLOWUP_LIMIT.  An IMEX trial that breaks it, or lifts the prey
 maximum past its cap, is discarded for the proven step; a proven step
-that breaks it raises BlowUp.
+that breaks it ends the run, as advance raises BlowUp.
 
 The proven step is the s-stage second-order SSP Runge-Kutta method
 SSP-RK(s, 2) with s = STAGES (Spiteri & Ruuth 2002; low-storage form
@@ -433,28 +434,19 @@ def _admissible(y: np.ndarray, maxima: tuple[float, float], prey_cap: float) -> 
     return bool(y.min() >= 0.0 and u_max <= BLOWUP_LIMIT and v_max <= min(prey_cap, BLOWUP_LIMIT))
 
 
-def step(y: np.ndarray, t: float, plan: StepPlan, dt: float, rates: np.ndarray | None = None) -> np.ndarray:
+def step(y: np.ndarray, plan: StepPlan, dt: float, rates: np.ndarray | None = None) -> np.ndarray:
     """One SSP-RK(STAGES, 2) step of size dt, 0 < dt < inf, from the
-    stacked state y at time t, the step advance takes in place of a
-    discarded IMEX step; returns the new stacked state with no positivity
-    repair and leaves the inputs alone.  Every substep's rhs runs on
-    plan; rates, when given, is rhs(y, plan), which the first substep
-    then does not form.
+    stacked state y, the step advance takes in place of a discarded IMEX
+    trial; returns the new stacked state, unjudged and unrepaired, and
+    leaves the inputs alone.  Every substep's rhs runs on plan; rates,
+    when given, is rhs(y, plan), which the first substep then does not
+    form.
 
     STAGES - 1 forward-Euler substeps z <- z + (dt/(STAGES - 1)) rhs(z)
     and one more give z; the step returns z + (y - z)/STAGES.  That is
     the convex combination (y + (STAGES - 1) z)/STAGES, written so that a
-    fixed point of rhs is kept bitwise.  A result with a cell that is
-    negative, not finite or above BLOWUP_LIMIT raises BlowUp: the same
-    admissibility rule advance applies to an IMEX step, without its prey
-    cap.
+    fixed point of rhs is kept bitwise.
     """
-    return _ssp_step(y, t, plan, dt, rates)[0]
-
-
-def _ssp_step(y: np.ndarray, t: float, plan: StepPlan, dt: float,
-              rates: np.ndarray | None) -> tuple[np.ndarray, tuple[float, float]]:
-    """step's result and its row maxima, which advance counts."""
     if not 0.0 < dt < math.inf:  # a NaN dt fails too
         raise ValueError(f"dt must be finite and > 0 (got {dt})")
     sub = dt / (STAGES - 1)
@@ -462,11 +454,7 @@ def _ssp_step(y: np.ndarray, t: float, plan: StepPlan, dt: float,
     for k in range(STAGES):
         d = rates if k == 0 and rates is not None else rhs(z, plan)
         z = z + sub * d
-    z = z + (y - z) / STAGES
-    maxima = _row_maxima(z)
-    if not _admissible(z, maxima, math.inf):
-        raise BlowUp(f"density negative, not finite or above {BLOWUP_LIMIT:.0e} at t = {t + dt:.6g}")
-    return z, maxima
+    return z + (y - z) / STAGES
 
 
 def _transform(plan: StepPlan, x: np.ndarray, out: np.ndarray, inverse: bool = False) -> None:
@@ -578,16 +566,19 @@ def advance(y: np.ndarray, t: float, t_end: float, plan: StepPlan,
     before the stall check, which counts that right-hand side.  The
     stages' right-hand sides form no bound.
 
+    advance alone judges a step; imex_step and step only compute one.
     Every dt is first an IMEX trial from plan.rates or that L(Y0),
     admissible if every cell is finite, nonnegative and at most
     BLOWUP_LIMIT and max v' <= max(max v, max(0, m2)) (1 + 1e-12).  One
     that is not is discarded for the SSP-RK step from the same L(Y0) at
-    min(limit, t_end - t), limit = min(step_bounds), which raises BlowUp
-    when not admissible and forms no estimate; the next proposal is 0.
-    Only that fallback forms the positivity bound, and it checks limit
-    as the start checks accuracy.  max v is reduced once, for the IMEX
-    step's cap and the admissibility cap, and the row maxima of the new
-    state once, for its admissibility and peak_v.
+    min(limit, t_end - t), limit = min(step_bounds), which forms no
+    estimate; the next proposal is 0.  That fallback is kept if every
+    cell is finite, nonnegative and at most BLOWUP_LIMIT, and otherwise
+    advance raises BlowUp.  Only the fallback forms the positivity bound,
+    and advance checks limit as the start checks accuracy.  max v is
+    reduced once, for the IMEX step's cap and the admissibility cap, and
+    the row maxima of the new state once, for its admissibility and
+    peak_v.
 
     When longest exceeds accuracy and the step does not land on t_end,
     advance forms L(Y1), with the bound at Y1, and
@@ -606,36 +597,36 @@ def advance(y: np.ndarray, t: float, t_end: float, plan: StepPlan,
         accounting.rhs_evaluations += 1
     _check_progress(accuracy, t, t_end)
     cap = max(float(y[1].max()), p.m2_plus)
-    fallback = False
     dt = min(max(accuracy, min(plan.proposal, plan.longest)), t_end - t)
     estimate = plan.longest > accuracy and dt < t_end - t
     while True:
-        if fallback:
-            y_new, maxima = _ssp_step(y, t, plan, dt, rates)
-            accounting.rhs_evaluations += STAGES - 1
-        else:
-            y_new = imex_step(y, plan, dt, rates, cap)
-            accounting.rhs_evaluations += 1
-            maxima = _row_maxima(y_new)
-            if not _admissible(y_new, maxima, cap * (1.0 + 1e-12)):
-                accounting.imex_rejected += 1
-                limit = min(step_bounds(y[0], y[1], plan.grid, p))
-                _check_progress(limit, t, t_end)
-                plan.proposal, estimate, fallback, dt = 0.0, False, True, min(limit, t_end - t)
-                continue
-        if not estimate:
-            break
-        rates_new, bound_new = _rhs(y_new, plan, True)
+        y_new = imex_step(y, plan, dt, rates, cap)
         accounting.rhs_evaluations += 1
-        err = _defect(y, y_new, rates, rates_new, dt) / STEP_TOL
-        # a NaN err takes the 0.2 of max(0.2, nan) and is rejected
-        factor = max(0.2, 0.9 * err ** (-1.0 / 3.0)) if err != 0.0 else math.inf
-        if err <= 1.0 or dt <= accuracy:
-            plan.proposal, plan.rates, plan.bound = dt * min(5.0, factor), rates_new, bound_new
+        maxima = _row_maxima(y_new)
+        if not _admissible(y_new, maxima, cap * (1.0 + 1e-12)):
+            accounting.imex_rejected += 1
+            limit = min(step_bounds(y[0], y[1], plan.grid, p))
+            _check_progress(limit, t, t_end)
+            plan.proposal, dt = 0.0, min(limit, t_end - t)
+            y_new = step(y, plan, dt, rates)
+            maxima = _row_maxima(y_new)
+            if not _admissible(y_new, maxima, math.inf):
+                raise BlowUp(f"density negative, not finite or above {BLOWUP_LIMIT:.0e} at t = {t + dt:.6g}")
+            accounting.rhs_evaluations += STAGES - 1
             break
-        accounting.imex_error_rejected += 1
-        dt = max(accuracy, dt * factor)
-    accounting.imex_steps += not fallback
+        if estimate:
+            rates_new, bound_new = _rhs(y_new, plan, True)
+            accounting.rhs_evaluations += 1
+            err = _defect(y, y_new, rates, rates_new, dt) / STEP_TOL
+            # a NaN err takes the 0.2 of max(0.2, nan) and is rejected
+            factor = max(0.2, 0.9 * err ** (-1.0 / 3.0)) if err != 0.0 else math.inf
+            if not (err <= 1.0 or dt <= accuracy):
+                accounting.imex_error_rejected += 1
+                dt = max(accuracy, dt * factor)
+                continue
+            plan.proposal, plan.rates, plan.bound = dt * min(5.0, factor), rates_new, bound_new
+        accounting.imex_steps += 1
+        break
     accounting.steps += 1
     accounting.peak_v = max(accounting.peak_v, maxima[1])
     accounting.dt_min = min(accounting.dt_min, dt)
@@ -670,11 +661,11 @@ def run_to_time(
     (2, *grid.n) array, admissible and never written again once handed
     out; only the state returned is a State.  The final step is clipped
     to land on t_end.  An s0 above BLOWUP_LIMIT raises BlowUp after the
-    first sample; a step too small to change t, or one at which the rest
-    of the run would take more than STEP_BUDGET steps, raises Stalled
-    (from advance) instead of looping without end.  A NaN t_end
-    or sample_every, or more than SAMPLE_BUDGET sample intervals, raises
-    ValueError before the sink is first called.
+    first sample, t_end = s0.t included; a step too small to change t,
+    or one at which the rest of the run would take more than STEP_BUDGET
+    steps, raises Stalled (from advance) instead of looping without end.
+    A NaN t_end or sample_every, or more than SAMPLE_BUDGET sample
+    intervals, raises ValueError before the sink is first called.
     """
     if not t_end >= s0.t:
         raise ValueError(f"t_end must be >= the state time {s0.t} (got {t_end})")
@@ -689,10 +680,10 @@ def run_to_time(
     acc.peak_v = max(acc.peak_v, maxima[1])
     if sink is not None:
         sink(t0, y, 1)
-    if t_end == t0:
-        return s0
     if not _admissible(y, maxima, math.inf):
         raise BlowUp(f"density above {BLOWUP_LIMIT:.0e} at t = {t0:.6g}")
+    if t_end == t0:
+        return s0
     t = t0
     n_samples = int(math.floor(intervals + 1e-9))
     next_sample = 1

@@ -111,10 +111,8 @@ def execute(config: RunConfig) -> RunResult:
             sink=sink,
             accounting=accounting,
         )
-    except Stalled as exc:
-        status = f"stalled: {exc}"
     except BlowUp as exc:
-        status = f"blowup: {exc}"
+        status = run_status(exc)
     if queue:
         flush()
     return RunResult(
@@ -129,6 +127,11 @@ def execute(config: RunConfig) -> RunResult:
         status=status,
         wall_clock=time.perf_counter() - started,
     )
+
+
+def run_status(exc: BlowUp) -> str:
+    """The status of a run that raised exc: "stalled: ..." or "blowup: ..."."""
+    return f"{'stalled' if isinstance(exc, Stalled) else 'blowup'}: {exc}"
 
 
 def _fingerprints(config: RunConfig) -> tuple[str, str]:

@@ -25,11 +25,10 @@ def test_criterion(number, capsys):
     assert result.passed, line
 
 
-def test_coexistence_run_rejects_no_rkl2_step_and_clamps_nothing():
+def test_coexistence_run_rejects_no_imex_trial_and_clamps_nothing():
     """On the bundled coexistence scenario (the run criteria 7, 8 and 11
-    share) the IMEX step, which took over RKL2's long steps, takes steps,
-    every one passes its checks, and the run completes: no step raised
-    BlowUp for a negative cell."""
+    share) the IMEX step takes steps, every trial passes its checks, and
+    the run completes: no step raised BlowUp for a negative cell."""
     result = _scenario_result("coexistence_64")
     assert result.status == "completed"
     assert result.accounting.imex_steps > 0
@@ -55,6 +54,16 @@ def test_criterion_4_error_follows_the_error_tolerance(monkeypatch):
     monkeypatch.setattr(dynamics, "STEP_TOL", 10.0 * dynamics.STEP_TOL)
     at_ten_tol = max(err for _, err in homogeneous_errors())
     assert at_ten_tol >= math.sqrt(10.0) * at_tol
+
+
+def test_criterion_4_fails_with_the_status_of_a_stalled_run(monkeypatch):
+    """Criterion 4 runs run_to_time itself; a run that stalls (here, with
+    a step budget of 10) fails the criterion with the run's status, as
+    the scenario criteria do, instead of escaping run_criterion."""
+    monkeypatch.setattr(dynamics, "STEP_BUDGET", 10.0)
+    result = run_criterion(4)
+    assert not result.passed
+    assert result.detail == "run ended with stalled: step 2.500e-02 at t = 0 leaves over 1e+01 steps to t_end"
 
 
 @pytest.mark.parametrize("scenario", ["coexistence_64", "extinction_64", "max_principle_64"])

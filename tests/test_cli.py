@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from preytaxis import dynamics
 from preytaxis.cli import main
 
 BASE = "grid.n = 16\nrun.t_end = 0.2\nrun.sample_every = 0.1\n"
@@ -131,7 +132,7 @@ def test_run_beyond_step_budget_exit_code(tmp_path):
 def test_run_at_the_predator_logistic_level_clamps_nothing(tmp_path):
     # u = m1 + a v: the per-capita rate is 0 but the reaction's slope is not,
     # so a step sized by the per-capita rate overshoots into negative cells,
-    # and step raises BlowUp (exit 2) instead of keeping them
+    # and advance raises BlowUp (exit 2) instead of keeping them
     out = tmp_path / "out"
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -207,6 +208,16 @@ def test_accept_single_criterion(capsys):
     assert main(["accept", "--criteria", "2"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("PASS criterion 2:")
+
+
+def test_accept_goes_on_past_a_criterion_whose_run_stalls(capsys, monkeypatch):
+    """A stalled criterion-4 run is a FAIL line, and the criteria after it
+    still run: accept exits 1, not 2."""
+    monkeypatch.setattr(dynamics, "STEP_BUDGET", 10.0)
+    assert main(["accept", "--criteria", "4,9"]) == 1
+    first, second = capsys.readouterr().out.splitlines()
+    assert first.startswith("FAIL criterion 4: homogeneous dynamics vs reference ODE - run ended with stalled: ")
+    assert second.startswith("PASS criterion 9:")
 
 
 def test_accept_rejects_unknown_criterion():

@@ -69,7 +69,7 @@ def test_step_fixes_equilibrium_bitwise():
     """The spatially constant equilibrium is a fixed point of the stepper."""
     ss = steady_states(WORKED)
     u, v, g = make_arrays(np.full((8, 8), ss.u_star), np.full((8, 8), ss.v_star))
-    u1, v1 = step(np.stack((u, v)), 0.0, StepPlan(g, WORKED, TaxisScheme.UPWIND), 0.01)
+    u1, v1 = step(np.stack((u, v)), StepPlan(g, WORKED, TaxisScheme.UPWIND), 0.01)
     assert np.array_equal(u1, u)
     assert np.array_equal(v1, v)
     # the time is the caller's: run_to_time lands exactly on t_end, here
@@ -358,12 +358,22 @@ def ssp_step_length(u, v, g, p):
     return min(step_bounds(u, v, g, p))
 
 
+def assert_admissible(y):
+    """Every cell of the stacked state y is finite, nonnegative and at
+    most 1e12: the rule advance judges a kept step by, less its prey
+    cap.  step judges nothing, so the tests of its steps check it here."""
+    assert np.isfinite(y).all()
+    assert y.min() >= 0.0
+    assert y.max() <= 1e12
+
+
 def assert_full_step_clean(u, v, g, p, taxis):
-    """One SSP-RK step at the length advance takes is admissible, so step
-    raises no BlowUp for a negative cell, and keeps the prey under
-    max(max v, max(0, m2)): the maximum principle of the prey equation."""
-    _, v1 = step(np.stack((u, v)), 0.0, StepPlan(g, p, taxis), ssp_step_length(u, v, g, p))
-    assert float(v1.max()) <= max(float(v.max()), max(0.0, p.m2)) * (1.0 + 1e-12)
+    """One SSP-RK step at the length advance takes is admissible and
+    keeps the prey under max(max v, max(0, m2)): the maximum principle
+    of the prey equation."""
+    y1 = step(np.stack((u, v)), StepPlan(g, p, taxis), ssp_step_length(u, v, g, p))
+    assert_admissible(y1)
+    assert float(y1[1].max()) <= max(float(v.max()), max(0.0, p.m2)) * (1.0 + 1e-12)
 
 
 SLOW = ModelParams(d1=1e-2, d2=1e-2, m1=1e-2, m2=-3.0, chi=1e-2, a=1e-2, b=1e-2)
@@ -410,8 +420,7 @@ def test_each_limiter_term_binds_somewhere(u, v, length, p):
     u, v, g = make_arrays(u, v, length)
     for taxis in TaxisScheme:
         assert_forward_euler_substep_safe(u, v, g, p, taxis)
-        # raises BlowUp on a negative cell
-        step(np.stack((u, v)), 0.0, StepPlan(g, p, taxis), substep_of(u, v, g, p))
+        assert_admissible(step(np.stack((u, v)), StepPlan(g, p, taxis), substep_of(u, v, g, p)))
         assert_full_step_clean(u, v, g, p, taxis)
 
 
@@ -658,10 +667,9 @@ def test_every_grid_takes_two_right_hand_sides_per_step():
 
 @pytest.mark.parametrize("length", [2, 5, 10, 20])
 @pytest.mark.parametrize("m2", [2.0, 0.5], ids=["coexistence", "extinction"])
-def test_rkl2_step_is_second_order_on_the_homogeneous_ode(length, m2):
-    """Criterion 4's homogeneous case, run to t = 2 with fixed steps of the
-    long stepper, imex_step (the test keeps the name it had when RKL2 took
-    the long steps).  There the diffusion is 0, and the step is ARS(2,2,2)'s
+def test_imex_step_is_second_order_on_the_homogeneous_ode(length, m2):
+    """Criterion 4's homogeneous case, run to t = 2 with fixed steps of
+    imex_step.  There the diffusion is 0, and the step is ARS(2,2,2)'s
     explicit two-stage method on the reactions; its DCT solve keeps the
     state homogeneous on every domain length, though the eigenvalues it
     divides by scale as 1/length^2."""
@@ -802,7 +810,7 @@ def test_step_matches_the_per_field_loop_bitwise_property(data, g, taxis, eps, f
     dt = fraction * ssp_step_length(u, v, g, p)
     plan = StepPlan(g, p, taxis)
     rates = rhs(y, plan) if carried else None
-    got = step(y, 0.0, plan, dt, rates)
+    got = step(y, plan, dt, rates)
     want = per_field_step(u, v, g, p, taxis, dt)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
@@ -823,7 +831,7 @@ def assert_advance_safe(u, v, taxis):
     assert acc.steps == 1
     if acc.imex_steps == 0:
         safe = ssp_step_length(u, v, ROUGH, WORKED)
-        u_ssp, v_ssp = step(np.stack((u, v)), 0.0, StepPlan(ROUGH, WORKED, taxis), safe)
+        u_ssp, v_ssp = step(np.stack((u, v)), StepPlan(ROUGH, WORKED, taxis), safe)
         assert dt == safe
         assert u1.tobytes() == u_ssp.tobytes()
         assert v1.tobytes() == v_ssp.tobytes()
@@ -840,10 +848,9 @@ def test_advance_is_safe_on_rough_states(u, v, taxis):
     assert_advance_safe(u, v, taxis)
 
 
-def test_advance_falls_back_to_the_ssp_step_when_rkl2_goes_negative():
-    """The long step, once RKL2's and now the IMEX step's, is discarded
-    when it goes negative: from this draw the IMEX step takes a predator
-    cell to -0.42."""
+def test_advance_falls_back_to_the_ssp_step_when_the_imex_trial_goes_negative():
+    """An IMEX trial is discarded when it goes negative: from this draw
+    it takes a predator cell to -0.42."""
     rng = np.random.default_rng(92)
     u, v = rng.uniform(0.0, 3.0, 16), rng.uniform(0.0, 3.0, 16)
     acc = assert_advance_safe(u, v, TaxisScheme.UPWIND)
@@ -858,11 +865,11 @@ def test_advance_falls_back_to_the_ssp_step_when_rkl2_goes_negative():
     [("u", math.nan), ("v", math.nan), ("u", math.inf), ("v", -1e-300), ("v", 2.5)],
     ids=["nan-u", "nan-v", "inf", "negative", "above-prey-cap"],
 )
-def test_advance_discards_an_inadmissible_rkl2_step(monkeypatch, field, value):
-    """A long-step result, the IMEX step's since it replaced RKL2, that
-    fails the admissibility test in any one way is discarded for the
-    SSP-RK step at the positivity bound.  From this state advance keeps
-    the unpatched IMEX step, and the prey cap is max(max v, m2) = 2."""
+def test_advance_discards_an_inadmissible_imex_trial(monkeypatch, field, value):
+    """An IMEX trial that fails the admissibility test in any one way is
+    discarded for the SSP-RK step at the positivity bound.  From this
+    state advance keeps the unpatched IMEX step, and the prey cap is
+    max(max v, m2) = 2."""
     def corrupted(*args):
         y1 = imex_step(*args)
         y1[0 if field == "u" else 1][5] = value
@@ -874,7 +881,7 @@ def test_advance_discards_an_inadmissible_rkl2_step(monkeypatch, field, value):
     (u1, v1), dt = advance(np.stack((u, v)), 0.0, 1.0, StepPlan(ROUGH, WORKED, TaxisScheme.UPWIND), acc)
     assert (acc.imex_steps, acc.imex_rejected, acc.steps) == (0, 1, 1)
     assert dt == step_bounds(u, v, ROUGH, WORKED)[0]
-    u_ssp, v_ssp = step(np.stack((u, v)), 0.0, StepPlan(ROUGH, WORKED, TaxisScheme.UPWIND), dt)
+    u_ssp, v_ssp = step(np.stack((u, v)), StepPlan(ROUGH, WORKED, TaxisScheme.UPWIND), dt)
     assert u1.tobytes() == u_ssp.tobytes() and v1.tobytes() == v_ssp.tobytes()
 
 
@@ -1203,12 +1210,11 @@ def test_a_run_constant_along_y_on_n_by_4_cells_is_the_1d_run_property(data, n, 
     eps=st.sampled_from((0.0, 0.1, 1.0, 10.0)),
 )
 def test_step_at_limiter_dt_clamps_nothing(data, g, taxis, eps):
-    """A step one substep of the positivity bound long is admissible: step
-    raises no BlowUp for a negative cell."""
+    """A step one substep of the positivity bound long is admissible."""
     u = data.draw(positive_fields(g))
     v = data.draw(positive_fields(g))
     p = replace(WORKED, eps=eps)
-    step(np.stack((u, v)), 0.0, StepPlan(g, p, taxis), substep_of(u, v, g, p))
+    assert_admissible(step(np.stack((u, v)), StepPlan(g, p, taxis), substep_of(u, v, g, p)))
 
 
 def test_state_validation():
@@ -1236,31 +1242,56 @@ def test_step_rejects_bad_dt(stepper, dt):
     plan = StepPlan(g, WORKED, TaxisScheme.UPWIND)
     with pytest.raises(ValueError, match="dt must be finite and > 0"):
         if stepper == "ssp":
-            step(np.stack((u, v)), 0.0, plan, dt)
+            step(np.stack((u, v)), plan, dt)
         else:
             imex_step(np.stack((u, v)), plan, dt)
 
 
 def test_blowup_detection():
+    """A fallback above 1e12 ends the step in BlowUp.  From u = 1e13 the
+    IMEX trial is inadmissible, and the SSP-RK step at the accuracy bound
+    (5e-15 here) leaves u above the ceiling, so advance raises."""
     u, v, g = make_arrays(np.full(8, 1e13), np.zeros(8))
-    with pytest.raises(BlowUp):
-        # dt so small the huge density survives the step above the ceiling
-        step(np.stack((u, v)), 0.0, StepPlan(g, WORKED, TaxisScheme.UPWIND), 1e-16)
+    acc = StepAccounting()
+    with pytest.raises(BlowUp, match=re.escape("not finite or above 1e+12 at t = ")):
+        advance(np.stack((u, v)), 0.0, 1e-9, StepPlan(g, WORKED, TaxisScheme.UPWIND), acc)
+    assert (acc.steps, acc.imex_rejected) == (0, 1)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
-def test_step_raises_blowup_on_a_non_finite_cell(value):
-    u, v, g = make_arrays(np.ones(8), np.ones(8))
-    u[3] = value
-    with pytest.raises(BlowUp, match="not finite or above"), np.errstate(invalid="ignore"):
-        step(np.stack((u, v)), 0.0, StepPlan(g, WORKED, TaxisScheme.UPWIND), 1e-16)
+def test_step_raises_blowup_on_a_non_finite_cell(monkeypatch, value):
+    """advance judges the SSP-RK fallback: one with a NaN or infinite cell
+    ends the step in BlowUp.  From this draw the IMEX trial goes negative
+    (see test_advance_falls_back_to_the_ssp_step_when_the_imex_trial_goes_negative),
+    and the fallback step gets one bad cell."""
+    def corrupted(*args):
+        y1 = step(*args)
+        y1[0][3] = value
+        return y1
+
+    monkeypatch.setattr(dynamics, "step", corrupted)
+    rng = np.random.default_rng(92)
+    u, v = rng.uniform(0.0, 3.0, 16), rng.uniform(0.0, 3.0, 16)
+    acc = StepAccounting()
+    with pytest.raises(BlowUp, match="not finite or above"):
+        advance(np.stack((u, v)), 0.0, 1.0, StepPlan(ROUGH, WORKED, TaxisScheme.UPWIND), acc)
+    assert (acc.steps, acc.imex_rejected) == (0, 1)
 
 
-def test_step_raises_blowup_on_a_negative_cell():
-    # a huge forced step drives the logistic decay negative; step repairs nothing
+def test_step_raises_blowup_on_a_negative_cell(monkeypatch):
+    """advance repairs nothing: a fallback with a negative cell ends the
+    step in BlowUp.  step computes it without judging it: a huge forced
+    step drives the logistic decay negative.  advance takes that step
+    when every IMEX trial is negative and step_bounds says 0.2."""
     u, v, g = make_arrays([10.0, 0.0, 0.0, 10.0], np.zeros(4))
-    with pytest.raises(BlowUp, match="negative"):
-        step(np.stack((u, v)), 0.0, StepPlan(g, WORKED, TaxisScheme.UPWIND), 0.2)
+    plan = StepPlan(g, WORKED, TaxisScheme.UPWIND)
+    assert step(np.stack((u, v)), plan, 0.2).min() < 0.0
+    monkeypatch.setattr(dynamics, "imex_step", lambda y, plan, dt, rates=None, cap=None: -y)
+    monkeypatch.setattr(dynamics, "step_bounds", lambda *args: (0.2, 0.2))
+    acc = StepAccounting()
+    with pytest.raises(BlowUp, match=re.escape("negative, not finite or above 1e+12 at t = 0.2")):
+        advance(np.stack((u, v)), 0.0, 1.0, plan, acc)
+    assert (acc.steps, acc.imex_rejected) == (0, 1)
 
 
 def test_mass_rate_equals_reaction_integral():
@@ -1321,6 +1352,18 @@ def test_run_to_time_identity_when_already_there():
                       sink=lambda t, y, count: seen.append((t, y.tobytes(), count)))
     assert out is s
     assert seen == [(s.t, np.stack((s.u.values, s.v.values)).tobytes(), 1)]
+
+
+@pytest.mark.parametrize("t_end", [0.0, 0.5], ids=["zero-length", "half"])
+def test_run_to_time_judges_the_initial_state_after_its_sample(t_end):
+    """An initial state above 1e12 raises BlowUp after the one sample of
+    s0, a run of length 0, which takes no step, included."""
+    s = make_state(np.full(8, 1e13), np.ones(8))
+    seen = []
+    with pytest.raises(BlowUp, match=re.escape("density above 1e+12 at t = 0")):
+        run_to_time(s, WORKED, TaxisScheme.UPWIND, t_end=t_end, sample_every=0.1,
+                    sink=lambda t, y, count: seen.append((t, count)))
+    assert seen == [(0.0, 1)]
 
 
 def test_run_to_time_validation():
